@@ -1,8 +1,9 @@
-"""Compare the pure-Python and compiled enumeration kernels.
+"""Time the enumeration kernel.
 
 Times the hot path (exhaustive candidate enumeration) on three workload
 shapes: direct answer-set enumeration of a scaled non-convex program,
 enumeration of a compiled rewriting, and a slice of the theorem battery.
+`perfbench/run.py` is the measurement of record; this is a quick look.
 
     python3 benchmarks/bench_kernels.py [--atoms N] [--seeds N] [--repeat N]
 """
@@ -15,7 +16,6 @@ from gasp.compile import rew_sflp
 from gasp.core import Atom, CountAggregate, Program, Rule
 from gasp.harness import GenConfig, check_theorems, generate
 from gasp.parser import parse_program
-from gasp.semantics import SemanticsKind, enumerate_interpretations
 
 
 def coordination_chain(n: int) -> Program:
@@ -38,16 +38,16 @@ def timed(fn, repeat: int) -> float:
     return best
 
 
-def bench_enumeration(program: Program, mode: int, backend: str, repeat: int) -> float:
+def bench_enumeration(program: Program, mode: int, repeat: int) -> float:
     lp = lowering.lower(program)
-    return timed(lambda: kernel.enumerate_masks(lp, mode, backend), repeat)
+    return timed(lambda: kernel.enumerate_masks(lp, mode), repeat)
 
 
-def bench_battery(seeds: int, backend: str) -> float:
+def bench_battery(seeds: int) -> float:
     start = time.perf_counter()
     for seed in range(seeds):
         cfg = GenConfig(atom_count=2 + seed % 4, rule_count=seed % 7, seed=seed)
-        check_theorems(generate(cfg), compile_limit=16, backend=backend)
+        check_theorems(generate(cfg), compile_limit=16)
     return time.perf_counter() - start
 
 
@@ -58,47 +58,24 @@ def main() -> int:
     ap.add_argument("--repeat", type=int, default=3, help="best-of repetitions")
     args = ap.parse_args()
 
-    backends = kernel.available_backends()
-    if "compiled" not in backends:
-        print("compiled kernel not built; timing the pure backend only")
-
     chain = coordination_chain(args.atoms)
     compiled_p1, _ = rew_sflp(parse_program(
         "a :- count{a, b} != 1. b :- count{a, b} != 1."
     ))
-
-    rows = []
-    for label, program, mode in (
-        (f"models, {args.atoms}-atom chain", chain, lowering.ENUM_MODELS),
-        (f"sflp, {args.atoms}-atom chain", chain, lowering.ENUM_SFLP),
-        ("flp, rewritten 2-atom program", compiled_p1, lowering.ENUM_FLP),
-    ):
-        times = {
-            b: bench_enumeration(program, mode, b, args.repeat) for b in backends
-        }
-        rows.append((label, times))
-    battery_times = {b: bench_battery(args.seeds, b) for b in backends}
-    rows.append((f"theorem battery, {args.seeds} programs", battery_times))
+    rows = [
+        (label, bench_enumeration(program, mode, args.repeat))
+        for label, program, mode in (
+            (f"models, {args.atoms}-atom chain", chain, lowering.ENUM_MODELS),
+            (f"sflp, {args.atoms}-atom chain", chain, lowering.ENUM_SFLP),
+            ("flp, rewritten 2-atom program", compiled_p1, lowering.ENUM_FLP),
+        )
+    ]
+    rows.append((f"theorem battery, {args.seeds} programs", bench_battery(args.seeds)))
 
     width = max(len(label) for label, _ in rows)
-    header = f"{'workload':<{width}}  {'pure':>10}"
-    if "compiled" in backends:
-        header += f"  {'compiled':>10}  {'speedup':>8}"
-    print(header)
-    for label, times in rows:
-        line = f"{label:<{width}}  {times['pure'] * 1e3:>8.1f}ms"
-        if "compiled" in times:
-            speedup = times["pure"] / times["compiled"] if times["compiled"] else 0.0
-            line += f"  {times['compiled'] * 1e3:>8.1f}ms  {speedup:>7.1f}x"
-        print(line)
-
-    # sanity: identical answers from both backends on the chain
-    if "compiled" in backends:
-        for kind in SemanticsKind:
-            pure = enumerate_interpretations(chain, kind, backend="pure")
-            comp = enumerate_interpretations(chain, kind, backend="compiled")
-            assert pure == comp, f"backend mismatch on {kind.value}"
-        print("\nbackends agree on all four semantics for the chain workload")
+    print(f"{'workload':<{width}}  {'time':>10}")
+    for label, seconds in rows:
+        print(f"{label:<{width}}  {seconds * 1e3:>8.1f}ms")
     return 0
 
 

@@ -2,8 +2,10 @@
 
 Subcommands: models, supported, flp, sflp (enumeration), completion,
 convexity, compile, verify. Input is a `.gasp` file or `-` for stdin.
-Exit codes: 0 success (an empty enumeration is success), 2 parse or
-validation error, 3 atom limit exceeded, 4 a theorem check failed.
+Exit codes: 0 success (an empty enumeration is success), 2 bad input (an
+unreadable file, a parse or validation error, an invalid argument or
+GASP_LIMIT), 3 atom limit exceeded, 4 a theorem check failed. Any other
+error is a bug in gasp and surfaces with its traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from . import __version__
 from .compile import DisjunctiveHead, rew_flp, rew_sflp
 from .core import (
     DEFAULT_ATOM_LIMIT,
+    GaspError,
     Program,
     ReservedAtomError,
     TooManyAtoms,
@@ -47,21 +50,37 @@ EXIT_LIMIT = 3
 EXIT_VIOLATION = 4
 
 
-def _default_limit() -> int:
-    env = os.environ.get("GASP_LIMIT")
-    if env:
+class InputError(GaspError):
+    """An unreadable input file or an invalid argument or environment value."""
+
+
+def _limit(args) -> int:
+    """The atom cap: --limit, else GASP_LIMIT, else the default."""
+    if args.limit is not None:
+        value, origin = args.limit, "--limit"
+    else:
+        env = os.environ.get("GASP_LIMIT")
+        if not env:
+            return DEFAULT_ATOM_LIMIT
         try:
-            return int(env)
+            value, origin = int(env), "GASP_LIMIT"
         except ValueError as exc:
-            raise ValueError(f"GASP_LIMIT must be an integer, not {env!r}") from exc
-    return DEFAULT_ATOM_LIMIT
+            raise InputError(f"GASP_LIMIT must be an integer, not {env!r}") from exc
+    if value < 0:
+        raise InputError(f"{origin} must not be negative, got {value}")
+    return value
 
 
 def _read_source(path: str) -> SourceProgram:
-    if path == "-":
-        return SourceProgram(sys.stdin.read(), "<stdin>")
-    with open(path, "r", encoding="utf-8") as handle:
-        return SourceProgram(handle.read(), path)
+    try:
+        if path == "-":
+            return SourceProgram(sys.stdin.read(), "<stdin>")
+        with open(path, "r", encoding="utf-8") as handle:
+            return SourceProgram(handle.read(), path)
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_enumeration(args, kind: SemanticsKind) -> int:
     program = parse_program(_read_source(args.input), allow_reserved=True)
-    limit = args.limit if args.limit is not None else _default_limit()
+    limit = _limit(args)
     found = enumerate_interpretations(program, kind, limit)
     if args.json:
         payload = {
@@ -122,7 +141,7 @@ def _run_enumeration(args, kind: SemanticsKind) -> int:
 
 def _run_completion(args) -> int:
     program = parse_program(_read_source(args.input), allow_reserved=True)
-    limit = args.limit if args.limit is not None else _default_limit()
+    limit = _limit(args)
     completed = completion(program, limit)
     printable = Program(
         r for r in completed.rules
@@ -137,7 +156,7 @@ def _run_completion(args) -> int:
 
 def _run_convexity(args) -> int:
     program = parse_program(_read_source(args.input), allow_reserved=True)
-    limit = args.limit if args.limit is not None else _default_limit()
+    limit = _limit(args)
     verdicts = [(render_rule(r), is_convex(r.body, limit)) for r in program.rules]
     overall = all(v for _, v in verdicts)
     if args.json:
@@ -154,7 +173,7 @@ def _run_convexity(args) -> int:
 
 def _run_compile(args) -> int:
     program = parse_program(_read_source(args.input))
-    limit = args.limit if args.limit is not None else _default_limit()
+    limit = _limit(args)
     rewrite = rew_sflp if args.semantics == "sflp" else rew_flp
     rewritten, cmap = rewrite(program, rewrite_all=args.rewrite_all, max_domain=limit)
     if args.emit == "json":
@@ -185,10 +204,10 @@ def _print_report(report: TheoremReport, verbose: bool) -> None:
 
 
 def _run_verify(args) -> int:
-    limit = args.limit if args.limit is not None else _default_limit()
+    limit = _limit(args)
     if not args.random:
         if not args.input:
-            raise ValueError("verify needs a program file or --random")
+            raise InputError("verify needs a program file or --random")
         program = parse_program(_read_source(args.input), allow_reserved=True)
         report = check_theorems(program, limit)
         _print_report(report, verbose=False)
@@ -196,12 +215,15 @@ def _run_verify(args) -> int:
     counts = {name: {"pass": 0, "fail": 0, "skip": 0} for name in CHECK_NAMES}
     failures = []
     for seed in range(args.seeds):
-        cfg = GenConfig(
-            atom_count=args.atoms,
-            rule_count=args.rules,
-            allow_disjunctive_heads=(seed % 4 == 3),
-            seed=seed,
-        )
+        try:
+            cfg = GenConfig(
+                atom_count=args.atoms,
+                rule_count=args.rules,
+                allow_disjunctive_heads=(seed % 4 == 3),
+                seed=seed,
+            )
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         report = check_theorems(generate(cfg), limit)
         for result in report.results:
             counts[result.name][result.status] += 1
@@ -236,7 +258,7 @@ def main(argv=None) -> int:
         print(f"gasp: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (ParseError, ReservedAtomError, DisjunctiveHead, UnknownAtom,
-            UnsatisfiableBody, ValueError, OSError) as exc:
+            UnsatisfiableBody, InputError) as exc:
         print(f"gasp: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -273,7 +273,6 @@ def verify_compilation(
     kind: SemanticsKind | str,
     limit: int = DEFAULT_ATOM_LIMIT,
     rewrite_all: bool = False,
-    backend: str | None = None,
 ) -> CompilationReport:
     """Check that expansion/contraction are mutually inverse bijections
     between the source answer sets and the rewritten program's FLP answer
@@ -283,12 +282,12 @@ def verify_compilation(
         kind = SemanticsKind.from_name(kind)
     if kind not in (SemanticsKind.FLP, SemanticsKind.SFLP):
         raise ValueError("compilation exists for the flp and sflp semantics only")
-    source = enumerate_interpretations(program, kind, limit, backend)
+    source = enumerate_interpretations(program, kind, limit)
     if kind is SemanticsKind.FLP:
         rewritten, cmap = rew_flp(program, rewrite_all, limit)
     else:
         rewritten, cmap = rew_sflp(program, rewrite_all, limit)
-    compiled = enumerate_interpretations(rewritten, SemanticsKind.FLP, limit, backend)
+    compiled = enumerate_interpretations(rewritten, SemanticsKind.FLP, limit)
     compiled_set = set(compiled)
     source_set = set(source)
     violations = []

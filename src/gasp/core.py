@@ -36,7 +36,7 @@ class ReservedAtomError(GaspError):
     """A reserved `__aux` atom appeared where only source atoms are allowed."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Atom:
     """A propositional atom, identified by name.
 
@@ -64,6 +64,24 @@ class Atom:
 
 Interpretation = frozenset[Atom]
 
+# Atom sets are hash-consed: CPython allocates at least 216 B for every
+# frozenset, even an empty one, and heads, literal groups and decoded
+# interpretations repeat the same few sets over and over. The table is
+# emptied whenever it outgrows _ATOM_SETS_MAX, so it stays small.
+_ATOM_SETS: dict[frozenset, frozenset] = {}
+_ATOM_SETS_MAX = 1 << 12
+
+
+def atom_set(items: Iterable[Atom] = ()) -> frozenset[Atom]:
+    """The shared frozenset equal to `items`."""
+    s = frozenset(items)
+    shared = _ATOM_SETS.get(s)
+    if shared is None:
+        if len(_ATOM_SETS) >= _ATOM_SETS_MAX:
+            _ATOM_SETS.clear()
+        shared = _ATOM_SETS[s] = s
+    return shared
+
 
 def atoms(*names: str) -> frozenset[Atom]:
     return frozenset(Atom(n) for n in names)
@@ -78,7 +96,7 @@ def format_interpretation(interpretation: Iterable[Atom]) -> str:
     return "{" + ", ".join(sorted(a.name for a in interpretation)) + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conjunct:
     """A conjunction of literals, split into positive and negative atoms."""
 
@@ -86,8 +104,8 @@ class Conjunct:
     negatives: frozenset[Atom]
 
     def __post_init__(self):
-        object.__setattr__(self, "positives", frozenset(self.positives))
-        object.__setattr__(self, "negatives", frozenset(self.negatives))
+        object.__setattr__(self, "positives", atom_set(self.positives))
+        object.__setattr__(self, "negatives", atom_set(self.negatives))
         clash = self.positives & self.negatives
         if clash:
             names = ", ".join(sorted(a.name for a in clash))
@@ -118,13 +136,15 @@ class Body:
     of the interpretation to the domain.
     """
 
+    __slots__ = ()
+
     domain: frozenset[Atom]
 
     def eval(self, interpretation: Interpretation) -> bool:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiteralConjunction(Body):
     """Body that is a conjunction of literals; empty means always true."""
 
@@ -154,7 +174,7 @@ COMPARATORS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CountAggregate(Body):
     """Body comparing |atoms ∩ I| against a fixed bound."""
 
@@ -163,7 +183,7 @@ class CountAggregate(Body):
     bound: int
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", frozenset(self.atoms))
+        object.__setattr__(self, "atoms", atom_set(self.atoms))
         if not self.atoms:
             raise ValueError("count aggregate needs at least one atom")
         if self.comparator not in COMPARATORS:
@@ -179,7 +199,7 @@ class CountAggregate(Body):
         return COMPARATORS[self.comparator](len(self.atoms & interpretation), self.bound)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dnf(Body):
     """Body given as a disjunction of literal conjunctions (at least one)."""
 
@@ -201,7 +221,7 @@ class Dnf(Body):
         return any(d.holds(interpretation) for d in self.disjuncts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruthTable(Body):
     """Body defined extensionally: the exact family of satisfying subsets.
 
@@ -213,9 +233,9 @@ class TruthTable(Body):
     satisfying: frozenset[frozenset[Atom]]
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", frozenset(self.domain))
+        object.__setattr__(self, "domain", atom_set(self.domain))
         object.__setattr__(
-            self, "satisfying", frozenset(frozenset(s) for s in self.satisfying)
+            self, "satisfying", frozenset(atom_set(s) for s in self.satisfying)
         )
         for s in self.satisfying:
             if not s <= self.domain:
@@ -229,7 +249,7 @@ class TruthTable(Body):
 GeneralizedAtomBody = Union[LiteralConjunction, CountAggregate, Dnf, TruthTable]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     """A rule `head :- body`; an empty head is a constraint."""
 
@@ -237,7 +257,7 @@ class Rule:
     body: Body
 
     def __post_init__(self):
-        object.__setattr__(self, "head", frozenset(self.head))
+        object.__setattr__(self, "head", atom_set(self.head))
 
     @property
     def is_constraint(self) -> bool:
@@ -301,13 +321,14 @@ def rule_key(rule: Rule):
     return (_names(rule.head), body_key(rule.body))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Program:
     """A finite sequence of rules with set semantics.
 
     Construction collapses duplicate rules (first occurrence wins) using
     canonical rule keys, so equality and hashing are order-insensitive
-    while rendering stays deterministic.
+    while rendering stays deterministic. The keys are recomputed when
+    compared rather than stored, to keep programs small.
     """
 
     rules: tuple[Rule, ...]
@@ -321,7 +342,9 @@ class Program:
                 seen.add(key)
                 kept.append(r)
         object.__setattr__(self, "rules", tuple(kept))
-        object.__setattr__(self, "_keys", frozenset(seen))
+
+    def _keys(self) -> frozenset:
+        return frozenset(rule_key(r) for r in self.rules)
 
     def atoms(self) -> frozenset[Atom]:
         out: frozenset[Atom] = frozenset()
@@ -338,10 +361,10 @@ class Program:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Program):
             return NotImplemented
-        return self._keys == other._keys
+        return len(self.rules) == len(other.rules) and self._keys() == other._keys()
 
     def __hash__(self) -> int:
-        return hash(self._keys)
+        return hash(self._keys())
 
     def __repr__(self) -> str:
         return f"Program({len(self.rules)} rules)"

@@ -13,6 +13,7 @@ is answer-set preserving in both directions.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 
 from .compile import rew_flp, rew_sflp, verify_compilation
@@ -136,14 +137,14 @@ CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
     status: str
     details: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TheoremReport:
     program_text: str
     results: tuple[CheckResult, ...]
@@ -162,7 +163,6 @@ def check_theorems(
     limit: int = DEFAULT_ATOM_LIMIT,
     compile_limit: int = 18,
     exhaustive_limit: int = 12,
-    backend: str | None = None,
 ) -> TheoremReport:
     """Run every theorem check that applies to the program.
 
@@ -173,10 +173,10 @@ def check_theorems(
     are reported as skipped, never silently dropped.
     """
     results = []
-    flp = set(enumerate_interpretations(program, SemanticsKind.FLP, limit, backend))
-    sflp = set(enumerate_interpretations(program, SemanticsKind.SFLP, limit, backend))
+    flp = set(enumerate_interpretations(program, SemanticsKind.FLP, limit))
+    sflp = set(enumerate_interpretations(program, SemanticsKind.SFLP, limit))
     supported = set(
-        enumerate_interpretations(program, SemanticsKind.SUPPORTED, limit, backend)
+        enumerate_interpretations(program, SemanticsKind.SUPPORTED, limit)
     )
 
     missing = sorted(flp - sflp, key=format_interpretation)
@@ -208,7 +208,7 @@ def check_theorems(
     else:
         comp = completion(program, limit)
         comp_models = set(
-            enumerate_interpretations(comp, SemanticsKind.CLASSICAL, limit, backend)
+            enumerate_interpretations(comp, SemanticsKind.CLASSICAL, limit)
         )
         diff = sorted(supported ^ comp_models, key=format_interpretation)
         results.append(
@@ -222,8 +222,8 @@ def check_theorems(
             )
         )
         results.append(_characterization_check(program, comp, sflp, limit))
-    results.append(_compilation_check(program, SemanticsKind.FLP, limit, compile_limit, backend))
-    results.append(_compilation_check(program, SemanticsKind.SFLP, limit, compile_limit, backend))
+    results.append(_compilation_check(program, SemanticsKind.FLP, limit, compile_limit))
+    results.append(_compilation_check(program, SemanticsKind.SFLP, limit, compile_limit))
     return TheoremReport(render(program), tuple(results))
 
 
@@ -260,9 +260,9 @@ def _compilation_check(
     kind: SemanticsKind,
     limit: int,
     compile_limit: int,
-    backend: str | None,
 ) -> CheckResult:
-    name = f"compilation_bijection_{kind.value}"
+    # one shared string: callers may keep every report of a long run
+    name = sys.intern(f"compilation_bijection_{kind.value}")
     if any(a.is_reserved for a in program.atoms()):
         return CheckResult(name, SKIP, ("already-compiled input (reserved atoms)",))
     if any(len(r.head) > 1 for r in program.rules):
@@ -275,5 +275,5 @@ def _compilation_check(
     n_rewritten = len(rewritten.atoms())
     if n_rewritten > compile_limit:
         return CheckResult(name, SKIP, (f"rewriting spans {n_rewritten} atoms",))
-    report = verify_compilation(program, kind, max(limit, compile_limit), backend=backend)
+    report = verify_compilation(program, kind, max(limit, compile_limit))
     return CheckResult(name, FAIL if report.violations else PASS, report.violations)

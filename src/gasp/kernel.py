@@ -1,53 +1,173 @@
-"""Kernel backend selection.
+"""The enumeration kernel: bit-sliced set algebra on Python ints.
 
-The compiled Cython kernel is used when the extension imported cleanly and
-the lowered universe fits in 62 bits; otherwise the pure-Python twin runs.
-Set GASP_KERNEL=pure or GASP_KERNEL=compiled to force a backend (forcing
-the compiled one fails loudly when it is unavailable).
+Every set of candidate masks is a vector (see `lowering`), so each step
+below is a handful of big-int operations over all 2^n masks at once:
+
+- models: the complement of the OR of the rules' violation vectors
+  (body holds, head misses);
+- supported models: the models where every true atom is the only true
+  head atom of some rule whose body holds;
+- FLP / SFLP answer sets: the models (supported models) I such that no
+  proper subset of I is a model (supported model) of the reduct of I,
+  the rules whose bodies hold at I.
+
+The minimality test of a candidate I works on vectors cut to the masks
+below I, which include all of I's proper subsets, and stops as soon as no
+subset is left. The kernel holds the n columns, two vectors per rule
+(plus one per extra head atom of a disjunctive rule in the supported
+modes) and a few temporaries: about 2m + n vectors.
 """
 
 from __future__ import annotations
 
-import os
+import re
 
-from . import _pykernel
-from .lowering import LoweredProgram
+from .lowering import (
+    ENUM_FLP,
+    ENUM_MODELS,
+    ENUM_SUPPORTED,
+    LoweredProgram,
+    columns,
+    full,
+    truth_vector,
+)
 
-try:
-    from . import _ckernel
-except ImportError:
-    _ckernel = None
+NAME = "bitsliced"
 
-_FORCED = os.environ.get("GASP_KERNEL")
-if _FORCED not in (None, "", "pure", "compiled"):
-    raise RuntimeError(f"GASP_KERNEL must be 'pure' or 'compiled', not {_FORCED!r}")
-if _FORCED == "compiled" and _ckernel is None:
-    raise RuntimeError("GASP_KERNEL=compiled but the compiled kernel is not built")
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("pure", "compiled") if _ckernel is not None else ("pure",)
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+_NONZERO = re.compile(rb"[^\x00]+")
 
 
 def default_backend() -> str:
-    if _FORCED:
-        return _FORCED
-    return "compiled" if _ckernel is not None else "pure"
+    """The name of the kernel (there is one)."""
+    return NAME
 
 
-def backend_for(lp: LoweredProgram, backend: str | None = None) -> str:
-    """Resolve which backend will run for a given lowered program."""
-    chosen = backend or default_backend()
-    if chosen == "compiled" and (_ckernel is None or lp.n > _ckernel.MAX_ATOMS):
-        if backend == "compiled" and _ckernel is not None:
-            raise ValueError(
-                f"compiled kernel supports at most {_ckernel.MAX_ATOMS} atoms, got {lp.n}"
-            )
-        return "pure"
-    return chosen
+def members(vector: int) -> list[int]:
+    """The masks whose bits are set in a vector, in increasing order."""
+    out = []
+    if vector.bit_length() <= 512:  # a few words: peel off the lowest bit
+        while vector:
+            low = vector & -vector
+            out.append(low.bit_length() - 1)
+            vector ^= low
+        return out
+    data = vector.to_bytes((vector.bit_length() + 7) >> 3, "little")
+    for run in _NONZERO.finditer(data):
+        base = run.start() << 3
+        for byte in run.group():
+            out.extend([base + i for i in _BYTE_BITS[byte]])
+            base += 8
+    return out
 
 
-def enumerate_masks(lp: LoweredProgram, mode: int, backend: str | None = None) -> list[int]:
-    if backend_for(lp, backend) == "compiled":
-        return _ckernel.enumerate_masks(lp, mode)
-    return _pykernel.enumerate_masks(lp, mode)
+def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
+    """All masks over the lowered universe accepted by `mode`, increasing."""
+    n = lp.n
+    cols = columns(n)
+    fired = []  # per rule: the masks where the body holds and the head is hit
+    violated = []  # per rule: the masks where the body holds and the head is missed
+    for head, body in zip(lp.heads, lp.bodies):
+        holds = truth_vector(body, lp.index, n, cols)
+        hit = 0
+        for i in members(head):
+            hit |= cols[i]
+        fired.append(holds & hit)
+        violated.append(holds ^ (holds & hit))
+    bad = 0
+    for v in violated:
+        bad |= v
+    models = full(n) ^ bad
+    if mode == ENUM_MODELS:
+        return members(models)
+    if mode == ENUM_FLP:
+        # a model with a smaller model below it is blocked whatever its reduct
+        candidates = models ^ (models & _above(models, cols))
+        support = None
+    else:
+        support = _support(lp, fired, violated, cols)
+        candidates = _supported(models, range(lp.rule_count), support, cols)
+        if mode == ENUM_SUPPORTED:
+            return members(candidates)
+    accepted = []
+    for i, reduct in _reducts(candidates, fired, n).items():
+        blocking = _proper_subsets(i, cols)
+        for r in reduct:
+            blocking ^= blocking & violated[r]
+            if not blocking:
+                break
+        if blocking and support is not None:
+            blocking = _supported(blocking, reduct, support, cols)
+        if not blocking:
+            accepted.append(i)
+    return accepted
+
+
+def _support(lp, fired, violated, cols) -> list[list[tuple[int, int]]]:
+    """Per atom a, the (rule, vector) pairs of the rules that support a:
+    the masks where the body holds and a is the only head atom hit."""
+    out = [[] for _ in range(lp.n)]
+    for r, head in enumerate(lp.heads):
+        atoms = members(head)
+        if len(atoms) == 1:
+            out[atoms[0]].append((r, fired[r]))
+            continue
+        holds = fired[r] | violated[r]
+        for a in atoms:
+            vector = holds & cols[a]
+            for b in atoms:
+                if b != a:
+                    vector ^= vector & cols[b]
+            out[a].append((r, vector))
+    return out
+
+
+def _supported(family: int, rules, support, cols) -> int:
+    """The masks of `family` where every true atom is supported by one of
+    `rules`."""
+    rules = set(rules)
+    for a, pairs in enumerate(support):
+        true_a = family & cols[a]
+        if not true_a:
+            continue
+        kept = 0
+        for r, vector in pairs:
+            if r in rules:
+                kept |= true_a & vector
+        family ^= true_a ^ kept
+    return family
+
+
+def _above(family: int, cols) -> int:
+    """The masks that have a proper subset in `family`."""
+    up = family  # masks with a subset (not necessarily proper) in family
+    for i, x in enumerate(cols):
+        up |= (up ^ (up & x)) << (1 << i)
+    out = 0
+    for i, x in enumerate(cols):
+        out |= (up ^ (up & x)) << (1 << i)
+    return out
+
+
+def _reducts(candidates: int, fired: list[int], n: int) -> dict[int, list[int]]:
+    """The reduct of each candidate, in increasing candidate order. A
+    candidate is a model, so a rule's body holds there exactly when the
+    rule fires there."""
+    reducts = {i: [] for i in members(candidates)}
+    size = ((1 << n) + 7) >> 3
+    for r, vector in enumerate(fired):
+        data = vector.to_bytes(size, "little")  # O(1) bit tests
+        for i, reduct in reducts.items():
+            if data[i >> 3] >> (i & 7) & 1:
+                reduct.append(r)
+    return reducts
+
+
+def _proper_subsets(mask: int, cols) -> int:
+    """The vector of the proper subsets of `mask`: they are smaller
+    numbers, and the atoms outside `mask` are ANDed out."""
+    out = (1 << mask) - 1
+    for i in range(mask.bit_length()):
+        if not mask >> i & 1:
+            out ^= out & cols[i]
+    return out

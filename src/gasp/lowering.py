@@ -1,21 +1,16 @@
-"""Bitmask form of a program, the input format of the enumeration kernels.
+"""Bit-sliced form of a program, the input of the enumeration kernel.
 
-Atoms are assigned bit positions in canonical (name) order. Each rule is
-flattened to a head mask plus a small tagged parameter record, so a kernel
-can evaluate any body against a candidate mask in O(1) or O(domain):
-
-    kind 0  literal conjunction   p0=positive mask, p1=negative mask
-    kind 1  count aggregate       p0=member mask, p1=comparator code, p2=bound
-    kind 2  dnf                   p0=offset into dnf_pos/dnf_neg, p1=#disjuncts
-    kind 3  truth table           p0=domain mask, p1=word offset, p2=#words
-
-Truth tables are packed as bitsets indexed by the compressed projection of
-the candidate onto the domain mask (pext order).
+Atoms get bit positions in canonical (name) order, so an interpretation
+over a universe of n atoms is a mask J < 2^n. A *vector* is a Python int
+with one bit per mask: bit J is set when some property holds at J. The
+column of atom i, X_i, is the vector of the masks that contain i, and
+every body becomes a vector through `truth_vector`, built from columns by
+AND, OR and shifts. A vector takes 2^n / 8 bytes (128 KiB at n = 20).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     Atom,
@@ -26,16 +21,10 @@ from .core import (
     LiteralConjunction,
     Program,
     TruthTable,
+    atom_set,
 )
 
-KIND_LITERAL = 0
-KIND_COUNT = 1
-KIND_DNF = 2
-KIND_TABLE = 3
-
-CMP_CODES = {"=": 0, "!=": 1, "<=": 2, ">=": 3, "<": 4, ">": 5}
-
-# Enumeration modes shared with the kernels.
+# Enumeration modes of the kernel.
 ENUM_MODELS = 0
 ENUM_SUPPORTED = 1
 ENUM_FLP = 2
@@ -44,17 +33,13 @@ ENUM_SFLP = 3
 
 @dataclass
 class LoweredProgram:
+    """Rules over a fixed universe: head masks plus the bodies themselves."""
+
     atoms: tuple[Atom, ...]
     index: dict[Atom, int]
     n: int
-    heads: list[int] = field(default_factory=list)
-    kinds: list[int] = field(default_factory=list)
-    p0: list[int] = field(default_factory=list)
-    p1: list[int] = field(default_factory=list)
-    p2: list[int] = field(default_factory=list)
-    dnf_pos: list[int] = field(default_factory=list)
-    dnf_neg: list[int] = field(default_factory=list)
-    table_words: list[int] = field(default_factory=list)
+    heads: list[int]
+    bodies: list[Body]
 
     @property
     def rule_count(self) -> int:
@@ -67,53 +52,142 @@ class LoweredProgram:
         return mask
 
     def interpretation_of(self, mask: int) -> frozenset[Atom]:
-        return frozenset(self.atoms[i] for i in range(self.n) if mask >> i & 1)
+        return atom_set(self.atoms[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def lower(program: Program, universe: tuple[Atom, ...] | None = None) -> LoweredProgram:
-    """Flatten a program over a fixed atom universe (defaults to atoms(P))."""
+    """Fix a program's atom universe (defaults to atoms(P), sorted)."""
     if universe is None:
         universe = tuple(sorted(program.atoms()))
-    lp = LoweredProgram(atoms=universe, index={a: i for i, a in enumerate(universe)}, n=len(universe))
+    lp = LoweredProgram(universe, {a: i for i, a in enumerate(universe)}, len(universe), [], [])
     for rule in program.rules:
         lp.heads.append(lp.mask_of(rule.head))
-        _lower_body(lp, rule.body)
+        lp.bodies.append(rule.body)
     return lp
 
 
-def _lower_body(lp: LoweredProgram, body: Body) -> None:
+def full(n: int) -> int:
+    """The vector of all 2^n masks."""
+    return (1 << (1 << n)) - 1
+
+
+def columns(n: int) -> list[int]:
+    """X_0 .. X_{n-1}: period 2^(i+1), each period 2^i clear bits then 2^i set
+    bits, repeated by doubling up to 2^n bits."""
+    size = 1 << n
+    out = []
+    for i in range(n):
+        half = 1 << i
+        vector = ((1 << half) - 1) << half
+        width = half << 1
+        while width < size:
+            vector |= vector << width
+            width <<= 1
+        out.append(vector)
+    return out
+
+
+def truth_vector(
+    body: Body, index: dict[Atom, int], n: int, cols: list[int] | None = None
+) -> int:
+    """The vector of the masks over n atoms at which the body holds.
+
+    `index` gives each atom of the body its bit position; `cols` passes
+    `columns(n)` when the caller already has it.
+    """
+    if cols is None:
+        cols = columns(n)
     if isinstance(body, LiteralConjunction):
-        lp.kinds.append(KIND_LITERAL)
-        lp.p0.append(lp.mask_of(body.conjunct.positives))
-        lp.p1.append(lp.mask_of(body.conjunct.negatives))
-        lp.p2.append(0)
-    elif isinstance(body, CountAggregate):
-        lp.kinds.append(KIND_COUNT)
-        lp.p0.append(lp.mask_of(body.atoms))
-        lp.p1.append(CMP_CODES[body.comparator])
-        lp.p2.append(body.bound)
-    elif isinstance(body, Dnf):
-        lp.kinds.append(KIND_DNF)
-        lp.p0.append(len(lp.dnf_pos))
-        lp.p1.append(len(body.disjuncts))
-        lp.p2.append(0)
+        return _conjunction(body.conjunct, index, n, cols)
+    if isinstance(body, CountAggregate):
+        return _count(body, index, n, cols)
+    if isinstance(body, Dnf):
+        out = 0
         for d in body.disjuncts:
-            lp.dnf_pos.append(lp.mask_of(d.positives))
-            lp.dnf_neg.append(lp.mask_of(d.negatives))
-    elif isinstance(body, TruthTable):
-        dom = sorted(body.domain, key=lambda a: lp.index[a])
-        bit_of = {a: j for j, a in enumerate(dom)}
-        size = 1 << len(dom)
-        words = [0] * ((size + 63) >> 6)
-        for s in body.satisfying:
-            idx = 0
-            for a in s:
-                idx |= 1 << bit_of[a]
-            words[idx >> 6] |= 1 << (idx & 63)
-        lp.kinds.append(KIND_TABLE)
-        lp.p0.append(lp.mask_of(body.domain))
-        lp.p1.append(len(lp.table_words))
-        lp.p2.append(len(words))
-        lp.table_words.extend(words)
+            out |= _conjunction(d, index, n, cols)
+        return out
+    if isinstance(body, TruthTable):
+        return _table(body, index, n)
+    raise TypeError(f"not a body: {body!r}")
+
+
+def _conjunction(conjunct, index, n, cols) -> int:
+    out = full(n)
+    for a in conjunct.positives:
+        out &= cols[index[a]]
+    for a in conjunct.negatives:
+        out ^= out & cols[index[a]]
+    return out
+
+
+def _count(body: CountAggregate, index, n, cols) -> int:
+    """Dynamic programming over the members: exact[c] holds the masks with
+    exactly c of the members seen so far; counts above the bound can only
+    matter through the complement, so they are dropped."""
+    cap = min(body.bound, len(body.atoms))
+    exact = [full(n)] + [0] * cap
+    for a in body.atoms:
+        x = cols[index[a]]
+        for c in range(cap, 0, -1):
+            exact[c] = (exact[c] ^ (exact[c] & x)) | (exact[c - 1] & x)
+        exact[0] ^= exact[0] & x
+    below = 0  # masks with fewer than `bound` members
+    for c in range(min(body.bound, cap + 1)):
+        below |= exact[c]
+    at = exact[body.bound] if body.bound <= cap else 0
+    cmp = body.comparator
+    if cmp == "<":
+        return below
+    if cmp == "<=":
+        return below | at
+    if cmp == "=":
+        return at
+    if cmp == "!=":
+        return full(n) ^ at
+    if cmp == ">=":
+        return full(n) ^ below
+    return full(n) ^ below ^ at  # ">"
+
+
+def _table(body: TruthTable, index, n) -> int:
+    """Shannon expansion of the table's bits, one universe variable at a
+    time from the top, so that the cost follows the table's structure
+    rather than its number of satisfying subsets."""
+    positions = sorted(index[a] for a in body.domain)
+    local = {a: j for j, a in enumerate(sorted(body.domain, key=index.__getitem__))}
+    bits = bytearray(((1 << len(positions)) + 7) >> 3)
+    for s in body.satisfying:
+        j = 0
+        for a in s:
+            j |= 1 << local[a]
+        bits[j >> 3] |= 1 << (j & 7)
+    table = int.from_bytes(bits, "little")
+    return _expand(table, positions, len(positions), n, {})
+
+
+def _expand(table: int, positions: list[int], j: int, k: int, memo: dict) -> int:
+    """The vector over variables 0..k-1 of the function whose truth table
+    over positions[:j] (all below k) is `table`: the half where variable
+    k-1 is clear, then the half where it is set."""
+    if not table:
+        return 0
+    if table == full(j):
+        return full(k)
+    if j == k:  # positions[:j] are exactly 0..k-1, so the table is the vector
+        return table
+    key = (table, k)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    half = 1 << (k - 1)
+    if positions[j - 1] == k - 1:
+        width = 1 << (j - 1)
+        low = table & ((1 << width) - 1)
+        high = table >> width
+        lo = _expand(low, positions, j - 1, k - 1, memo)
+        hi = lo if high == low else _expand(high, positions, j - 1, k - 1, memo)
     else:
-        raise TypeError(f"not a body: {body!r}")
+        lo = hi = _expand(table, positions, j, k - 1, memo)
+    out = lo | hi << half
+    memo[key] = out
+    return out

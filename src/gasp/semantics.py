@@ -108,7 +108,6 @@ def enumerate_interpretations(
     program: Program,
     kind: SemanticsKind,
     limit: int = DEFAULT_ATOM_LIMIT,
-    backend: str | None = None,
 ) -> tuple[frozenset[Atom], ...]:
     """All subsets of atoms(P) accepted by the kind, in canonical order."""
     universe = tuple(sorted(program.atoms()))
@@ -117,7 +116,7 @@ def enumerate_interpretations(
             f"program has {len(universe)} atoms, enumeration limit is {limit}"
         )
     lp = lowering.lower(program, universe)
-    masks = kernel.enumerate_masks(lp, _ENUM_MODE[kind], backend)
+    masks = kernel.enumerate_masks(lp, _ENUM_MODE[kind])
     found = [lp.interpretation_of(m) for m in masks]
     return tuple(sorted(found, key=interp_sort_key))
 

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from gasp import cli
 from gasp.harness import CheckResult, TheoremReport
 
@@ -66,6 +68,13 @@ class TestEnumerationCommands:
         code, _, err = run_cli(["models", "no_such_file.gasp"], capsys=capsys)
         assert code == 2
 
+    def test_undecodable_file_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.gasp"
+        bad.write_bytes(b"caf\xe9.\n")
+        code, _, err = run_cli(["models", str(bad)], capsys=capsys)
+        assert code == 2
+        assert "latin1.gasp" in err
+
     def test_limit_exit_code(self, capsys, monkeypatch):
         text = " ".join(f"x{i}." for i in range(8))
         code, _, err = run_cli(
@@ -92,6 +101,25 @@ class TestEnumerationCommands:
         )
         assert code == 0
         assert out == "{x0, x1, x2, x3, x4, x5, x6, x7}\n"
+
+    def test_negative_limit_rejected(self, capsys):
+        code, _, err = run_cli(["models", corpus_path("p1"), "--limit", "-1"], capsys=capsys)
+        assert code == 2
+        assert "--limit" in err
+
+    def test_negative_env_limit_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("GASP_LIMIT", "-3")
+        code, _, err = run_cli(["models", corpus_path("p1")], capsys=capsys)
+        assert code == 2
+        assert "GASP_LIMIT" in err
+
+    def test_internal_error_is_not_an_input_error(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("kernel bug")
+
+        monkeypatch.setattr(cli, "enumerate_interpretations", broken)
+        with pytest.raises(ValueError, match="kernel bug"):
+            cli.main(["models", corpus_path("p1")])
 
 
 class TestCompletionCommand:
@@ -243,6 +271,11 @@ class TestVerifyCommand:
     def test_verify_needs_input_or_random(self, capsys):
         code, _, err = run_cli(["verify"], capsys=capsys)
         assert code == 2
+
+    def test_random_mode_rejects_bad_sizes(self, capsys):
+        code, _, err = run_cli(["verify", "--random", "--atoms", "9"], capsys=capsys)
+        assert code == 2
+        assert "atom_count" in err
 
 
 class TestConsoleEntry:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasp import core
 from gasp.core import (
     Atom,
     Conjunct,
@@ -16,6 +17,7 @@ from gasp.core import (
     TooManyAtoms,
     TruthTable,
     UnsatisfiableBody,
+    atom_set,
     body_key,
     is_convex,
     is_convex_program,
@@ -216,6 +218,20 @@ class TestProgram:
     def test_atoms_include_body_domains(self):
         p = Program([Rule(fs("a"), TruthTable(fs("b", "c"), frozenset({fs("b")})))])
         assert p.atoms() == fs("a", "b", "c")
+
+
+class TestAtomSets:
+    def test_equal_sets_are_one_object(self):
+        head = Rule(fs("a", "b"), TOP).head
+        assert Conjunct(fs("b", "a"), fs()).positives is head
+        assert atom_set([Atom("b"), Atom("a")]) is head
+        assert Rule(fs(), TOP).head is Conjunct(fs(), fs()).negatives
+
+    def test_table_stays_bounded(self):
+        for i in range(core._ATOM_SETS_MAX + 10):
+            atom_set([Atom(f"x{i}")])
+        assert len(core._ATOM_SETS) <= core._ATOM_SETS_MAX
+        assert atom_set([A]) == frozenset([A])
 
 
 @given(

@@ -1,99 +1,145 @@
-import random
+"""The bit-sliced kernel against the AST: `truth_vector` against Body.eval
+on every mask, and `enumerate_masks` against the oracles of tests/oracles.py
+in all four modes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasp import kernel, lowering
-from gasp._pykernel import enumerate_masks as pure_enumerate
-from gasp._pykernel import eval_mask, proper_subsets_increasing
+from gasp.compile import rew_flp, rew_sflp
+from gasp.core import Atom, CountAggregate, Program, Rule, TruthTable
 from gasp.harness import GenConfig, generate
 from gasp.semantics import completion
 
-try:
-    from gasp import _ckernel
-except ImportError:
-    _ckernel = None
+from conftest import fs
+from oracles import all_subsets, enumerate_oracle
 
-needs_compiled = pytest.mark.skipif(_ckernel is None, reason="compiled kernel not built")
-
-
-class TestSubsetIterator:
-    def test_empty_mask_has_no_proper_subsets(self):
-        assert list(proper_subsets_increasing(0)) == []
-
-    def test_complete_and_proper(self):
-        mask = 0b101101
-        got = list(proper_subsets_increasing(mask))
-        assert len(got) == len(set(got)) == 2 ** mask.bit_count() - 1
-        assert all(sub & mask == sub for sub in got)
-        assert mask not in got
-
-    def test_increasing_cardinality(self):
-        sizes = [sub.bit_count() for sub in proper_subsets_increasing(0b1110101)]
-        assert sizes == sorted(sizes)
+MODES = {
+    "models": lowering.ENUM_MODELS,
+    "supported": lowering.ENUM_SUPPORTED,
+    "flp": lowering.ENUM_FLP,
+    "sflp": lowering.ENUM_SFLP,
+}
 
 
-class TestEvalMask:
-    def test_agrees_with_ast_eval(self):
-        rng = random.Random(5)
-        for seed in range(120):
-            program = generate(GenConfig(atom_count=4, rule_count=4, seed=seed))
-            lp = lowering.lower(program)
-            for mask in range(1 << lp.n):
-                interp = lp.interpretation_of(mask)
-                for r, rule in enumerate(program.rules):
-                    assert eval_mask(lp, r, mask) == rule.body.eval(interp), (
-                        seed, r, sorted(a.name for a in interp),
-                    )
-            if rng.random() < 0.2:  # tables with wide domains via completion
-                comp = completion(program)
-                lpc = lowering.lower(comp)
-                for mask in range(1 << lpc.n):
-                    interp = lpc.interpretation_of(mask)
-                    for r, rule in enumerate(comp.rules):
-                        assert eval_mask(lpc, r, mask) == rule.body.eval(interp)
+def kernel_sets(program: Program, mode_name: str) -> set:
+    lp = lowering.lower(program)
+    return {lp.interpretation_of(m) for m in kernel.enumerate_masks(lp, MODES[mode_name])}
 
 
-@needs_compiled
-class TestBackendAgreement:
-    def test_random_programs_all_modes(self):
-        for seed in range(250):
-            program = generate(
-                GenConfig(
-                    atom_count=2 + seed % 4,
-                    rule_count=seed % 7,
-                    allow_disjunctive_heads=(seed % 3 == 0),
-                    seed=seed,
-                )
+def assert_agrees(program: Program, label) -> None:
+    for name in MODES:
+        assert kernel_sets(program, name) == enumerate_oracle(program, name), (label, name)
+
+
+def assert_vectors_agree(program: Program, universe=None) -> None:
+    lp = lowering.lower(program, universe)
+    for rule in program.rules:
+        vector = lowering.truth_vector(rule.body, lp.index, lp.n)
+        assert vector >> (1 << lp.n) == 0
+        for mask in range(1 << lp.n):
+            interp = lp.interpretation_of(mask)
+            assert (vector >> mask & 1 == 1) == rule.body.eval(interp), (
+                rule, sorted(a.name for a in interp),
             )
-            lp = lowering.lower(program)
-            for mode in range(4):
-                assert pure_enumerate(lp, mode) == _ckernel.enumerate_masks(lp, mode), (
-                    seed, mode,
-                )
-
-    def test_completion_programs(self):
-        for seed in range(40):
-            program = generate(GenConfig(atom_count=4, rule_count=5, seed=seed))
-            lp = lowering.lower(completion(program))
-            for mode in range(4):
-                assert pure_enumerate(lp, mode) == _ckernel.enumerate_masks(lp, mode)
-
-    def test_width_guard(self):
-        program = generate(GenConfig(atom_count=3, rule_count=2, seed=0))
-        lp = lowering.lower(program)
-        lp.n = 63  # simulate an oversized universe
-        with pytest.raises(ValueError):
-            _ckernel.enumerate_masks(lp, 0)
-        assert kernel.backend_for(lp) == "pure"
-        with pytest.raises(ValueError):
-            kernel.backend_for(lp, "compiled")
 
 
-class TestSelection:
-    def test_backends_listed(self):
-        assert "pure" in kernel.available_backends()
+def battery_program(seed: int, disjunctive: bool = True) -> Program:
+    return generate(
+        GenConfig(
+            atom_count=2 + seed % 4,
+            rule_count=seed % 7,
+            allow_disjunctive_heads=disjunctive and seed % 3 == 0,
+            seed=seed,
+        )
+    )
 
-    def test_explicit_pure_request(self):
-        program = generate(GenConfig(atom_count=3, rule_count=3, seed=1))
-        lp = lowering.lower(program)
-        assert kernel.enumerate_masks(lp, 0, "pure") == pure_enumerate(lp, 0)
+
+class TestTruthVector:
+    def test_agrees_with_body_eval(self):
+        for seed in range(150):
+            assert_vectors_agree(battery_program(seed))
+
+    def test_completion_tables(self):
+        for seed in range(0, 150, 5):
+            assert_vectors_agree(completion(battery_program(seed, disjunctive=False)))
+
+    def test_padded_universe(self):
+        """Body atoms at scattered bit positions, with unused atoms between
+        and below them, exercise every branch of the table expansion."""
+        for seed in range(60):
+            program = battery_program(seed)
+            universe = []
+            for i, a in enumerate(sorted(program.atoms())):
+                if i % 2 == 0:
+                    universe.append(Atom(f"z{i}"))
+                universe.append(a)
+            assert_vectors_agree(program, tuple(universe) + (Atom("zz"),))
+
+    def test_count_bounds_beyond_members(self):
+        for cmp in ("=", "!=", "<=", ">=", "<", ">"):
+            for bound in range(5):
+                body = CountAggregate(fs("a", "b", "c"), cmp, bound)
+                assert_vectors_agree(Program([Rule(fs("d"), body)]))
+
+    def test_parity_table_over_wide_domain(self):
+        names = [Atom(f"x{i}") for i in range(9)]
+        family = frozenset(s for s in all_subsets(names[1:]) if len(s) % 2)
+        body = TruthTable(frozenset(names[1:]), family)
+        assert_vectors_agree(Program([Rule(fs("x0"), body)]))
+
+    def test_empty_universe(self):
+        assert lowering.truth_vector(TruthTable(fs(), frozenset({fs()})), {}, 0) == 1
+        assert lowering.truth_vector(TruthTable(fs(), frozenset()), {}, 0) == 0
+
+
+class TestOracleAgreement:
+    def test_random_programs(self):
+        for seed in range(200):
+            assert_agrees(battery_program(seed), seed)
+
+    def test_completions(self):
+        for seed in range(0, 200, 4):
+            assert_agrees(completion(battery_program(seed, disjunctive=False)), seed)
+
+    @pytest.mark.parametrize("rewrite", [rew_flp, rew_sflp], ids=["flp", "sflp"])
+    def test_rewritings(self, rewrite):
+        checked = 0
+        for seed in range(120):
+            rewritten, _ = rewrite(battery_program(seed, disjunctive=False))
+            if len(rewritten.atoms()) <= 12:
+                assert_agrees(rewritten, seed)
+                checked += 1
+        assert checked >= 60
+
+    def test_empty_program(self):
+        assert_agrees(Program([]), "empty")
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 5),
+    st.integers(0, 6),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_oracles(seed, atoms, rules, disjunctive):
+    program = generate(
+        GenConfig(
+            atom_count=atoms,
+            rule_count=rules,
+            allow_disjunctive_heads=disjunctive,
+            seed=seed,
+        )
+    )
+    assert_agrees(program, seed)
+
+
+@pytest.mark.parametrize("bits", [[], [0], [3, 8, 9, 70], [3, 600, 601, 607, 608, 5000]])
+def test_members_are_the_set_bits_in_order(bits):
+    assert kernel.members(sum(1 << b for b in bits)) == bits
+
+
+def test_default_backend_names_the_kernel():
+    assert kernel.default_backend() == kernel.NAME
