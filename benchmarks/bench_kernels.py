@@ -2,7 +2,8 @@
 
 Times the hot path (exhaustive candidate enumeration) on three workload
 shapes: direct answer-set enumeration of a scaled non-convex program,
-enumeration of a compiled rewriting, and a slice of the theorem battery.
+enumeration of a compiled rewriting, and a slice of the theorem battery
+(the acceptance battery's generator settings).
 `perfbench/run.py` is the measurement of record; this is a quick look.
 
     python3 benchmarks/bench_kernels.py [--atoms N] [--seeds N] [--repeat N]
@@ -46,7 +47,12 @@ def bench_enumeration(program: Program, mode: int, repeat: int) -> float:
 def bench_battery(seeds: int) -> float:
     start = time.perf_counter()
     for seed in range(seeds):
-        cfg = GenConfig(atom_count=2 + seed % 4, rule_count=seed % 7, seed=seed)
+        cfg = GenConfig(
+            atom_count=2 + seed % 4,
+            rule_count=seed % 7,
+            allow_disjunctive_heads=(seed % 4 == 3),
+            seed=seed,
+        )
         check_theorems(generate(cfg), compile_limit=16)
     return time.perf_counter() - start
 

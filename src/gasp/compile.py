@@ -100,7 +100,10 @@ def fls_literal(body: Dnf, i: int, j: int, names: AuxNames) -> Rule:
     literals = body.disjuncts[i - 1].literals()
     if not 1 <= j <= len(literals):
         raise IndexOutOfRange(f"literal index {j} out of 1..{len(literals)}")
-    atom, positive = literals[j - 1]
+    return _falsity_rule(i, *literals[j - 1], names)
+
+
+def _falsity_rule(i: int, atom: Atom, positive: bool, names: AuxNames) -> Rule:
     if positive:
         cond = Conjunct(frozenset(), frozenset({atom, names.t}))
     else:
@@ -118,9 +121,9 @@ def rew_atom(body: Dnf, names: AuxNames) -> tuple[Rule, ...]:
     """All auxiliary rules for one rewritten body."""
     k = len(body.disjuncts)
     rules = [tr(body, i, names) for i in range(1, k + 1)]
-    for i in range(1, k + 1):
-        for j in range(1, len(body.disjuncts[i - 1].literals()) + 1):
-            rules.append(fls_literal(body, i, j, names))
+    for i, d in enumerate(body.disjuncts, 1):
+        for atom, positive in d.literals():
+            rules.append(_falsity_rule(i, atom, positive, names))
     rules.append(fls_final(body, names))
     return tuple(rules)
 
@@ -166,7 +169,9 @@ def _check_fresh(program: Program) -> None:
 
 def _rewrite(
     program: Program, semantics: SemanticsKind, rewrite_all: bool, max_domain: int
-) -> tuple[Program, CompilationMap, Program]:
+) -> tuple[list[Rule], CompilationMap, list[tuple[Rule, Dnf]]]:
+    """The rewritten rules (support rules aside), the map of rewritten
+    bodies, and the surviving source rules with their canonical DNFs."""
     _check_fresh(program)
     cmap = CompilationMap(semantics, rewrite_all)
     pairs = _surviving(program, max_domain)
@@ -187,24 +192,25 @@ def _rewrite(
         rewritten.append(Rule(rule.head, body))
     for canonical, names in cmap.entries.items():
         rewritten.extend(rew_atom(canonical, names))
-    surviving = Program(rule for rule, _ in pairs)
-    return Program(rewritten), cmap, surviving
+    return rewritten, cmap, pairs
 
 
 def rew_flp(
     program: Program, rewrite_all: bool = False, max_domain: int = DEFAULT_ATOM_LIMIT
 ) -> tuple[Program, CompilationMap]:
-    out, cmap, _ = _rewrite(program, SemanticsKind.FLP, rewrite_all, max_domain)
-    return out, cmap
+    rules, cmap, _ = _rewrite(program, SemanticsKind.FLP, rewrite_all, max_domain)
+    return Program(rules), cmap
 
 
 def rew_sflp(
     program: Program, rewrite_all: bool = False, max_domain: int = DEFAULT_ATOM_LIMIT
 ) -> tuple[Program, CompilationMap]:
-    out, cmap, surviving = _rewrite(program, SemanticsKind.SFLP, rewrite_all, max_domain)
-    rules = list(out.rules)
-    for atom in sorted(surviving.atoms()):
-        rules.append(supp_rule(atom, surviving, cmap, max_domain))
+    rules, cmap, pairs = _rewrite(program, SemanticsKind.SFLP, rewrite_all, max_domain)
+    surviving_atoms: set[Atom] = set()
+    for rule, _ in pairs:
+        surviving_atoms |= rule.atoms()
+    for atom in sorted(surviving_atoms):
+        rules.append(_support_rule(atom, pairs, cmap))
     return Program(rules), cmap
 
 
@@ -218,13 +224,22 @@ def supp_rule(
     bodies of the rules it heads; with no such rule this is a constraint."""
     if atom not in program.atoms():
         raise UnknownAtom(f"atom {atom.name!r} does not occur in the program")
-    head = set()
+    pairs = []
     for rule in program.rules:
         if rule.head != {atom}:
             continue
         try:
-            canonical = to_dnf(rule.body, max_domain)
+            pairs.append((rule, to_dnf(rule.body, max_domain)))
         except UnsatisfiableBody:
+            continue
+    return _support_rule(atom, pairs, cmap)
+
+
+def _support_rule(atom: Atom, pairs: list[tuple[Rule, Dnf]], cmap: CompilationMap) -> Rule:
+    """`supp_rule` over rules whose canonical DNFs are already known."""
+    head = set()
+    for rule, canonical in pairs:
+        if rule.head != {atom}:
             continue
         literal = None if cmap.rewrite_all else _single_positive_literal(canonical)
         if literal is not None:
@@ -288,6 +303,19 @@ def verify_compilation(
     else:
         rewritten, cmap = rew_sflp(program, rewrite_all, limit)
     compiled = enumerate_interpretations(rewritten, SemanticsKind.FLP, limit)
+    violations = bijection_violations(program, cmap, source, compiled)
+    return CompilationReport(kind, source, compiled, violations)
+
+
+def bijection_violations(
+    program: Program,
+    cmap: CompilationMap,
+    source: tuple[frozenset[Atom], ...],
+    compiled: tuple[frozenset[Atom], ...],
+) -> tuple[str, ...]:
+    """How expansion and contraction fail to be mutually inverse bijections
+    between the source answer sets and the answer sets of the rewriting
+    that `cmap` describes; empty when they are."""
     compiled_set = set(compiled)
     source_set = set(source)
     violations = []
@@ -317,4 +345,4 @@ def verify_compilation(
         violations.append(
             f"answer-set counts differ: {len(source)} source vs {len(compiled)} compiled"
         )
-    return CompilationReport(kind, source, compiled, tuple(violations))
+    return tuple(violations)

@@ -282,8 +282,19 @@ def subsets_in_canonical_order(domain: Iterable[Atom]) -> Iterator[frozenset[Ato
     yield from rec([], items)
 
 
-def _names(group: Iterable[Atom]) -> tuple[str, ...]:
-    return tuple(sorted(a.name for a in group))
+# Sorted name tuples of the atom sets seen by the key functions. The sets
+# are mostly the hash-consed ones, so a lookup usually hits on identity;
+# the memo is emptied like _ATOM_SETS.
+_NAMES: dict[frozenset, tuple[str, ...]] = {}
+
+
+def _names(group: frozenset[Atom]) -> tuple[str, ...]:
+    names = _NAMES.get(group)
+    if names is None:
+        if len(_NAMES) >= _ATOM_SETS_MAX:
+            _NAMES.clear()
+        names = _NAMES[group] = tuple(sorted(a.name for a in group))
+    return names
 
 
 def body_key(body: Body):
@@ -370,6 +381,18 @@ class Program:
         return f"Program({len(self.rules)} rules)"
 
 
+def _domain_vector(body: Body, max_domain: int, what: str) -> tuple[list[Atom], int, list[int]]:
+    """The body's domain in canonical order, its truth vector over that
+    domain (bit J set when the subset with mask J satisfies the body), and
+    the domain's columns."""
+    items = sorted(body.domain)
+    if len(items) > max_domain:
+        raise TooManyAtoms(f"{what} over {len(items)} atoms exceeds the limit of {max_domain}")
+    n = len(items)
+    cols = lowering.columns(n)
+    return items, lowering.truth_vector(body, {a: i for i, a in enumerate(items)}, n, cols), cols
+
+
 def to_dnf(body: Body, max_domain: int = DEFAULT_ATOM_LIMIT) -> Dnf:
     """Minterm DNF of a body: one full conjunct per satisfying subset.
 
@@ -377,39 +400,37 @@ def to_dnf(body: Body, max_domain: int = DEFAULT_ATOM_LIMIT) -> Dnf:
     unique normal form for each (domain, truth function) pair. Raises
     UnsatisfiableBody when no subset of the domain satisfies the body.
     """
-    dom = body.domain
-    if len(dom) > max_domain:
-        raise TooManyAtoms(f"dnf expansion over {len(dom)} atoms exceeds the limit of {max_domain}")
-    disjuncts = []
-    for subset in subsets_in_canonical_order(dom):
-        if body.eval(subset):
-            disjuncts.append(Conjunct(subset, dom - subset))
-    if not disjuncts:
+    items, vector, _ = _domain_vector(body, max_domain, "dnf expansion")
+    if not vector:
         raise UnsatisfiableBody("body is false on every subset of its domain")
+    # canonical order: by the positions of the members, which follow the names
+    n = len(items)
+    minterms = sorted(
+        tuple(i for i in range(n) if mask >> i & 1) for mask in lowering.members(vector)
+    )
+    dom = body.domain
+    disjuncts = []
+    for positions in minterms:
+        subset = frozenset(items[i] for i in positions)
+        disjuncts.append(Conjunct(subset, dom - subset))
     return Dnf(tuple(disjuncts))
 
 
 def is_convex(body: Body, max_domain: int = DEFAULT_ATOM_LIMIT) -> bool:
     """Whether truth survives between any two nested satisfying subsets.
 
-    Decided by exhaustive scan of the domain's powerset: the body is
-    non-convex exactly when some false J has a satisfying subset below it
-    and a satisfying superset above it.
+    The body is non-convex exactly when some false J has a satisfying
+    subset below it and a satisfying superset above it, which the subset
+    and superset closures of the truth vector decide at once.
     """
-    dom = sorted(body.domain)
-    if len(dom) > max_domain:
-        raise TooManyAtoms(f"convexity scan over {len(dom)} atoms exceeds the limit of {max_domain}")
-    n = len(dom)
-    true_masks = []
-    false_masks = []
-    for mask in range(1 << n):
-        subset = frozenset(dom[i] for i in range(n) if mask >> i & 1)
-        (true_masks if body.eval(subset) else false_masks).append(mask)
-    for j in false_masks:
-        if any(t & j == t for t in true_masks) and any(t & j == j for t in true_masks):
-            return False
-    return True
+    items, true, cols = _domain_vector(body, max_domain, "convexity scan")
+    false = lowering.full(len(items)) ^ true
+    return not false & lowering.upward(true, cols) & lowering.downward(true, cols)
 
 
 def is_convex_program(program: Program, max_domain: int = DEFAULT_ATOM_LIMIT) -> bool:
     return all(is_convex(r.body, max_domain) for r in program.rules)
+
+
+# lowering builds vectors from the classes above, so it is imported last
+from . import lowering  # noqa: E402

@@ -20,8 +20,6 @@ modes) and a few temporaries: about 2m + n vectors.
 
 from __future__ import annotations
 
-import re
-
 from .lowering import (
     ENUM_FLP,
     ENUM_MODELS,
@@ -29,36 +27,17 @@ from .lowering import (
     LoweredProgram,
     columns,
     full,
+    members,
     truth_vector,
+    upward,
 )
 
 NAME = "bitsliced"
-
-_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
-_NONZERO = re.compile(rb"[^\x00]+")
 
 
 def default_backend() -> str:
     """The name of the kernel (there is one)."""
     return NAME
-
-
-def members(vector: int) -> list[int]:
-    """The masks whose bits are set in a vector, in increasing order."""
-    out = []
-    if vector.bit_length() <= 512:  # a few words: peel off the lowest bit
-        while vector:
-            low = vector & -vector
-            out.append(low.bit_length() - 1)
-            vector ^= low
-        return out
-    data = vector.to_bytes((vector.bit_length() + 7) >> 3, "little")
-    for run in _NONZERO.finditer(data):
-        base = run.start() << 3
-        for byte in run.group():
-            out.extend([base + i for i in _BYTE_BITS[byte]])
-            base += 8
-    return out
 
 
 def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
@@ -140,9 +119,7 @@ def _supported(family: int, rules, support, cols) -> int:
 
 def _above(family: int, cols) -> int:
     """The masks that have a proper subset in `family`."""
-    up = family  # masks with a subset (not necessarily proper) in family
-    for i, x in enumerate(cols):
-        up |= (up ^ (up & x)) << (1 << i)
+    up = upward(family, cols)
     out = 0
     for i, x in enumerate(cols):
         out |= (up ^ (up & x)) << (1 << i)

@@ -6,10 +6,13 @@ with one bit per mask: bit J is set when some property holds at J. The
 column of atom i, X_i, is the vector of the masks that contain i, and
 every body becomes a vector through `truth_vector`, built from columns by
 AND, OR and shifts. A vector takes 2^n / 8 bytes (128 KiB at n = 20).
+Besides the kernel, `core.to_dnf`, `core.is_convex` and the completion
+work on these vectors.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .core import (
@@ -29,6 +32,9 @@ ENUM_MODELS = 0
 ENUM_SUPPORTED = 1
 ENUM_FLP = 2
 ENUM_SFLP = 3
+
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+_NONZERO = re.compile(rb"[^\x00]+")
 
 
 @dataclass
@@ -85,6 +91,38 @@ def columns(n: int) -> list[int]:
             width <<= 1
         out.append(vector)
     return out
+
+
+def members(vector: int) -> list[int]:
+    """The masks whose bits are set in a vector, in increasing order."""
+    out = []
+    if vector.bit_length() <= 512:  # a few words: peel off the lowest bit
+        while vector:
+            low = vector & -vector
+            out.append(low.bit_length() - 1)
+            vector ^= low
+        return out
+    data = vector.to_bytes((vector.bit_length() + 7) >> 3, "little")
+    for run in _NONZERO.finditer(data):
+        base = run.start() << 3
+        for byte in run.group():
+            out.extend([base + i for i in _BYTE_BITS[byte]])
+            base += 8
+    return out
+
+
+def upward(family: int, cols: list[int]) -> int:
+    """The masks that have a subset (not necessarily proper) in `family`."""
+    for i, x in enumerate(cols):
+        family |= (family ^ (family & x)) << (1 << i)
+    return family
+
+
+def downward(family: int, cols: list[int]) -> int:
+    """The masks that have a superset (not necessarily proper) in `family`."""
+    for i, x in enumerate(cols):
+        family |= (family & x) >> (1 << i)
+    return family
 
 
 def truth_vector(

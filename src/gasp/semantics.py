@@ -3,7 +3,8 @@
 The per-interpretation predicates work directly on the AST and accept any
 interpretation. Exhaustive enumeration restricts candidates to subsets of
 the program's own atoms (a foreign atom can never be supported and always
-breaks minimality) and runs on the bitmask kernel.
+breaks minimality) and runs on the bitmask kernel; the completion's tables
+are decoded from the same truth vectors.
 """
 
 from __future__ import annotations
@@ -141,30 +142,55 @@ def completion_atom(
     universe = program.atoms()
     if atom not in universe:
         raise UnknownAtom(f"atom {atom.name!r} does not occur in the program")
-    if len(universe) > limit:
-        raise TooManyAtoms(
-            f"completion table over {len(universe)} atoms exceeds the limit of {limit}"
-        )
-    items = sorted(universe)
-    n = len(items)
-    satisfying = []
-    for mask in range(1 << n):
-        candidate = frozenset(items[i] for i in range(n) if mask >> i & 1)
-        if atom not in candidate:
-            continue
-        if not any(_supports(r, atom, candidate) for r in program.rules):
-            satisfying.append(candidate)
-    return CompletionAtom(atom, program, TruthTable(universe, frozenset(satisfying)))
+    lp = _lower_for_completion(program, limit)
+    return _completion_atom(atom, program, lp, _unsupported(lp)[lp.index[atom]])
 
 
 def completion(program: Program, limit: int = DEFAULT_ATOM_LIMIT) -> Program:
     """The program extended with one constraint per atom forbidding
     unsupported truth; its models are exactly the supported models."""
     rules = list(program.rules)
-    for atom in sorted(program.atoms()):
-        comp = completion_atom(atom, program, limit)
+    lp = _lower_for_completion(program, limit)
+    for atom, vector in zip(lp.atoms, _unsupported(lp)):
+        comp = _completion_atom(atom, program, lp, vector)
         rules.append(Rule(frozenset(), comp.realized))
     return Program(rules)
+
+
+def _lower_for_completion(program: Program, limit: int) -> lowering.LoweredProgram:
+    universe = tuple(sorted(program.atoms()))
+    if len(universe) > limit:
+        raise TooManyAtoms(
+            f"completion table over {len(universe)} atoms exceeds the limit of {limit}"
+        )
+    return lowering.lower(program, universe)
+
+
+def _unsupported(lp: lowering.LoweredProgram) -> list[int]:
+    """Per atom a, the vector of the masks where a is true but no rule
+    supports it: X_a & ~OR(holds_r & X_a & ~X_b, b the other head atoms)."""
+    cols = lowering.columns(lp.n)
+    supported = [0] * lp.n
+    for head, body in zip(lp.heads, lp.bodies):
+        if not head:
+            continue
+        holds = lowering.truth_vector(body, lp.index, lp.n, cols)
+        atoms = lowering.members(head)
+        for a in atoms:
+            vector = holds
+            for b in atoms:
+                if b != a:
+                    vector ^= vector & cols[b]
+            supported[a] |= vector
+    return [x ^ (x & supported[a]) for a, x in enumerate(cols)]
+
+
+def _completion_atom(
+    atom: Atom, program: Program, lp: lowering.LoweredProgram, vector: int
+) -> CompletionAtom:
+    """The completion table of `atom` that `_unsupported` gave as `vector`."""
+    satisfying = frozenset(lp.interpretation_of(m) for m in lowering.members(vector))
+    return CompletionAtom(atom, program, TruthTable(frozenset(lp.atoms), satisfying))
 
 
 def sflp_via_completion(

@@ -55,6 +55,18 @@ def supported_oracle(interpretation, program) -> bool:
     return True
 
 
+def completion_oracle(atom, program) -> frozenset:
+    """The satisfying subsets of the completion table of `atom`: the
+    interpretations I over atoms(P) that contain the atom while no rule
+    with head ∩ I = {atom} has a true body at I."""
+    return frozenset(
+        i for i in all_subsets(program.atoms())
+        if atom in i and not any(
+            r.head & i == {atom} and r.body.eval(i) for r in program.rules
+        )
+    )
+
+
 def reduct_oracle(program, interpretation) -> Program:
     return Program(r for r in program.rules if r.body.eval(interpretation))
 

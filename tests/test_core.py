@@ -183,6 +183,22 @@ class TestConvexity:
         for _ in range(300):
             body = _random_table(rng, rng.randint(1, 5))
             assert is_convex(body) == convex_by_triples(body)
+        # count and dnf bodies too, whose vectors are built differently
+        verdicts = set()
+        for _ in range(300):
+            for body in (_random_count(rng, rng.randint(1, 5)),
+                         _random_dnf(rng, rng.randint(1, 5))):
+                verdict = is_convex(body)
+                assert verdict == convex_by_triples(body), body
+                verdicts.add((type(body), verdict))
+        assert len(verdicts) == 4  # both verdicts for both shapes
+
+    def test_sixteen_atom_count_is_decided(self):
+        # a scan of every false subset against every true one needs about
+        # 4^16 steps here; the subset/superset closures need 2 * 16 shifts
+        names = [f"x{i}" for i in range(16)]
+        assert is_convex(CountAggregate(fs(*names), "<=", 8)) is True
+        assert is_convex(CountAggregate(fs(*names), "!=", 8)) is False
 
     def test_program_level(self, corpus):
         assert is_convex_program(corpus["p1"]) is False
@@ -271,3 +287,19 @@ def _random_table(rng: random.Random, width: int) -> TruthTable:
         s for s in all_subsets(names) if rng.random() < 0.5
     )
     return TruthTable(frozenset(names), family)
+
+
+def _random_count(rng: random.Random, width: int) -> CountAggregate:
+    names = [Atom(f"x{i}") for i in range(width)]
+    cmp = rng.choice(("=", "!=", "<=", ">=", "<", ">"))
+    return CountAggregate(frozenset(names), cmp, rng.randint(0, width + 1))
+
+
+def _random_dnf(rng: random.Random, width: int) -> Dnf:
+    names = [Atom(f"x{i}") for i in range(width)]
+    disjuncts = []
+    for _ in range(rng.randint(1, 3)):
+        chosen = rng.sample(names, rng.randint(1, width))
+        neg = frozenset(a for a in chosen if rng.random() < 0.4)
+        disjuncts.append(Conjunct(frozenset(chosen) - neg, neg))
+    return Dnf(tuple(disjuncts))

@@ -1,5 +1,6 @@
 import pytest
 
+from gasp.compile import verify_compilation
 from gasp.core import CountAggregate, is_convex
 from gasp.harness import (
     FAIL,
@@ -155,6 +156,34 @@ class TestCheckTheorems:
                 by_name = {r.name: r for r in report.results}
                 assert by_name["compilation_bijection_flp"].status == SKIP
                 assert by_name["convex_equivalence"].status == PASS
+
+    def test_compilation_checks_match_verify_compilation(self):
+        # the harness reuses its own enumerations and rewriting; each
+        # compilation status and detail must be what the public verifier
+        # reports, FAIL details included (the README's two witnesses fail)
+        programs = [
+            parse_program("c :- not c."),
+            parse_program("c :- count{b, c} != 1. b :- c, not a."),
+        ]
+        programs += [
+            generate(GenConfig(atom_count=2 + seed % 4, rule_count=seed % 7, seed=seed))
+            for seed in range(200)
+        ]
+        seen = {PASS: 0, FAIL: 0, SKIP: 0}
+        for program in programs:
+            report = check_theorems(program, compile_limit=16)
+            for kind in ("flp", "sflp"):
+                (result,) = (r for r in report.results
+                             if r.name == f"compilation_bijection_{kind}")
+                seen[result.status] += 1
+                if result.status == SKIP:
+                    assert result.details[0].startswith("rewriting spans"), result
+                    assert int(result.details[0].split()[2]) > 16
+                    continue
+                verified = verify_compilation(program, kind, 20)
+                assert result.details == verified.violations, (render(program), kind)
+                assert result.status == (FAIL if verified.violations else PASS)
+        assert seen[PASS] >= 200 and seen[FAIL] >= 2 and seen[SKIP] >= 1, seen
 
     def test_semantic_checks_clean_over_many_seeds(self):
         # the four semantic theorem families plus the flp compilation never

@@ -1,6 +1,6 @@
 import pytest
 
-from gasp.core import Atom, Program, TooManyAtoms
+from gasp.core import Atom, Program, Rule, TooManyAtoms, TruthTable
 from gasp.harness import GenConfig, generate
 from gasp.parser import parse_program
 from gasp.semantics import (
@@ -20,7 +20,7 @@ from gasp.semantics import (
 )
 
 from conftest import CORPUS_NAMES, TABLE_EXPECTED, COMPLETION_MODELS, fs
-from oracles import all_subsets, enumerate_oracle
+from oracles import all_subsets, completion_oracle, enumerate_oracle
 
 EMPTY = frozenset()
 
@@ -182,6 +182,32 @@ class TestCompletion:
 
     def test_completion_of_empty_program(self):
         assert completion(Program([])) == Program([])
+
+    def test_tables_match_the_definition_on_random_programs(self):
+        shapes = {"disjunctive head": 0, "constraint": 0, "body-only atom": 0}
+        for seed in range(150):
+            cfg = GenConfig(
+                atom_count=1 + seed % 6,
+                rule_count=1 + seed % 6,
+                allow_disjunctive_heads=(seed % 2 == 0),
+                seed=seed,
+            )
+            program = generate(cfg)
+            heads = set()
+            for rule in program.rules:
+                heads |= rule.head
+                shapes["disjunctive head"] += len(rule.head) > 1
+                shapes["constraint"] += not rule.head
+            shapes["body-only atom"] += bool(program.atoms() - heads)
+            expected = []
+            for atom in sorted(program.atoms()):
+                table = completion_oracle(atom, program)
+                comp = completion_atom(atom, program)
+                assert comp.realized.domain == program.atoms()
+                assert comp.realized.satisfying == table, (seed, atom)
+                expected.append(Rule(frozenset(), TruthTable(program.atoms(), table)))
+            assert completion(program) == Program(list(program.rules) + expected)
+        assert all(shapes.values()), shapes
 
     def test_supported_equals_completion_models_randomly(self):
         for seed in range(60):
