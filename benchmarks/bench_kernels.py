@@ -3,7 +3,9 @@
 Times the hot path (exhaustive candidate enumeration) on three workload
 shapes: direct answer-set enumeration of a scaled non-convex program,
 enumeration of a compiled rewriting, and a slice of the theorem battery
-(the acceptance battery's generator settings).
+(the acceptance battery's generator settings). One more row times a wide
+answer end to end, kernel plus ordering and decoding: the 3^7 models of
+a 14-atom program of choice gadgets.
 `perfbench/run.py` is the measurement of record; this is a quick look.
 
     python3 benchmarks/bench_kernels.py [--atoms N] [--seeds N] [--repeat N]
@@ -12,7 +14,7 @@ enumeration of a compiled rewriting, and a slice of the theorem battery
 import argparse
 import time
 
-from gasp import kernel, lowering
+from gasp import kernel, lowering, semantics
 from gasp.compile import rew_sflp
 from gasp.core import Atom, CountAggregate, Program, Rule
 from gasp.harness import GenConfig, check_theorems, generate
@@ -28,6 +30,19 @@ def coordination_chain(n: int) -> Program:
         window = frozenset({atoms[i], atoms[(i + 1) % n], atoms[(i + 2) % n]})
         rules.append(Rule(frozenset({atom}), CountAggregate(window, "!=", 1)))
     return Program(rules)
+
+
+def choice_gadgets() -> Program:
+    """Five even loops `x :- not y. y :- not x.` and two corpus-p1 gadgets,
+    each on its own two atoms: 14 atoms and 3^7 models."""
+    parts = []
+    for k in range(7):
+        x, y = f"v{2 * k:02d}", f"v{2 * k + 1:02d}"
+        if k < 5:
+            parts.append(f"{x} :- not {y}. {y} :- not {x}.")
+        else:
+            parts.append(f"{x} :- count{{{x}, {y}}} != 1. {y} :- count{{{x}, {y}}} != 1.")
+    return parse_program("\n".join(parts))
 
 
 def timed(fn, repeat: int) -> float:
@@ -76,6 +91,12 @@ def main() -> int:
             ("flp, rewritten 2-atom program", compiled_p1, lowering.ENUM_FLP),
         )
     ]
+    choice = choice_gadgets()
+    models = semantics.SemanticsKind.CLASSICAL
+    rows.append((
+        "models + decode, 14-atom choice gadgets",
+        timed(lambda: semantics.enumerate_interpretations(choice, models), args.repeat),
+    ))
     rows.append((f"theorem battery, {args.seeds} programs", bench_battery(args.seeds)))
 
     width = max(len(label) for label, _ in rows)

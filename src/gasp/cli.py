@@ -212,6 +212,8 @@ def _run_verify(args) -> int:
         report = check_theorems(program, limit)
         _print_report(report, verbose=False)
         return EXIT_VIOLATION if not report.ok else EXIT_OK
+    if args.seeds < 0:
+        raise InputError(f"--seeds must not be negative, got {args.seeds}")
     counts = {name: {"pass": 0, "fail": 0, "skip": 0} for name in CHECK_NAMES}
     failures = []
     for seed in range(args.seeds):

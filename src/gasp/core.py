@@ -83,12 +83,25 @@ def atom_set(items: Iterable[Atom] = ()) -> frozenset[Atom]:
     return shared
 
 
+_NAME = operator.attrgetter("name")
+
+
+def in_name_order(items: Iterable[Atom]) -> list[Atom]:
+    """The atoms sorted, by their names as strings rather than by one
+    `Atom.__lt__` call per comparison."""
+    return sorted(items, key=_NAME)
+
+
 def atoms(*names: str) -> frozenset[Atom]:
     return frozenset(Atom(n) for n in names)
 
 
 def interp_sort_key(interpretation: Iterable[Atom]) -> tuple[str, ...]:
-    """Canonical ordering key for interpretations: the sorted name tuple."""
+    """Canonical ordering key for interpretations: the sorted name tuple.
+
+    This defines canonical order; `lowering.rank_key` computes the same
+    order on masks, and the tests check it against this key.
+    """
     return tuple(sorted(a.name for a in interpretation))
 
 
@@ -381,16 +394,12 @@ class Program:
         return f"Program({len(self.rules)} rules)"
 
 
-def _domain_vector(body: Body, max_domain: int, what: str) -> tuple[list[Atom], int, list[int]]:
-    """The body's domain in canonical order, its truth vector over that
-    domain (bit J set when the subset with mask J satisfies the body), and
-    the domain's columns."""
-    items = sorted(body.domain)
+def _domain(body: Body, max_domain: int, what: str) -> tuple[list[Atom], dict[Atom, int]]:
+    """The body's domain in canonical order, and each atom's position in it."""
+    items = in_name_order(body.domain)
     if len(items) > max_domain:
         raise TooManyAtoms(f"{what} over {len(items)} atoms exceeds the limit of {max_domain}")
-    n = len(items)
-    cols = lowering.columns(n)
-    return items, lowering.truth_vector(body, {a: i for i, a in enumerate(items)}, n, cols), cols
+    return items, {a: i for i, a in enumerate(items)}
 
 
 def to_dnf(body: Body, max_domain: int = DEFAULT_ATOM_LIMIT) -> Dnf:
@@ -400,18 +409,13 @@ def to_dnf(body: Body, max_domain: int = DEFAULT_ATOM_LIMIT) -> Dnf:
     unique normal form for each (domain, truth function) pair. Raises
     UnsatisfiableBody when no subset of the domain satisfies the body.
     """
-    items, vector, _ = _domain_vector(body, max_domain, "dnf expansion")
+    items, index = _domain(body, max_domain, "dnf expansion")
+    vector = lowering.truth_vector(body, index, len(items))
     if not vector:
         raise UnsatisfiableBody("body is false on every subset of its domain")
-    # canonical order: by the positions of the members, which follow the names
-    n = len(items)
-    minterms = sorted(
-        tuple(i for i in range(n) if mask >> i & 1) for mask in lowering.members(vector)
-    )
     dom = body.domain
     disjuncts = []
-    for positions in minterms:
-        subset = frozenset(items[i] for i in positions)
+    for subset in lowering.interpretations(items, lowering.members(vector)):
         disjuncts.append(Conjunct(subset, dom - subset))
     return Dnf(tuple(disjuncts))
 
@@ -423,8 +427,11 @@ def is_convex(body: Body, max_domain: int = DEFAULT_ATOM_LIMIT) -> bool:
     subset below it and a satisfying superset above it, which the subset
     and superset closures of the truth vector decide at once.
     """
-    items, true, cols = _domain_vector(body, max_domain, "convexity scan")
-    false = lowering.full(len(items)) ^ true
+    items, index = _domain(body, max_domain, "convexity scan")
+    n = len(items)
+    cols = lowering.columns(n)
+    true = lowering.truth_vector(body, index, n, cols)
+    false = lowering.full(n) ^ true
     return not false & lowering.upward(true, cols) & lowering.downward(true, cols)
 
 

@@ -8,12 +8,20 @@ every body becomes a vector through `truth_vector`, built from columns by
 AND, OR and shifts. A vector takes 2^n / 8 bytes (128 KiB at n = 20).
 Besides the kernel, `core.to_dnf`, `core.is_convex` and the completion
 work on these vectors.
+
+Masks go back to atom sets through one primitive, `interpretations`. It
+orders the masks by an integer rank (`rank_key`), the position of the set
+among all 2^n subsets in canonical order, and builds each set as the union
+of two frozensets over the low and the high half of the universe, taken
+from lazily filled tables. Union and hashing reuse the stored hashes of
+the tables' entries, so no atom is hashed per element.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .core import (
     Atom,
@@ -25,6 +33,7 @@ from .core import (
     Program,
     TruthTable,
     atom_set,
+    in_name_order,
 )
 
 # Enumeration modes of the kernel.
@@ -35,6 +44,8 @@ ENUM_SFLP = 3
 
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 _NONZERO = re.compile(rb"[^\x00]+")
+_EMPTY: frozenset[Atom] = frozenset()
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # bits of each byte reversed
 
 
 @dataclass
@@ -57,14 +68,11 @@ class LoweredProgram:
             mask |= 1 << self.index[a]
         return mask
 
-    def interpretation_of(self, mask: int) -> frozenset[Atom]:
-        return atom_set(self.atoms[i] for i in range(mask.bit_length()) if mask >> i & 1)
-
 
 def lower(program: Program, universe: tuple[Atom, ...] | None = None) -> LoweredProgram:
     """Fix a program's atom universe (defaults to atoms(P), sorted)."""
     if universe is None:
-        universe = tuple(sorted(program.atoms()))
+        universe = tuple(in_name_order(program.atoms()))
     lp = LoweredProgram(universe, {a: i for i, a in enumerate(universe)}, len(universe), [], [])
     for rule in program.rules:
         lp.heads.append(lp.mask_of(rule.head))
@@ -109,6 +117,65 @@ def members(vector: int) -> list[int]:
             out.extend([base + i for i in _BYTE_BITS[byte]])
             base += 8
     return out
+
+
+def rank_key(n: int) -> Callable[[int], int]:
+    """The sort key of masks over n atoms that gives canonical order (see
+    `core.interp_sort_key`): the position of the set among all 2^n subsets
+    in that order.
+
+    Canonical order is the preorder of the tree whose children extend a set
+    by a larger atom, so with r the mask bit-reversed over n bits (atom 0 on
+    top) the rank of a mask m != 0 is popcount(m) + 2^n - r - (r & -r); the
+    empty mask has rank 0.
+    """
+    size = (n + 7) >> 3
+    shift = 8 * size - n
+    top = 1 << n
+
+    def rank(mask: int) -> int:
+        if not mask:
+            return 0
+        if size > 1:
+            r = int.from_bytes(mask.to_bytes(size, "little").translate(_REVERSED), "big")
+        else:
+            r = _REVERSED[mask]
+        r >>= shift
+        return mask.bit_count() + top - r - (r & -r)
+
+    return rank
+
+
+def interpretations(atoms: Sequence[Atom], masks: list[int]) -> list[frozenset[Atom]]:
+    """The sets with the given masks over `atoms` (bit i is atoms[i], the
+    atoms in name order), in canonical order, each the shared set of
+    `core.atom_set`.
+
+    Each set is the union of a frozenset over the low half of the universe
+    and one over the high half; the two tables are filled as masks need
+    their entries.
+    """
+    if len(masks) > 1:
+        masks = sorted(masks, key=rank_key(len(atoms)))
+    half = len(atoms) >> 1
+    low_mask = (1 << half) - 1
+    low_atoms, high_atoms = atoms[:half], atoms[half:]
+    low: dict[int, frozenset[Atom]] = {0: _EMPTY}
+    high: dict[int, frozenset[Atom]] = {0: _EMPTY}
+    out = []
+    for m in masks:
+        lo = low.get(m & low_mask)
+        if lo is None:
+            lo = low[m & low_mask] = _subset(low_atoms, m & low_mask)
+        hi = high.get(m >> half)
+        if hi is None:
+            hi = high[m >> half] = _subset(high_atoms, m >> half)
+        out.append(atom_set(lo | hi))
+    return out
+
+
+def _subset(atoms: Sequence[Atom], mask: int) -> frozenset[Atom]:
+    return frozenset([atoms[i] for i in (_BYTE_BITS[mask] if mask < 256 else members(mask))])
 
 
 def upward(family: int, cols: list[int]) -> int:

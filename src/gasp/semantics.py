@@ -24,7 +24,7 @@ from .core import (
     Rule,
     TooManyAtoms,
     TruthTable,
-    interp_sort_key,
+    in_name_order,
 )
 
 
@@ -111,15 +111,14 @@ def enumerate_interpretations(
     limit: int = DEFAULT_ATOM_LIMIT,
 ) -> tuple[frozenset[Atom], ...]:
     """All subsets of atoms(P) accepted by the kind, in canonical order."""
-    universe = tuple(sorted(program.atoms()))
+    universe = tuple(in_name_order(program.atoms()))
     if len(universe) > limit:
         raise TooManyAtoms(
             f"program has {len(universe)} atoms, enumeration limit is {limit}"
         )
     lp = lowering.lower(program, universe)
     masks = kernel.enumerate_masks(lp, _ENUM_MODE[kind])
-    found = [lp.interpretation_of(m) for m in masks]
-    return tuple(sorted(found, key=interp_sort_key))
+    return tuple(lowering.interpretations(lp.atoms, masks))
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ def completion(program: Program, limit: int = DEFAULT_ATOM_LIMIT) -> Program:
 
 
 def _lower_for_completion(program: Program, limit: int) -> lowering.LoweredProgram:
-    universe = tuple(sorted(program.atoms()))
+    universe = tuple(in_name_order(program.atoms()))
     if len(universe) > limit:
         raise TooManyAtoms(
             f"completion table over {len(universe)} atoms exceeds the limit of {limit}"
@@ -189,7 +188,7 @@ def _completion_atom(
     atom: Atom, program: Program, lp: lowering.LoweredProgram, vector: int
 ) -> CompletionAtom:
     """The completion table of `atom` that `_unsupported` gave as `vector`."""
-    satisfying = frozenset(lp.interpretation_of(m) for m in lowering.members(vector))
+    satisfying = frozenset(lowering.interpretations(lp.atoms, lowering.members(vector)))
     return CompletionAtom(atom, program, TruthTable(frozenset(lp.atoms), satisfying))
 
 

@@ -17,6 +17,11 @@ def all_subsets(items):
     )]
 
 
+def decode(atoms, mask) -> frozenset:
+    """The set of the atoms whose bits are set in `mask` (bit i is atoms[i])."""
+    return frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
+
+
 def convex_by_triples(body) -> bool:
     """Literal transcription of the convexity condition over strict
     triples I < J < K of domain subsets: every J strictly between two

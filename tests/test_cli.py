@@ -277,6 +277,12 @@ class TestVerifyCommand:
         assert code == 2
         assert "atom_count" in err
 
+    def test_random_mode_rejects_negative_seeds(self, capsys):
+        code, out, err = run_cli(["verify", "--random", "--seeds", "-3"], capsys=capsys)
+        assert code == 2
+        assert "--seeds" in err
+        assert "result" not in out
+
 
 class TestConsoleEntry:
     def test_module_invocation_pipe(self):

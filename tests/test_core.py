@@ -19,6 +19,7 @@ from gasp.core import (
     UnsatisfiableBody,
     atom_set,
     body_key,
+    interp_sort_key,
     is_convex,
     is_convex_program,
     subsets_in_canonical_order,
@@ -153,6 +154,18 @@ class TestToDnf:
                     to_dnf(body)
                 continue
             assert len(to_dnf(body).disjuncts) == len(sat)
+
+    def test_disjuncts_are_the_sorted_minterms(self):
+        rng = random.Random(11)
+        makers = (_random_table, _random_count, _random_dnf)
+        for trial in range(300):
+            body = _rename(rng.choice(makers)(rng, rng.randint(1, 6)), rng)
+            sat = [s for s in all_subsets(body.domain) if body.eval(s)]
+            if not sat:
+                continue
+            disjuncts = to_dnf(body).disjuncts
+            assert [d.positives for d in disjuncts] == sorted(sat, key=interp_sort_key), trial
+            assert all(d.negatives == body.domain - d.positives for d in disjuncts), trial
 
     def test_eval_equivalent_up_to_ten_atoms(self):
         # spot check at a width well past the sizes the suite uses daily
@@ -293,6 +306,22 @@ def _random_count(rng: random.Random, width: int) -> CountAggregate:
     names = [Atom(f"x{i}") for i in range(width)]
     cmp = rng.choice(("=", "!=", "<=", ">=", "<", ">"))
     return CountAggregate(frozenset(names), cmp, rng.randint(0, width + 1))
+
+
+def _rename(body, rng: random.Random):
+    """The body over x0, x1, ... with its atoms renamed at random, so that
+    the name order is not the creation order."""
+    names = rng.sample("abcdefghij", len(body.domain))
+    rename = {a: Atom(n) for a, n in zip(sorted(body.domain), names)}
+
+    def group(atoms):
+        return frozenset(rename[a] for a in atoms)
+
+    if isinstance(body, TruthTable):
+        return TruthTable(group(body.domain), frozenset(group(s) for s in body.satisfying))
+    if isinstance(body, CountAggregate):
+        return CountAggregate(group(body.atoms), body.comparator, body.bound)
+    return Dnf(tuple(Conjunct(group(d.positives), group(d.negatives)) for d in body.disjuncts))
 
 
 def _random_dnf(rng: random.Random, width: int) -> Dnf:

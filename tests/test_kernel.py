@@ -1,6 +1,9 @@
 """The bit-sliced kernel against the AST: `truth_vector` against Body.eval
-on every mask, and `enumerate_masks` against the oracles of tests/oracles.py
-in all four modes."""
+on every mask, `enumerate_masks` against the oracles of tests/oracles.py
+in all four modes, and the mask order and decoding of `interpretations`
+against `core.interp_sort_key`."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +11,21 @@ from hypothesis import strategies as st
 
 from gasp import kernel, lowering
 from gasp.compile import rew_flp, rew_sflp
-from gasp.core import Atom, CountAggregate, Program, Rule, TruthTable
+from gasp.core import (
+    Atom,
+    CountAggregate,
+    Program,
+    Rule,
+    TruthTable,
+    atom_set,
+    interp_sort_key,
+    subsets_in_canonical_order,
+)
 from gasp.harness import GenConfig, generate
 from gasp.semantics import completion
 
 from conftest import fs
-from oracles import all_subsets, enumerate_oracle
+from oracles import all_subsets, decode, enumerate_oracle
 
 MODES = {
     "models": lowering.ENUM_MODELS,
@@ -25,7 +37,7 @@ MODES = {
 
 def kernel_sets(program: Program, mode_name: str) -> set:
     lp = lowering.lower(program)
-    return {lp.interpretation_of(m) for m in kernel.enumerate_masks(lp, MODES[mode_name])}
+    return {decode(lp.atoms, m) for m in kernel.enumerate_masks(lp, MODES[mode_name])}
 
 
 def assert_agrees(program: Program, label) -> None:
@@ -39,7 +51,7 @@ def assert_vectors_agree(program: Program, universe=None) -> None:
         vector = lowering.truth_vector(rule.body, lp.index, lp.n)
         assert vector >> (1 << lp.n) == 0
         for mask in range(1 << lp.n):
-            interp = lp.interpretation_of(mask)
+            interp = decode(lp.atoms, mask)
             assert (vector >> mask & 1 == 1) == rule.body.eval(interp), (
                 rule, sorted(a.name for a in interp),
             )
@@ -92,6 +104,45 @@ class TestTruthVector:
     def test_empty_universe(self):
         assert lowering.truth_vector(TruthTable(fs(), frozenset({fs()})), {}, 0) == 1
         assert lowering.truth_vector(TruthTable(fs(), frozenset()), {}, 0) == 0
+
+
+def scrambled_atoms(n: int, rng: random.Random) -> tuple[Atom, ...]:
+    """n atoms in name order, with names unrelated to their creation order."""
+    letters = rng.sample("abcdefghijklmnop", n)
+    return tuple(sorted(Atom(f"{c}{rng.randrange(100)}") for c in letters))
+
+
+class TestCanonicalOrder:
+    def test_rank_is_the_canonical_position(self):
+        rng = random.Random(1)
+        for n in range(11):
+            atoms = scrambled_atoms(n, rng)
+            index = {a: i for i, a in enumerate(atoms)}
+            rank = lowering.rank_key(n)
+            ranks = [
+                rank(sum(1 << index[a] for a in s)) for s in subsets_in_canonical_order(atoms)
+            ]
+            assert ranks == list(range(1 << n)), n
+
+    @pytest.mark.parametrize("with_empty", [True, False], ids=["empty", "nonempty"])
+    def test_every_mask_in_canonical_order(self, with_empty):
+        rng = random.Random(2)
+        for n in range(11):
+            atoms = scrambled_atoms(n, rng)
+            masks = list(range(0 if with_empty else 1, 1 << n))
+            rng.shuffle(masks)
+            want = list(subsets_in_canonical_order(atoms))
+            assert lowering.interpretations(atoms, masks) == want[0 if with_empty else 1:], n
+
+    def test_random_families(self):
+        rng = random.Random(3)
+        for trial in range(300):
+            n = rng.randint(0, 12)
+            atoms = scrambled_atoms(n, rng)
+            masks = rng.sample(range(1 << n), rng.randint(0, min(40, 1 << n)))
+            got = lowering.interpretations(atoms, masks)
+            assert got == sorted((decode(atoms, m) for m in masks), key=interp_sort_key), trial
+            assert all(atom_set(i) is i for i in got), trial
 
 
 class TestOracleAgreement:

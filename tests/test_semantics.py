@@ -1,6 +1,6 @@
 import pytest
 
-from gasp.core import Atom, Program, Rule, TooManyAtoms, TruthTable
+from gasp.core import Atom, Program, Rule, TooManyAtoms, TruthTable, atom_set, interp_sort_key
 from gasp.harness import GenConfig, generate
 from gasp.parser import parse_program
 from gasp.semantics import (
@@ -134,10 +134,58 @@ class TestEnumerate:
         got = enumerate_interpretations(corpus["p5"], SemanticsKind.SUPPORTED)
         assert got == (fs("a"), fs("a", "b"))
 
+    def test_random_programs_in_canonical_order(self):
+        for seed in range(80):
+            program = generate(GenConfig(
+                atom_count=1 + seed % 6,
+                rule_count=seed % 7,
+                allow_disjunctive_heads=(seed % 3 == 0),
+                seed=seed,
+            ))
+            for kind in SemanticsKind:
+                got = enumerate_interpretations(program, kind)
+                want = sorted(enumerate_oracle(program, kind.value), key=interp_sort_key)
+                assert got == tuple(want), (seed, kind)
+                assert all(atom_set(i) is i for i in got), (seed, kind)
+
+    @pytest.mark.parametrize("kind, count", [
+        (SemanticsKind.CLASSICAL, 3 ** 7),
+        (SemanticsKind.SUPPORTED, 2 ** 5),
+        (SemanticsKind.FLP, 0),
+        (SemanticsKind.SFLP, 2 ** 5),
+    ])
+    def test_choice_gadgets_in_canonical_order(self, kind, count):
+        program = choice_gadgets()
+        # a first query may empty the full `atom_set` table midway; after
+        # a second one every answer set is in the table
+        enumerate_interpretations(program, kind)
+        first = enumerate_interpretations(program, kind)
+        got = enumerate_interpretations(program, kind)
+        assert len(set(got)) == len(got) == count
+        assert list(got) == sorted(got, key=interp_sort_key)
+        # the decoded sets are the shared ones, so repeated queries share memory
+        assert all(i is j for i, j in zip(got, first))
+        assert all(atom_set(i) is i for i in got)
+
     def test_atom_limit(self):
         wide = parse_program(" ".join(f"x{i}." for i in range(6)))
         with pytest.raises(TooManyAtoms):
             enumerate_interpretations(wide, SemanticsKind.CLASSICAL, limit=5)
+
+
+def choice_gadgets() -> Program:
+    """Five even loops `x :- not y. y :- not x.` and two corpus-p1 gadgets
+    over 14 atoms whose names do not follow the parts: 3^7 models, 2^5
+    supported models and SFLP answer sets, and no FLP answer set."""
+    names = [f"v{(5 * k) % 14:02d}" for k in range(14)]
+    parts = []
+    for k in range(7):
+        x, y = names[2 * k], names[2 * k + 1]
+        if k < 5:
+            parts.append(f"{x} :- not {y}. {y} :- not {x}.")
+        else:
+            parts.append(f"{x} :- count{{{x}, {y}}} != 1. {y} :- count{{{x}, {y}}} != 1.")
+    return parse_program("\n".join(parts))
 
 
 class TestCandidateSpace:
