@@ -5,15 +5,22 @@ shapes: direct answer-set enumeration of a scaled non-convex program,
 enumeration of a compiled rewriting, and a slice of the theorem battery
 (the acceptance battery's generator settings). One more row times a wide
 answer end to end, kernel plus ordering and decoding: the 3^7 models of
-a 14-atom program of choice gadgets.
+a 14-atom program of choice gadgets. The last row is start-up: the median
+of 15 fresh `python -m gasp models corpus/p1.gasp` calls minus the median
+of 15 `python -c pass` calls.
 `perfbench/run.py` is the measurement of record; this is a quick look.
 
     python3 benchmarks/bench_kernels.py [--atoms N] [--seeds N] [--repeat N]
 """
 
 import argparse
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import gasp
 from gasp import kernel, lowering, semantics
 from gasp.compile import rew_sflp
 from gasp.core import Atom, CountAggregate, Program, Rule
@@ -72,6 +79,24 @@ def bench_battery(seeds: int) -> float:
     return time.perf_counter() - start
 
 
+def bench_startup(calls: int = 15) -> float:
+    """What gasp adds to a fresh interpreter's start-up, through a query
+    whose own work takes about a millisecond."""
+    src = str(Path(gasp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    p1 = str(Path(__file__).resolve().parent.parent / "corpus" / "p1.gasp")
+    commands = ([sys.executable, "-m", "gasp", "models", p1], [sys.executable, "-c", "pass"])
+    times = ([], [])
+    for _ in range(calls):  # alternating, so that drift hits both alike
+        for argv, out in zip(commands, times):
+            start = time.perf_counter()
+            subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, check=True)
+            out.append(time.perf_counter() - start)
+    gasp_s, bare_s = (sorted(t)[len(t) // 2] for t in times)
+    return gasp_s - bare_s
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--atoms", type=int, default=14, help="chain width (default 14)")
@@ -98,6 +123,7 @@ def main() -> int:
         timed(lambda: semantics.enumerate_interpretations(choice, models), args.repeat),
     ))
     rows.append((f"theorem battery, {args.seeds} programs", bench_battery(args.seeds)))
+    rows.append(("start-up, `gasp models` minus `python -c pass`", bench_startup()))
 
     width = max(len(label) for label, _ in rows)
     print(f"{'workload':<{width}}  {'time':>10}")

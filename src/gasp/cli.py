@@ -6,19 +6,25 @@ Exit codes: 0 success (an empty enumeration is success), 2 bad input (an
 unreadable file, a parse or validation error, an invalid argument or
 GASP_LIMIT), 3 atom limit exceeded, 4 a theorem check failed. Any other
 error is a bug in gasp and surfaces with its traceback.
+
+Each command loads only what it runs: every command loads the parser, the
+semantics and the kernel; only compile loads `gasp.compile`, only verify
+`gasp.harness`, and only JSON output `json`. Those imports sit inside the
+commands, which look the functions up on the module at call time. The AST
+values are immutable slotted records (`core.Record`), whose classes cost
+no code generation at import.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import __version__
-from .compile import DisjunctiveHead, rew_flp, rew_sflp
 from .core import (
     DEFAULT_ATOM_LIMIT,
+    DisjunctiveHead,
     GaspError,
     Program,
     ReservedAtomError,
@@ -28,7 +34,6 @@ from .core import (
     format_interpretation,
     is_convex,
 )
-from .harness import FAIL, CHECK_NAMES, GenConfig, TheoremReport, check_theorems, generate
 from .parser import (
     ParseError,
     SourceProgram,
@@ -52,6 +57,12 @@ EXIT_VIOLATION = 4
 
 class InputError(GaspError):
     """An unreadable input file or an invalid argument or environment value."""
+
+
+def _print_json(payload) -> None:
+    import json  # only JSON output needs it
+
+    print(json.dumps(payload))
 
 
 def _limit(args) -> int:
@@ -132,7 +143,7 @@ def _run_enumeration(args, kind: SemanticsKind) -> int:
             "atoms": [a.name for a in sorted(program.atoms())],
             "answer_sets": [[a.name for a in sorted(i)] for i in found],
         }
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         for interpretation in found:
             print(format_interpretation(interpretation))
@@ -148,7 +159,7 @@ def _run_completion(args) -> int:
         if not (isinstance(r.body, TruthTable) and not r.body.satisfying)
     )  # a constraint with an unsatisfiable body never fires; it has no dnf form
     if args.json:
-        print(json.dumps({"rules": [render_rule(r) for r in printable.rules]}))
+        _print_json({"rules": [render_rule(r) for r in printable.rules]})
     else:
         sys.stdout.write(render(printable))
     return EXIT_OK
@@ -160,10 +171,10 @@ def _run_convexity(args) -> int:
     verdicts = [(render_rule(r), is_convex(r.body, limit)) for r in program.rules]
     overall = all(v for _, v in verdicts)
     if args.json:
-        print(json.dumps({
+        _print_json({
             "rules": [{"rule": text, "convex": v} for text, v in verdicts],
             "program_convex": overall,
-        }))
+        })
     else:
         for i, (text, v) in enumerate(verdicts, start=1):
             print(f"rule {i}: {'convex' if v else 'non-convex'}  {text}")
@@ -172,9 +183,11 @@ def _run_convexity(args) -> int:
 
 
 def _run_compile(args) -> int:
+    from . import compile as comp
+
     program = parse_program(_read_source(args.input))
     limit = _limit(args)
-    rewrite = rew_sflp if args.semantics == "sflp" else rew_flp
+    rewrite = comp.rew_sflp if args.semantics == "sflp" else comp.rew_flp
     rewritten, cmap = rewrite(program, rewrite_all=args.rewrite_all, max_domain=limit)
     if args.emit == "json":
         payload = {
@@ -189,36 +202,41 @@ def _run_compile(args) -> int:
                 for canonical, names in cmap.entries.items()
             ],
         }
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         sys.stdout.write(render(rewritten))
     return EXIT_OK
 
 
-def _print_report(report: TheoremReport, verbose: bool) -> None:
+def _print_report(report, verbose: bool) -> None:
+    """Print a `harness.TheoremReport`, one line per check."""
+    from . import harness
+
     for result in report.results:
         print(f"{result.name:<40} {result.status}")
-        if result.status == FAIL or verbose:
+        if result.status == harness.FAIL or verbose:
             for line in result.details:
                 print(f"    {line}")
 
 
 def _run_verify(args) -> int:
+    from . import harness
+
     limit = _limit(args)
     if not args.random:
         if not args.input:
             raise InputError("verify needs a program file or --random")
         program = parse_program(_read_source(args.input), allow_reserved=True)
-        report = check_theorems(program, limit)
+        report = harness.check_theorems(program, limit)
         _print_report(report, verbose=False)
         return EXIT_VIOLATION if not report.ok else EXIT_OK
     if args.seeds < 0:
         raise InputError(f"--seeds must not be negative, got {args.seeds}")
-    counts = {name: {"pass": 0, "fail": 0, "skip": 0} for name in CHECK_NAMES}
+    counts = {name: {"pass": 0, "fail": 0, "skip": 0} for name in harness.CHECK_NAMES}
     failures = []
     for seed in range(args.seeds):
         try:
-            cfg = GenConfig(
+            cfg = harness.GenConfig(
                 atom_count=args.atoms,
                 rule_count=args.rules,
                 allow_disjunctive_heads=(seed % 4 == 3),
@@ -226,13 +244,13 @@ def _run_verify(args) -> int:
             )
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        report = check_theorems(generate(cfg), limit)
+        report = harness.check_theorems(harness.generate(cfg), limit)
         for result in report.results:
             counts[result.name][result.status] += 1
-            if result.status == FAIL:
+            if result.status == harness.FAIL:
                 failures.append((seed, report.program_text, result))
     print(f"{'check':<40} {'pass':>6} {'fail':>6} {'skip':>6}")
-    for name in CHECK_NAMES:
+    for name in harness.CHECK_NAMES:
         c = counts[name]
         print(f"{name:<40} {c['pass']:>6} {c['fail']:>6} {c['skip']:>6}")
     for seed, text, result in failures:

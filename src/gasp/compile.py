@@ -16,21 +16,22 @@ reducts, and are dropped before compilation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .core import (
     Atom,
     Conjunct,
     DEFAULT_ATOM_LIMIT,
+    DisjunctiveHead,
     Dnf,
     GaspError,
     Interpretation,
     LiteralConjunction,
     Program,
+    Record,
     ReservedAtomError,
     Rule,
     UnsatisfiableBody,
     format_interpretation,
+    set_field,
     to_dnf,
 )
 from .semantics import (
@@ -40,21 +41,21 @@ from .semantics import (
 )
 
 
-class DisjunctiveHead(GaspError):
-    """Compilation input must have atomic heads (or be constraints)."""
-
-
 class IndexOutOfRange(GaspError, IndexError):
     """A disjunct or literal index fell outside the DNF being rewritten."""
 
 
-@dataclass(frozen=True)
-class AuxNames:
+class AuxNames(Record):
     """Fresh atoms for one rewritten body: the truth atom plus one
     falsity atom per disjunct and the aggregate falsity atom f[0]."""
 
+    __slots__ = ("t", "f")
     t: Atom
     f: tuple[Atom, ...]
+
+    def __init__(self, t: Atom, f: tuple[Atom, ...]):
+        set_field(self, "t", t)
+        set_field(self, "f", f)
 
 
 def aux_names(idx: int, k: int) -> AuxNames:
@@ -64,14 +65,20 @@ def aux_names(idx: int, k: int) -> AuxNames:
     )
 
 
-@dataclass
 class CompilationMap:
     """Bookkeeping from each distinct rewritten body (canonical DNF) to its
     fresh atoms, in first-occurrence order."""
 
+    __slots__ = ("semantics", "rewrite_all", "entries")
     semantics: SemanticsKind
-    rewrite_all: bool = False
-    entries: dict[Dnf, AuxNames] = field(default_factory=dict)
+    rewrite_all: bool
+    entries: dict[Dnf, AuxNames]
+
+    def __init__(self, semantics: SemanticsKind, rewrite_all: bool = False,
+                 entries: dict[Dnf, AuxNames] | None = None):
+        self.semantics = semantics
+        self.rewrite_all = rewrite_all
+        self.entries = {} if entries is None else entries
 
     def names_for(self, canonical: Dnf) -> AuxNames:
         names = self.entries.get(canonical)
@@ -271,12 +278,19 @@ def contraction(interpretation: Interpretation, program: Program) -> frozenset[A
     return frozenset(interpretation) & program.atoms()
 
 
-@dataclass(frozen=True)
-class CompilationReport:
+class CompilationReport(Record):
+    __slots__ = ("semantics", "source_sets", "compiled_sets", "violations")
     semantics: SemanticsKind
     source_sets: tuple[frozenset[Atom], ...]
     compiled_sets: tuple[frozenset[Atom], ...]
     violations: tuple[str, ...]
+
+    def __init__(self, semantics: SemanticsKind, source_sets: tuple[frozenset[Atom], ...],
+                 compiled_sets: tuple[frozenset[Atom], ...], violations: tuple[str, ...]):
+        set_field(self, "semantics", semantics)
+        set_field(self, "source_sets", source_sets)
+        set_field(self, "compiled_sets", compiled_sets)
+        set_field(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

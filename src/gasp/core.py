@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 RESERVED_PREFIX = "__aux"
@@ -36,20 +35,112 @@ class ReservedAtomError(GaspError):
     """A reserved `__aux` atom appeared where only source atoms are allowed."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Atom:
+class DisjunctiveHead(GaspError):
+    """Compilation input must have atomic heads (or be constraints)."""
+
+
+# How a record's `__init__` sets its fields, past `Record.__setattr__`.
+set_field = object.__setattr__
+
+
+class Record:
+    """Base of the immutable records: the AST values and the reports.
+
+    A subclass names its fields in `__slots__` and sets them in `__init__`
+    with `set_field`; after that no field can be assigned or deleted. A
+    record equals only a record of the same class with the same field
+    tuple, and hashes like that tuple, so hash values, and with them the
+    iteration order of sets of records, are those of the equivalent tuples.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("__slots__", ())
+        if not fields:  # an abstract base such as Body
+            return
+        cls._fields = fields
+        # the field tuple, read by C-level getters rather than a loop
+        if len(fields) == 1:
+            get = operator.attrgetter(fields[0])
+
+            def values(record):
+                return (get(record),)
+        else:
+            values = operator.attrgetter(*fields)
+        if "__eq__" in cls.__dict__:  # the class defines its own equality
+            return
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return values(self) == values(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(values(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return type(self), tuple([getattr(self, f) for f in self._fields])
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class Atom(Record):
     """A propositional atom, identified by name.
 
     Ordinary names start with a lowercase letter; names starting with
     `__aux` are reserved for compilation output and rejected wherever user
-    input is expected.
+    input is expected. Atoms order by name.
     """
 
+    __slots__ = ("name",)
     name: str
 
-    def __post_init__(self):
-        if not (_PLAIN_NAME.match(self.name) or _RESERVED_NAME.match(self.name)):
-            raise ValueError(f"invalid atom name: {self.name!r}")
+    def __init__(self, name: str):
+        if not (_PLAIN_NAME.match(name) or _RESERVED_NAME.match(name)):
+            raise ValueError(f"invalid atom name: {name!r}")
+        set_field(self, "name", name)
+
+    # Written out rather than inherited: these are the hottest methods of
+    # the package, and the hash stays that of the 1-tuple (name,).
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name < other.name
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name <= other.name
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name > other.name
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name >= other.name
+        return NotImplemented
 
     @property
     def is_reserved(self) -> bool:
@@ -109,20 +200,22 @@ def format_interpretation(interpretation: Iterable[Atom]) -> str:
     return "{" + ", ".join(sorted(a.name for a in interpretation)) + "}"
 
 
-@dataclass(frozen=True, slots=True)
-class Conjunct:
+class Conjunct(Record):
     """A conjunction of literals, split into positive and negative atoms."""
 
+    __slots__ = ("positives", "negatives")
     positives: frozenset[Atom]
     negatives: frozenset[Atom]
 
-    def __post_init__(self):
-        object.__setattr__(self, "positives", atom_set(self.positives))
-        object.__setattr__(self, "negatives", atom_set(self.negatives))
-        clash = self.positives & self.negatives
+    def __init__(self, positives: Iterable[Atom], negatives: Iterable[Atom]):
+        positives = atom_set(positives)
+        negatives = atom_set(negatives)
+        clash = positives & negatives
         if clash:
             names = ", ".join(sorted(a.name for a in clash))
             raise ValueError(f"atom(s) both positive and negative: {names}")
+        set_field(self, "positives", positives)
+        set_field(self, "negatives", negatives)
 
     def atoms(self) -> frozenset[Atom]:
         return self.positives | self.negatives
@@ -141,7 +234,7 @@ class Conjunct:
                 tuple(sorted(a.name for a in self.negatives)))
 
 
-class Body:
+class Body(Record):
     """Marker base for rule bodies.
 
     Every body exposes `domain` (a frozenset of the atoms it can observe)
@@ -157,11 +250,14 @@ class Body:
         raise NotImplementedError
 
 
-@dataclass(frozen=True, slots=True)
 class LiteralConjunction(Body):
     """Body that is a conjunction of literals; empty means always true."""
 
+    __slots__ = ("conjunct",)
     conjunct: Conjunct
+
+    def __init__(self, conjunct: Conjunct):
+        set_field(self, "conjunct", conjunct)
 
     @property
     def domain(self) -> frozenset[Atom]:
@@ -187,22 +283,25 @@ COMPARATORS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
 class CountAggregate(Body):
     """Body comparing |atoms ∩ I| against a fixed bound."""
 
+    __slots__ = ("atoms", "comparator", "bound")
     atoms: frozenset[Atom]
     comparator: str
     bound: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", atom_set(self.atoms))
-        if not self.atoms:
+    def __init__(self, atoms: Iterable[Atom], comparator: str, bound: int):
+        atoms = atom_set(atoms)
+        if not atoms:
             raise ValueError("count aggregate needs at least one atom")
-        if self.comparator not in COMPARATORS:
-            raise ValueError(f"unknown comparator: {self.comparator!r}")
-        if self.bound < 0:
+        if comparator not in COMPARATORS:
+            raise ValueError(f"unknown comparator: {comparator!r}")
+        if bound < 0:
             raise ValueError("count bound must be non-negative")
+        set_field(self, "atoms", atoms)
+        set_field(self, "comparator", comparator)
+        set_field(self, "bound", bound)
 
     @property
     def domain(self) -> frozenset[Atom]:
@@ -212,16 +311,17 @@ class CountAggregate(Body):
         return COMPARATORS[self.comparator](len(self.atoms & interpretation), self.bound)
 
 
-@dataclass(frozen=True, slots=True)
 class Dnf(Body):
     """Body given as a disjunction of literal conjunctions (at least one)."""
 
+    __slots__ = ("disjuncts",)
     disjuncts: tuple[Conjunct, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "disjuncts", tuple(self.disjuncts))
-        if not self.disjuncts:
+    def __init__(self, disjuncts: Iterable[Conjunct]):
+        disjuncts = tuple(disjuncts)
+        if not disjuncts:
             raise ValueError("dnf body needs at least one disjunct")
+        set_field(self, "disjuncts", disjuncts)
 
     @property
     def domain(self) -> frozenset[Atom]:
@@ -234,7 +334,6 @@ class Dnf(Body):
         return any(d.holds(interpretation) for d in self.disjuncts)
 
 
-@dataclass(frozen=True, slots=True)
 class TruthTable(Body):
     """Body defined extensionally: the exact family of satisfying subsets.
 
@@ -242,18 +341,19 @@ class TruthTable(Body):
     satisfying subset mentions (relevant but unmentioned atoms).
     """
 
+    __slots__ = ("domain", "satisfying")
     domain: frozenset[Atom]
     satisfying: frozenset[frozenset[Atom]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "domain", atom_set(self.domain))
-        object.__setattr__(
-            self, "satisfying", frozenset(atom_set(s) for s in self.satisfying)
-        )
-        for s in self.satisfying:
-            if not s <= self.domain:
-                extra = ", ".join(sorted(a.name for a in s - self.domain))
+    def __init__(self, domain: Iterable[Atom], satisfying: Iterable[Iterable[Atom]]):
+        domain = atom_set(domain)
+        satisfying = frozenset(atom_set(s) for s in satisfying)
+        for s in satisfying:
+            if not s <= domain:
+                extra = ", ".join(sorted(a.name for a in s - domain))
                 raise ValueError(f"satisfying subset mentions atoms outside the domain: {extra}")
+        set_field(self, "domain", domain)
+        set_field(self, "satisfying", satisfying)
 
     def eval(self, interpretation: Interpretation) -> bool:
         return (interpretation & self.domain) in self.satisfying
@@ -262,15 +362,16 @@ class TruthTable(Body):
 GeneralizedAtomBody = Union[LiteralConjunction, CountAggregate, Dnf, TruthTable]
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
+class Rule(Record):
     """A rule `head :- body`; an empty head is a constraint."""
 
+    __slots__ = ("head", "body")
     head: frozenset[Atom]
     body: Body
 
-    def __post_init__(self):
-        object.__setattr__(self, "head", atom_set(self.head))
+    def __init__(self, head: Iterable[Atom], body: Body):
+        set_field(self, "head", atom_set(head))
+        set_field(self, "body", body)
 
     @property
     def is_constraint(self) -> bool:
@@ -345,8 +446,7 @@ def rule_key(rule: Rule):
     return (_names(rule.head), body_key(rule.body))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Program:
+class Program(Record):
     """A finite sequence of rules with set semantics.
 
     Construction collapses duplicate rules (first occurrence wins) using
@@ -355,6 +455,7 @@ class Program:
     compared rather than stored, to keep programs small.
     """
 
+    __slots__ = ("rules",)
     rules: tuple[Rule, ...]
 
     def __init__(self, rules: Iterable[Rule] = ()):
@@ -365,7 +466,7 @@ class Program:
             if key not in seen:
                 seen.add(key)
                 kept.append(r)
-        object.__setattr__(self, "rules", tuple(kept))
+        set_field(self, "rules", tuple(kept))
 
     def _keys(self) -> frozenset:
         return frozenset(rule_key(r) for r in self.rules)

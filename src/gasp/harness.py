@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
 
 from .compile import bijection_violations, rew_flp, rew_sflp
 from .core import (
@@ -25,11 +24,13 @@ from .core import (
     Dnf,
     LiteralConjunction,
     Program,
+    Record,
     Rule,
     TooManyAtoms,
     TruthTable,
     format_interpretation,
     is_convex_program,
+    set_field,
     subsets_in_canonical_order,
 )
 from .parser import render
@@ -48,28 +49,43 @@ BODY_KINDS = ("literal", "count", "dnf", "table")
 _DEFAULT_MIX = (("literal", 4.0), ("count", 2.0), ("dnf", 2.0), ("table", 2.0))
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    atom_count: int = 4
-    rule_count: int = 4
-    body_mix: tuple[tuple[str, float], ...] = _DEFAULT_MIX
-    allow_disjunctive_heads: bool = False
-    allow_constraints: bool = True
-    seed: int = 0
+class GenConfig(Record):
+    __slots__ = ("atom_count", "rule_count", "body_mix", "allow_disjunctive_heads",
+                 "allow_constraints", "seed")
+    atom_count: int
+    rule_count: int
+    body_mix: tuple[tuple[str, float], ...]
+    allow_disjunctive_heads: bool
+    allow_constraints: bool
+    seed: int
 
-    def __post_init__(self):
-        if not 1 <= self.atom_count <= 8:
+    def __init__(
+        self,
+        atom_count: int = 4,
+        rule_count: int = 4,
+        body_mix: tuple[tuple[str, float], ...] = _DEFAULT_MIX,
+        allow_disjunctive_heads: bool = False,
+        allow_constraints: bool = True,
+        seed: int = 0,
+    ):
+        if not 1 <= atom_count <= 8:
             raise ValueError("atom_count must be in 1..8")
-        if not 0 <= self.rule_count <= 10:
+        if not 0 <= rule_count <= 10:
             raise ValueError("rule_count must be in 0..10")
-        object.__setattr__(self, "body_mix", tuple(self.body_mix))
-        for kind, weight in self.body_mix:
+        body_mix = tuple(body_mix)
+        for kind, weight in body_mix:
             if kind not in BODY_KINDS:
                 raise ValueError(f"unknown body kind: {kind!r}")
             if weight < 0:
                 raise ValueError("body weights must be non-negative")
-        if not any(w > 0 for _, w in self.body_mix):
+        if not any(w > 0 for _, w in body_mix):
             raise ValueError("at least one body kind needs positive weight")
+        set_field(self, "atom_count", atom_count)
+        set_field(self, "rule_count", rule_count)
+        set_field(self, "body_mix", body_mix)
+        set_field(self, "allow_disjunctive_heads", allow_disjunctive_heads)
+        set_field(self, "allow_constraints", allow_constraints)
+        set_field(self, "seed", seed)
 
 
 def generate(cfg: GenConfig) -> Program:
@@ -137,17 +153,26 @@ CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+class CheckResult(Record):
+    __slots__ = ("name", "status", "details")
     name: str
     status: str
-    details: tuple[str, ...] = ()
+    details: tuple[str, ...]
+
+    def __init__(self, name: str, status: str, details: tuple[str, ...] = ()):
+        set_field(self, "name", name)
+        set_field(self, "status", status)
+        set_field(self, "details", details)
 
 
-@dataclass(frozen=True, slots=True)
-class TheoremReport:
+class TheoremReport(Record):
+    __slots__ = ("program_text", "results")
     program_text: str
     results: tuple[CheckResult, ...]
+
+    def __init__(self, program_text: str, results: tuple[CheckResult, ...]):
+        set_field(self, "program_text", program_text)
+        set_field(self, "results", results)
 
     @property
     def ok(self) -> bool:

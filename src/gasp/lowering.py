@@ -9,18 +9,18 @@ AND, OR and shifts. A vector takes 2^n / 8 bytes (128 KiB at n = 20).
 Besides the kernel, `core.to_dnf`, `core.is_convex` and the completion
 work on these vectors.
 
-Masks go back to atom sets through one primitive, `interpretations`. It
-orders the masks by an integer rank (`rank_key`), the position of the set
-among all 2^n subsets in canonical order, and builds each set as the union
-of two frozensets over the low and the high half of the universe, taken
-from lazily filled tables. Union and hashing reuse the stored hashes of
-the tables' entries, so no atom is hashed per element.
+Masks go back to atom sets through `decode`, which builds each set as the
+union of two frozensets over the low and the high half of the universe,
+taken from lazily filled tables. Union and hashing reuse the stored hashes
+of the tables' entries, so no atom is hashed per element. `interpretations`
+first orders the masks by an integer rank (`rank_key`), the position of
+the set among all 2^n subsets in canonical order; the completion, whose
+tables are sets, decodes without it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import (
@@ -48,15 +48,23 @@ _EMPTY: frozenset[Atom] = frozenset()
 _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # bits of each byte reversed
 
 
-@dataclass
 class LoweredProgram:
     """Rules over a fixed universe: head masks plus the bodies themselves."""
 
+    __slots__ = ("atoms", "index", "n", "heads", "bodies")
     atoms: tuple[Atom, ...]
     index: dict[Atom, int]
     n: int
     heads: list[int]
     bodies: list[Body]
+
+    def __init__(self, atoms: tuple[Atom, ...], index: dict[Atom, int], n: int,
+                 heads: list[int], bodies: list[Body]):
+        self.atoms = atoms
+        self.index = index
+        self.n = n
+        self.heads = heads
+        self.bodies = bodies
 
     @property
     def rule_count(self) -> int:
@@ -149,14 +157,20 @@ def rank_key(n: int) -> Callable[[int], int]:
 def interpretations(atoms: Sequence[Atom], masks: list[int]) -> list[frozenset[Atom]]:
     """The sets with the given masks over `atoms` (bit i is atoms[i], the
     atoms in name order), in canonical order, each the shared set of
-    `core.atom_set`.
+    `core.atom_set`."""
+    if len(masks) > 1:
+        masks = sorted(masks, key=rank_key(len(atoms)))
+    return decode(atoms, masks)
+
+
+def decode(atoms: Sequence[Atom], masks: list[int]) -> list[frozenset[Atom]]:
+    """The sets with the given masks over `atoms`, in the order of `masks`,
+    each the shared set of `core.atom_set`.
 
     Each set is the union of a frozenset over the low half of the universe
     and one over the high half; the two tables are filled as masks need
     their entries.
     """
-    if len(masks) > 1:
-        masks = sorted(masks, key=rank_key(len(atoms)))
     half = len(atoms) >> 1
     low_mask = (1 << half) - 1
     low_atoms, high_atoms = atoms[:half], atoms[half:]

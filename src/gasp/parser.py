@@ -28,7 +28,6 @@ every program (canonical program equality).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import (
     Atom,
@@ -39,19 +38,25 @@ from .core import (
     GaspError,
     LiteralConjunction,
     Program,
+    Record,
     Rule,
     TOP,
     TruthTable,
+    set_field,
     to_dnf,
 )
 
 
-@dataclass(frozen=True)
-class SourceProgram:
+class SourceProgram(Record):
     """Program text together with where it came from (for error messages)."""
 
+    __slots__ = ("text", "origin")
     text: str
-    origin: str = "<string>"
+    origin: str
+
+    def __init__(self, text: str, origin: str = "<string>"):
+        set_field(self, "text", text)
+        set_field(self, "origin", origin)
 
 
 class ParseError(GaspError):
@@ -84,12 +89,18 @@ _TOKEN = re.compile(
 _EOF = "end of input"
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
+    __slots__ = ("kind", "text", "line", "column")
     kind: str  # "name", "int", "op", "eof"
     text: str
     line: int
     column: int
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        set_field(self, "kind", kind)
+        set_field(self, "text", text)
+        set_field(self, "line", line)
+        set_field(self, "column", column)
 
 
 def _tokenize(src: SourceProgram) -> list[_Token]:

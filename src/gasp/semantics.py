@@ -10,7 +10,6 @@ are decoded from the same truth vectors.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
@@ -21,9 +20,11 @@ from .core import (
     GaspError,
     Interpretation,
     Program,
+    Record,
     Rule,
     TooManyAtoms,
     TruthTable,
+    set_field,
     in_name_order,
 )
 
@@ -121,8 +122,7 @@ def enumerate_interpretations(
     return tuple(lowering.interpretations(lp.atoms, masks))
 
 
-@dataclass(frozen=True)
-class CompletionAtom:
+class CompletionAtom(Record):
     """The support condition of one atom, realized as a truth table.
 
     The table is true at I exactly when the atom is in I but no rule
@@ -130,9 +130,15 @@ class CompletionAtom:
     truth of the atom.
     """
 
+    __slots__ = ("target", "program_snapshot", "realized")
     target: Atom
     program_snapshot: Program
     realized: TruthTable
+
+    def __init__(self, target: Atom, program_snapshot: Program, realized: TruthTable):
+        set_field(self, "target", target)
+        set_field(self, "program_snapshot", program_snapshot)
+        set_field(self, "realized", realized)
 
 
 def completion_atom(
@@ -188,7 +194,7 @@ def _completion_atom(
     atom: Atom, program: Program, lp: lowering.LoweredProgram, vector: int
 ) -> CompletionAtom:
     """The completion table of `atom` that `_unsupported` gave as `vector`."""
-    satisfying = frozenset(lowering.interpretations(lp.atoms, lowering.members(vector)))
+    satisfying = frozenset(lowering.decode(lp.atoms, lowering.members(vector)))
     return CompletionAtom(atom, program, TruthTable(frozenset(lp.atoms), satisfying))
 
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gasp import cli
+from gasp import cli, harness
 from gasp.harness import CheckResult, TheoremReport
 
 from conftest import CORPUS_DIR, corpus_text
@@ -263,7 +263,7 @@ class TestVerifyCommand:
             "p.\n",
             (CheckResult("flp_subset_sflp", "fail", ("{p}",)),),
         )
-        monkeypatch.setattr(cli, "check_theorems", lambda *a, **k: fake)
+        monkeypatch.setattr(harness, "check_theorems", lambda *a, **k: fake)
         code, out, _ = run_cli(["verify", corpus_path("p1")], capsys=capsys)
         assert code == 4
         assert "{p}" in out

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from gasp.core import (
     Dnf,
     LiteralConjunction,
     Program,
+    Record,
     Rule,
     TOP,
     TooManyAtoms,
@@ -25,7 +28,11 @@ from gasp.core import (
     subsets_in_canonical_order,
     to_dnf,
 )
-from gasp.parser import parse_program
+from gasp.compile import AuxNames, CompilationMap, CompilationReport
+from gasp.harness import CheckResult, GenConfig, TheoremReport
+from gasp.lowering import lower
+from gasp.parser import SourceProgram, parse_program
+from gasp.semantics import CompletionAtom, SemanticsKind
 
 from conftest import fs
 from oracles import all_subsets, convex_by_triples
@@ -247,6 +254,131 @@ class TestProgram:
     def test_atoms_include_body_domains(self):
         p = Program([Rule(fs("a"), TruthTable(fs("b", "c"), frozenset({fs("b")})))])
         assert p.atoms() == fs("a", "b", "c")
+
+
+_C1 = Conjunct(fs("a"), fs("b"))
+_C2 = Conjunct(fs("b"), fs())
+_TABLE = TruthTable(fs("a", "b"), frozenset({fs("a"), fs()}))
+_CHECK = CheckResult("flp_subset_sflp", "pass", ("detail",))
+_GEN_MIX = (("literal", 1.0), ("count", 2.0))
+
+# one value of every record class, with its fields spelled out
+RECORDS = [
+    (Atom("a"), ("a",)),
+    (_C1, (fs("a"), fs("b"))),
+    (LiteralConjunction(_C1), (_C1,)),
+    (CountAggregate(fs("a", "b"), "!=", 1), (fs("a", "b"), "!=", 1)),
+    (Dnf((_C1, _C2)), ((_C1, _C2),)),
+    (_TABLE, (fs("a", "b"), frozenset({fs("a"), fs()}))),
+    (Rule(fs("a"), _TABLE), (fs("a"), _TABLE)),
+    (SourceProgram("a.", "p.gasp"), ("a.", "p.gasp")),
+    (CompletionAtom(A, Program(), _TABLE), (A, Program(), _TABLE)),
+    (AuxNames(Atom("__aux_t_1"), (Atom("__aux_f_1_0"),)),
+     (Atom("__aux_t_1"), (Atom("__aux_f_1_0"),))),
+    (CompilationReport(SemanticsKind.FLP, (fs("a"),), (), ()),
+     (SemanticsKind.FLP, (fs("a"),), (), ())),
+    (GenConfig(3, 2, _GEN_MIX, True, False, 7), (3, 2, _GEN_MIX, True, False, 7)),
+    (_CHECK, ("flp_subset_sflp", "pass", ("detail",))),
+    (TheoremReport("a.\n", (_CHECK,)), ("a.\n", (_CHECK,))),
+]
+RECORD_IDS = [type(x).__name__ for x, _ in RECORDS]
+
+
+class _Pair(Record):
+    __slots__ = ("x", "y")
+
+    def __init__(self, x, y):
+        core.set_field(self, "x", x)
+        core.set_field(self, "y", y)
+
+
+class _OtherPair(Record):  # the fields of _Pair, in another class
+    __slots__ = ("x", "y")
+    __init__ = _Pair.__init__
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record, fields", RECORDS, ids=RECORD_IDS)
+    def test_hash_is_the_field_tuple_hash(self, record, fields):
+        assert hash(record) == hash(fields)
+
+    def test_atom_hash(self):
+        assert hash(Atom("a")) == hash(("a",))
+        assert hash(Atom("__aux_t_1")) == hash(("__aux_t_1",))
+
+    @pytest.mark.parametrize("record, fields", RECORDS, ids=RECORD_IDS)
+    def test_equal_by_fields_within_the_class(self, record, fields):
+        twin = type(record)(*fields)
+        assert twin == record and not twin != record
+        assert record != fields and fields != record
+
+    def test_no_equality_across_classes(self):
+        assert _Pair(1, 2) == _Pair(1, 2)
+        assert _Pair(1, 2) != _OtherPair(1, 2)
+        assert _Pair(1, 2) != _Pair(2, 1)
+        assert LiteralConjunction(_C1) != Dnf((_C1,))
+        assert Dnf((_C1,)) != LiteralConjunction(_C1)
+        rule = Rule(fs("a"), TOP)
+        assert rule != (fs("a"), TOP) and (fs("a"), TOP) != rule
+        assert Atom("a") != "a" and "a" != Atom("a")
+
+    @pytest.mark.parametrize("record, fields", RECORDS, ids=RECORD_IDS)
+    def test_fields_cannot_be_assigned_or_deleted(self, record, fields):
+        names = type(record).__slots__
+        assert len(names) == len(fields)
+        for name, value in zip(names, fields):
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name) == value
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_copies_and_pickles_are_equal(self):
+        for record in [x for x, _ in RECORDS] + [parse_program("a :- b. b.")]:
+            assert copy.copy(record) == record
+            assert copy.deepcopy(record) == record
+            assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_repr_names_the_fields(self):
+        assert repr(_CHECK) == "CheckResult(name='flp_subset_sflp', status='pass', details=('detail',))"
+        assert repr(Atom("a")) == "Atom('a')"
+
+    def test_atom_order_is_name_order(self):
+        names = ["__aux_t_1", "a", "aB", "a_1", "b", "b2"]
+        for x in names:
+            for y in names:
+                ax, ay = Atom(x), Atom(y)
+                assert (ax < ay, ax <= ay, ax > ay, ax >= ay) == (x < y, x <= y, x > y, x >= y)
+
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    def test_atom_does_not_compare_with_str(self, op):
+        with pytest.raises(TypeError):
+            eval(f"Atom('a') {op} 'b'")
+        with pytest.raises(TypeError):
+            eval(f"'b' {op} Atom('a')")
+
+    def test_program_equality_ignores_rule_order(self):
+        rules = [Rule(fs("a"), lit(["b"])), Rule(fs("b"), TOP), Rule(fs(), lit([], ["a"]))]
+        assert Program(rules) == Program(rules[::-1])
+        assert hash(Program(rules)) == hash(Program(rules[::-1]))
+        assert Program(rules) != Program(rules[:2])
+        assert Program(rules) != tuple(rules)
+        with pytest.raises(AttributeError):
+            Program(rules).rules = ()
+
+    def test_lowered_program_and_compilation_map_stay_mutable(self):
+        lp = lower(parse_program("a :- b. b."))
+        cmap = CompilationMap(SemanticsKind.SFLP)
+        lp.heads.append(0)
+        lp.n = 3
+        cmap.rewrite_all = True
+        assert (lp.n, cmap.rewrite_all, cmap.entries) == (3, True, {})
+        for value in (lp, cmap):
+            assert not hasattr(value, "__dict__")
+            with pytest.raises(AttributeError):
+                value.extra = 1
 
 
 class TestAtomSets:

@@ -143,6 +143,9 @@ class TestCanonicalOrder:
             got = lowering.interpretations(atoms, masks)
             assert got == sorted((decode(atoms, m) for m in masks), key=interp_sort_key), trial
             assert all(atom_set(i) is i for i in got), trial
+            unsorted = lowering.decode(atoms, masks)
+            assert unsorted == [decode(atoms, m) for m in masks], trial
+            assert all(atom_set(i) is i for i in unsorted), trial
 
 
 class TestOracleAgreement:
