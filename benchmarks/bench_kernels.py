@@ -3,9 +3,10 @@
 Times the hot path (exhaustive candidate enumeration) on three workload
 shapes: direct answer-set enumeration of a scaled non-convex program,
 enumeration of a compiled rewriting, and a slice of the theorem battery
-(the acceptance battery's generator settings). One more row times a wide
-answer end to end, kernel plus ordering and decoding: the 3^7 models of
-a 14-atom program of choice gadgets. The last row is start-up: the median
+(the acceptance battery's generator settings). Two more rows time
+queries end to end, kernel plus ordering and decoding: the four queries
+(models, supported, FLP, SFLP) on the 16-atom chain, and the 3^7 models
+of a 14-atom program of choice gadgets. The last row is start-up: the median
 of 15 fresh `python -m gasp models corpus/p1.gasp` calls minus the median
 of 15 `python -c pass` calls.
 `perfbench/run.py` is the measurement of record; this is a quick look.
@@ -116,6 +117,12 @@ def main() -> int:
             ("flp, rewritten 2-atom program", compiled_p1, lowering.ENUM_FLP),
         )
     ]
+    chain16 = coordination_chain(16)
+    rows.append((
+        "four queries, 16-atom chain",
+        timed(lambda: [semantics.enumerate_interpretations(chain16, kind)
+                       for kind in semantics.SemanticsKind], args.repeat),
+    ))
     choice = choice_gadgets()
     models = semantics.SemanticsKind.CLASSICAL
     rows.append((

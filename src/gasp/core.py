@@ -531,7 +531,7 @@ def is_convex(body: Body, max_domain: int = DEFAULT_ATOM_LIMIT) -> bool:
     items, index = _domain(body, max_domain, "convexity scan")
     n = len(items)
     cols = lowering.columns(n)
-    true = lowering.truth_vector(body, index, n, cols)
+    true = lowering.truth_vector(body, index, n)
     false = lowering.full(n) ^ true
     return not false & lowering.upward(true, cols) & lowering.downward(true, cols)
 

@@ -38,10 +38,8 @@ from .semantics import (
     SemanticsKind,
     completion,
     enumerate_interpretations,
-    flp_reduct,
-    is_model,
     is_sflp_answer_set,
-    proper_subsets,
+    sflp_given_completion,
 )
 
 BODY_KINDS = ("literal", "count", "dnf", "table")
@@ -263,10 +261,7 @@ def _characterization_check(
     details = []
     for candidate in subsets_in_canonical_order(universe):
         direct = is_sflp_answer_set(candidate, program)
-        via = False
-        if is_model(candidate, comp):
-            comp_reduct = completion(flp_reduct(program, candidate), limit)
-            via = not any(is_model(j, comp_reduct) for j in proper_subsets(candidate))
+        via = sflp_given_completion(candidate, program, comp, limit)
         if direct != via:
             details.append(
                 f"direct={direct} completion-based={via} at "

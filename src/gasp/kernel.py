@@ -11,11 +11,12 @@ below is a handful of big-int operations over all 2^n masks at once:
   proper subset of I is a model (supported model) of the reduct of I,
   the rules whose bodies hold at I.
 
-The minimality test of a candidate I works on vectors cut to the masks
-below I, which include all of I's proper subsets, and stops as soon as no
-subset is left. The kernel holds the n columns, two vectors per rule
-(plus one per extra head atom of a disjunctive rule in the supported
-modes) and a few temporaries: about 2m + n vectors.
+The minimality test of a candidate I starts from the vector of I's proper
+subsets, built by doubling over the atoms of I, so its big-int steps are
+sized by I rather than by 2^n, and stops as soon as no subset is left.
+The kernel holds the n columns, two vectors per rule (plus one per extra
+head atom of a disjunctive rule in the supported modes) and a few
+temporaries: about 2m + n vectors.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
     fired = []  # per rule: the masks where the body holds and the head is hit
     violated = []  # per rule: the masks where the body holds and the head is missed
     for head, body in zip(lp.heads, lp.bodies):
-        holds = truth_vector(body, lp.index, n, cols)
+        holds = truth_vector(body, lp.index, n)
         hit = 0
         for i in members(head):
             hit |= cols[i]
@@ -70,7 +71,7 @@ def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
             return members(candidates)
     accepted = []
     for i, reduct in _reducts(candidates, fired, n).items():
-        blocking = _proper_subsets(i, cols)
+        blocking = _proper_subsets(i)
         for r in reduct:
             blocking ^= blocking & violated[r]
             if not blocking:
@@ -140,11 +141,15 @@ def _reducts(candidates: int, fired: list[int], n: int) -> dict[int, list[int]]:
     return reducts
 
 
-def _proper_subsets(mask: int, cols) -> int:
-    """The vector of the proper subsets of `mask`: they are smaller
-    numbers, and the atoms outside `mask` are ANDed out."""
-    out = (1 << mask) - 1
-    for i in range(mask.bit_length()):
-        if not mask >> i & 1:
-            out ^= out & cols[i]
-    return out
+def _proper_subsets(mask: int) -> int:
+    """The vector of the proper subsets of `mask`: the cube of its subsets,
+    doubled by one shift-OR per atom of `mask`, lowest first (the shift of
+    atom i is its bit 2^i), without bit `mask`. Each step costs what the
+    subsets found so far take."""
+    out = 1
+    rest = mask
+    while rest:
+        low = rest & -rest
+        out |= out << low
+        rest ^= low
+    return out ^ (1 << mask)

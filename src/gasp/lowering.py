@@ -5,22 +5,26 @@ over a universe of n atoms is a mask J < 2^n. A *vector* is a Python int
 with one bit per mask: bit J is set when some property holds at J. The
 column of atom i, X_i, is the vector of the masks that contain i, and
 every body becomes a vector through `truth_vector`, built from columns by
-AND, OR and shifts. A vector takes 2^n / 8 bytes (128 KiB at n = 20).
-Besides the kernel, `core.to_dnf`, `core.is_convex` and the completion
-work on these vectors.
+AND, OR and shifts. A vector takes 2^n / 8 bytes (128 KiB at n = 20). The
+columns and the all-masks vector of a width (`columns`, `full`) are built
+once and shared by every later caller: (n + 1) * 2^n / 8 bytes per width
+used. Besides the kernel, `core.to_dnf`, `core.is_convex` and the
+completion work on these vectors.
 
-Masks go back to atom sets through `decode`, which builds each set as the
-union of two frozensets over the low and the high half of the universe,
-taken from lazily filled tables. Union and hashing reuse the stored hashes
-of the tables' entries, so no atom is hashed per element. `interpretations`
-first orders the masks by an integer rank (`rank_key`), the position of
-the set among all 2^n subsets in canonical order; the completion, whose
-tables are sets, decodes without it.
+`members` lists the masks of a vector, skipping its zero 64-bit words in
+C. Masks go back to atom sets through `decode`, which builds each set as
+the union of two frozensets over the low and the high half of the
+universe, taken from lazily filled tables whose entries are unions of
+one-atom sets. Union and hashing reuse the stored hashes of those sets,
+so each atom is hashed at most once per call, not once per element.
+`interpretations` first orders the masks by an integer rank (`rank_key`),
+the position of the set among all 2^n subsets in canonical order; the
+completion, whose tables are sets, decodes without it.
 """
 
 from __future__ import annotations
 
-import re
+from itertools import compress
 from typing import Callable, Sequence
 
 from .core import (
@@ -43,9 +47,13 @@ ENUM_FLP = 2
 ENUM_SFLP = 3
 
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
-_NONZERO = re.compile(rb"[^\x00]+")
 _EMPTY: frozenset[Atom] = frozenset()
 _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # bits of each byte reversed
+
+# The width tables of `full` and `columns`: an entry is never changed once
+# stored, so every caller may share it.
+_FULL: dict[int, int] = {}
+_COLUMNS: dict[int, tuple[int, ...]] = {}
 
 
 class LoweredProgram:
@@ -89,15 +97,21 @@ def lower(program: Program, universe: tuple[Atom, ...] | None = None) -> Lowered
 
 
 def full(n: int) -> int:
-    """The vector of all 2^n masks."""
-    return (1 << (1 << n)) - 1
+    """The vector of all 2^n masks, built once per width."""
+    out = _FULL.get(n)
+    if out is None:
+        out = _FULL.setdefault(n, (1 << (1 << n)) - 1)
+    return out
 
 
-def columns(n: int) -> list[int]:
-    """X_0 .. X_{n-1}: period 2^(i+1), each period 2^i clear bits then 2^i set
-    bits, repeated by doubling up to 2^n bits."""
+def columns(n: int) -> tuple[int, ...]:
+    """X_0 .. X_{n-1}, built once per width: period 2^(i+1), each period
+    2^i clear bits then 2^i set bits, repeated by doubling up to 2^n bits."""
+    out = _COLUMNS.get(n)
+    if out is not None:
+        return out
     size = 1 << n
-    out = []
+    cols = []
     for i in range(n):
         half = 1 << i
         vector = ((1 << half) - 1) << half
@@ -105,25 +119,33 @@ def columns(n: int) -> list[int]:
         while width < size:
             vector |= vector << width
             width <<= 1
-        out.append(vector)
-    return out
+        cols.append(vector)
+    return _COLUMNS.setdefault(n, tuple(cols))
 
 
 def members(vector: int) -> list[int]:
-    """The masks whose bits are set in a vector, in increasing order."""
+    """The masks whose bits are set in a vector, in increasing order.
+
+    A long vector is cut into 64-bit words; the zero words are skipped in
+    C (`itertools.compress` over the words of its bytes), and the bits of
+    the others are peeled off one at a time, lowest first.
+    """
     out = []
-    if vector.bit_length() <= 512:  # a few words: peel off the lowest bit
+    if vector.bit_length() <= 512:  # a few words: peel the whole vector
         while vector:
             low = vector & -vector
             out.append(low.bit_length() - 1)
             vector ^= low
         return out
-    data = vector.to_bytes((vector.bit_length() + 7) >> 3, "little")
-    for run in _NONZERO.finditer(data):
-        base = run.start() << 3
-        for byte in run.group():
-            out.extend([base + i for i in _BYTE_BITS[byte]])
-            base += 8
+    count = (vector.bit_length() + 63) >> 6
+    data = vector.to_bytes(count << 3, "little")
+    for k in compress(range(count), memoryview(data).cast("Q")):
+        base = (k << 6) - 1
+        word = int.from_bytes(data[k << 3:(k + 1) << 3], "little")
+        while word:
+            low = word & -word
+            out.append(base + low.bit_length())
+            word ^= low
     return out
 
 
@@ -169,53 +191,59 @@ def decode(atoms: Sequence[Atom], masks: list[int]) -> list[frozenset[Atom]]:
 
     Each set is the union of a frozenset over the low half of the universe
     and one over the high half; the two tables are filled as masks need
-    their entries.
+    their entries, each entry a union of one-atom sets, which are made on
+    first use, so that only they hash their atom.
     """
+    if not masks:
+        return []
     half = len(atoms) >> 1
     low_mask = (1 << half) - 1
-    low_atoms, high_atoms = atoms[:half], atoms[half:]
+    singles: list[frozenset[Atom] | None] = [None] * len(atoms)
     low: dict[int, frozenset[Atom]] = {0: _EMPTY}
     high: dict[int, frozenset[Atom]] = {0: _EMPTY}
     out = []
     for m in masks:
         lo = low.get(m & low_mask)
         if lo is None:
-            lo = low[m & low_mask] = _subset(low_atoms, m & low_mask)
+            lo = low[m & low_mask] = _subset(atoms, singles, m & low_mask, 0)
         hi = high.get(m >> half)
         if hi is None:
-            hi = high[m >> half] = _subset(high_atoms, m >> half)
+            hi = high[m >> half] = _subset(atoms, singles, m >> half, half)
         out.append(atom_set(lo | hi))
     return out
 
 
-def _subset(atoms: Sequence[Atom], mask: int) -> frozenset[Atom]:
-    return frozenset([atoms[i] for i in (_BYTE_BITS[mask] if mask < 256 else members(mask))])
+def _subset(atoms: Sequence[Atom], singles: list, mask: int, offset: int) -> frozenset[Atom]:
+    """The set of the atoms whose bits are set in `mask << offset`, as a
+    union of the one-atom sets in `singles`, made where missing."""
+    parts = []
+    for i in (_BYTE_BITS[mask] if mask < 256 else members(mask)):
+        i += offset
+        single = singles[i]
+        if single is None:
+            single = singles[i] = frozenset((atoms[i],))
+        parts.append(single)
+    return _EMPTY.union(*parts)
 
 
-def upward(family: int, cols: list[int]) -> int:
+def upward(family: int, cols: Sequence[int]) -> int:
     """The masks that have a subset (not necessarily proper) in `family`."""
     for i, x in enumerate(cols):
         family |= (family ^ (family & x)) << (1 << i)
     return family
 
 
-def downward(family: int, cols: list[int]) -> int:
+def downward(family: int, cols: Sequence[int]) -> int:
     """The masks that have a superset (not necessarily proper) in `family`."""
     for i, x in enumerate(cols):
         family |= (family & x) >> (1 << i)
     return family
 
 
-def truth_vector(
-    body: Body, index: dict[Atom, int], n: int, cols: list[int] | None = None
-) -> int:
-    """The vector of the masks over n atoms at which the body holds.
-
-    `index` gives each atom of the body its bit position; `cols` passes
-    `columns(n)` when the caller already has it.
-    """
-    if cols is None:
-        cols = columns(n)
+def truth_vector(body: Body, index: dict[Atom, int], n: int) -> int:
+    """The vector of the masks over n atoms at which the body holds;
+    `index` gives each atom of the body its bit position."""
+    cols = columns(n)
     if isinstance(body, LiteralConjunction):
         return _conjunction(body.conjunct, index, n, cols)
     if isinstance(body, CountAggregate):

@@ -130,14 +130,12 @@ class CompletionAtom(Record):
     truth of the atom.
     """
 
-    __slots__ = ("target", "program_snapshot", "realized")
+    __slots__ = ("target", "realized")
     target: Atom
-    program_snapshot: Program
     realized: TruthTable
 
-    def __init__(self, target: Atom, program_snapshot: Program, realized: TruthTable):
+    def __init__(self, target: Atom, realized: TruthTable):
         set_field(self, "target", target)
-        set_field(self, "program_snapshot", program_snapshot)
         set_field(self, "realized", realized)
 
 
@@ -148,7 +146,7 @@ def completion_atom(
     if atom not in universe:
         raise UnknownAtom(f"atom {atom.name!r} does not occur in the program")
     lp = _lower_for_completion(program, limit)
-    return _completion_atom(atom, program, lp, _unsupported(lp)[lp.index[atom]])
+    return CompletionAtom(atom, _completion_table(lp, _unsupported(lp)[lp.index[atom]]))
 
 
 def completion(program: Program, limit: int = DEFAULT_ATOM_LIMIT) -> Program:
@@ -156,9 +154,8 @@ def completion(program: Program, limit: int = DEFAULT_ATOM_LIMIT) -> Program:
     unsupported truth; its models are exactly the supported models."""
     rules = list(program.rules)
     lp = _lower_for_completion(program, limit)
-    for atom, vector in zip(lp.atoms, _unsupported(lp)):
-        comp = _completion_atom(atom, program, lp, vector)
-        rules.append(Rule(frozenset(), comp.realized))
+    for vector in _unsupported(lp):
+        rules.append(Rule(frozenset(), _completion_table(lp, vector)))
     return Program(rules)
 
 
@@ -179,7 +176,7 @@ def _unsupported(lp: lowering.LoweredProgram) -> list[int]:
     for head, body in zip(lp.heads, lp.bodies):
         if not head:
             continue
-        holds = lowering.truth_vector(body, lp.index, lp.n, cols)
+        holds = lowering.truth_vector(body, lp.index, lp.n)
         atoms = lowering.members(head)
         for a in atoms:
             vector = holds
@@ -190,12 +187,10 @@ def _unsupported(lp: lowering.LoweredProgram) -> list[int]:
     return [x ^ (x & supported[a]) for a, x in enumerate(cols)]
 
 
-def _completion_atom(
-    atom: Atom, program: Program, lp: lowering.LoweredProgram, vector: int
-) -> CompletionAtom:
-    """The completion table of `atom` that `_unsupported` gave as `vector`."""
+def _completion_table(lp: lowering.LoweredProgram, vector: int) -> TruthTable:
+    """The completion table of the atom that `_unsupported` gave `vector`."""
     satisfying = frozenset(lowering.decode(lp.atoms, lowering.members(vector)))
-    return CompletionAtom(atom, program, TruthTable(frozenset(lp.atoms), satisfying))
+    return TruthTable(frozenset(lp.atoms), satisfying)
 
 
 def sflp_via_completion(
@@ -203,7 +198,18 @@ def sflp_via_completion(
 ) -> bool:
     """SFLP answer-set test that only uses classical model checks, going
     through the completion of the program and of the reduct."""
-    if not is_model(interpretation, completion(program, limit)):
+    return sflp_given_completion(interpretation, program, completion(program, limit), limit)
+
+
+def sflp_given_completion(
+    interpretation: Interpretation,
+    program: Program,
+    comp: Program,
+    limit: int = DEFAULT_ATOM_LIMIT,
+) -> bool:
+    """`sflp_via_completion` with the program's completion `comp` given, so
+    that a caller testing many interpretations builds it once."""
+    if not is_model(interpretation, comp):
         return False
     comp_reduct = completion(flp_reduct(program, interpretation), limit)
     return not any(is_model(j, comp_reduct) for j in proper_subsets(interpretation))

@@ -272,7 +272,7 @@ RECORDS = [
     (_TABLE, (fs("a", "b"), frozenset({fs("a"), fs()}))),
     (Rule(fs("a"), _TABLE), (fs("a"), _TABLE)),
     (SourceProgram("a.", "p.gasp"), ("a.", "p.gasp")),
-    (CompletionAtom(A, Program(), _TABLE), (A, Program(), _TABLE)),
+    (CompletionAtom(A, _TABLE), (A, _TABLE)),
     (AuxNames(Atom("__aux_t_1"), (Atom("__aux_f_1_0"),)),
      (Atom("__aux_t_1"), (Atom("__aux_f_1_0"),))),
     (CompilationReport(SemanticsKind.FLP, (fs("a"),), (), ()),

@@ -3,6 +3,7 @@ on every mask, `enumerate_masks` against the oracles of tests/oracles.py
 in all four modes, and the mask order and decoding of `interpretations`
 against `core.interp_sort_key`."""
 
+import itertools
 import random
 
 import pytest
@@ -190,9 +191,51 @@ def test_kernel_matches_oracles(seed, atoms, rules, disjunctive):
     assert_agrees(program, seed)
 
 
-@pytest.mark.parametrize("bits", [[], [0], [3, 8, 9, 70], [3, 600, 601, 607, 608, 5000]])
+def choice_models() -> list[int]:
+    """The 3^7 = 2187 models of seven choice pairs over 14 atoms: each pair
+    of bits is 01, 10 or 11."""
+    return sorted(
+        sum(p << (2 * k) for k, p in enumerate(pairs))
+        for pairs in itertools.product((1, 2, 3), repeat=7)
+    )
+
+
+BOUNDARY_BITS = (0, 7, 8, 63, 64, 127, 128)
+MEMBER_CASES = {
+    "empty": [],
+    "one": [0],
+    "sparse-short": [3, 8, 9, 70],
+    "sparse-long": [3, 600, 601, 607, 608, 5000],
+    "three-of-2^16": [5, 40000, 65535],
+    "dense-choice": choice_models(),
+    **{
+        f"boundaries-2^{n}": sorted({b for b in BOUNDARY_BITS if b < 1 << n} | {(1 << n) - 1})
+        for n in range(6, 17)
+    },
+}
+
+
+@pytest.mark.parametrize("bits", list(MEMBER_CASES.values()), ids=list(MEMBER_CASES))
 def test_members_are_the_set_bits_in_order(bits):
     assert kernel.members(sum(1 << b for b in bits)) == bits
+
+
+def test_proper_subsets_of_every_small_mask():
+    for n in range(11):
+        for mask in range(1 << n):
+            want = sum(1 << j for j in range(mask) if j & mask == j)
+            assert kernel._proper_subsets(mask) == want, mask
+
+
+def test_width_tables_are_built_once():
+    for n in range(13):
+        cols = lowering.columns(n)
+        assert type(cols) is tuple and len(cols) == n
+        assert lowering.columns(n) is cols and lowering.full(n) is lowering.full(n)
+        assert lowering.full(n) == (1 << (1 << n)) - 1
+        assert list(cols) == [
+            sum(1 << m for m in range(1 << n) if m >> i & 1) for i in range(n)
+        ], n
 
 
 def test_default_backend_names_the_kernel():
