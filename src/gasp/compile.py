@@ -4,8 +4,10 @@ Every rule body is normalized to its minterm DNF and replaced by a fresh
 truth atom; auxiliary rules tie that atom to the disjuncts so that answer
 sets of the rewritten program correspond one-to-one (via expansion and
 contraction) to the answer sets of the source program. The FLP variant
-adds only those rules; the SFLP variant also adds one support rule per
-source atom.
+adds only those rules. The SFLP variant is the FLP rewriting plus one
+support rule per source atom, and `with_support_rules` reads those rules
+off the FLP rewriting itself; `rew_sflp` and the theorem battery both
+build it that way, so one rewriting serves both variants.
 
 Bodies that amount to a single positive literal are left alone (their
 literal can stand directly in support heads), and constraints keep
@@ -151,14 +153,18 @@ def _constraint_keepable(canonical: Dnf) -> bool:
     return len(d.positives) + len(d.negatives) <= 1
 
 
+def _disjunctive_head(rule: Rule) -> DisjunctiveHead:
+    return DisjunctiveHead(
+        "cannot compile a rule with a disjunctive head: "
+        + " | ".join(a.name for a in sorted(rule.head))
+    )
+
+
 def _surviving(program: Program, max_domain: int) -> list[tuple[Rule, Dnf]]:
     kept = []
     for rule in program.rules:
         if len(rule.head) > 1:
-            raise DisjunctiveHead(
-                "cannot compile a rule with a disjunctive head: "
-                + " | ".join(a.name for a in sorted(rule.head))
-            )
+            raise _disjunctive_head(rule)
         try:
             kept.append((rule, to_dnf(rule.body, max_domain)))
         except UnsatisfiableBody:
@@ -174,51 +180,64 @@ def _check_fresh(program: Program) -> None:
         )
 
 
+def _atom_body(atom: Atom) -> LiteralConjunction:
+    return LiteralConjunction(Conjunct(frozenset({atom}), frozenset()))
+
+
 def _rewrite(
     program: Program, semantics: SemanticsKind, rewrite_all: bool, max_domain: int
-) -> tuple[list[Rule], CompilationMap, list[tuple[Rule, Dnf]]]:
-    """The rewritten rules (support rules aside), the map of rewritten
-    bodies, and the surviving source rules with their canonical DNFs."""
+) -> tuple[Program, CompilationMap]:
+    """The FLP rewriting and the map of its rewritten bodies."""
     _check_fresh(program)
     cmap = CompilationMap(semantics, rewrite_all)
-    pairs = _surviving(program, max_domain)
     rewritten: list[Rule] = []
-    for rule, canonical in pairs:
+    for rule, canonical in _surviving(program, max_domain):
         if not rewrite_all:
             literal = _single_positive_literal(canonical)
             if literal is not None:
-                body = LiteralConjunction(Conjunct(frozenset({literal}), frozenset()))
-                rewritten.append(Rule(rule.head, body))
+                rewritten.append(Rule(rule.head, _atom_body(literal)))
                 continue
             if rule.is_constraint and _constraint_keepable(canonical):
                 d = canonical.disjuncts[0]
                 rewritten.append(Rule(rule.head, LiteralConjunction(d)))
                 continue
         names = cmap.names_for(canonical)
-        body = LiteralConjunction(Conjunct(frozenset({names.t}), frozenset()))
-        rewritten.append(Rule(rule.head, body))
+        rewritten.append(Rule(rule.head, _atom_body(names.t)))
     for canonical, names in cmap.entries.items():
         rewritten.extend(rew_atom(canonical, names))
-    return rewritten, cmap, pairs
+    return Program(rewritten), cmap
 
 
 def rew_flp(
     program: Program, rewrite_all: bool = False, max_domain: int = DEFAULT_ATOM_LIMIT
 ) -> tuple[Program, CompilationMap]:
-    rules, cmap, _ = _rewrite(program, SemanticsKind.FLP, rewrite_all, max_domain)
-    return Program(rules), cmap
+    return _rewrite(program, SemanticsKind.FLP, rewrite_all, max_domain)
 
 
 def rew_sflp(
     program: Program, rewrite_all: bool = False, max_domain: int = DEFAULT_ATOM_LIMIT
 ) -> tuple[Program, CompilationMap]:
-    rules, cmap, pairs = _rewrite(program, SemanticsKind.SFLP, rewrite_all, max_domain)
-    surviving_atoms: set[Atom] = set()
-    for rule, _ in pairs:
-        surviving_atoms |= rule.atoms()
-    for atom in sorted(surviving_atoms):
-        rules.append(_support_rule(atom, pairs, cmap))
-    return Program(rules), cmap
+    flp, cmap = _rewrite(program, SemanticsKind.SFLP, rewrite_all, max_domain)
+    return with_support_rules(flp), cmap
+
+
+def with_support_rules(flp: Program) -> Program:
+    """The SFLP rewriting, given the FLP one (`rew_flp`'s program): its
+    rules followed by one support rule per source atom, in sorted order.
+
+    The support rule of source atom a is read off the rewriting itself:
+    every rewritten rule whose head is {a} is a source rule, and its body
+    is the single atom (a kept literal or a truth atom) that the support
+    rule puts in its head.
+    """
+    heads: dict[Atom, set[Atom]] = {a: set() for a in flp.atoms() if not a.is_reserved}
+    for rule in flp.rules:
+        if len(rule.head) == 1:
+            (atom,) = rule.head
+            if atom in heads:
+                heads[atom] |= rule.body.conjunct.positives
+    support = [Rule(frozenset(heads[a]), _atom_body(a)) for a in sorted(heads)]
+    return Program(flp.rules + tuple(support))
 
 
 def supp_rule(
@@ -231,30 +250,19 @@ def supp_rule(
     bodies of the rules it heads; with no such rule this is a constraint."""
     if atom not in program.atoms():
         raise UnknownAtom(f"atom {atom.name!r} does not occur in the program")
-    pairs = []
+    head = set()
     for rule in program.rules:
-        if rule.head != {atom}:
+        if atom not in rule.head:
             continue
+        if len(rule.head) > 1:
+            raise _disjunctive_head(rule)
         try:
-            pairs.append((rule, to_dnf(rule.body, max_domain)))
+            canonical = to_dnf(rule.body, max_domain)
         except UnsatisfiableBody:
             continue
-    return _support_rule(atom, pairs, cmap)
-
-
-def _support_rule(atom: Atom, pairs: list[tuple[Rule, Dnf]], cmap: CompilationMap) -> Rule:
-    """`supp_rule` over rules whose canonical DNFs are already known."""
-    head = set()
-    for rule, canonical in pairs:
-        if rule.head != {atom}:
-            continue
         literal = None if cmap.rewrite_all else _single_positive_literal(canonical)
-        if literal is not None:
-            head.add(literal)
-        else:
-            head.add(cmap.entries[canonical].t)
-    body = LiteralConjunction(Conjunct(frozenset({atom}), frozenset()))
-    return Rule(frozenset(head), body)
+        head.add(cmap.entries[canonical].t if literal is None else literal)
+    return Rule(frozenset(head), _atom_body(atom))
 
 
 def expansion(

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from gasp import cli
 from gasp.compile import (
     CompilationMap,
     DisjunctiveHead,
@@ -24,6 +27,7 @@ from gasp.core import (
     Program,
     ReservedAtomError,
     Rule,
+    UnsatisfiableBody,
     is_convex_program,
     to_dnf,
 )
@@ -35,7 +39,7 @@ from gasp.semantics import (
     enumerate_interpretations,
 )
 
-from conftest import fs
+from conftest import CORPUS_DIR, fs
 
 TOTAL = fs("a", "b", "__aux_t_1")
 
@@ -46,6 +50,12 @@ A_DNF = Dnf((
 ))
 
 NAMES = aux_names(1, 2)
+
+ATOMIC_HEAD_CORPUS = ("p1", "p2", "p3", "p5")
+
+# sha256 of the `gasp compile` text of p1, p2, p3 and p5, in that order,
+# each with --semantics flp then sflp, each without then with --rewrite-all
+COMPILE_TEXT_SHA256 = "9a01709ba92363948cc06d7855d75d77bd9528f712e7bf2e627e30d73def27ba"
 
 REW_FLP_P1 = """\
 a :- __aux_t_1.
@@ -210,6 +220,18 @@ class TestRewFlp:
         assert once == again
 
 
+def _live_atoms(program):
+    """Sorted atoms of the rules whose bodies some interpretation satisfies."""
+    atoms = set()
+    for rule in program.rules:
+        try:
+            to_dnf(rule.body)
+        except UnsatisfiableBody:
+            continue
+        atoms |= rule.atoms()
+    return sorted(atoms)
+
+
 class TestSupp:
     def test_p1_supp_a(self, corpus):
         _, cmap = rew_flp(corpus["p1"])
@@ -232,6 +254,14 @@ class TestSupp:
         with pytest.raises(UnknownAtom):
             supp_rule(Atom("zzz"), corpus["p1"], cmap)
 
+    def test_disjunctive_head_is_rejected(self):
+        # skipping `a | b :- c.` would give the wrong support rule `:- a.`
+        program = parse_program("a | b :- c. c.")
+        cmap = CompilationMap(SemanticsKind.FLP)
+        for name in ("a", "b"):
+            with pytest.raises(DisjunctiveHead):
+                supp_rule(Atom(name), program, cmap)
+
 
 class TestRewSflp:
     def test_p1_answer_set(self, corpus):
@@ -246,6 +276,33 @@ class TestRewSflp:
             list(flp_version.rules)
             + list(parse_program("__aux_t_1 :- a. __aux_t_1 :- b.", allow_reserved=True).rules)
         )
+
+    @pytest.mark.parametrize("rewrite_all", [False, True])
+    def test_extends_the_flp_rewriting_rule_for_rule(self, corpus, rewrite_all):
+        # the FLP rules in order, then `supp_rule` of every atom of a rule
+        # with a satisfiable body, in sorted order; one map for both
+        programs = [corpus[name] for name in ATOMIC_HEAD_CORPUS]
+        programs += [
+            generate(GenConfig(atom_count=1 + seed % 6, rule_count=seed % 11, seed=seed))
+            for seed in range(1000)
+        ]
+        for program in programs:
+            flp_version, flp_map = rew_flp(program, rewrite_all)
+            sflp_version, sflp_map = rew_sflp(program, rewrite_all)
+            support = [supp_rule(a, program, flp_map) for a in _live_atoms(program)]
+            expected = Program(flp_version.rules + tuple(support))
+            assert sflp_version.rules == expected.rules, render(program)
+            assert list(sflp_map.entries.items()) == list(flp_map.entries.items())
+
+    def test_compile_command_text_is_pinned(self, capsys):
+        digest = hashlib.sha256()
+        for name in ATOMIC_HEAD_CORPUS:
+            for semantics in ("flp", "sflp"):
+                for extra in ([], ["--rewrite-all"]):
+                    path = str(CORPUS_DIR / f"{name}.gasp")
+                    assert cli.main(["compile", "--semantics", semantics, *extra, path]) == 0
+                    digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == COMPILE_TEXT_SHA256
 
     def test_p2_answer_set(self, corpus):
         rewritten, _ = rew_sflp(corpus["p2"])

@@ -212,3 +212,73 @@ class TestCheckTheorems:
         assert exercised["convex_equivalence"] >= 30
         assert exercised["compilation_bijection_flp"] >= 60
         assert sflp_compilation_failures >= 1
+
+
+class TestOneRewritingPerProgram:
+    @pytest.fixture
+    def rewrites(self, monkeypatch):
+        """Programs rewritten through `harness.rew_flp`, and by `_rewrite`."""
+        from gasp import compile as comp, harness
+
+        seen = {"harness.rew_flp": [], "compile._rewrite": []}
+
+        def count(key, owner, attr):
+            original = getattr(owner, attr)
+
+            def wrapper(program, *args, **kwargs):
+                seen[key].append(program)
+                return original(program, *args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        count("harness.rew_flp", harness, "rew_flp")
+        count("compile._rewrite", comp, "_rewrite")
+        return seen
+
+    def test_atomic_head_programs_are_rewritten_once(self, corpus, rewrites):
+        programs = [corpus[name] for name in ("p1", "p2", "p3", "p5")]
+        programs += [
+            generate(GenConfig(atom_count=2 + seed % 4, rule_count=seed % 7, seed=seed))
+            for seed in range(60)
+        ]
+        for program in programs:
+            check_theorems(program, compile_limit=16)
+            assert rewrites["harness.rew_flp"] == [program]
+            assert rewrites["compile._rewrite"] == [program]
+            rewrites["harness.rew_flp"].clear()
+            rewrites["compile._rewrite"].clear()
+
+    def test_disjunctive_and_reserved_programs_are_not_rewritten(self, corpus, rewrites):
+        from gasp.compile import rew_flp
+
+        disjunctive = [corpus["p4"]] + [
+            p for p in (
+                generate(GenConfig(atom_count=4, rule_count=6,
+                                   allow_disjunctive_heads=True, seed=seed))
+                for seed in range(20)
+            )
+            if any(len(r.head) > 1 for r in p.rules)
+        ]
+        compiled = rew_flp(corpus["p1"])[0]
+        rewrites["compile._rewrite"].clear()
+        for program, detail in [(p, "disjunctive head") for p in disjunctive] + [
+            (compiled, "already-compiled input (reserved atoms)")
+        ]:
+            report = check_theorems(program)
+            for result in report.results[-2:]:
+                assert (result.status, result.details) == (SKIP, (detail,))
+        assert rewrites == {"harness.rew_flp": [], "compile._rewrite": []}
+
+    def test_one_skip_decision_over_the_compile_limit(self, corpus, rewrites):
+        from gasp.compile import rew_flp, rew_sflp
+
+        program = corpus["p5"]
+        spans = len(rew_flp(program)[0].atoms())
+        assert len(rew_sflp(program)[0].atoms()) == spans
+        rewrites["compile._rewrite"].clear()
+        report = check_theorems(program, compile_limit=spans - 1)
+        flp, sflp = report.results[-2:]
+        assert (flp.name, sflp.name) == CHECK_NAMES[-2:]
+        for result in (flp, sflp):
+            assert (result.status, result.details) == (SKIP, (f"rewriting spans {spans} atoms",))
+        assert len(rewrites["compile._rewrite"]) == 1
