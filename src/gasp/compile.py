@@ -71,14 +71,12 @@ class CompilationMap:
     """Bookkeeping from each distinct rewritten body (canonical DNF) to its
     fresh atoms, in first-occurrence order."""
 
-    __slots__ = ("semantics", "rewrite_all", "entries")
-    semantics: SemanticsKind
+    __slots__ = ("rewrite_all", "entries")
     rewrite_all: bool
     entries: dict[Dnf, AuxNames]
 
-    def __init__(self, semantics: SemanticsKind, rewrite_all: bool = False,
+    def __init__(self, rewrite_all: bool = False,
                  entries: dict[Dnf, AuxNames] | None = None):
-        self.semantics = semantics
         self.rewrite_all = rewrite_all
         self.entries = {} if entries is None else entries
 
@@ -185,11 +183,11 @@ def _atom_body(atom: Atom) -> LiteralConjunction:
 
 
 def _rewrite(
-    program: Program, semantics: SemanticsKind, rewrite_all: bool, max_domain: int
+    program: Program, rewrite_all: bool, max_domain: int
 ) -> tuple[Program, CompilationMap]:
     """The FLP rewriting and the map of its rewritten bodies."""
     _check_fresh(program)
-    cmap = CompilationMap(semantics, rewrite_all)
+    cmap = CompilationMap(rewrite_all)
     rewritten: list[Rule] = []
     for rule, canonical in _surviving(program, max_domain):
         if not rewrite_all:
@@ -211,13 +209,13 @@ def _rewrite(
 def rew_flp(
     program: Program, rewrite_all: bool = False, max_domain: int = DEFAULT_ATOM_LIMIT
 ) -> tuple[Program, CompilationMap]:
-    return _rewrite(program, SemanticsKind.FLP, rewrite_all, max_domain)
+    return _rewrite(program, rewrite_all, max_domain)
 
 
 def rew_sflp(
     program: Program, rewrite_all: bool = False, max_domain: int = DEFAULT_ATOM_LIMIT
 ) -> tuple[Program, CompilationMap]:
-    flp, cmap = _rewrite(program, SemanticsKind.SFLP, rewrite_all, max_domain)
+    flp, cmap = _rewrite(program, rewrite_all, max_domain)
     return with_support_rules(flp), cmap
 
 

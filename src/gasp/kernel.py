@@ -5,18 +5,30 @@ below is a handful of big-int operations over all 2^n masks at once:
 
 - models: the complement of the OR of the rules' violation vectors
   (body holds, head misses);
-- supported models: the models where every true atom is the only true
-  head atom of some rule whose body holds;
-- FLP / SFLP answer sets: the models (supported models) I such that no
-  proper subset of I is a model (supported model) of the reduct of I,
-  the rules whose bodies hold at I.
+- supported models: the models where every true atom a lies in its
+  support vector, the masks where some rule with a in its head has a true
+  body and no other true head atom. The support vectors come out of the
+  loop that builds the violation vectors (`rule_vectors`), which the
+  completion shares;
+- FLP / SFLP answer sets: the supported models I such that no proper
+  subset of I is a model (FLP) or a supported model (SFLP) of the reduct
+  of I, the rules whose bodies hold at I.
 
-The minimality test of a candidate I starts from the vector of I's proper
-subsets, built by doubling over the atoms of I, so its big-int steps are
-sized by I rather than by 2^n, and stops as soon as no subset is left.
-The kernel holds the n columns, two vectors per rule (plus one per extra
-head atom of a disjunctive rule in the supported modes) and a few
-temporaries: about 2m + n vectors.
+FLP answer sets are supported models too: were a in I supported by no
+rule, every rule of the reduct would have a true head atom other than a,
+so I without a would be a smaller model of the reduct. So both
+semantics scan the same candidates, and no minimal-model prefilter
+remains. FLP first drops each candidate with a smaller model of P below
+it (a model of P is a model of every reduct), one AND per candidate;
+SFLP first drops the blocking masks unsupported in P (a rule of a reduct
+is a rule of P), one AND, before the support test against the reduct.
+
+The reduct of each candidate is read rule by rule, one AND of the fired
+vector with the candidate vector and then its few set bits, and the
+minimality test of I starts from the vector of I's proper subsets, built
+by doubling over the atoms of I. Both are sized by the candidates rather
+than by 2^n. The kernel holds the n columns, two vectors per rule, one
+per atom and a few temporaries: about 2m + 2n vectors.
 """
 
 from __future__ import annotations
@@ -24,13 +36,13 @@ from __future__ import annotations
 from .lowering import (
     ENUM_FLP,
     ENUM_MODELS,
+    ENUM_SFLP,
     ENUM_SUPPORTED,
     LoweredProgram,
     columns,
     full,
     members,
     truth_vector,
-    upward,
 )
 
 NAME = "bitsliced"
@@ -44,100 +56,120 @@ def default_backend() -> str:
 def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
     """All masks over the lowered universe accepted by `mode`, increasing."""
     n = lp.n
-    cols = columns(n)
-    fired = []  # per rule: the masks where the body holds and the head is hit
-    violated = []  # per rule: the masks where the body holds and the head is missed
-    for head, body in zip(lp.heads, lp.bodies):
-        holds = truth_vector(body, lp.index, n)
-        hit = 0
-        for i in members(head):
-            hit |= cols[i]
-        fired.append(holds & hit)
-        violated.append(holds ^ (holds & hit))
+    if mode == ENUM_MODELS:  # only the OR of the violation vectors is needed
+        cols = columns(n)
+        bad = 0
+        for head, body in zip(lp.heads, lp.bodies):
+            holds = truth_vector(body, lp.index, n)
+            hit = 0
+            for i in members(head):
+                hit |= cols[i]
+            bad |= holds ^ (holds & hit)
+        return members(full(n) ^ bad)
+    fired, violated, support = rule_vectors(lp)
     bad = 0
     for v in violated:
         bad |= v
     models = full(n) ^ bad
-    if mode == ENUM_MODELS:
-        return members(models)
+    unsupported = 0  # the masks with a true atom that no rule supports
+    for x, s in zip(columns(n), support):
+        unsupported |= x ^ (x & s)
+    candidates = models ^ (models & unsupported)
+    if mode == ENUM_SUPPORTED:
+        return members(candidates)
     if mode == ENUM_FLP:
-        # a model with a smaller model below it is blocked whatever its reduct
-        candidates = models ^ (models & _above(models, cols))
-        support = None
-    else:
-        support = _support(lp, fired, violated, cols)
-        candidates = _supported(models, range(lp.rule_count), support, cols)
-        if mode == ENUM_SUPPORTED:
-            return members(candidates)
+        # a smaller model of P is a model of every reduct: one AND blocks I
+        kept = 0
+        for i in members(candidates):
+            if not _proper_subsets(i) & models:
+                kept |= 1 << i
+        candidates = kept
+    heads = [members(h) for h in lp.heads] if mode == ENUM_SFLP else None
     accepted = []
-    for i, reduct in _reducts(candidates, fired, n).items():
+    for i, reduct in _reducts(candidates, fired).items():
         blocking = _proper_subsets(i)
         for r in reduct:
             blocking ^= blocking & violated[r]
             if not blocking:
                 break
-        if blocking and support is not None:
-            blocking = _supported(blocking, reduct, support, cols)
+        if blocking and mode == ENUM_SFLP:
+            # a mask supported in a reduct is supported in P
+            blocking ^= blocking & unsupported
+            if blocking:
+                blocking = _supported(blocking, reduct, heads, fired, columns(n))
         if not blocking:
             accepted.append(i)
     return accepted
 
 
-def _support(lp, fired, violated, cols) -> list[list[tuple[int, int]]]:
-    """Per atom a, the (rule, vector) pairs of the rules that support a:
-    the masks where the body holds and a is the only head atom hit."""
-    out = [[] for _ in range(lp.n)]
-    for r, head in enumerate(lp.heads):
+def rule_vectors(lp: LoweredProgram) -> tuple[list[int], list[int], list[int]]:
+    """Per rule, the masks where its body holds and its head is hit (fired)
+    and missed (violated); per atom a, the masks where some rule with a in
+    its head has a true body and no other true head atom (support): a mask
+    in X_a is in it exactly when a is supported there."""
+    n = lp.n
+    cols = columns(n)
+    fired = []
+    violated = []
+    supported = [0] * n
+    for head, body in zip(lp.heads, lp.bodies):
+        holds = truth_vector(body, lp.index, n)
         atoms = members(head)
-        if len(atoms) == 1:
-            out[atoms[0]].append((r, fired[r]))
-            continue
-        holds = fired[r] | violated[r]
+        hit = 0
+        for i in atoms:
+            hit |= cols[i]
+        hits = holds & hit
+        fired.append(hits)
+        violated.append(holds ^ hits)
         for a in atoms:
-            vector = holds & cols[a]
+            vector = holds
             for b in atoms:
                 if b != a:
                     vector ^= vector & cols[b]
-            out[a].append((r, vector))
-    return out
+            supported[a] |= vector
+    return fired, violated, supported
 
 
-def _supported(family: int, rules, support, cols) -> int:
-    """The masks of `family` where every true atom is supported by one of
-    `rules`."""
-    rules = set(rules)
-    for a, pairs in enumerate(support):
-        true_a = family & cols[a]
+def _supported(family: int, rules: list[int], heads: list[list[int]], fired: list[int],
+               cols) -> int:
+    """The masks of `family`, each a model of `rules`, where every true atom
+    is supported by one of `rules`: at a model a rule supports a when it
+    fires there and a is its only true head atom (`heads` lists each
+    rule's head atoms). Each step is sized by `family`."""
+    by_atom = [[] for _ in cols]
+    for r in rules:
+        for a in heads[r]:
+            by_atom[a].append(r)
+    for a, x in enumerate(cols):
+        true_a = family & x
         if not true_a:
             continue
         kept = 0
-        for r, vector in pairs:
-            if r in rules:
-                kept |= true_a & vector
+        for r in by_atom[a]:
+            vector = true_a & fired[r]
+            for b in heads[r]:
+                if b != a:
+                    vector ^= vector & cols[b]
+            kept |= vector
         family ^= true_a ^ kept
+        if not family:
+            break
     return family
 
 
-def _above(family: int, cols) -> int:
-    """The masks that have a proper subset in `family`."""
-    up = upward(family, cols)
-    out = 0
-    for i, x in enumerate(cols):
-        out |= (up ^ (up & x)) << (1 << i)
-    return out
-
-
-def _reducts(candidates: int, fired: list[int], n: int) -> dict[int, list[int]]:
+def _reducts(candidates: int, fired: list[int]) -> dict[int, list[int]]:
     """The reduct of each candidate, in increasing candidate order. A
     candidate is a model, so a rule's body holds there exactly when the
-    rule fires there."""
+    rule fires there. Per rule, one AND with the candidate vector, then its
+    set bits from the top: the step that reads candidate I costs what I's
+    bits take, as its minimality test does."""
     reducts = {i: [] for i in members(candidates)}
-    size = ((1 << n) + 7) >> 3
     for r, vector in enumerate(fired):
-        data = vector.to_bytes(size, "little")  # O(1) bit tests
-        for i, reduct in reducts.items():
-            if data[i >> 3] >> (i & 7) & 1:
-                reduct.append(r)
+        hits = vector & candidates
+        while hits:
+            i = hits.bit_length() - 1
+            reducts[i].append(r)
+            hits ^= 1 << i
     return reducts
 
 

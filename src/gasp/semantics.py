@@ -169,22 +169,10 @@ def _lower_for_completion(program: Program, limit: int) -> lowering.LoweredProgr
 
 
 def _unsupported(lp: lowering.LoweredProgram) -> list[int]:
-    """Per atom a, the vector of the masks where a is true but no rule
-    supports it: X_a & ~OR(holds_r & X_a & ~X_b, b the other head atoms)."""
-    cols = lowering.columns(lp.n)
-    supported = [0] * lp.n
-    for head, body in zip(lp.heads, lp.bodies):
-        if not head:
-            continue
-        holds = lowering.truth_vector(body, lp.index, lp.n)
-        atoms = lowering.members(head)
-        for a in atoms:
-            vector = holds
-            for b in atoms:
-                if b != a:
-                    vector ^= vector & cols[b]
-            supported[a] |= vector
-    return [x ^ (x & supported[a]) for a, x in enumerate(cols)]
+    """Per atom a, the masks where a is true but no rule supports it: X_a
+    without the support vector of a that `kernel.rule_vectors` builds."""
+    support = kernel.rule_vectors(lp)[2]
+    return [x ^ (x & s) for x, s in zip(lowering.columns(lp.n), support)]
 
 
 def _completion_table(lp: lowering.LoweredProgram, vector: int) -> TruthTable:

@@ -81,3 +81,15 @@ def corpus_text(name: str) -> str:
 @pytest.fixture(scope="session")
 def corpus():
     return {name: parse_program(corpus_text(name)) for name in CORPUS_NAMES}
+
+
+def mixed_programs(count: int = 1000):
+    """`count` generated programs over 2-5 atoms, two thirds of them allowed
+    disjunctive heads, with every body kind in the generator's default mix."""
+    from gasp.harness import GenConfig, generate
+
+    return [
+        generate(GenConfig(atom_count=2 + s % 4, rule_count=1 + s % 7,
+                           allow_disjunctive_heads=s % 3 != 2, seed=s))
+        for s in range(count)
+    ]

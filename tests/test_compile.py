@@ -257,7 +257,7 @@ class TestSupp:
     def test_disjunctive_head_is_rejected(self):
         # skipping `a | b :- c.` would give the wrong support rule `:- a.`
         program = parse_program("a | b :- c. c.")
-        cmap = CompilationMap(SemanticsKind.FLP)
+        cmap = CompilationMap()
         for name in ("a", "b"):
             with pytest.raises(DisjunctiveHead):
                 supp_rule(Atom(name), program, cmap)
@@ -328,7 +328,7 @@ class TestExpansionContraction:
         assert not A_DNF.eval(fs("a"))
 
     def test_expansion_with_empty_map(self):
-        cmap = CompilationMap(SemanticsKind.FLP)
+        cmap = CompilationMap()
         assert expansion(frozenset(), Program([]), cmap) == frozenset()
 
     def test_contraction(self, corpus):

@@ -370,7 +370,7 @@ class TestRecords:
 
     def test_lowered_program_and_compilation_map_stay_mutable(self):
         lp = lower(parse_program("a :- b. b."))
-        cmap = CompilationMap(SemanticsKind.SFLP)
+        cmap = CompilationMap()
         lp.heads.append(0)
         lp.n = 3
         cmap.rewrite_all = True

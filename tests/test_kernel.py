@@ -23,9 +23,10 @@ from gasp.core import (
     subsets_in_canonical_order,
 )
 from gasp.harness import GenConfig, generate
+from gasp.parser import parse_program
 from gasp.semantics import completion
 
-from conftest import fs
+from conftest import CORPUS_NAMES, fs, mixed_programs
 from oracles import all_subsets, decode, enumerate_oracle
 
 MODES = {
@@ -171,6 +172,17 @@ class TestOracleAgreement:
     def test_empty_program(self):
         assert_agrees(Program([]), "empty")
 
+    def test_sflp_support_test_excludes_other_true_head_atoms(self):
+        """J = {c, e} is a model of the reduct of I = {c, d, e}, but there
+        `c | e :- e.` has both head atoms true, so it supports neither; e is
+        supported at J only by `d | e :- not d.`, which is not in the
+        reduct. J does not block I."""
+        program = parse_program(
+            "c. e :- c, d. c | e :- e. d | e :- not d. d :- count{d, e} != 1."
+        )
+        assert kernel_sets(program, "sflp") == {fs("c", "e"), fs("c", "d", "e")}
+        assert_agrees(program, "disjunctive support in the reduct")
+
 
 @given(
     st.integers(0, 10**6),
@@ -225,6 +237,38 @@ def test_proper_subsets_of_every_small_mask():
         for mask in range(1 << n):
             want = sum(1 << j for j in range(mask) if j & mask == j)
             assert kernel._proper_subsets(mask) == want, mask
+
+
+def test_flp_masks_are_supported_masks(corpus):
+    proper = 0
+    for program in [corpus[name] for name in CORPUS_NAMES] + mixed_programs():
+        lp = lowering.lower(program)
+        flp = kernel.enumerate_masks(lp, lowering.ENUM_FLP)
+        supported = kernel.enumerate_masks(lp, lowering.ENUM_SUPPORTED)
+        assert set(flp) <= set(supported), str(program)
+        proper += len(flp) < len(supported)
+    assert proper >= 100
+
+
+def test_reducts_are_the_candidates_bits_of_each_fired_vector():
+    rng = random.Random(4)
+    for trial in range(400):
+        n = trial % 13
+        size = 1 << n
+        fired = [rng.getrandbits(size) for _ in range(rng.randint(0, 6))]
+        fired.append((1 << size) - 1)
+        fired.append(0)
+        candidates = rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)
+        candidates |= 1 | 1 << (size - 1)  # the empty mask and the whole universe
+        if trial % 5 == 0:
+            candidates = (1 << size) - 1
+        want = {
+            i: [r for r, v in enumerate(fired) if v >> i & 1]
+            for i in range(size) if candidates >> i & 1
+        }
+        got = kernel._reducts(candidates, fired)
+        assert got == want and list(got) == sorted(want), trial
+    assert kernel._reducts(0, [7, 0]) == {}
 
 
 def test_width_tables_are_built_once():

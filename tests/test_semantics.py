@@ -1,6 +1,17 @@
 import pytest
 
-from gasp.core import Atom, Program, Rule, TooManyAtoms, TruthTable, atom_set, interp_sort_key
+from gasp.core import (
+    Atom,
+    CountAggregate,
+    Dnf,
+    LiteralConjunction,
+    Program,
+    Rule,
+    TooManyAtoms,
+    TruthTable,
+    atom_set,
+    interp_sort_key,
+)
 from gasp.harness import GenConfig, generate
 from gasp.parser import parse_program
 from gasp.semantics import (
@@ -19,7 +30,7 @@ from gasp.semantics import (
     sflp_via_completion,
 )
 
-from conftest import CORPUS_NAMES, TABLE_EXPECTED, COMPLETION_MODELS, fs
+from conftest import CORPUS_NAMES, TABLE_EXPECTED, COMPLETION_MODELS, fs, mixed_programs
 from oracles import all_subsets, completion_oracle, enumerate_oracle
 
 EMPTY = frozenset()
@@ -300,6 +311,26 @@ class TestTheoremWitnesses:
             flp = set(enumerate_interpretations(program, SemanticsKind.FLP))
             sflp = set(enumerate_interpretations(program, SemanticsKind.SFLP))
             assert flp <= sflp
+
+    def test_flp_answer_sets_are_supported_models(self, corpus):
+        """Were a in an FLP answer set I supported by no rule, every rule of
+        the reduct of I would have a true head atom other than a, so I
+        without a would be a smaller model of the reduct."""
+        programs = [corpus[name] for name in CORPUS_NAMES] + mixed_programs()
+        kinds = {type(r.body) for p in programs for r in p.rules}
+        assert kinds == {LiteralConjunction, CountAggregate, Dnf, TruthTable}
+        assert sum(any(len(r.head) > 1 for r in p.rules) for p in programs) >= 300
+        answer_sets = unsupported_models = 0
+        for program in programs:
+            for interp in all_subsets(program.atoms()):
+                if not is_model(interp, program):
+                    continue
+                if is_flp_answer_set(interp, program):
+                    assert is_supported_model(interp, program), (str(program), interp)
+                    answer_sets += 1
+                elif not is_supported_model(interp, program):
+                    unsupported_models += 1
+        assert answer_sets >= 500 and unsupported_models >= 500
 
 
 class TestProperSubsets:
