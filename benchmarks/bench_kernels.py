@@ -1,15 +1,16 @@
 """Time the enumeration kernel.
 
-Times the hot path (exhaustive candidate enumeration) on three workload
+Times the hot path (exhaustive candidate enumeration) on four workload
 shapes: the models, FLP and SFLP answer sets of a scaled non-convex
-program, enumeration of a compiled rewriting, and a slice of the theorem
-battery (the acceptance battery's generator settings). Two more rows time
-queries end to end, kernel plus ordering and decoding: the four queries
-(models, supported, FLP, SFLP) on the 16-atom chain, and the 3^7 models
-of a 14-atom program of choice gadgets. Each of these rows is the best of
-`--repeat` runs. The last row is start-up: the median
-of 15 fresh `python -m gasp models corpus/p1.gasp` calls minus the median
-of 15 `python -c pass` calls.
+program, the FLP answer sets of 16 self-supporting loops `a :- a.`
+(2^16 supported models, one answer set), enumeration of a compiled
+rewriting, and a slice of the theorem battery (the acceptance battery's
+generator settings). Two more rows time queries end to end, kernel plus
+ordering and decoding: the four queries (models, supported, FLP, SFLP)
+on the 16-atom chain, and the 3^7 models of a 14-atom program of choice
+gadgets. Each of these rows is the best of `--repeat` runs. The last
+row is start-up: the median of 15 fresh `python -m gasp models
+corpus/p1.gasp` calls minus the median of 15 `python -c pass` calls.
 `perfbench/run.py` is the measurement of record; this is a quick look.
 
     python3 benchmarks/bench_kernels.py [--atoms N] [--seeds N] [--repeat N]
@@ -105,6 +106,7 @@ def main() -> int:
     args = ap.parse_args()
 
     chain = coordination_chain(args.atoms)
+    loops = parse_program(" ".join(f"a{i} :- a{i}." for i in range(16)))
     compiled_p1, _ = rew_sflp(parse_program(
         "a :- count{a, b} != 1. b :- count{a, b} != 1."
     ))
@@ -114,6 +116,7 @@ def main() -> int:
             (f"models, {args.atoms}-atom chain", chain, lowering.ENUM_MODELS),
             (f"flp, {args.atoms}-atom chain", chain, lowering.ENUM_FLP),
             (f"sflp, {args.atoms}-atom chain", chain, lowering.ENUM_SFLP),
+            ("flp, 16 self-supporting loops", loops, lowering.ENUM_FLP),
             ("flp, rewritten 2-atom program", compiled_p1, lowering.ENUM_FLP),
         )
     ]

@@ -17,21 +17,27 @@ below is a handful of big-int operations over all 2^n masks at once:
 FLP answer sets are supported models too: were a in I supported by no
 rule, every rule of the reduct would have a true head atom other than a,
 so I without a would be a smaller model of the reduct. So both
-semantics scan the same candidates, and no minimal-model prefilter
-remains. FLP first drops each candidate with a smaller model of P below
-it (a model of P is a model of every reduct), one AND per candidate;
-SFLP first drops the blocking masks unsupported in P (a rule of a reduct
-is a rule of P), one AND, before the support test against the reduct.
+semantics scan the same candidates. FLP first drops each candidate with
+a smaller model of P below it, since a model of P is a model of every
+reduct: one AND per candidate while there are at most n candidates, else
+one pass over all masks (`_above`, about 2n big-int steps), so that a
+program with many supported models that are not minimal (n loops
+`a :- a.` have 2^n) costs what its models cost. SFLP first drops the
+blocking masks unsupported in P (a rule of a reduct is a rule of P), one
+AND, before the support test against the reduct.
 
 The reduct of each candidate is read rule by rule, one AND of the fired
 vector with the candidate vector and then its few set bits, and the
 minimality test of I starts from the vector of I's proper subsets, built
 by doubling over the atoms of I. Both are sized by the candidates rather
-than by 2^n. The kernel holds the n columns, two vectors per rule, one
-per atom and a few temporaries: about 2m + 2n vectors.
+than by 2^n. The FLP and SFLP queries hold the n columns, two vectors
+per rule, one per atom and a few temporaries: about 2m + 2n vectors; the
+models and supported queries keep no vector per rule.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .lowering import (
     ENUM_FLP,
@@ -43,6 +49,7 @@ from .lowering import (
     full,
     members,
     truth_vector,
+    upward,
 )
 
 NAME = "bitsliced"
@@ -56,34 +63,36 @@ def default_backend() -> str:
 def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
     """All masks over the lowered universe accepted by `mode`, increasing."""
     n = lp.n
-    if mode == ENUM_MODELS:  # only the OR of the violation vectors is needed
-        cols = columns(n)
-        bad = 0
-        for head, body in zip(lp.heads, lp.bodies):
-            holds = truth_vector(body, lp.index, n)
-            hit = 0
-            for i in members(head):
-                hit |= cols[i]
-            bad |= holds ^ (holds & hit)
-        return members(full(n) ^ bad)
-    fired, violated, support = rule_vectors(lp)
+    cols = columns(n)
+    support = [0] * n
+    fired = []
+    violated = []
     bad = 0
-    for v in violated:
-        bad |= v
+    minimal = mode == ENUM_FLP or mode == ENUM_SFLP
+    for hits, misses in rule_vectors(lp, support):
+        bad |= misses
+        if minimal:  # the reduct tests read each rule's vectors
+            fired.append(hits)
+            violated.append(misses)
     models = full(n) ^ bad
+    if mode == ENUM_MODELS:
+        return members(models)
     unsupported = 0  # the masks with a true atom that no rule supports
-    for x, s in zip(columns(n), support):
+    for x, s in zip(cols, support):
         unsupported |= x ^ (x & s)
     candidates = models ^ (models & unsupported)
     if mode == ENUM_SUPPORTED:
         return members(candidates)
     if mode == ENUM_FLP:
-        # a smaller model of P is a model of every reduct: one AND blocks I
-        kept = 0
-        for i in members(candidates):
-            if not _proper_subsets(i) & models:
-                kept |= 1 << i
-        candidates = kept
+        # a smaller model of P is a model of every reduct, so it blocks I
+        if candidates.bit_count() > n:
+            candidates ^= candidates & _above(models, cols)
+        else:
+            kept = 0
+            for i in members(candidates):
+                if not _proper_subsets(i) & models:
+                    kept |= 1 << i
+            candidates = kept
     heads = [members(h) for h in lp.heads] if mode == ENUM_SFLP else None
     accepted = []
     for i, reduct in _reducts(candidates, fired).items():
@@ -96,38 +105,40 @@ def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
             # a mask supported in a reduct is supported in P
             blocking ^= blocking & unsupported
             if blocking:
-                blocking = _supported(blocking, reduct, heads, fired, columns(n))
+                blocking = _supported(blocking, reduct, heads, fired, cols)
         if not blocking:
             accepted.append(i)
     return accepted
 
 
-def rule_vectors(lp: LoweredProgram) -> tuple[list[int], list[int], list[int]]:
+def rule_vectors(lp: LoweredProgram, support: list[int]) -> Iterator[tuple[int, int]]:
     """Per rule, the masks where its body holds and its head is hit (fired)
-    and missed (violated); per atom a, the masks where some rule with a in
-    its head has a true body and no other true head atom (support): a mask
-    in X_a is in it exactly when a is supported there."""
+    and missed (violated). Per atom a, ORs into `support[a]` the masks
+    where the rule has a in its head, a true body and no other true head
+    atom, so that a mask in X_a ends up in support[a] exactly when a is
+    supported there. A caller that needs only the support vectors keeps
+    no rule's vectors."""
     n = lp.n
     cols = columns(n)
-    fired = []
-    violated = []
-    supported = [0] * n
     for head, body in zip(lp.heads, lp.bodies):
         holds = truth_vector(body, lp.index, n)
-        atoms = members(head)
-        hit = 0
-        for i in atoms:
-            hit |= cols[i]
-        hits = holds & hit
-        fired.append(hits)
-        violated.append(holds ^ hits)
-        for a in atoms:
-            vector = holds
-            for b in atoms:
-                if b != a:
-                    vector ^= vector & cols[b]
-            supported[a] |= vector
-    return fired, violated, supported
+        if head and not head & (head - 1):  # one head atom
+            a = head.bit_length() - 1
+            hits = holds & cols[a]
+            support[a] |= holds
+        else:
+            atoms = members(head)
+            hit = 0
+            for a in atoms:
+                hit |= cols[a]
+            hits = holds & hit
+            for a in atoms:
+                vector = holds
+                for b in atoms:
+                    if b != a:
+                        vector ^= vector & cols[b]
+                support[a] |= vector
+        yield hits, holds ^ hits
 
 
 def _supported(family: int, rules: list[int], heads: list[list[int]], fired: list[int],
@@ -155,6 +166,15 @@ def _supported(family: int, rules: list[int], heads: list[list[int]], fired: lis
         if not family:
             break
     return family
+
+
+def _above(family: int, cols) -> int:
+    """The masks that have a proper subset in `family`."""
+    up = upward(family, cols)
+    out = 0
+    for i, x in enumerate(cols):
+        out |= (up ^ (up & x)) << (1 << i)
+    return out
 
 
 def _reducts(candidates: int, fired: list[int]) -> dict[int, list[int]]:

@@ -170,8 +170,11 @@ def _lower_for_completion(program: Program, limit: int) -> lowering.LoweredProgr
 
 def _unsupported(lp: lowering.LoweredProgram) -> list[int]:
     """Per atom a, the masks where a is true but no rule supports it: X_a
-    without the support vector of a that `kernel.rule_vectors` builds."""
-    support = kernel.rule_vectors(lp)[2]
+    without the support vector of a that `kernel.rule_vectors` builds. The
+    per-rule vectors it yields are dropped one rule at a time."""
+    support = [0] * lp.n
+    for _ in kernel.rule_vectors(lp, support):
+        pass
     return [x ^ (x & s) for x, s in zip(lowering.columns(lp.n), support)]
 
 

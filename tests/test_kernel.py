@@ -183,6 +183,14 @@ class TestOracleAgreement:
         assert kernel_sets(program, "sflp") == {fs("c", "e"), fs("c", "d", "e")}
         assert_agrees(program, "disjunctive support in the reduct")
 
+    def test_self_supporting_loops(self):
+        """Each `a :- a.` supports its own atom, so every mask is a supported
+        model, but only the empty one is minimal for its reduct."""
+        program = parse_program(" ".join(f"a{i} :- a{i}." for i in range(8)))
+        assert len(kernel_sets(program, "supported")) == 256
+        assert kernel_sets(program, "flp") == {fs()}
+        assert_agrees(program, "self-supporting loops")
+
 
 @given(
     st.integers(0, 10**6),
@@ -248,6 +256,24 @@ def test_flp_masks_are_supported_masks(corpus):
         assert set(flp) <= set(supported), str(program)
         proper += len(flp) < len(supported)
     assert proper >= 100
+
+
+@pytest.mark.parametrize("program, supported, flp", [
+    ("".join(f"a{i} :- a{i}. " for i in range(16)), 1 << 16, 1),
+    ("".join(f"x{i} :- count{{x{i}, x{(i + 1) % 16}, x{(i + 2) % 16}}} != 1. "
+             for i in range(16)), 3, 0),
+], ids=["16 self-supporting loops", "16-atom chain"])
+def test_flp_tests_at_most_n_candidates_one_by_one(monkeypatch, program, supported, flp):
+    """The FLP query drops the candidates above a smaller model of P one by
+    one only while there are at most n of them, and otherwise in one pass
+    over all masks: 2^16 supported models cost no 2^16 subset vectors."""
+    lp = lowering.lower(parse_program(program))
+    calls = []
+    proper_subsets = kernel._proper_subsets
+    monkeypatch.setattr(kernel, "_proper_subsets", lambda i: calls.append(i) or proper_subsets(i))
+    assert len(kernel.enumerate_masks(lp, lowering.ENUM_SUPPORTED)) == supported
+    assert len(kernel.enumerate_masks(lp, lowering.ENUM_FLP)) == flp
+    assert len(calls) <= 2 * lp.n
 
 
 def test_reducts_are_the_candidates_bits_of_each_fired_vector():
