@@ -266,7 +266,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command in ("models", "supported", "flp", "sflp"):
-            return _run_enumeration(args, SemanticsKind.from_name(args.command))
+            return _run_enumeration(args, SemanticsKind(args.command))
         if args.command == "completion":
             return _run_completion(args)
         if args.command == "convexity":

@@ -75,10 +75,9 @@ class CompilationMap:
     rewrite_all: bool
     entries: dict[Dnf, AuxNames]
 
-    def __init__(self, rewrite_all: bool = False,
-                 entries: dict[Dnf, AuxNames] | None = None):
+    def __init__(self, rewrite_all: bool = False):
         self.rewrite_all = rewrite_all
-        self.entries = {} if entries is None else entries
+        self.entries = {}
 
     def names_for(self, canonical: Dnf) -> AuxNames:
         names = self.entries.get(canonical)
@@ -313,8 +312,7 @@ def verify_compilation(
     between the source answer sets and the rewritten program's FLP answer
     sets (which are also its SFLP answer sets, the target fragment being
     convex)."""
-    if isinstance(kind, str):
-        kind = SemanticsKind.from_name(kind)
+    kind = SemanticsKind(kind)
     if kind not in (SemanticsKind.FLP, SemanticsKind.SFLP):
         raise ValueError("compilation exists for the flp and sflp semantics only")
     source = enumerate_interpretations(program, kind, limit)

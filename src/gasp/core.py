@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 RESERVED_PREFIX = "__aux"
 DEFAULT_ATOM_LIMIT = 20
@@ -183,10 +183,6 @@ def in_name_order(items: Iterable[Atom]) -> list[Atom]:
     return sorted(items, key=_NAME)
 
 
-def atoms(*names: str) -> frozenset[Atom]:
-    return frozenset(Atom(n) for n in names)
-
-
 def interp_sort_key(interpretation: Iterable[Atom]) -> tuple[str, ...]:
     """Canonical ordering key for interpretations: the sorted name tuple.
 
@@ -265,10 +261,6 @@ class LiteralConjunction(Body):
 
     def eval(self, interpretation: Interpretation) -> bool:
         return self.conjunct.holds(interpretation)
-
-    @property
-    def is_always_true(self) -> bool:
-        return not self.conjunct.positives and not self.conjunct.negatives
 
 
 TOP = LiteralConjunction(Conjunct(frozenset(), frozenset()))
@@ -357,9 +349,6 @@ class TruthTable(Body):
 
     def eval(self, interpretation: Interpretation) -> bool:
         return (interpretation & self.domain) in self.satisfying
-
-
-GeneralizedAtomBody = Union[LiteralConjunction, CountAggregate, Dnf, TruthTable]
 
 
 class Rule(Record):

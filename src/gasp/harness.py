@@ -49,13 +49,11 @@ _DEFAULT_MIX = (("literal", 4.0), ("count", 2.0), ("dnf", 2.0), ("table", 2.0))
 
 
 class GenConfig(Record):
-    __slots__ = ("atom_count", "rule_count", "body_mix", "allow_disjunctive_heads",
-                 "allow_constraints", "seed")
+    __slots__ = ("atom_count", "rule_count", "body_mix", "allow_disjunctive_heads", "seed")
     atom_count: int
     rule_count: int
     body_mix: tuple[tuple[str, float], ...]
     allow_disjunctive_heads: bool
-    allow_constraints: bool
     seed: int
 
     def __init__(
@@ -64,7 +62,6 @@ class GenConfig(Record):
         rule_count: int = 4,
         body_mix: tuple[tuple[str, float], ...] = _DEFAULT_MIX,
         allow_disjunctive_heads: bool = False,
-        allow_constraints: bool = True,
         seed: int = 0,
     ):
         if not 1 <= atom_count <= 8:
@@ -83,7 +80,6 @@ class GenConfig(Record):
         set_field(self, "rule_count", rule_count)
         set_field(self, "body_mix", body_mix)
         set_field(self, "allow_disjunctive_heads", allow_disjunctive_heads)
-        set_field(self, "allow_constraints", allow_constraints)
         set_field(self, "seed", seed)
 
 
@@ -105,7 +101,7 @@ def _gen_head(rng: random.Random, cfg: GenConfig, universe: list[Atom]) -> froze
     roll = rng.random()
     if cfg.allow_disjunctive_heads and roll < 0.2 and len(universe) >= 2:
         return frozenset(rng.sample(universe, 2))
-    if cfg.allow_constraints and roll > 0.85:
+    if roll > 0.85:
         return frozenset()
     return frozenset([rng.choice(universe)])
 
@@ -182,19 +178,22 @@ class TheoremReport(Record):
         return tuple(r for r in self.results if r.status == FAIL)
 
 
+# The atom cap of the completion-based checks, whose per-candidate loops
+# run in Python and grow as 2^n per atom.
+EXHAUSTIVE_LIMIT = 12
+
+
 def check_theorems(
     program: Program,
     limit: int = DEFAULT_ATOM_LIMIT,
     compile_limit: int = 18,
-    exhaustive_limit: int = 12,
 ) -> TheoremReport:
     """Run every theorem check that applies to the program.
 
-    `limit` caps the kernel enumerations; `exhaustive_limit` caps the
-    completion-based checks, whose per-candidate loops run in Python and
-    grow as 2^n per atom; `compile_limit` caps the size of rewritings
-    that are enumerated for the bijection checks. Checks over the cap
-    are reported as skipped, never silently dropped.
+    `limit` caps the kernel enumerations; `EXHAUSTIVE_LIMIT` caps the
+    completion-based checks; the bijection checks enumerate only
+    rewritings that span at most `min(limit, compile_limit)` atoms.
+    Checks over a cap are reported as skipped, never silently dropped.
     """
     results = []
     flp_sets = enumerate_interpretations(program, SemanticsKind.FLP, limit)
@@ -226,9 +225,9 @@ def check_theorems(
     else:
         results.append(CheckResult("convex_equivalence", SKIP, ("not a convex program",)))
 
-    if len(program.atoms()) > exhaustive_limit:
+    if len(program.atoms()) > EXHAUSTIVE_LIMIT:
         over = (f"{len(program.atoms())} atoms exceed the exhaustive-check cap "
-                f"of {exhaustive_limit}",)
+                f"of {EXHAUSTIVE_LIMIT}",)
         results.append(CheckResult("supported_equals_completion_models", SKIP, over))
         results.append(CheckResult("sflp_completion_characterization", SKIP, over))
     else:
@@ -255,11 +254,8 @@ def check_theorems(
 def _characterization_check(
     program: Program, comp: Program, sflp_sets: set, limit: int
 ) -> CheckResult:
-    universe = sorted(program.atoms())
-    if len(universe) > limit:
-        return CheckResult("sflp_completion_characterization", SKIP, ("over atom limit",))
     details = []
-    for candidate in subsets_in_canonical_order(universe):
+    for candidate in subsets_in_canonical_order(program.atoms()):
         direct = is_sflp_answer_set(candidate, program)
         via = sflp_given_completion(candidate, program, comp, limit)
         if direct != via:
@@ -284,10 +280,12 @@ def _compilation_checks(
     limit: int,
     compile_limit: int,
 ) -> tuple[CheckResult, CheckResult]:
-    """What `verify_compilation(program, kind, max(limit, compile_limit))`
+    """What `verify_compilation(program, kind, min(limit, compile_limit))`
     reports for FLP and then SFLP, from the answer sets already enumerated
-    and one rewriting: the SFLP rewriting is the FLP one plus its support
-    rules, which add no atoms, so one skip decision serves both checks."""
+    and one rewriting, where a rewriting over that cap is skipped rather
+    than raising TooManyAtoms: the SFLP rewriting is the FLP one plus its
+    support rules, which add no atoms, so one skip decision serves both
+    checks."""
     names = CHECK_NAMES[-2:]
 
     def skipped(detail: str) -> tuple[CheckResult, CheckResult]:
@@ -303,16 +301,14 @@ def _compilation_checks(
     except TooManyAtoms:
         return skipped("body domain over the dnf limit")
     n_rewritten = len(flp.atoms())
-    if n_rewritten > compile_limit:
+    if n_rewritten > min(limit, compile_limit):
         return skipped(f"rewriting spans {n_rewritten} atoms")
     results = []
     for name, rewritten, source in (
         (names[0], flp, flp_sets),
         (names[1], with_support_rules(flp), sflp_sets),
     ):
-        compiled = enumerate_interpretations(
-            rewritten, SemanticsKind.FLP, max(limit, compile_limit)
-        )
+        compiled = enumerate_interpretations(rewritten, SemanticsKind.FLP, limit)
         violations = bijection_violations(program, cmap, source, compiled)
         results.append(CheckResult(name, FAIL if violations else PASS, violations))
     return tuple(results)

@@ -17,9 +17,10 @@ below is a handful of big-int operations over all 2^n masks at once:
 FLP answer sets are supported models too: were a in I supported by no
 rule, every rule of the reduct would have a true head atom other than a,
 so I without a would be a smaller model of the reduct. So both
-semantics scan the same candidates. FLP first drops each candidate with
-a smaller model of P below it, since a model of P is a model of every
-reduct: one AND per candidate while there are at most n candidates, else
+semantics scan the same candidates, in one loop that tests each of them
+against its reduct. A smaller model of P below a candidate blocks it for
+FLP, since a model of P is a model of every reduct, so the reduct test
+rejects it. Beyond n candidates FLP first drops all such candidates in
 one pass over all masks (`_above`, about 2n big-int steps), so that a
 program with many supported models that are not minimal (n loops
 `a :- a.` have 2^n) costs what its models cost. SFLP first drops the
@@ -83,16 +84,9 @@ def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
     candidates = models ^ (models & unsupported)
     if mode == ENUM_SUPPORTED:
         return members(candidates)
-    if mode == ENUM_FLP:
+    if mode == ENUM_FLP and candidates.bit_count() > n:
         # a smaller model of P is a model of every reduct, so it blocks I
-        if candidates.bit_count() > n:
-            candidates ^= candidates & _above(models, cols)
-        else:
-            kept = 0
-            for i in members(candidates):
-                if not _proper_subsets(i) & models:
-                    kept |= 1 << i
-            candidates = kept
+        candidates ^= candidates & _above(models, cols)
     heads = [members(h) for h in lp.heads] if mode == ENUM_SFLP else None
     accepted = []
     for i, reduct in _reducts(candidates, fired).items():

@@ -32,7 +32,6 @@ from .core import (
     Body,
     CountAggregate,
     Dnf,
-    Interpretation,
     LiteralConjunction,
     Program,
     TruthTable,
@@ -74,24 +73,18 @@ class LoweredProgram:
         self.heads = heads
         self.bodies = bodies
 
-    @property
-    def rule_count(self) -> int:
-        return len(self.heads)
-
-    def mask_of(self, interpretation: Interpretation) -> int:
-        mask = 0
-        for a in interpretation:
-            mask |= 1 << self.index[a]
-        return mask
-
 
 def lower(program: Program, universe: tuple[Atom, ...] | None = None) -> LoweredProgram:
     """Fix a program's atom universe (defaults to atoms(P), sorted)."""
     if universe is None:
         universe = tuple(in_name_order(program.atoms()))
-    lp = LoweredProgram(universe, {a: i for i, a in enumerate(universe)}, len(universe), [], [])
+    index = {a: i for i, a in enumerate(universe)}
+    lp = LoweredProgram(universe, index, len(universe), [], [])
     for rule in program.rules:
-        lp.heads.append(lp.mask_of(rule.head))
+        mask = 0
+        for a in rule.head:
+            mask |= 1 << index[a]
+        lp.heads.append(mask)
         lp.bodies.append(rule.body)
     return lp
 

@@ -42,6 +42,7 @@ from .core import (
     Rule,
     TOP,
     TruthTable,
+    _PLAIN_NAME,
     set_field,
     to_dnf,
 )
@@ -144,13 +145,16 @@ class _Parser:
         tok = token or self.here
         raise ParseError(message, self.src.origin, tok.line, tok.column, expected)
 
-    def _take_op(self, text: str):
+    def _unexpected(self, *expected: str):
+        """Fail at the current token, which is none of `expected`."""
         tok = self.here
-        if tok.kind == "op" and tok.text == text:
-            self.pos += 1
-            return tok
         shown = tok.text if tok.kind != "eof" else _EOF
-        self._fail(f"unexpected {shown!r}", expected=(repr(text),))
+        self._fail(f"unexpected {shown!r}", expected=expected)
+
+    def _take_op(self, text: str):
+        if not self._at_op(text):
+            self._unexpected(repr(text))
+        self.pos += 1
 
     def _at_op(self, *texts: str) -> bool:
         tok = self.here
@@ -159,8 +163,7 @@ class _Parser:
     def atom(self) -> Atom:
         tok = self.here
         if tok.kind != "name":
-            shown = tok.text if tok.kind != "eof" else _EOF
-            self._fail(f"unexpected {shown!r}", expected=("atom",))
+            self._unexpected("atom")
         if tok.text == "not":
             self._fail("'not' is a keyword, not an atom", expected=("atom",))
         if tok.text.startswith("__aux"):
@@ -169,7 +172,7 @@ class _Parser:
                     f"atom {tok.text!r} uses the reserved `__aux` prefix",
                     self.src.origin, tok.line, tok.column,
                 )
-        elif not re.fullmatch(r"[a-z][A-Za-z0-9_]*", tok.text):
+        elif not _PLAIN_NAME.match(tok.text):
             self._fail(
                 f"invalid atom {tok.text!r}: atoms start with a lowercase letter",
                 expected=("atom",),
@@ -180,8 +183,7 @@ class _Parser:
     def _integer(self) -> int:
         tok = self.here
         if tok.kind != "int":
-            shown = tok.text if tok.kind != "eof" else _EOF
-            self._fail(f"unexpected {shown!r}", expected=("integer",))
+            self._unexpected("integer")
         self.pos += 1
         return int(tok.text)
 
@@ -194,8 +196,7 @@ class _Parser:
     def statement(self) -> Rule:
         start = self.here
         if not (self.here.kind == "name" or self._at_op(":-", ".")):
-            shown = self.here.text if self.here.kind != "eof" else _EOF
-            self._fail(f"unexpected {shown!r}", expected=("atom", "':-'", "'.'"))
+            self._unexpected("atom", "':-'", "'.'")
         head: frozenset[Atom] = frozenset()
         if self.here.kind == "name":
             head = self.head()
@@ -204,8 +205,7 @@ class _Parser:
             self.pos += 1
             body = self.body()
         if not self._at_op("."):
-            shown = self.here.text if self.here.kind != "eof" else _EOF
-            self._fail(f"unexpected {shown!r}", expected=("'.'",))
+            self._unexpected("'.'")
         self.pos += 1
         try:
             return Rule(head, body)
@@ -261,8 +261,7 @@ class _Parser:
         self._take_op("}")
         tok = self.here
         if not (tok.kind == "op" and tok.text in ("=", "!=", "<=", ">=", "<", ">")):
-            shown = tok.text if tok.kind != "eof" else _EOF
-            self._fail(f"unexpected {shown!r}", expected=("comparator",))
+            self._unexpected("comparator")
         self.pos += 1
         bound = self._integer()
         try:

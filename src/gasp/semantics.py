@@ -10,7 +10,6 @@ are decoded from the same truth vectors.
 from __future__ import annotations
 
 import enum
-from itertools import combinations
 from typing import Iterator
 
 from . import kernel, lowering
@@ -26,6 +25,7 @@ from .core import (
     TruthTable,
     set_field,
     in_name_order,
+    subsets_in_canonical_order,
 )
 
 
@@ -38,13 +38,6 @@ class SemanticsKind(enum.Enum):
     SUPPORTED = "supported"
     FLP = "flp"
     SFLP = "sflp"
-
-    @classmethod
-    def from_name(cls, name: str) -> "SemanticsKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError(f"unknown semantics: {name!r}")
 
 
 _ENUM_MODE = {
@@ -85,11 +78,9 @@ def flp_reduct(program: Program, interpretation: Interpretation) -> Program:
 
 
 def proper_subsets(interpretation: Interpretation) -> Iterator[frozenset[Atom]]:
-    """Proper subsets in increasing cardinality (cheap witnesses first)."""
-    items = sorted(interpretation)
-    for size in range(len(items)):
-        for combo in combinations(items, size):
-            yield frozenset(combo)
+    """The proper subsets of the interpretation, in canonical order."""
+    size = len(interpretation)
+    return (s for s in subsets_in_canonical_order(interpretation) if len(s) < size)
 
 
 def is_flp_answer_set(interpretation: Interpretation, program: Program) -> bool:
@@ -112,12 +103,7 @@ def enumerate_interpretations(
     limit: int = DEFAULT_ATOM_LIMIT,
 ) -> tuple[frozenset[Atom], ...]:
     """All subsets of atoms(P) accepted by the kind, in canonical order."""
-    universe = tuple(in_name_order(program.atoms()))
-    if len(universe) > limit:
-        raise TooManyAtoms(
-            f"program has {len(universe)} atoms, enumeration limit is {limit}"
-        )
-    lp = lowering.lower(program, universe)
+    lp = _lower_capped(program, limit, "program has {n} atoms, enumeration limit is {limit}")
     masks = kernel.enumerate_masks(lp, _ENUM_MODE[kind])
     return tuple(lowering.interpretations(lp.atoms, masks))
 
@@ -142,10 +128,9 @@ class CompletionAtom(Record):
 def completion_atom(
     atom: Atom, program: Program, limit: int = DEFAULT_ATOM_LIMIT
 ) -> CompletionAtom:
-    universe = program.atoms()
-    if atom not in universe:
+    if atom not in program.atoms():
         raise UnknownAtom(f"atom {atom.name!r} does not occur in the program")
-    lp = _lower_for_completion(program, limit)
+    lp = _lower_capped(program, limit, _COMPLETION_OVER)
     return CompletionAtom(atom, _completion_table(lp, _unsupported(lp)[lp.index[atom]]))
 
 
@@ -153,18 +138,21 @@ def completion(program: Program, limit: int = DEFAULT_ATOM_LIMIT) -> Program:
     """The program extended with one constraint per atom forbidding
     unsupported truth; its models are exactly the supported models."""
     rules = list(program.rules)
-    lp = _lower_for_completion(program, limit)
+    lp = _lower_capped(program, limit, _COMPLETION_OVER)
     for vector in _unsupported(lp):
         rules.append(Rule(frozenset(), _completion_table(lp, vector)))
     return Program(rules)
 
 
-def _lower_for_completion(program: Program, limit: int) -> lowering.LoweredProgram:
+_COMPLETION_OVER = "completion table over {n} atoms exceeds the limit of {limit}"
+
+
+def _lower_capped(program: Program, limit: int, message: str) -> lowering.LoweredProgram:
+    """The program lowered over its atoms in name order; TooManyAtoms with
+    `message` (formatted with `n` and `limit`) when they are over `limit`."""
     universe = tuple(in_name_order(program.atoms()))
     if len(universe) > limit:
-        raise TooManyAtoms(
-            f"completion table over {len(universe)} atoms exceeds the limit of {limit}"
-        )
+        raise TooManyAtoms(message.format(n=len(universe), limit=limit))
     return lowering.lower(program, universe)
 
 

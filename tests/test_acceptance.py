@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 print; on failures the captured lines appear in the report anyway.
 """
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -21,6 +22,11 @@ from conftest import CORPUS_NAMES, COMPLETION_MODELS, TABLE_EXPECTED, corpus_tex
 from oracles import all_subsets, convex_by_triples
 
 SEEDS = 1000
+
+# sha256 of the battery's reports over seeds 0-999: each program's text,
+# then repr((name, status, details)) of each of its results. A change that
+# means to alter a report updates this value and says so in CHANGES.md.
+BATTERY_DIGEST = "47f392b7565311b8fa65bef0c41264e339a5cc69b3d155d912d1a0d11fd6c260"
 
 TOTAL = fs("a", "b", "__aux_t_1")
 
@@ -118,6 +124,7 @@ def battery():
         "counts": {},
         "failures": {},
     }
+    digest = hashlib.sha256()
     start = time.perf_counter()
     for seed in range(SEEDS):
         cfg = GenConfig(
@@ -128,7 +135,9 @@ def battery():
         )
         program = generate(cfg)
         report = check_theorems(program, compile_limit=16)
+        digest.update(report.program_text.encode())
         for result in report.results:
+            digest.update(repr((result.name, result.status, result.details)).encode())
             counts = outcome["counts"].setdefault(result.name, {PASS: 0, FAIL: 0, SKIP: 0})
             counts[result.status] += 1
             if result.status == FAIL:
@@ -136,6 +145,7 @@ def battery():
                     (seed, report.program_text, result.details)
                 )
     outcome["duration"] = time.perf_counter() - start
+    outcome["digest"] = digest.hexdigest()
     return outcome
 
 
@@ -199,6 +209,10 @@ def test_criterion_4f_compilation_bijection_sflp(battery):
     _battery_line(
         battery, "compilation_bijection_sflp", "criterion 4f (sflp compilation bijection)"
     )
+
+
+def test_battery_reports_are_pinned(battery):
+    assert battery["digest"] == BATTERY_DIGEST
 
 
 def test_criterion_4_runtime(battery):

@@ -7,6 +7,7 @@ import pytest
 
 from gasp import cli, harness
 from gasp.harness import CheckResult, TheoremReport
+from gasp.parser import parse_program
 
 from conftest import CORPUS_DIR, corpus_text
 
@@ -267,6 +268,22 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", corpus_path("p1")], capsys=capsys)
         assert code == 4
         assert "{p}" in out
+
+    def test_limit_caps_the_enumerated_rewriting(self, capsys, monkeypatch):
+        """p1's rewriting spans 6 atoms, which `flp --limit 3` refuses to
+        enumerate, so `verify --limit 3` skips both compilation checks."""
+        code, out, _ = run_cli(["verify", "--limit", "3", corpus_path("p1")], capsys=capsys)
+        assert code == 0
+        statuses = dict(line.split() for line in out.splitlines())
+        assert statuses["flp_subset_sflp"] == "pass"
+        assert statuses["compilation_bijection_flp"] == "skip"
+        assert statuses["compilation_bijection_sflp"] == "skip"
+        _, compiled, _ = run_cli(["compile", corpus_path("p1")], capsys=capsys)
+        code, _, err = run_cli(["flp", "--limit", "3", "-"], compiled, monkeypatch, capsys)
+        assert code == 3
+        assert "6 atoms" in err
+        report = harness.check_theorems(parse_program(corpus_text("p1")), limit=3)
+        assert report.results[-1].details == ("rewriting spans 6 atoms",)
 
     def test_verify_needs_input_or_random(self, capsys):
         code, _, err = run_cli(["verify"], capsys=capsys)

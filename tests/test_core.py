@@ -277,7 +277,7 @@ RECORDS = [
      (Atom("__aux_t_1"), (Atom("__aux_f_1_0"),))),
     (CompilationReport(SemanticsKind.FLP, (fs("a"),), (), ()),
      (SemanticsKind.FLP, (fs("a"),), (), ())),
-    (GenConfig(3, 2, _GEN_MIX, True, False, 7), (3, 2, _GEN_MIX, True, False, 7)),
+    (GenConfig(3, 2, _GEN_MIX, True, 7), (3, 2, _GEN_MIX, True, 7)),
     (_CHECK, ("flp_subset_sflp", "pass", ("detail",))),
     (TheoremReport("a.\n", (_CHECK,)), ("a.\n", (_CHECK,))),
 ]

@@ -258,22 +258,24 @@ def test_flp_masks_are_supported_masks(corpus):
     assert proper >= 100
 
 
-@pytest.mark.parametrize("program, supported, flp", [
-    ("".join(f"a{i} :- a{i}. " for i in range(16)), 1 << 16, 1),
+@pytest.mark.parametrize("program, supported, flp, calls_wanted", [
+    ("".join(f"a{i} :- a{i}. " for i in range(16)), 1 << 16, 1, 1),
     ("".join(f"x{i} :- count{{x{i}, x{(i + 1) % 16}, x{(i + 2) % 16}}} != 1. "
-             for i in range(16)), 3, 0),
+             for i in range(16)), 3, 0, 3),
 ], ids=["16 self-supporting loops", "16-atom chain"])
-def test_flp_tests_at_most_n_candidates_one_by_one(monkeypatch, program, supported, flp):
-    """The FLP query drops the candidates above a smaller model of P one by
-    one only while there are at most n of them, and otherwise in one pass
-    over all masks: 2^16 supported models cost no 2^16 subset vectors."""
+def test_flp_tests_at_most_n_candidates_one_by_one(monkeypatch, program, supported, flp,
+                                                   calls_wanted):
+    """The FLP query builds one subset vector per candidate that reaches the
+    reduct test, and only while there are at most n candidates; beyond that
+    one pass over all masks first drops those above a smaller model of P:
+    2^16 supported models cost one subset vector, not 2^16."""
     lp = lowering.lower(parse_program(program))
     calls = []
     proper_subsets = kernel._proper_subsets
     monkeypatch.setattr(kernel, "_proper_subsets", lambda i: calls.append(i) or proper_subsets(i))
     assert len(kernel.enumerate_masks(lp, lowering.ENUM_SUPPORTED)) == supported
     assert len(kernel.enumerate_masks(lp, lowering.ENUM_FLP)) == flp
-    assert len(calls) <= 2 * lp.n
+    assert len(calls) == calls_wanted
 
 
 def test_reducts_are_the_candidates_bits_of_each_fired_vector():

@@ -11,6 +11,7 @@ from gasp.core import (
     TruthTable,
     atom_set,
     interp_sort_key,
+    subsets_in_canonical_order,
 )
 from gasp.harness import GenConfig, generate
 from gasp.parser import parse_program
@@ -335,10 +336,10 @@ class TestTheoremWitnesses:
 
 class TestProperSubsets:
     def test_increasing_cardinality_and_proper(self):
+        """The proper subsets come in canonical order, the order of
+        `subsets_in_canonical_order`, without the set itself."""
         interp = fs("a", "b", "c")
         got = list(proper_subsets(interp))
-        assert got[0] == EMPTY
-        sizes = [len(s) for s in got]
-        assert sizes == sorted(sizes)
-        assert interp not in got
-        assert len(got) == 7
+        assert got == [s for s in subsets_in_canonical_order(interp) if s != interp]
+        assert got == [EMPTY, fs("a"), fs("a", "b"), fs("a", "c"), fs("b"), fs("b", "c"),
+                       fs("c")]
