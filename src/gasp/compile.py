@@ -18,6 +18,8 @@ reducts, and are dropped before compilation.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .core import (
     Atom,
     Conjunct,
@@ -134,34 +136,29 @@ def rew_atom(body: Dnf, names: AuxNames) -> tuple[Rule, ...]:
     return tuple(rules)
 
 
-def _single_positive_literal(canonical: Dnf) -> Atom | None:
-    if len(canonical.disjuncts) != 1:
+def _kept_body(rule: Rule, canonical: Dnf, rewrite_all: bool) -> LiteralConjunction | None:
+    """The body the rewriting keeps as written, or None when it gets a truth
+    atom: a single positive literal, or a constraint's body of at most one
+    literal. `rewrite_all` keeps none."""
+    if rewrite_all or len(canonical.disjuncts) != 1:
         return None
     d = canonical.disjuncts[0]
-    if len(d.positives) == 1 and not d.negatives:
-        return next(iter(d.positives))
+    size = len(d.positives) + len(d.negatives)
+    if (size == 1 and d.positives) or (size <= 1 and rule.is_constraint):
+        return LiteralConjunction(d)
     return None
 
 
-def _constraint_keepable(canonical: Dnf) -> bool:
-    if len(canonical.disjuncts) != 1:
-        return False
-    d = canonical.disjuncts[0]
-    return len(d.positives) + len(d.negatives) <= 1
-
-
-def _disjunctive_head(rule: Rule) -> DisjunctiveHead:
-    return DisjunctiveHead(
-        "cannot compile a rule with a disjunctive head: "
-        + " | ".join(a.name for a in sorted(rule.head))
-    )
-
-
-def _surviving(program: Program, max_domain: int) -> list[tuple[Rule, Dnf]]:
+def _surviving(rules: Iterable[Rule], max_domain: int) -> list[tuple[Rule, Dnf]]:
+    """Each rule with a satisfiable body and its canonical DNF; a rule with
+    a disjunctive head raises DisjunctiveHead."""
     kept = []
-    for rule in program.rules:
+    for rule in rules:
         if len(rule.head) > 1:
-            raise _disjunctive_head(rule)
+            raise DisjunctiveHead(
+                "cannot compile a rule with a disjunctive head: "
+                + " | ".join(a.name for a in sorted(rule.head))
+            )
         try:
             kept.append((rule, to_dnf(rule.body, max_domain)))
         except UnsatisfiableBody:
@@ -188,18 +185,11 @@ def _rewrite(
     _check_fresh(program)
     cmap = CompilationMap(rewrite_all)
     rewritten: list[Rule] = []
-    for rule, canonical in _surviving(program, max_domain):
-        if not rewrite_all:
-            literal = _single_positive_literal(canonical)
-            if literal is not None:
-                rewritten.append(Rule(rule.head, _atom_body(literal)))
-                continue
-            if rule.is_constraint and _constraint_keepable(canonical):
-                d = canonical.disjuncts[0]
-                rewritten.append(Rule(rule.head, LiteralConjunction(d)))
-                continue
-        names = cmap.names_for(canonical)
-        rewritten.append(Rule(rule.head, _atom_body(names.t)))
+    for rule, canonical in _surviving(program.rules, max_domain):
+        body = _kept_body(rule, canonical, rewrite_all)
+        if body is None:
+            body = _atom_body(cmap.names_for(canonical).t)
+        rewritten.append(Rule(rule.head, body))
     for canonical, names in cmap.entries.items():
         rewritten.extend(rew_atom(canonical, names))
     return Program(rewritten), cmap
@@ -248,17 +238,10 @@ def supp_rule(
     if atom not in program.atoms():
         raise UnknownAtom(f"atom {atom.name!r} does not occur in the program")
     head = set()
-    for rule in program.rules:
-        if atom not in rule.head:
-            continue
-        if len(rule.head) > 1:
-            raise _disjunctive_head(rule)
-        try:
-            canonical = to_dnf(rule.body, max_domain)
-        except UnsatisfiableBody:
-            continue
-        literal = None if cmap.rewrite_all else _single_positive_literal(canonical)
-        head.add(cmap.entries[canonical].t if literal is None else literal)
+    rules = (rule for rule in program.rules if atom in rule.head)
+    for rule, canonical in _surviving(rules, max_domain):
+        kept = _kept_body(rule, canonical, cmap.rewrite_all)
+        head |= {cmap.entries[canonical].t} if kept is None else kept.conjunct.positives
     return Rule(frozenset(head), _atom_body(atom))
 
 

@@ -15,6 +15,7 @@ rewriting serves both compilation checks.
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
 from .compile import bijection_violations, rew_flp, with_support_rules
 from .core import (
@@ -23,11 +24,11 @@ from .core import (
     CountAggregate,
     DEFAULT_ATOM_LIMIT,
     Dnf,
+    Interpretation,
     LiteralConjunction,
     Program,
     Record,
     Rule,
-    TooManyAtoms,
     TruthTable,
     format_interpretation,
     is_convex_program,
@@ -204,23 +205,10 @@ def check_theorems(
         enumerate_interpretations(program, SemanticsKind.SUPPORTED, limit)
     )
 
-    missing = sorted(flp - sflp, key=format_interpretation)
-    results.append(
-        CheckResult(
-            "flp_subset_sflp",
-            FAIL if missing else PASS,
-            tuple("flp answer set not sflp: " + format_interpretation(i) for i in missing),
-        )
-    )
-
+    results.append(_disagreement("flp_subset_sflp", "flp answer set not sflp: ", flp - sflp))
     if is_convex_program(program, limit):
-        diff = sorted(flp ^ sflp, key=format_interpretation)
         results.append(
-            CheckResult(
-                "convex_equivalence",
-                FAIL if diff else PASS,
-                tuple("flp/sflp disagree at: " + format_interpretation(i) for i in diff),
-            )
+            _disagreement("convex_equivalence", "flp/sflp disagree at: ", flp ^ sflp)
         )
     else:
         results.append(CheckResult("convex_equivalence", SKIP, ("not a convex program",)))
@@ -235,20 +223,29 @@ def check_theorems(
         comp_models = set(
             enumerate_interpretations(comp, SemanticsKind.CLASSICAL, limit)
         )
-        diff = sorted(supported ^ comp_models, key=format_interpretation)
-        results.append(
-            CheckResult(
-                "supported_equals_completion_models",
-                FAIL if diff else PASS,
-                tuple(
-                    "supported/completion disagree at: " + format_interpretation(i)
-                    for i in diff
-                ),
-            )
-        )
+        results.append(_disagreement(
+            "supported_equals_completion_models",
+            "supported/completion disagree at: ",
+            supported ^ comp_models,
+        ))
         results.append(_characterization_check(program, comp, sflp, limit))
     results.extend(_compilation_checks(program, flp_sets, sflp_sets, limit, compile_limit))
     return TheoremReport(render(program), tuple(results))
+
+
+def _verdict(name: str, details: Iterable[str]) -> CheckResult:
+    """PASS with no details, FAIL with them."""
+    details = tuple(details)
+    return CheckResult(name, FAIL if details else PASS, details)
+
+
+def _disagreement(
+    name: str, prefix: str, interpretations: Iterable[Interpretation]
+) -> CheckResult:
+    """The verdict listing `prefix` plus each interpretation, in the order
+    of their text."""
+    texts = sorted(map(format_interpretation, interpretations))
+    return _verdict(name, (prefix + text for text in texts))
 
 
 def _characterization_check(
@@ -268,9 +265,7 @@ def _characterization_check(
                 "enumeration disagrees with the predicate at "
                 + format_interpretation(candidate)
             )
-    return CheckResult(
-        "sflp_completion_characterization", FAIL if details else PASS, tuple(details)
-    )
+    return _verdict("sflp_completion_characterization", details)
 
 
 def _compilation_checks(
@@ -285,7 +280,11 @@ def _compilation_checks(
     and one rewriting, where a rewriting over that cap is skipped rather
     than raising TooManyAtoms: the SFLP rewriting is the FLP one plus its
     support rules, which add no atoms, so one skip decision serves both
-    checks."""
+    checks.
+
+    Precondition: the program has at most `limit` atoms, as `check_theorems`
+    has enumerated it under `limit`. Every body domain is a subset of them,
+    so `rew_flp`, given `limit` as its DNF limit, never raises TooManyAtoms."""
     names = CHECK_NAMES[-2:]
 
     def skipped(detail: str) -> tuple[CheckResult, CheckResult]:
@@ -296,10 +295,7 @@ def _compilation_checks(
         return skipped("already-compiled input (reserved atoms)")
     if any(len(r.head) > 1 for r in program.rules):
         return skipped("disjunctive head")
-    try:
-        flp, cmap = rew_flp(program, max_domain=limit)
-    except TooManyAtoms:
-        return skipped("body domain over the dnf limit")
+    flp, cmap = rew_flp(program, max_domain=limit)
     n_rewritten = len(flp.atoms())
     if n_rewritten > min(limit, compile_limit):
         return skipped(f"rewriting spans {n_rewritten} atoms")
@@ -310,5 +306,5 @@ def _compilation_checks(
     ):
         compiled = enumerate_interpretations(rewritten, SemanticsKind.FLP, limit)
         violations = bijection_violations(program, cmap, source, compiled)
-        results.append(CheckResult(name, FAIL if violations else PASS, violations))
+        results.append(_verdict(name, violations))
     return tuple(results)

@@ -70,7 +70,9 @@ def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
     violated = []
     bad = 0
     minimal = mode == ENUM_FLP or mode == ENUM_SFLP
-    for hits, misses in rule_vectors(lp, support):
+    for holds, hit in rule_vectors(lp, support):
+        hits = holds & hit
+        misses = holds ^ hits
         bad |= misses
         if minimal:  # the reduct tests read each rule's vectors
             fired.append(hits)
@@ -106,33 +108,32 @@ def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
 
 
 def rule_vectors(lp: LoweredProgram, support: list[int]) -> Iterator[tuple[int, int]]:
-    """Per rule, the masks where its body holds and its head is hit (fired)
-    and missed (violated). Per atom a, ORs into `support[a]` the masks
-    where the rule has a in its head, a true body and no other true head
-    atom, so that a mask in X_a ends up in support[a] exactly when a is
-    supported there. A caller that needs only the support vectors keeps
-    no rule's vectors."""
+    """Per rule, the masks where its body holds and the OR of its head
+    columns, the masks where its head is hit. Per atom a, ORs into
+    `support[a]` the masks where the rule has a in its head, a true body
+    and no other true head atom, so that a mask in X_a ends up in
+    support[a] exactly when a is supported there. A caller that needs only
+    the support vectors keeps no rule's vectors."""
     n = lp.n
     cols = columns(n)
     for head, body in zip(lp.heads, lp.bodies):
         holds = truth_vector(body, lp.index, n)
         if head and not head & (head - 1):  # one head atom
             a = head.bit_length() - 1
-            hits = holds & cols[a]
+            hit = cols[a]
             support[a] |= holds
         else:
             atoms = members(head)
             hit = 0
             for a in atoms:
                 hit |= cols[a]
-            hits = holds & hit
             for a in atoms:
                 vector = holds
                 for b in atoms:
                     if b != a:
                         vector ^= vector & cols[b]
                 support[a] |= vector
-        yield hits, holds ^ hits
+        yield holds, hit
 
 
 def _supported(family: int, rules: list[int], heads: list[list[int]], fired: list[int],

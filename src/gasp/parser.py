@@ -91,42 +91,36 @@ _EOF = "end of input"
 
 
 class _Token(Record):
-    __slots__ = ("kind", "text", "line", "column")
+    __slots__ = ("kind", "text", "offset")
     kind: str  # "name", "int", "op", "eof"
     text: str
-    line: int
-    column: int
+    offset: int
 
-    def __init__(self, kind: str, text: str, line: int, column: int):
+    def __init__(self, kind: str, text: str, offset: int):
         set_field(self, "kind", kind)
         set_field(self, "text", text)
-        set_field(self, "line", line)
-        set_field(self, "column", column)
+        set_field(self, "offset", offset)
+
+
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    """The line and column, both counted from 1, of `offset` in `text`."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(src: SourceProgram) -> list[_Token]:
     tokens = []
     pos = 0
-    line = 1
-    line_start = 0
     text = src.text
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
             raise ParseError(
-                f"unexpected character {text[pos]!r}",
-                src.origin, line, pos - line_start + 1,
+                f"unexpected character {text[pos]!r}", src.origin, *_line_column(text, pos)
             )
-        kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, pos - line_start + 1))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + value.rindex("\n") + 1
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append(_Token(m.lastgroup, m.group(), pos))
         pos = m.end()
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
@@ -142,8 +136,8 @@ class _Parser:
         return self.tokens[self.pos]
 
     def _fail(self, message, expected=(), token=None):
-        tok = token or self.here
-        raise ParseError(message, self.src.origin, tok.line, tok.column, expected)
+        where = _line_column(self.src.text, (token or self.here).offset)
+        raise ParseError(message, self.src.origin, *where, expected)
 
     def _unexpected(self, *expected: str):
         """Fail at the current token, which is none of `expected`."""
@@ -151,14 +145,35 @@ class _Parser:
         shown = tok.text if tok.kind != "eof" else _EOF
         self._fail(f"unexpected {shown!r}", expected=expected)
 
-    def _take_op(self, text: str):
-        if not self._at_op(text):
-            self._unexpected(repr(text))
+    def _built(self, start: _Token, constructor, *args):
+        """`constructor(*args)`, with its ValueError reported at `start`."""
+        try:
+            return constructor(*args)
+        except ValueError as exc:
+            self._fail(str(exc), token=start)
+
+    def _accept(self, text: str) -> bool:
+        """Step over the current token if its text is `text`, an operator or
+        `not`, whose text alone fixes the token's kind."""
+        if self.here.text != text:
+            return False
         self.pos += 1
+        return True
+
+    def _take_op(self, text: str):
+        if not self._accept(text):
+            self._unexpected(repr(text))
 
     def _at_op(self, *texts: str) -> bool:
         tok = self.here
         return tok.kind == "op" and tok.text in texts
+
+    def _list(self, item, separator: str) -> list:
+        """`item (separator item)*`: the items read."""
+        items = [item()]
+        while self._accept(separator):
+            items.append(item())
+        return items
 
     def atom(self) -> Atom:
         tok = self.here
@@ -170,7 +185,7 @@ class _Parser:
             if not self.allow_reserved:
                 raise ReservedAtom(
                     f"atom {tok.text!r} uses the reserved `__aux` prefix",
-                    self.src.origin, tok.line, tok.column,
+                    self.src.origin, *_line_column(self.src.text, tok.offset),
                 )
         elif not _PLAIN_NAME.match(tok.text):
             self._fail(
@@ -199,25 +214,12 @@ class _Parser:
             self._unexpected("atom", "':-'", "'.'")
         head: frozenset[Atom] = frozenset()
         if self.here.kind == "name":
-            head = self.head()
+            head = frozenset(self._list(self.atom, "|"))
         body: Body = TOP
-        if self._at_op(":-"):
-            self.pos += 1
+        if self._accept(":-"):
             body = self.body()
-        if not self._at_op("."):
-            self._unexpected("'.'")
-        self.pos += 1
-        try:
-            return Rule(head, body)
-        except ValueError as exc:
-            self._fail(str(exc), token=start)
-
-    def head(self) -> frozenset[Atom]:
-        names = [self.atom()]
-        while self._at_op("|"):
-            self.pos += 1
-            names.append(self.atom())
-        return frozenset(names)
+        self._take_op(".")
+        return self._built(start, Rule, head, body)
 
     def body(self) -> Body:
         tok = self.here
@@ -227,76 +229,38 @@ class _Parser:
                 return self.aggregate()
             if tok.text == "dnf":
                 return self.dnfexpr()
-        return self.litconj()
-
-    def litconj(self) -> LiteralConjunction:
         if self._at_op("."):  # empty body: always true
             return TOP
-        start = self.here
-        positives = set()
-        negatives = set()
-        while True:
-            if self.here.kind == "name" and self.here.text == "not":
-                self.pos += 1
-                negatives.add(self.atom())
-            else:
-                positives.add(self.atom())
-            if self._at_op(","):
-                self.pos += 1
-                continue
-            break
-        try:
-            return LiteralConjunction(Conjunct(frozenset(positives), frozenset(negatives)))
-        except ValueError as exc:
-            self._fail(str(exc), token=start)
+        return LiteralConjunction(self._conjunct(",", "not"))
 
     def aggregate(self) -> CountAggregate:
         start = self.here
         self.pos += 1  # "count"
         self._take_op("{")
-        members = [self.atom()]
-        while self._at_op(","):
-            self.pos += 1
-            members.append(self.atom())
+        members = self._list(self.atom, ",")
         self._take_op("}")
         tok = self.here
-        if not (tok.kind == "op" and tok.text in ("=", "!=", "<=", ">=", "<", ">")):
+        if not self._at_op("=", "!=", "<=", ">=", "<", ">"):
             self._unexpected("comparator")
         self.pos += 1
         bound = self._integer()
-        try:
-            return CountAggregate(frozenset(members), tok.text, bound)
-        except ValueError as exc:
-            self._fail(str(exc), token=start)
+        return self._built(start, CountAggregate, frozenset(members), tok.text, bound)
 
     def dnfexpr(self) -> Dnf:
         self.pos += 1  # "dnf"
         self._take_op("{")
-        disjuncts = [self.conj()]
-        while self._at_op("|"):
-            self.pos += 1
-            disjuncts.append(self.conj())
+        disjuncts = self._list(lambda: self._conjunct("&", "~"), "|")
         self._take_op("}")
         return Dnf(tuple(disjuncts))
 
-    def conj(self) -> Conjunct:
+    def _conjunct(self, separator: str, negation: str) -> Conjunct:
+        """`literal (separator literal)*`, where a literal is an atom with
+        or without `negation` in front: a literal body or a dnf disjunct."""
         start = self.here
-        positives = set()
-        negatives = set()
-        while True:
-            if self._at_op("~"):
-                self.pos += 1
-                negatives.add(self.atom())
-            else:
-                positives.add(self.atom())
-            if self._at_op("&"):
-                self.pos += 1
-                continue
-            break
-        try:
-            return Conjunct(frozenset(positives), frozenset(negatives))
-        except ValueError as exc:
-            self._fail(str(exc), token=start)
+        literals = self._list(lambda: (self._accept(negation), self.atom()), separator)
+        positives = frozenset(a for negated, a in literals if not negated)
+        negatives = frozenset(a for negated, a in literals if negated)
+        return self._built(start, Conjunct, positives, negatives)
 
 
 def parse_program(source: SourceProgram | str, allow_reserved: bool = False) -> Program:
@@ -312,18 +276,15 @@ def parse_program(source: SourceProgram | str, allow_reserved: bool = False) -> 
     return _Parser(source, allow_reserved).program()
 
 
-def _render_conjunct_dnf(c: Conjunct) -> str:
+def _render_conjunct(c: Conjunct, separator: str, negation: str) -> str:
     parts = [a.name for a in sorted(c.positives)]
-    parts += ["~" + a.name for a in sorted(c.negatives)]
-    return " & ".join(parts)
+    parts += [negation + a.name for a in sorted(c.negatives)]
+    return separator.join(parts)
 
 
 def render_body(body: Body) -> str:
     if isinstance(body, LiteralConjunction):
-        c = body.conjunct
-        parts = [a.name for a in sorted(c.positives)]
-        parts += ["not " + a.name for a in sorted(c.negatives)]
-        return ", ".join(parts)
+        return _render_conjunct(body.conjunct, ", ", "not ")
     if isinstance(body, CountAggregate):
         members = ", ".join(a.name for a in sorted(body.atoms))
         return f"count{{{members}}} {body.comparator} {body.bound}"
@@ -331,7 +292,7 @@ def render_body(body: Body) -> str:
         if any(not d.positives and not d.negatives for d in body.disjuncts):
             return ""  # an empty disjunct makes the body a tautology
         ordered = sorted(set(body.disjuncts), key=Conjunct.sort_key)
-        return "dnf{" + " | ".join(_render_conjunct_dnf(d) for d in ordered) + "}"
+        return "dnf{" + " | ".join(_render_conjunct(d, " & ", "~") for d in ordered) + "}"
     if isinstance(body, TruthTable):
         return render_body(to_dnf(body))  # raises UnsatisfiableBody when empty
     raise TypeError(f"not a body: {body!r}")

@@ -159,7 +159,7 @@ def _lower_capped(program: Program, limit: int, message: str) -> lowering.Lowere
 def _unsupported(lp: lowering.LoweredProgram) -> list[int]:
     """Per atom a, the masks where a is true but no rule supports it: X_a
     without the support vector of a that `kernel.rule_vectors` builds. The
-    per-rule vectors it yields are dropped one rule at a time."""
+    body and head vectors it yields are dropped one rule at a time."""
     support = [0] * lp.n
     for _ in kernel.rule_vectors(lp, support):
         pass

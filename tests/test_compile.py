@@ -289,10 +289,12 @@ class TestRewSflp:
         for program in programs:
             flp_version, flp_map = rew_flp(program, rewrite_all)
             sflp_version, sflp_map = rew_sflp(program, rewrite_all)
+            entries = list(flp_map.entries.items())
             support = [supp_rule(a, program, flp_map) for a in _live_atoms(program)]
+            assert list(flp_map.entries.items()) == entries  # supp_rule only looks up
             expected = Program(flp_version.rules + tuple(support))
             assert sflp_version.rules == expected.rules, render(program)
-            assert list(sflp_map.entries.items()) == list(flp_map.entries.items())
+            assert list(sflp_map.entries.items()) == entries
 
     def test_compile_command_text_is_pinned(self, capsys):
         digest = hashlib.sha256()

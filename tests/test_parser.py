@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -142,7 +143,68 @@ class TestRender:
             assert render(parse_program(once)) == once
 
 
+# One text per grammar shape: disjunctive heads, literal bodies with
+# `not`, count aggregates under every comparator, dnf bodies with `~`, `&`
+# and `|`, facts, constraints, empty bodies, comments and reserved atoms.
+GRAMMAR_TEXTS = (
+    "a | b | c :- d, not e.\n:- not a, b.\n",
+    "a :- count{a, b, c} >= 2.\nb :- count{c} < 1.\nc :- count{a, b} != 0.\n"
+    "d :- count{b} <= 3.\ne :- count{a} > 1.\nf :- count{a, c} = 2.\n",
+    "c :- dnf{a & ~b | ~c | b & d}.\n% comment\n:- dnf{~a}.\n",
+    "a.\n:-.\nb :- .\ncount :- dnf, not count.\n",
+    "__aux_t_1 :- a, not __aux_f_1_0.\n__aux_f_1_1 | a :- not __aux_t_1.\n",
+)
+
+_MUTATION_PIECES = (
+    "|", "{", "}", "&", "~", ".", ",", ":-", "%", " ", "\n", "x", "0", "7", "A", "$",
+    "not ", "not", "count{", "dnf{", "__aux_t_1", "__auxA", "!=", "<=", ">", "=",
+    ", not a, a", " & ~b & b", "count{}",
+)
+
+# sha256 of the parser's answer on seeded mutations of the corpus and of
+# GRAMMAR_TEXTS, each parsed without and with `allow_reserved`: the
+# canonical rendering, or the error's class, text, line, column and sorted
+# expected set. A change that means to alter a diagnostic updates this
+# value and says so in CHANGES.md.
+DIAGNOSTICS_DIGEST = "32f1c54bfb7de36ef3df60d5a744bf7924d669ead892e7d3efc1b8c0ed329d41"
+
+
+def _mutated_texts(seed, count):
+    rng = random.Random(seed)
+    texts = [corpus_text(name) for name in CORPUS_NAMES] + list(GRAMMAR_TEXTS)
+    for _ in range(count):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randrange(len(text) + 1)
+            op = rng.random()
+            if op < 0.3:
+                text = text[:pos] + text[pos + 1:]
+            elif op < 0.7:
+                text = text[:pos] + rng.choice(_MUTATION_PIECES) + text[pos:]
+            elif op < 0.85:
+                text = text[:pos] + text[pos + rng.randint(2, 6):]
+            elif text:
+                chars = list(text)
+                other = rng.randrange(len(text))
+                pos = min(pos, len(text) - 1)
+                chars[pos], chars[other] = chars[other], chars[pos]
+                text = "".join(chars)
+        yield text
+
+
 class TestFuzz:
+    def test_diagnostics_are_pinned(self):
+        digest = hashlib.sha256()
+        for text in _mutated_texts(2025, 3000):
+            for allow_reserved in (False, True):
+                try:
+                    answer = render(parse_program(text, allow_reserved))
+                except ParseError as err:
+                    answer = (type(err).__name__, str(err), err.line, err.column,
+                              sorted(err.expected))
+                digest.update(repr(answer).encode())
+        assert digest.hexdigest() == DIAGNOSTICS_DIGEST
+
     def test_mutated_corpus_never_misparses_silently(self):
         rng = random.Random(2024)
         texts = [corpus_text(name) for name in CORPUS_NAMES]
