@@ -84,7 +84,7 @@ _TOKEN = re.compile(
       | (?P<int>\d+)
       | (?P<op>:-|!=|<=|>=|[.|,{}&~<>=])
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,  # `\d` and `\s`: ASCII digits and whitespace only
 )
 
 _EOF = "end of input"

@@ -110,7 +110,7 @@ class TestTruthVector:
 
 def scrambled_atoms(n: int, rng: random.Random) -> tuple[Atom, ...]:
     """n atoms in name order, with names unrelated to their creation order."""
-    letters = rng.sample("abcdefghijklmnop", n)
+    letters = rng.sample("abcdefghijklmnopqrstuvwxyz", n)
     return tuple(sorted(Atom(f"{c}{rng.randrange(100)}") for c in letters))
 
 
@@ -148,6 +148,38 @@ class TestCanonicalOrder:
             unsorted = lowering.decode(atoms, masks)
             assert unsorted == [decode(atoms, m) for m in masks], trial
             assert all(atom_set(i) is i for i in unsorted), trial
+
+    def test_large_families(self):
+        """Thousands of masks per width, where the rank tables have up to
+        2^10 entries: the empty mask, masks with hi = 0 or lo = 0, and
+        random ones, unsorted."""
+        rng = random.Random(4)
+        for n in range(13, 21):
+            atoms = scrambled_atoms(n, rng)
+            half = n >> 1
+            family = {0, 1 << half, (1 << half) - 1, (1 << n) - 1}
+            family.update(range(0, 1 << half, max(1, (1 << half) // 200)))
+            family.update(rng.randrange(1 << (n - half)) << half for _ in range(200))
+            family.update(rng.sample(range(1 << n), 3000))
+            masks = list(family)
+            rng.shuffle(masks)
+            got = lowering.interpretations(atoms, masks)
+            assert got == sorted((decode(atoms, m) for m in masks), key=interp_sort_key), n
+
+    def test_rank_tables_match_rank_key(self):
+        for n in range(13):
+            rank = lowering.rank_key(n)
+            low, high, alone = lowering.rank_tables(n)
+            half = n >> 1
+            assert (len(low), len(high), len(alone)) == (1 << half, 1 << (n - half), 1 << half)
+            assert list(alone) == [rank(lo) for lo in range(1 << half)], n
+            assert list(high) == [rank(hi << half) for hi in range(1 << (n - half))], n
+            if n:
+                base = rank(1 << half)
+                assert list(low) == [rank(lo | 1 << half) - base for lo in range(1 << half)], n
+            for m in range(1 << n):
+                lo, hi = m & ((1 << half) - 1), m >> half
+                assert (low[lo] + high[hi] if hi else alone[lo]) == rank(m), (n, m)
 
 
 class TestOracleAgreement:
@@ -238,6 +270,23 @@ MEMBER_CASES = {
 @pytest.mark.parametrize("bits", list(MEMBER_CASES.values()), ids=list(MEMBER_CASES))
 def test_members_are_the_set_bits_in_order(bits):
     assert kernel.members(sum(1 << b for b in bits)) == bits
+
+
+@pytest.mark.parametrize("width", [16, 18])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 64, 65, 300, "dense"])
+def test_members_of_long_vectors(width, count):
+    """Few set bits (the top one among them), around the switch between
+    the two readers, and dense, against a reference that reads every bit."""
+    rng = random.Random(f"{width}-{count}")
+    size = 1 << width
+    if count == "dense":
+        vector = rng.getrandbits(size) | 1 << (size - 1)
+    else:
+        vector = 0
+        while vector.bit_count() < count:
+            vector |= 1 << (size - 1 if not vector else rng.randrange(size))
+    reference = [i for i, bit in enumerate(reversed(bin(vector)[2:])) if bit == "1"]
+    assert kernel.members(vector) == reference
 
 
 def test_proper_subsets_of_every_small_mask():

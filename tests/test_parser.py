@@ -84,6 +84,8 @@ class TestParseErrors:
             "a :- b, not b.",  # positive and negative occurrence
             "a :- dnf{a & ~a}.",  # clash inside a disjunct
             "a ; b.",  # stray character
+            "a :- count{a} > \u0663.",  # Arabic-Indic three is no integer
+            "a :-\u00a0b.",  # no-break space is no whitespace
         ],
     )
     def test_rejected(self, text):
