@@ -8,7 +8,10 @@ rewriting, and a slice of the theorem battery (the acceptance battery's
 generator settings). Two more rows time queries end to end, kernel plus
 ordering and decoding: the four queries (models, supported, FLP, SFLP)
 on the 16-atom chain, and the 3^7 models of a 14-atom program of choice
-gadgets. Each of these rows is the best of `--repeat` runs. The last
+gadgets. One row times `lowering.truth_vector` of a parity table over 10
+of 18 atoms: a table whose domain is not the whole universe costs its
+minterm DNF, and parity is the worst case for that, 512 minterms none of
+which merge. Each of these rows is the best of `--repeat` runs. The last
 row is start-up: the median of 15 fresh `python -m gasp models
 corpus/p1.gasp` calls minus the median of 15 `python -c pass` calls.
 `perfbench/run.py` is the measurement of record; this is a quick look.
@@ -26,7 +29,7 @@ from pathlib import Path
 import gasp
 from gasp import kernel, lowering, semantics
 from gasp.compile import rew_sflp
-from gasp.core import Atom, CountAggregate, Program, Rule
+from gasp.core import Atom, CountAggregate, Program, Rule, TruthTable
 from gasp.harness import GenConfig, check_theorems, generate
 from gasp.parser import parse_program
 
@@ -53,6 +56,16 @@ def choice_gadgets() -> Program:
         else:
             parts.append(f"{x} :- count{{{x}, {y}}} != 1. {y} :- count{{{x}, {y}}} != 1.")
     return parse_program("\n".join(parts))
+
+
+def sparse_parity_table(width: int, universe: int) -> tuple[TruthTable, dict[Atom, int]]:
+    """The odd-sized subsets of `width` atoms spread over a universe of
+    `universe` atoms, and the universe's bit positions."""
+    atoms = [Atom(f"w{i:02d}") for i in range(universe)]
+    domain = [atoms[i * (universe - 1) // (width - 1)] for i in range(width)]
+    odd = [frozenset(a for i, a in enumerate(domain) if m >> i & 1)
+           for m in range(1 << width) if m.bit_count() % 2]
+    return TruthTable(domain, odd), {a: i for i, a in enumerate(atoms)}
 
 
 def timed(fn, repeat: int) -> float:
@@ -131,6 +144,11 @@ def main() -> int:
     rows.append((
         "models + decode, 14-atom choice gadgets",
         timed(lambda: semantics.enumerate_interpretations(choice, models), args.repeat),
+    ))
+    table, index = sparse_parity_table(10, 18)
+    rows.append((
+        "truth_vector, parity table over 10 of 18 atoms",
+        timed(lambda: lowering.truth_vector(table, index, 18), args.repeat),
     ))
     rows.append((
         f"theorem battery, {args.seeds} programs",

@@ -38,7 +38,7 @@ from .core import (
     Rule,
     UnsatisfiableBody,
     format_interpretation,
-    in_name_order,
+    positions,
     set_field,
     to_dnf,
 )
@@ -146,9 +146,8 @@ def closure_rules(body: Dnf, names: AuxNames) -> tuple[Rule, ...]:
     domain, in the order of the implicants' literals. Their bodies are
     positive, so each is in the reduct of I whenever t and P hold in I, and
     a model of that reduct below I that holds t satisfies the body."""
-    items = in_name_order(body.domain)
+    items, index = positions(body.domain)
     n = len(items)
-    index = {a: i for i, a in enumerate(items)}
     false = lowering.full(n) ^ lowering.truth_vector(body, index, n)
     cubes = sorted(
         (Conjunct((a for i, a in enumerate(items) if value >> i & 1),

@@ -183,6 +183,18 @@ def in_name_order(items: Iterable[Atom]) -> list[Atom]:
     return sorted(items, key=_NAME)
 
 
+def positions(
+    atoms: Iterable[Atom], limit: int | None = None, what: str = ""
+) -> tuple[list[Atom], dict[Atom, int]]:
+    """The atoms in name order and the position of each in that order, the
+    bit it gets in a mask; TooManyAtoms, naming `what` and the limit, when
+    there are more than `limit` of them."""
+    items = in_name_order(atoms)
+    if limit is not None and len(items) > limit:
+        raise TooManyAtoms(f"{what} over {len(items)} atoms exceeds the limit of {limit}")
+    return items, {a: i for i, a in enumerate(items)}
+
+
 def interp_sort_key(interpretation: Iterable[Atom]) -> tuple[str, ...]:
     """Canonical ordering key for interpretations: the sorted name tuple.
 
@@ -484,14 +496,6 @@ class Program(Record):
         return f"Program({len(self.rules)} rules)"
 
 
-def _domain(body: Body, max_domain: int, what: str) -> tuple[list[Atom], dict[Atom, int]]:
-    """The body's domain in canonical order, and each atom's position in it."""
-    items = in_name_order(body.domain)
-    if len(items) > max_domain:
-        raise TooManyAtoms(f"{what} over {len(items)} atoms exceeds the limit of {max_domain}")
-    return items, {a: i for i, a in enumerate(items)}
-
-
 def to_dnf(body: Body, max_domain: int = DEFAULT_ATOM_LIMIT) -> Dnf:
     """Minterm DNF of a body: one full conjunct per satisfying subset.
 
@@ -499,7 +503,7 @@ def to_dnf(body: Body, max_domain: int = DEFAULT_ATOM_LIMIT) -> Dnf:
     unique normal form for each (domain, truth function) pair. Raises
     UnsatisfiableBody when no subset of the domain satisfies the body.
     """
-    items, index = _domain(body, max_domain, "dnf expansion")
+    items, index = positions(body.domain, max_domain, "dnf expansion")
     vector = lowering.truth_vector(body, index, len(items))
     if not vector:
         raise UnsatisfiableBody("body is false on every subset of its domain")
@@ -517,7 +521,7 @@ def is_convex(body: Body, max_domain: int = DEFAULT_ATOM_LIMIT) -> bool:
     subset below it and a satisfying superset above it, which the subset
     and superset closures of the truth vector decide at once.
     """
-    items, index = _domain(body, max_domain, "convexity scan")
+    items, index = positions(body.domain, max_domain, "convexity scan")
     n = len(items)
     cols = lowering.columns(n)
     true = lowering.truth_vector(body, index, n)

@@ -5,11 +5,11 @@ below is a handful of big-int operations over all 2^n masks at once:
 
 - models: the complement of the OR of the rules' violation vectors
   (body holds, head misses);
-- supported models: the models where every true atom a lies in its
-  support vector, the masks where some rule with a in its head has a true
-  body and no other true head atom. The support vectors come out of the
-  loop that builds the violation vectors (`rule_vectors`), which the
-  completion shares;
+- supported models: the models where every true atom a lies in the
+  support vector of a rule with a in its head, the masks where its body
+  holds and no two head atoms are true. These come out of the loop that
+  builds the violation vectors (`rule_vectors`), which the completion
+  shares, and the SFLP test against each reduct reads them too;
 - FLP / SFLP answer sets: the supported models I such that no proper
   subset of I is a model (FLP) or a supported model (SFLP) of the reduct
   of I, the rules whose bodies hold at I.
@@ -27,13 +27,13 @@ program with many supported models that are not minimal (n loops
 blocking masks unsupported in P (a rule of a reduct is a rule of P), one
 AND, before the support test against the reduct.
 
-The reduct of each candidate is read rule by rule, one AND of the fired
+The reduct of each candidate is read rule by rule, one AND of the body
 vector with the candidate vector and then its few set bits, and the
 minimality test of I starts from the vector of I's proper subsets, built
 by doubling over the atoms of I. Both are sized by the candidates rather
 than by 2^n. The FLP and SFLP queries hold the n columns, two vectors
-per rule, one per atom and a few temporaries: about 2m + 2n vectors; the
-models and supported queries keep no vector per rule.
+per rule (SFLP three for a head of two or more atoms), one per atom and
+a few temporaries; the models and supported queries keep none per rule.
 """
 
 from __future__ import annotations
@@ -66,17 +66,19 @@ def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
     n = lp.n
     cols = columns(n)
     support = [0] * n
-    fired = []
+    bodies = []
     violated = []
+    rule_support = []
     bad = 0
     minimal = mode == ENUM_FLP or mode == ENUM_SFLP
-    for holds, hit in rule_vectors(lp, support):
-        hits = holds & hit
-        misses = holds ^ hits
+    for holds, hit, supports in rule_vectors(lp, support):
+        misses = holds ^ (holds & hit)
         bad |= misses
         if minimal:  # the reduct tests read each rule's vectors
-            fired.append(hits)
+            bodies.append(holds)
             violated.append(misses)
+            if mode == ENUM_SFLP:
+                rule_support.append(supports)
     models = full(n) ^ bad
     if mode == ENUM_MODELS:
         return members(models)
@@ -91,7 +93,7 @@ def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
         candidates ^= candidates & _above(models, cols)
     heads = [members(h) for h in lp.heads] if mode == ENUM_SFLP else None
     accepted = []
-    for i, reduct in _reducts(candidates, fired).items():
+    for i, reduct in _reducts(candidates, bodies).items():
         blocking = _proper_subsets(i)
         for r in reduct:
             blocking ^= blocking & violated[r]
@@ -101,47 +103,46 @@ def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
             # a mask supported in a reduct is supported in P
             blocking ^= blocking & unsupported
             if blocking:
-                blocking = _supported(blocking, reduct, heads, fired, cols)
+                blocking = _supported(blocking, reduct, heads, rule_support, cols)
         if not blocking:
             accepted.append(i)
     return accepted
 
 
-def rule_vectors(lp: LoweredProgram, support: list[int]) -> Iterator[tuple[int, int]]:
-    """Per rule, the masks where its body holds and the OR of its head
-    columns, the masks where its head is hit. Per atom a, ORs into
-    `support[a]` the masks where the rule has a in its head, a true body
-    and no other true head atom, so that a mask in X_a ends up in
-    support[a] exactly when a is supported there. A caller that needs only
-    the support vectors keeps no rule's vectors."""
+def rule_vectors(lp: LoweredProgram, support: list[int]) -> Iterator[tuple[int, int, int]]:
+    """Per rule, the masks where its body holds, the OR of its head columns
+    (where its head is hit) and its support vector: where its body holds
+    and no two head atoms are true, the body vector itself for a one-atom
+    head. The last is ORed into `support[a]` for each head atom a, so a
+    mask in X_a ends up in support[a] exactly when a is supported there.
+    A caller that needs only `support` keeps no rule's vectors."""
     n = lp.n
     cols = columns(n)
     for head, body in zip(lp.heads, lp.bodies):
         holds = truth_vector(body, lp.index, n)
         if head and not head & (head - 1):  # one head atom
             a = head.bit_length() - 1
-            hit = cols[a]
             support[a] |= holds
-        else:
-            atoms = members(head)
-            hit = 0
-            for a in atoms:
-                hit |= cols[a]
-            for a in atoms:
-                vector = holds
-                for b in atoms:
-                    if b != a:
-                        vector ^= vector & cols[b]
-                support[a] |= vector
-        yield holds, hit
+            yield holds, cols[a], holds
+            continue
+        atoms = members(head)
+        hit = two = 0  # the masks with at least one, at least two true head atoms
+        for a in atoms:
+            x = cols[a]
+            two |= hit & x
+            hit |= x
+        supports = holds ^ (holds & two)
+        for a in atoms:
+            support[a] |= supports
+        yield holds, hit, supports
 
 
-def _supported(family: int, rules: list[int], heads: list[list[int]], fired: list[int],
-               cols) -> int:
+def _supported(family: int, rules: list[int], heads: list[list[int]],
+               rule_support: list[int], cols) -> int:
     """The masks of `family`, each a model of `rules`, where every true atom
-    is supported by one of `rules`: at a model a rule supports a when it
-    fires there and a is its only true head atom (`heads` lists each
-    rule's head atoms). Each step is sized by `family`."""
+    is supported by one of `rules`: where a is true, rule r supports it in
+    `rule_support[r]`; `heads` lists each rule's head atoms. Each step is
+    sized by `family`."""
     by_atom = [[] for _ in cols]
     for r in rules:
         for a in heads[r]:
@@ -152,11 +153,7 @@ def _supported(family: int, rules: list[int], heads: list[list[int]], fired: lis
             continue
         kept = 0
         for r in by_atom[a]:
-            vector = true_a & fired[r]
-            for b in heads[r]:
-                if b != a:
-                    vector ^= vector & cols[b]
-            kept |= vector
+            kept |= true_a & rule_support[r]
         family ^= true_a ^ kept
         if not family:
             break
@@ -172,14 +169,13 @@ def _above(family: int, cols) -> int:
     return out
 
 
-def _reducts(candidates: int, fired: list[int]) -> dict[int, list[int]]:
-    """The reduct of each candidate, in increasing candidate order. A
-    candidate is a model, so a rule's body holds there exactly when the
-    rule fires there. Per rule, one AND with the candidate vector, then its
-    set bits from the top: the step that reads candidate I costs what I's
-    bits take, as its minimality test does."""
+def _reducts(candidates: int, bodies: list[int]) -> dict[int, list[int]]:
+    """The reduct of each candidate, in increasing candidate order: the
+    rules whose body vectors (`bodies`) hold it. Per rule, one AND with the
+    candidate vector, then its set bits from the top: the step that reads
+    candidate I costs what I's bits take, as its minimality test does."""
     reducts = {i: [] for i in members(candidates)}
-    for r, vector in enumerate(fired):
+    for r, vector in enumerate(bodies):
         hits = vector & candidates
         while hits:
             i = hits.bit_length() - 1

@@ -5,7 +5,10 @@ over a universe of n atoms is a mask J < 2^n. A *vector* is a Python int
 with one bit per mask: bit J is set when some property holds at J. The
 column of atom i, X_i, is the vector of the masks that contain i, and
 every body becomes a vector through `truth_vector`, built from columns by
-AND, OR and shifts. A vector takes 2^n / 8 bytes (128 KiB at n = 20). The
+AND, OR and shifts. A truth table over the whole universe is its own
+vector, one bit per satisfying subset; any other is the OR of one minterm
+conjunction per satisfying subset, so it costs what its minterm DNF
+costs. A vector takes 2^n / 8 bytes (128 KiB at n = 20). The
 columns and the all-masks vector of a width (`columns`, `full`) are built
 once and shared by every later caller: (n + 1) * 2^n / 8 bytes per width
 used. Besides the kernel, `core.to_dnf`, `core.is_convex` and the
@@ -294,24 +297,25 @@ def truth_vector(body: Body, index: dict[Atom, int], n: int) -> int:
     `index` gives each atom of the body its bit position."""
     cols = columns(n)
     if isinstance(body, LiteralConjunction):
-        return _conjunction(body.conjunct, index, n, cols)
+        c = body.conjunct
+        return _conjunction(c.positives, c.negatives, index, n, cols)
     if isinstance(body, CountAggregate):
         return _count(body, index, n, cols)
     if isinstance(body, Dnf):
         out = 0
         for d in body.disjuncts:
-            out |= _conjunction(d, index, n, cols)
+            out |= _conjunction(d.positives, d.negatives, index, n, cols)
         return out
     if isinstance(body, TruthTable):
-        return _table(body, index, n)
+        return _table(body, index, n, cols)
     raise TypeError(f"not a body: {body!r}")
 
 
-def _conjunction(conjunct, index, n, cols) -> int:
+def _conjunction(positives, negatives, index, n, cols) -> int:
     out = full(n)
-    for a in conjunct.positives:
+    for a in positives:
         out &= cols[index[a]]
-    for a in conjunct.negatives:
+    for a in negatives:
         out ^= out & cols[index[a]]
     return out
 
@@ -345,45 +349,19 @@ def _count(body: CountAggregate, index, n, cols) -> int:
     return full(n) ^ below ^ at  # ">"
 
 
-def _table(body: TruthTable, index, n) -> int:
-    """Shannon expansion of the table's bits, one universe variable at a
-    time from the top, so that the cost follows the table's structure
-    rather than its number of satisfying subsets."""
-    positions = sorted(index[a] for a in body.domain)
-    local = {a: j for j, a in enumerate(sorted(body.domain, key=index.__getitem__))}
-    bits = bytearray(((1 << len(positions)) + 7) >> 3)
+def _table(body: TruthTable, index, n, cols) -> int:
+    """A table over the whole universe is its own vector: bit j is set for
+    each satisfying subset, whose mask is j. Any other table is the OR of
+    one minterm conjunction per satisfying subset, as its `dnf{...}` is."""
+    if len(body.domain) == n:
+        bits = bytearray(((1 << n) + 7) >> 3)
+        for s in body.satisfying:
+            j = 0
+            for a in s:
+                j |= 1 << index[a]
+            bits[j >> 3] |= 1 << (j & 7)
+        return int.from_bytes(bits, "little")
+    out = 0
     for s in body.satisfying:
-        j = 0
-        for a in s:
-            j |= 1 << local[a]
-        bits[j >> 3] |= 1 << (j & 7)
-    table = int.from_bytes(bits, "little")
-    return _expand(table, positions, len(positions), n, {})
-
-
-def _expand(table: int, positions: list[int], j: int, k: int, memo: dict) -> int:
-    """The vector over variables 0..k-1 of the function whose truth table
-    over positions[:j] (all below k) is `table`: the half where variable
-    k-1 is clear, then the half where it is set."""
-    if not table:
-        return 0
-    if table == full(j):
-        return full(k)
-    if j == k:  # positions[:j] are exactly 0..k-1, so the table is the vector
-        return table
-    key = (table, k)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    half = 1 << (k - 1)
-    if positions[j - 1] == k - 1:
-        width = 1 << (j - 1)
-        low = table & ((1 << width) - 1)
-        high = table >> width
-        lo = _expand(low, positions, j - 1, k - 1, memo)
-        hi = lo if high == low else _expand(high, positions, j - 1, k - 1, memo)
-    else:
-        lo = hi = _expand(table, positions, j, k - 1, memo)
-    out = lo | hi << half
-    memo[key] = out
+        out |= _conjunction(s, body.domain - s, index, n, cols)
     return out

@@ -21,10 +21,9 @@ from .core import (
     Program,
     Record,
     Rule,
-    TooManyAtoms,
     TruthTable,
+    positions,
     set_field,
-    in_name_order,
     subsets_in_canonical_order,
 )
 
@@ -103,7 +102,7 @@ def enumerate_interpretations(
     limit: int = DEFAULT_ATOM_LIMIT,
 ) -> tuple[frozenset[Atom], ...]:
     """All subsets of atoms(P) accepted by the kind, in canonical order."""
-    lp = _lower_capped(program, limit, "program has {n} atoms, enumeration limit is {limit}")
+    lp = _lower_capped(program, limit, "enumeration")
     masks = kernel.enumerate_masks(lp, _ENUM_MODE[kind])
     return tuple(lowering.interpretations(lp.atoms, masks))
 
@@ -130,7 +129,7 @@ def completion_atom(
 ) -> CompletionAtom:
     if atom not in program.atoms():
         raise UnknownAtom(f"atom {atom.name!r} does not occur in the program")
-    lp = _lower_capped(program, limit, _COMPLETION_OVER)
+    lp = _lower_capped(program, limit, "completion table")
     return CompletionAtom(atom, _completion_table(lp, _unsupported(lp)[lp.index[atom]]))
 
 
@@ -138,28 +137,23 @@ def completion(program: Program, limit: int = DEFAULT_ATOM_LIMIT) -> Program:
     """The program extended with one constraint per atom forbidding
     unsupported truth; its models are exactly the supported models."""
     rules = list(program.rules)
-    lp = _lower_capped(program, limit, _COMPLETION_OVER)
+    lp = _lower_capped(program, limit, "completion table")
     for vector in _unsupported(lp):
         rules.append(Rule(frozenset(), _completion_table(lp, vector)))
     return Program(rules)
 
 
-_COMPLETION_OVER = "completion table over {n} atoms exceeds the limit of {limit}"
-
-
-def _lower_capped(program: Program, limit: int, message: str) -> lowering.LoweredProgram:
-    """The program lowered over its atoms in name order; TooManyAtoms with
-    `message` (formatted with `n` and `limit`) when they are over `limit`."""
-    universe = tuple(in_name_order(program.atoms()))
-    if len(universe) > limit:
-        raise TooManyAtoms(message.format(n=len(universe), limit=limit))
-    return lowering.lower(program, universe)
+def _lower_capped(program: Program, limit: int, what: str) -> lowering.LoweredProgram:
+    """The program lowered over its atoms in name order; TooManyAtoms,
+    naming `what`, when they are over `limit`."""
+    universe, _ = positions(program.atoms(), limit, what)
+    return lowering.lower(program, tuple(universe))
 
 
 def _unsupported(lp: lowering.LoweredProgram) -> list[int]:
     """Per atom a, the masks where a is true but no rule supports it: X_a
     without the support vector of a that `kernel.rule_vectors` builds. The
-    body and head vectors it yields are dropped one rule at a time."""
+    vectors it yields per rule are dropped one rule at a time."""
     support = [0] * lp.n
     for _ in kernel.rule_vectors(lp, support):
         pass

@@ -114,6 +114,13 @@ class TestEnumerationCommands:
         assert code == 2
         assert "GASP_LIMIT" in err
 
+    def test_non_integer_env_limit_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("GASP_LIMIT", "ten")
+        code, out, err = run_cli(["models", corpus_path("p1")], capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert "GASP_LIMIT must be an integer, not 'ten'" in err
+
     def test_internal_error_is_not_an_input_error(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("kernel bug")
@@ -142,6 +149,17 @@ class TestCompletionCommand:
         )
         assert code == 0
         assert out == "a.\n"
+
+    def test_json_drops_unsatisfiable_constraints(self, capsys, monkeypatch):
+        # comp(a) is unsatisfiable, comp(b) is not: only b's constraint shows
+        code, out, _ = run_cli(
+            ["completion", "--json", "-"], stdin_text="a. b :- a.",
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "rules": ["a.", "b :- a.", ":- dnf{b & ~a}."],
+        }
 
 
 class TestConvexityCommand:
@@ -268,6 +286,26 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", corpus_path("p1")], capsys=capsys)
         assert code == 4
         assert "{p}" in out
+
+    def test_random_mode_prints_each_failure(self, capsys, monkeypatch):
+        fake = TheoremReport(
+            "p :- q.\n",
+            (CheckResult("flp_subset_sflp", "fail", ("{p} is FLP, not SFLP",)),),
+        )
+        monkeypatch.setattr(harness, "check_theorems", lambda *a, **k: fake)
+        code, out, _ = run_cli(["verify", "--random", "--seeds", "2"], capsys=capsys)
+        assert code == 4
+        assert out.split("\n\n", 1)[1] == (
+            "seed 0: flp_subset_sflp failed\n"
+            "p :- q.\n"
+            "    {p} is FLP, not SFLP\n"
+            "\n"
+            "seed 1: flp_subset_sflp failed\n"
+            "p :- q.\n"
+            "    {p} is FLP, not SFLP\n"
+            "\n"
+            "result: violations found (2 programs)\n"
+        )
 
     def test_limit_caps_the_enumerated_rewriting(self, capsys, monkeypatch):
         """p1's rewriting spans 6 atoms, which `flp --limit 3` refuses to

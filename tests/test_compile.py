@@ -8,6 +8,7 @@ from gasp.compile import (
     DisjunctiveHead,
     IndexOutOfRange,
     aux_names,
+    bijection_violations,
     closure_rules,
     contraction,
     expansion,
@@ -113,6 +114,12 @@ class TestFls:
     def test_literal_index_checked(self):
         with pytest.raises(IndexOutOfRange):
             fls_literal(A_DNF, 1, 3, NAMES)
+
+    def test_disjunct_index_checked(self):
+        with pytest.raises(IndexOutOfRange, match="disjunct index 3"):
+            fls_literal(A_DNF, 3, 1, NAMES)
+        with pytest.raises(IndexOutOfRange, match="disjunct index 0"):
+            fls_literal(A_DNF, 0, 1, NAMES)
 
     def test_final_rule(self):
         rule = fls_final(A_DNF, NAMES)
@@ -441,6 +448,27 @@ class TestVerifyCompilation:
         assert compiled == (expansion(fs("b", "c"), program, cmap),)
         report = verify_compilation(program, "sflp")
         assert report.ok, report.violations
+
+    def test_only_flp_and_sflp_compile(self, corpus):
+        with pytest.raises(ValueError, match="flp and sflp"):
+            verify_compilation(corpus["p1"], "models")
+
+    def test_bijection_violations_name_each_failure(self, corpus):
+        program = corpus["p1"]
+        _, cmap = rew_sflp(program)
+        a, ab = fs("a"), fs("a", "b")
+        a_expanded = expansion(a, program, cmap)
+        # {a, t} contracts to the source set {a}, whose expansion differs
+        assert bijection_violations(
+            program, cmap, (ab, a), (TOTAL, a_expanded, fs("a", "__aux_t_1"))
+        ) == ("expansion and contraction disagree on {__aux_t_1, a}",)
+        # a source set holding an auxiliary atom expands like one without it
+        assert bijection_violations(
+            program, cmap, (a, a | fs("__aux_f_1_0")), (a_expanded,)
+        ) == ("expansion is not injective on the source answer sets",)
+        assert bijection_violations(program, cmap, (ab, ab), (TOTAL,)) == (
+            "answer-set counts differ: 2 source vs 1 compiled",
+        )
 
     def test_rewrite_all_removes_exemptions(self, corpus):
         rewritten, cmap = rew_flp(corpus["p2"], rewrite_all=True)

@@ -101,6 +101,19 @@ class TestEval:
         with pytest.raises(ValueError):
             TruthTable(fs("a"), frozenset({fs("a", "b")}))
 
+    @pytest.mark.parametrize("atoms, comparator, bound, message", [
+        ((), ">=", 1, "at least one atom"),
+        (("a",), "=<", 1, "unknown comparator"),
+        (("a",), ">=", -1, "non-negative"),
+    ])
+    def test_count_aggregate_checked(self, atoms, comparator, bound, message):
+        with pytest.raises(ValueError, match=message):
+            CountAggregate(fs(*atoms), comparator, bound)
+
+    def test_dnf_needs_a_disjunct(self):
+        with pytest.raises(ValueError, match="at least one disjunct"):
+            Dnf(())
+
 
 class TestDomain:
     def test_count(self):

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from gasp.core import Atom, CountAggregate, Dnf, LiteralConjunction, TruthTable
+from gasp.core import Atom, Conjunct, CountAggregate, Dnf, LiteralConjunction, TruthTable
 from gasp.parser import (
     ParseError,
     ReservedAtom,
     SourceProgram,
     parse_program,
     render,
+    render_body,
     render_rule,
 )
 from gasp.core import Program, Rule
@@ -128,6 +129,11 @@ class TestRender:
     def test_dnf_sorted(self):
         got = render(parse_program("a :- dnf{b & a | ~a & ~b}."))
         assert got == "a :- dnf{~a & ~b | a & b}.\n"
+
+    def test_dnf_with_an_empty_disjunct_renders_as_a_fact(self):
+        body = Dnf((Conjunct(fs("a"), frozenset()), Conjunct(frozenset(), frozenset())))
+        assert render_body(body) == ""
+        assert render_rule(Rule(fs("c"), body)) == "c."
 
     def test_truth_table_renders_as_minterms(self):
         body = TruthTable(fs("a", "b"), frozenset({frozenset(), fs("a", "b")}))

@@ -112,6 +112,11 @@ class TestAnswerSetPredicates:
         assert is_flp_answer_set(fs("a"), corpus["p4"]) is True
         assert is_flp_answer_set(fs("a"), corpus["p5"]) is True
 
+    def test_non_model_is_no_flp_answer_set(self, corpus):
+        # the count body of p1 holds at {} and neither head atom is there
+        assert not is_model(frozenset(), corpus["p1"])
+        assert is_flp_answer_set(frozenset(), corpus["p1"]) is False
+
     def test_sflp_examples(self, corpus):
         assert is_sflp_answer_set(fs("a", "b"), corpus["p1"]) is True
         assert is_sflp_answer_set(fs("a", "b"), corpus["p4"]) is False
