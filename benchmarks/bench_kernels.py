@@ -8,10 +8,11 @@ rewriting, and a slice of the theorem battery (the acceptance battery's
 generator settings). Two more rows time queries end to end, kernel plus
 ordering and decoding: the four queries (models, supported, FLP, SFLP)
 on the 16-atom chain, and the 3^7 models of a 14-atom program of choice
-gadgets. One row times `lowering.truth_vector` of a parity table over 10
-of 18 atoms: a table whose domain is not the whole universe costs its
-minterm DNF, and parity is the worst case for that, 512 minterms none of
-which merge. Each of these rows is the best of `--repeat` runs. The last
+gadgets. One row times the completion of the `--atoms` chain, which
+builds one table per atom and keys every row of it in `Program`. One row
+times `lowering.truth_vector` of a parity table over 10 of 18 atoms: a
+table whose domain is not the whole universe costs its minterm DNF, and
+parity is the worst case for that, 512 minterms none of which merge. Each of these rows is the best of `--repeat` runs. The last
 row is start-up: the median of 15 fresh `python -m gasp models
 corpus/p1.gasp` calls minus the median of 15 `python -c pass` calls.
 `perfbench/run.py` is the measurement of record; this is a quick look.
@@ -144,6 +145,10 @@ def main() -> int:
     rows.append((
         "models + decode, 14-atom choice gadgets",
         timed(lambda: semantics.enumerate_interpretations(choice, models), args.repeat),
+    ))
+    rows.append((
+        f"completion, {args.atoms}-atom chain",
+        timed(lambda: semantics.completion(chain), args.repeat),
     ))
     table, index = sparse_parity_table(10, 18)
     rows.append((

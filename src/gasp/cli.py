@@ -102,12 +102,11 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, with_json=True):
+    def common(p):
         p.add_argument("input", help="program file, or - for stdin")
         p.add_argument("--limit", type=int, default=None,
                        help="atom cap for exhaustive operations (default 20, env GASP_LIMIT)")
-        if with_json:
-            p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     for name in ("models", "supported", "flp", "sflp"):
         common(sub.add_parser(name, help=f"enumerate the {name} of a program"))
@@ -115,13 +114,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("convexity", help="report per-rule and program convexity"))
 
     comp = sub.add_parser("compile", help="rewrite to an aggregate-free program")
-    common(comp, with_json=False)
+    common(comp)
     comp.add_argument("--semantics", choices=("flp", "sflp"), default="flp")
     comp.add_argument("--rewrite-all", action="store_true",
                       help="also rewrite bodies equivalent to a single literal")
-    comp.add_argument("--emit", choices=("text", "json"), default="text")
-    comp.add_argument("--json", dest="emit", action="store_const", const="json",
-                      help="same as --emit json")
 
     ver = sub.add_parser("verify", help="run the theorem checks")
     ver.add_argument("input", nargs="?", help="program file, or - for stdin")
@@ -189,7 +185,7 @@ def _run_compile(args) -> int:
     limit = _limit(args)
     rewrite = comp.rew_sflp if args.semantics == "sflp" else comp.rew_flp
     rewritten, cmap = rewrite(program, rewrite_all=args.rewrite_all, max_domain=limit)
-    if args.emit == "json":
+    if args.json:
         payload = {
             "semantics": args.semantics,
             "rules": [render_rule(r) for r in rewritten.rules],
@@ -208,13 +204,13 @@ def _run_compile(args) -> int:
     return EXIT_OK
 
 
-def _print_report(report, verbose: bool) -> None:
+def _print_report(report) -> None:
     """Print a `harness.TheoremReport`, one line per check."""
     from . import harness
 
     for result in report.results:
         print(f"{result.name:<40} {result.status}")
-        if result.status == harness.FAIL or verbose:
+        if result.status == harness.FAIL:
             for line in result.details:
                 print(f"    {line}")
 
@@ -228,7 +224,7 @@ def _run_verify(args) -> int:
             raise InputError("verify needs a program file or --random")
         program = parse_program(_read_source(args.input), allow_reserved=True)
         report = harness.check_theorems(program, limit)
-        _print_report(report, verbose=False)
+        _print_report(report)
         return EXIT_VIOLATION if not report.ok else EXIT_OK
     if args.seeds < 0:
         raise InputError(f"--seeds must not be negative, got {args.seeds}")

@@ -113,7 +113,8 @@ class Atom(Record):
         set_field(self, "name", name)
 
     # Written out rather than inherited: these are the hottest methods of
-    # the package, and the hash stays that of the 1-tuple (name,).
+    # the package, and the hash stays that of the 1-tuple (name,). Python
+    # answers `a > b` by `b < a` and `a >= b` by `b <= a`.
     def __hash__(self) -> int:
         return hash((self.name,))
 
@@ -130,16 +131,6 @@ class Atom(Record):
     def __le__(self, other):
         if other.__class__ is self.__class__:
             return self.name <= other.name
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name > other.name
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name >= other.name
         return NotImplemented
 
     @property
@@ -397,54 +388,44 @@ def subsets_in_canonical_order(domain: Iterable[Atom]) -> Iterator[frozenset[Ato
     yield from rec([], items)
 
 
-# Sorted name tuples of the atom sets seen by the key functions. The sets
-# are mostly the hash-consed ones, so a lookup usually hits on identity;
-# the memo is emptied like _ATOM_SETS.
-_NAMES: dict[frozenset, tuple[str, ...]] = {}
-
-
-def _names(group: frozenset[Atom]) -> tuple[str, ...]:
-    names = _NAMES.get(group)
-    if names is None:
-        if len(_NAMES) >= _ATOM_SETS_MAX:
-            _NAMES.clear()
-        names = _NAMES[group] = tuple(sorted(a.name for a in group))
-    return names
-
-
 def body_key(body: Body):
-    """Canonical comparison key for a body.
+    """Canonical comparison key for a body, built from its own atom sets.
 
     Keys are structural up to reordering, with two collapses: a DNF
     containing an empty disjunct is a tautology and keys like the empty
     literal conjunction, and a satisfiable truth table keys like its
-    minterm DNF (which is how it is rendered).
+    minterm DNF (which is how it is rendered). A disjunct keys as the pair
+    (positives, atoms), so a table row s over domain D is (s, D), with D
+    shared by every row. The atom sets are unordered: nothing is sorted.
     """
     if isinstance(body, LiteralConjunction):
         c = body.conjunct
-        return ("lit", _names(c.positives), _names(c.negatives))
+        return ("lit", c.positives, c.negatives)
     if isinstance(body, CountAggregate):
-        return ("count", _names(body.atoms), body.comparator, body.bound)
+        return ("count", body.atoms, body.comparator, body.bound)
     if isinstance(body, Dnf):
-        pairs = {(_names(d.positives), _names(d.negatives)) for d in body.disjuncts}
-        return _dnf_key(pairs)
+        return _dnf_key({(d.positives, d.atoms()) for d in body.disjuncts})
     if isinstance(body, TruthTable):
-        if not body.satisfying:
-            return ("table", _names(body.domain), ())
         dom = body.domain
-        pairs = {(_names(s), _names(dom - s)) for s in body.satisfying}
-        return _dnf_key(pairs)
+        if not body.satisfying:
+            return ("table", dom)
+        return _dnf_key({(s, dom) for s in body.satisfying})
     raise TypeError(f"not a body: {body!r}")
 
 
-def _dnf_key(pairs: set[tuple[tuple[str, ...], tuple[str, ...]]]):
-    if ((), ()) in pairs:
-        return ("lit", (), ())
-    return ("dnf", tuple(sorted(pairs)))
+def _dnf_key(pairs: set[tuple[frozenset[Atom], frozenset[Atom]]]):
+    """The key of the disjunction of the (positives, atoms) pairs. No atom
+    is both positive and negative, so a pair's atoms less its positives are
+    its negatives, and equal pairs are equal conjuncts; the pairs form a set
+    of frozensets, so neither the order of disjuncts nor of atoms counts."""
+    empty = frozenset()
+    if (empty, empty) in pairs:
+        return ("lit", empty, empty)
+    return ("dnf", frozenset(pairs))
 
 
 def rule_key(rule: Rule):
-    return (_names(rule.head), body_key(rule.body))
+    return (rule.head, body_key(rule.body))
 
 
 class Program(Record):

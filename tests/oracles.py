@@ -7,7 +7,7 @@ with the paths under test.
 
 from itertools import chain, combinations
 
-from gasp.core import Program
+from gasp.core import CountAggregate, Dnf, LiteralConjunction, Program
 
 
 def all_subsets(items):
@@ -59,6 +59,32 @@ def convex_by_triples(body) -> bool:
                 if i < j < k and not truth[j]:
                     return False
     return True
+
+
+def _names(atoms) -> tuple:
+    return tuple(sorted(a.name for a in atoms))
+
+
+def reference_body_key(body):
+    """The comparison key of a body spelled in sorted name tuples, the
+    reference `core.body_key` must match up to equality: the same two
+    collapses (a DNF with an empty disjunct is the empty conjunction, a
+    satisfiable table is its minterm DNF), with every atom group a sorted
+    name tuple and every disjunct its (positive names, negative names)."""
+    if isinstance(body, LiteralConjunction):
+        c = body.conjunct
+        return ("lit", _names(c.positives), _names(c.negatives))
+    if isinstance(body, CountAggregate):
+        return ("count", _names(body.atoms), body.comparator, body.bound)
+    if isinstance(body, Dnf):
+        pairs = {(_names(d.positives), _names(d.negatives)) for d in body.disjuncts}
+    elif not body.satisfying:
+        return ("table", _names(body.domain))
+    else:
+        pairs = {(_names(s), _names(body.domain - s)) for s in body.satisfying}
+    if ((), ()) in pairs:
+        return ("lit", (), ())
+    return ("dnf", tuple(sorted(pairs)))
 
 
 def model_oracle(interpretation, program) -> bool:

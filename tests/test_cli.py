@@ -226,9 +226,10 @@ class TestCompileCommand:
 
     def test_emit_json(self, capsys):
         code, out, _ = run_cli(
-            ["compile", "--semantics", "sflp", "--emit", "json", corpus_path("p1")],
+            ["compile", "--semantics", "sflp", "--json", corpus_path("p1")],
             capsys=capsys,
         )
+        assert code == 0
         payload = json.loads(out)
         assert payload["semantics"] == "sflp"
         assert payload["rules"][0] == "a :- __aux_t_1."
@@ -239,13 +240,6 @@ class TestCompileCommand:
                 "f": ["__aux_f_1_0", "__aux_f_1_1", "__aux_f_1_2"],
             }
         ]
-
-    def test_json_flag_is_an_alias(self, capsys):
-        code, out, _ = run_cli(
-            ["compile", "--json", corpus_path("p1")], capsys=capsys
-        )
-        assert code == 0
-        json.loads(out)
 
     def test_rewrite_all(self, capsys, monkeypatch):
         code, out, _ = run_cli(

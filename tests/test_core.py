@@ -29,13 +29,13 @@ from gasp.core import (
     to_dnf,
 )
 from gasp.compile import AuxNames, CompilationMap, CompilationReport
-from gasp.harness import CheckResult, GenConfig, TheoremReport
+from gasp.harness import BODY_KINDS, CheckResult, GenConfig, TheoremReport, _gen_body
 from gasp.lowering import lower
 from gasp.parser import SourceProgram, parse_program
-from gasp.semantics import CompletionAtom, SemanticsKind
+from gasp.semantics import CompletionAtom, SemanticsKind, completion
 
 from conftest import fs
-from oracles import all_subsets, convex_by_triples
+from oracles import all_subsets, convex_by_triples, reference_body_key
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 
@@ -50,6 +50,7 @@ class TestAtom:
     def test_valid_names(self):
         assert Atom("a").name == "a"
         assert Atom("aB_9").name == "aB_9"
+        assert str(Atom("aB_9")) == "aB_9"
         assert Atom("__aux_t_1").is_reserved
         assert not Atom("a").is_reserved
 
@@ -243,6 +244,8 @@ class TestProgram:
     def test_duplicates_collapse(self):
         p = parse_program("a :- b. a :- b. b.")
         assert len(p.rules) == 2
+        assert len(p) == 2 and list(p) == list(p.rules)
+        assert repr(p) == "Program(2 rules)"
 
     def test_equality_ignores_order_and_spelling(self):
         left = parse_program("a :- b. b.")
@@ -267,6 +270,71 @@ class TestProgram:
     def test_atoms_include_body_domains(self):
         p = Program([Rule(fs("a"), TruthTable(fs("b", "c"), frozenset({fs("b")})))])
         assert p.atoms() == fs("a", "b", "c")
+
+
+def _key_variants(body):
+    """The body and bodies that must key like it or apart from it: its
+    minterm DNF, that DNF with an empty disjunct appended, the table of its
+    rows, and that table over a domain padded with an atom it never
+    mentions."""
+    domain = body.domain
+    rows = frozenset(s for s in all_subsets(domain) if body.eval(s))
+    out = [body, TruthTable(domain, rows), TruthTable(domain | fs("z"), rows)]
+    if rows:
+        out.append(to_dnf(body))
+    empty = Conjunct(frozenset(), frozenset())
+    out += [Dnf(b.disjuncts + (empty,)) for b in out if isinstance(b, Dnf)]
+    return out
+
+
+class TestBodyKey:
+    def test_same_classes_as_the_name_tuple_reference(self):
+        """`body_key(x) == body_key(y)` exactly when the reference keys of
+        x and y are equal: each key maps to one reference key and back."""
+        rng = random.Random(14)
+        universe = [Atom(n) for n in "abcd"]
+        bodies = []
+        for i in range(2000):
+            kind = BODY_KINDS[i % len(BODY_KINDS)]
+            width = 1 + i // len(BODY_KINDS) % len(universe)
+            bodies.extend(_key_variants(_gen_body(rng, kind, universe[:width])))
+        assert len(bodies) >= 8000
+        refs_of, keys_of = {}, {}
+        for body in bodies:
+            key, ref = body_key(body), reference_body_key(body)
+            refs_of.setdefault(key, set()).add(ref)
+            keys_of.setdefault(ref, set()).add(key)
+        assert all(len(refs) == 1 for refs in refs_of.values())
+        assert all(len(keys) == 1 for keys in keys_of.values())
+        tags = {key[0] for key in refs_of}
+        assert tags == {"lit", "count", "dnf", "table"}
+        assert 100 < len(refs_of) < len(bodies) // 4
+
+    def test_rejects_a_non_body(self):
+        with pytest.raises(TypeError, match="not a body"):
+            body_key(A)
+
+    def test_wide_completion_keys_like_its_minterm_dnfs(self):
+        """A 12-atom chain's completion has 12 tables of 512 rows, more
+        rows than the atom-set table holds; each table keys like its
+        minterm DNF, and a missing row tells the programs apart."""
+        atoms = [Atom(f"x{i}") for i in range(12)]
+        chain = Program(
+            Rule({a}, CountAggregate({atoms[(i + k) % 12] for k in range(3)}, "!=", 1))
+            for i, a in enumerate(atoms)
+        )
+        completed = completion(chain)
+        tables = [r.body for r in completed.rules if isinstance(r.body, TruthTable)]
+        assert sum(len(t.satisfying) for t in tables) == 6144
+        as_dnf = Program(
+            Rule(r.head, to_dnf(r.body)) if isinstance(r.body, TruthTable) else r
+            for r in completed.rules
+        )
+        assert completed == as_dnf
+        assert hash(completed) == hash(as_dnf)
+        last = completed.rules[-1].body
+        short = TruthTable(last.domain, sorted(last.satisfying, key=interp_sort_key)[1:])
+        assert Program(completed.rules[:-1] + (Rule((), short),)) != as_dnf
 
 
 _C1 = Conjunct(fs("a"), fs("b"))

@@ -29,6 +29,8 @@ class TestGenConfig:
             GenConfig(body_mix=(("literal", 0.0),))
         with pytest.raises(ValueError):
             GenConfig(body_mix=(("weird", 1.0),))
+        with pytest.raises(ValueError, match="non-negative"):
+            GenConfig(body_mix=(("literal", 1.0), ("count", -1.0)))
 
 
 class TestGenerate:
@@ -137,6 +139,25 @@ class TestCheckTheorems:
         assert {r.name: r.status for r in again.results} == {
             r.name: r.status for r in report.results
         }
+
+    @pytest.mark.parametrize("patched, prefixes", [
+        ("sflp_given_completion", ("direct=",)),
+        ("is_sflp_answer_set", ("direct=", "enumeration disagrees")),
+    ])
+    def test_characterization_failures_name_each_candidate(self, monkeypatch, patched, prefixes):
+        # a side of the characterization that answers every candidate
+        # wrongly fails it at each of the 4 candidates over {a, b}; a wrong
+        # direct test also disagrees with the enumeration
+        right = getattr(harness, patched)
+        monkeypatch.setattr(harness, patched, lambda *args: not right(*args))
+        report = check_theorems(parse_program("a :- count{a, b} != 1. b :- count{a, b} != 1."))
+        assert not report.ok
+        (failed,) = report.failures
+        assert failed.name == "sflp_completion_characterization"
+        assert len(failed.details) == 4 * len(prefixes)
+        for prefix in prefixes:
+            at = [line.rpartition(" at ")[2] for line in failed.details if line.startswith(prefix)]
+            assert at == ["{}", "{a}", "{a, b}", "{b}"]
 
     def test_wide_programs_skip_the_python_side_checks(self):
         text = " ".join(f"x{i} :- not x{(i + 1) % 14}." for i in range(14))

@@ -107,6 +107,10 @@ class TestTruthVector:
         assert lowering.truth_vector(TruthTable(fs(), frozenset({fs()})), {}, 0) == 1
         assert lowering.truth_vector(TruthTable(fs(), frozenset()), {}, 0) == 0
 
+    def test_rejects_a_non_body(self):
+        with pytest.raises(TypeError, match="not a body"):
+            lowering.truth_vector(Atom("a"), {}, 0)
+
 
 def scrambled_atoms(n: int, rng: random.Random) -> tuple[Atom, ...]:
     """n atoms in name order, with names unrelated to their creation order."""

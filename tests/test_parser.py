@@ -135,6 +135,10 @@ class TestRender:
         assert render_body(body) == ""
         assert render_rule(Rule(fs("c"), body)) == "c."
 
+    def test_render_body_rejects_a_non_body(self):
+        with pytest.raises(TypeError, match="not a body"):
+            render_body(Atom("a"))
+
     def test_truth_table_renders_as_minterms(self):
         body = TruthTable(fs("a", "b"), frozenset({frozenset(), fs("a", "b")}))
         rule = Rule(fs("c"), body)
