@@ -241,6 +241,13 @@ class TestCompileCommand:
             }
         ]
 
+    def test_json_flag_is_an_alias(self, capsys):
+        code, out, _ = run_cli(
+            ["compile", "--json", corpus_path("p1")], capsys=capsys
+        )
+        assert code == 0
+        json.loads(out)
+
     def test_rewrite_all(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             ["compile", "--rewrite-all", "-"], stdin_text="a :- b. b.",
