@@ -12,7 +12,11 @@ gadgets. One row times the completion of the `--atoms` chain, which
 builds one table per atom and keys every row of it in `Program`. One row
 times `lowering.truth_vector` of a parity table over 10 of 18 atoms: a
 table whose domain is not the whole universe costs its minterm DNF, and
-parity is the worst case for that, 512 minterms none of which merge. Each of these rows is the best of `--repeat` runs. The last
+parity is the worst case for that, 512 minterms none of which merge.
+Two rows time the models and the FLP answer sets of the FLP and SFLP
+rewritings, over at most 20 atoms, of the battery slice's atomic-head
+programs: their `__aux` atoms sort first, so they hold the top bits.
+Each of these rows is the best of `--repeat` runs. The last
 row is start-up: the median of 15 fresh `python -m gasp models
 corpus/p1.gasp` calls minus the median of 15 `python -c pass` calls.
 `perfbench/run.py` is the measurement of record; this is a quick look.
@@ -29,8 +33,8 @@ from pathlib import Path
 
 import gasp
 from gasp import kernel, lowering, semantics
-from gasp.compile import rew_sflp
-from gasp.core import Atom, CountAggregate, Program, Rule, TruthTable
+from gasp.compile import rew_flp, rew_sflp
+from gasp.core import DEFAULT_ATOM_LIMIT, Atom, CountAggregate, Program, Rule, TruthTable
 from gasp.harness import GenConfig, check_theorems, generate
 from gasp.parser import parse_program
 
@@ -83,15 +87,34 @@ def bench_enumeration(program: Program, mode: int, repeat: int) -> float:
     return timed(lambda: kernel.enumerate_masks(lp, mode), repeat)
 
 
+def battery_program(seed: int) -> Program:
+    return generate(GenConfig(
+        atom_count=2 + seed % 4,
+        rule_count=seed % 7,
+        allow_disjunctive_heads=(seed % 4 == 3),
+        seed=seed,
+    ))
+
+
 def run_battery(seeds: int) -> None:
     for seed in range(seeds):
-        cfg = GenConfig(
-            atom_count=2 + seed % 4,
-            rule_count=seed % 7,
-            allow_disjunctive_heads=(seed % 4 == 3),
-            seed=seed,
-        )
-        check_theorems(generate(cfg), compile_limit=16)
+        check_theorems(battery_program(seed), compile_limit=16)
+
+
+def battery_rewritings(seeds: int) -> list[lowering.LoweredProgram]:
+    """The FLP and SFLP rewritings of the atomic-head programs among the
+    first `seeds` of the battery, lowered, where they span at most
+    DEFAULT_ATOM_LIMIT atoms."""
+    out = []
+    for seed in range(seeds):
+        program = battery_program(seed)
+        if any(len(r.head) > 1 for r in program.rules):
+            continue
+        for rewrite in (rew_flp, rew_sflp):
+            rewritten, _ = rewrite(program)
+            if len(rewritten.atoms()) <= DEFAULT_ATOM_LIMIT:
+                out.append(lowering.lower(rewritten))
+    return out
 
 
 def bench_startup(calls: int = 15) -> float:
@@ -155,6 +178,12 @@ def main() -> int:
         "truth_vector, parity table over 10 of 18 atoms",
         timed(lambda: lowering.truth_vector(table, index, 18), args.repeat),
     ))
+    rewritings = battery_rewritings(args.seeds)
+    for label, mode in (("models", lowering.ENUM_MODELS), ("flp", lowering.ENUM_FLP)):
+        rows.append((
+            f"{label}, {len(rewritings)} rewritings of the battery slice",
+            timed(lambda: [kernel.enumerate_masks(lp, mode) for lp in rewritings], args.repeat),
+        ))
     rows.append((
         f"theorem battery, {args.seeds} programs",
         timed(lambda: run_battery(args.seeds), args.repeat),

@@ -168,19 +168,15 @@ def atom_set(items: Iterable[Atom] = ()) -> frozenset[Atom]:
 _NAME = operator.attrgetter("name")
 
 
-def in_name_order(items: Iterable[Atom]) -> list[Atom]:
-    """The atoms sorted, by their names as strings rather than by one
-    `Atom.__lt__` call per comparison."""
-    return sorted(items, key=_NAME)
-
-
 def positions(
     atoms: Iterable[Atom], limit: int | None = None, what: str = ""
 ) -> tuple[list[Atom], dict[Atom, int]]:
-    """The atoms in name order and the position of each in that order, the
-    bit it gets in a mask; TooManyAtoms, naming `what` and the limit, when
-    there are more than `limit` of them."""
-    items = in_name_order(atoms)
+    """The atoms in the order of their bit positions and the position of
+    each; TooManyAtoms, naming `what` and the limit, when there are more
+    than `limit` of them. This is the one place that numbers atoms: in
+    reverse name order, the name-first atom on the top bit, so that a
+    mask's canonical rank is a closed form of the mask (`lowering.rank_key`)."""
+    items = sorted(atoms, key=_NAME, reverse=True)
     if limit is not None and len(items) > limit:
         raise TooManyAtoms(f"{what} over {len(items)} atoms exceeds the limit of {limit}")
     return items, {a: i for i, a in enumerate(items)}

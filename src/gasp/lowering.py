@@ -1,7 +1,8 @@
 """Bit-sliced form of a program, the input of the enumeration kernel.
 
-Atoms get bit positions in canonical (name) order, so an interpretation
-over a universe of n atoms is a mask J < 2^n. A *vector* is a Python int
+Atoms get bit positions in reverse name order (`core.positions`): over a
+universe of n atoms the name-first atom holds bit n - 1 and the name-last
+bit 0, so an interpretation is a mask J < 2^n. A *vector* is a Python int
 with one bit per mask: bit J is set when some property holds at J. The
 column of atom i, X_i, is the vector of the masks that contain i, and
 every body becomes a vector through `truth_vector`, built from columns by
@@ -21,13 +22,12 @@ zero words are skipped in C. Masks go back to atom sets through
 low and the high half of the universe, taken from lazily filled tables
 whose entries are unions of one-atom sets. Union and hashing reuse
 the stored hashes of those sets, so each atom is hashed at most once per
-call, not once per element. `interpretations` orders the sets by an
-integer rank, the position of the set among all 2^n subsets in canonical
-order (`rank_key`). The rank of a mask is read from the same low/high
-split: three tables per width (`rank_tables`), built once from `rank_key`
-and shared like the columns, hold 2 * 2^floor(n/2) + 2^ceil(n/2) integers
-(3072 at n = 20), and one C-level sort of the ranks orders the sets. The
-completion, whose tables are sets, decodes in mask order.
+call, not once per element. `interpretations` sorts the masks by their
+rank, the position of the set among all 2^n subsets in canonical order,
+and decodes them in that order. With the name-first atom on top, the
+rank of a mask m is the closed form (popcount(m) - m - (m & -m)) mod 2^n
+(`rank_key`). The completion, whose tables are sets, decodes in mask
+order.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .core import (
     Program,
     TruthTable,
     atom_set,
-    in_name_order,
+    positions,
 )
 
 # Enumeration modes of the kernel.
@@ -55,13 +55,11 @@ ENUM_SFLP = 3
 
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 _EMPTY: frozenset[Atom] = frozenset()
-_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # bits of each byte reversed
 
-# The width tables of `full`, `columns` and `rank_tables`: an entry is
-# never changed once stored, so every caller may share it.
+# The width tables of `full` and `columns`: an entry is never changed
+# once stored, so every caller may share it.
 _FULL: dict[int, int] = {}
 _COLUMNS: dict[int, tuple[int, ...]] = {}
-_RANKS: dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {}
 
 # `members` peels a vector with at most this many set bits from the top:
 # below it that beats the word scan at every width up to 2^20 bits.
@@ -88,9 +86,10 @@ class LoweredProgram:
 
 
 def lower(program: Program, universe: tuple[Atom, ...] | None = None) -> LoweredProgram:
-    """Fix a program's atom universe (defaults to atoms(P), sorted)."""
+    """Fix a program's atom universe (defaults to atoms(P) in the order of
+    `core.positions`)."""
     if universe is None:
-        universe = tuple(in_name_order(program.atoms()))
+        universe = tuple(positions(program.atoms())[0])
     index = {a: i for i, a in enumerate(universe)}
     lp = LoweredProgram(universe, index, len(universe), [], [])
     for rule in program.rules:
@@ -165,80 +164,34 @@ def rank_key(n: int) -> Callable[[int], int]:
     in that order.
 
     Canonical order is the preorder of the tree whose children extend a set
-    by a larger atom, so with r the mask bit-reversed over n bits (atom 0 on
-    top) the rank of a mask m != 0 is popcount(m) + 2^n - r - (r & -r); the
-    empty mask has rank 0.
+    by a name-later atom. With the name-first atom on the top bit, the rank
+    of a mask m != 0 is popcount(m) + 2^n - m - (m & -m); taken mod 2^n,
+    the same expression gives the empty mask rank 0.
     """
-    size = (n + 7) >> 3
-    shift = 8 * size - n
-    top = 1 << n
+    top = (1 << n) - 1
 
     def rank(mask: int) -> int:
-        if not mask:
-            return 0
-        if size > 1:
-            r = int.from_bytes(mask.to_bytes(size, "little").translate(_REVERSED), "big")
-        else:
-            r = _REVERSED[mask]
-        r >>= shift
-        return mask.bit_count() + top - r - (r & -r)
+        return (mask.bit_count() - mask - (mask & -mask)) & top
 
     return rank
 
 
-def rank_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The tables (low, high, alone) that give every mask over n atoms its
-    `rank_key` rank from its halves, built once per width from `rank_key`.
-
-    With h = n // 2, lo = m & (2^h - 1) and hi = m >> h, the rank of m is
-    low[lo] + high[hi] when hi != 0 and alone[lo] when hi == 0, where
-    low[lo] = rank(lo | 2^h) - rank(2^h), high[hi] = rank(hi << h) and
-    alone[lo] = rank(lo). This holds because in popcount(m) + 2^n - r -
-    (r & -r) the bit-reversed r has the reversed lo on top of the reversed
-    hi, so when hi != 0 its lowest set bit, r & -r, comes from hi alone.
-    """
-    out = _RANKS.get(n)
-    if out is not None:
-        return out
-    rank = rank_key(n)
-    half = n >> 1
-    alone = tuple(rank(lo) for lo in range(1 << half))
-    if n:
-        base = rank(1 << half)
-        low = tuple(rank(lo | 1 << half) - base for lo in range(1 << half))
-    else:  # the empty mask is the only one, and its hi is 0
-        low = (0,)
-    high = tuple(rank(hi << half) for hi in range(1 << (n - half)))
-    return _RANKS.setdefault(n, (low, high, alone))
-
-
 def interpretations(atoms: Sequence[Atom], masks: list[int]) -> list[frozenset[Atom]]:
     """The sets with the given masks over `atoms` (bit i is atoms[i], the
-    atoms in name order), in canonical order, each the shared set of
+    atoms in reverse name order), in canonical order: the masks sorted by
+    their `rank_key` rank, each decoded to the shared set of
     `core.atom_set`."""
-    if len(masks) < 2:
-        return decode(atoms, masks)
-    ranks: list[int] = []
-    sets = _decode(atoms, masks, ranks)
-    return list(map(sets.__getitem__, sorted(range(len(sets)), key=ranks.__getitem__)))
+    return decode(atoms, sorted(masks, key=rank_key(len(atoms))))
 
 
 def decode(atoms: Sequence[Atom], masks: list[int]) -> list[frozenset[Atom]]:
     """The sets with the given masks over `atoms`, in the order of `masks`,
-    each the shared set of `core.atom_set`."""
-    return _decode(atoms, masks, None)
-
-
-def _decode(atoms: Sequence[Atom], masks: list[int],
-            ranks: list[int] | None) -> list[frozenset[Atom]]:
-    """`decode`, appending to `ranks`, unless it is None, the `rank_key`
-    rank of each mask.
+    each the shared set of `core.atom_set`.
 
     Each set is the union of a frozenset over the low half of the universe
     and one over the high half; the two tables are filled as masks need
     their entries, each entry a union of one-atom sets, which are made on
-    first use, so that only they hash their atom. The rank comes from the
-    same two halves through `rank_tables`.
+    first use, so that only they hash their atom.
     """
     if not masks:
         return []
@@ -247,8 +200,6 @@ def _decode(atoms: Sequence[Atom], masks: list[int],
     singles: list[frozenset[Atom] | None] = [None] * len(atoms)
     low: dict[int, frozenset[Atom]] = {0: _EMPTY}
     high: dict[int, frozenset[Atom]] = {0: _EMPTY}
-    if ranks is not None:
-        low_rank, high_rank, alone_rank = rank_tables(len(atoms))
     out = []
     for m in masks:
         lo = m & low_mask
@@ -260,8 +211,6 @@ def _decode(atoms: Sequence[Atom], masks: list[int],
         if hi_set is None:
             hi_set = high[hi] = _subset(atoms, singles, hi, half)
         out.append(atom_set(lo_set | hi_set))
-        if ranks is not None:
-            ranks.append(low_rank[lo] + high_rank[hi] if hi else alone_rank[lo])
     return out
 
 

@@ -138,14 +138,15 @@ def completion(program: Program, limit: int = DEFAULT_ATOM_LIMIT) -> Program:
     unsupported truth; its models are exactly the supported models."""
     rules = list(program.rules)
     lp = _lower_capped(program, limit, "completion table")
-    for vector in _unsupported(lp):
-        rules.append(Rule(frozenset(), _completion_table(lp, vector)))
+    unsupported = _unsupported(lp)
+    for atom in sorted(lp.atoms):  # the constraints in name order
+        rules.append(Rule(frozenset(), _completion_table(lp, unsupported[lp.index[atom]])))
     return Program(rules)
 
 
 def _lower_capped(program: Program, limit: int, what: str) -> lowering.LoweredProgram:
-    """The program lowered over its atoms in name order; TooManyAtoms,
-    naming `what`, when they are over `limit`."""
+    """The program lowered over its atoms in the order of `positions`;
+    TooManyAtoms, naming `what`, when they are over `limit`."""
     universe, _ = positions(program.atoms(), limit, what)
     return lowering.lower(program, tuple(universe))
 

@@ -113,9 +113,10 @@ class TestTruthVector:
 
 
 def scrambled_atoms(n: int, rng: random.Random) -> tuple[Atom, ...]:
-    """n atoms in name order, with names unrelated to their creation order."""
+    """n atoms in reverse name order, the order of their bit positions, with
+    names unrelated to their creation order."""
     letters = rng.sample("abcdefghijklmnopqrstuvwxyz", n)
-    return tuple(sorted(Atom(f"{c}{rng.randrange(100)}") for c in letters))
+    return tuple(sorted((Atom(f"{c}{rng.randrange(100)}") for c in letters), reverse=True))
 
 
 class TestCanonicalOrder:
@@ -154,9 +155,9 @@ class TestCanonicalOrder:
             assert all(atom_set(i) is i for i in unsorted), trial
 
     def test_large_families(self):
-        """Thousands of masks per width, where the rank tables have up to
-        2^10 entries: the empty mask, masks with hi = 0 or lo = 0, and
-        random ones, unsorted."""
+        """Thousands of masks per width up to 20 atoms: the empty mask, the
+        full one, masks with no bit in the high or in the low half of the
+        universe (the two tables of `decode`), and random ones, unsorted."""
         rng = random.Random(4)
         for n in range(13, 21):
             atoms = scrambled_atoms(n, rng)
@@ -169,21 +170,6 @@ class TestCanonicalOrder:
             rng.shuffle(masks)
             got = lowering.interpretations(atoms, masks)
             assert got == sorted((decode(atoms, m) for m in masks), key=interp_sort_key), n
-
-    def test_rank_tables_match_rank_key(self):
-        for n in range(13):
-            rank = lowering.rank_key(n)
-            low, high, alone = lowering.rank_tables(n)
-            half = n >> 1
-            assert (len(low), len(high), len(alone)) == (1 << half, 1 << (n - half), 1 << half)
-            assert list(alone) == [rank(lo) for lo in range(1 << half)], n
-            assert list(high) == [rank(hi << half) for hi in range(1 << (n - half))], n
-            if n:
-                base = rank(1 << half)
-                assert list(low) == [rank(lo | 1 << half) - base for lo in range(1 << half)], n
-            for m in range(1 << n):
-                lo, hi = m & ((1 << half) - 1), m >> half
-                assert (low[lo] + high[hi] if hi else alone[lo]) == rank(m), (n, m)
 
 
 class TestOracleAgreement:

@@ -1,5 +1,7 @@
 import pytest
 
+from gasp import lowering
+from gasp.compile import rew_sflp
 from gasp.core import (
     Atom,
     CountAggregate,
@@ -11,7 +13,9 @@ from gasp.core import (
     TruthTable,
     atom_set,
     interp_sort_key,
+    positions,
     subsets_in_canonical_order,
+    to_dnf,
 )
 from gasp.harness import GenConfig, generate
 from gasp.parser import parse_program
@@ -183,6 +187,31 @@ class TestEnumerate:
         # the decoded sets are the shared ones, so repeated queries share memory
         assert all(i is j for i, j in zip(got, first))
         assert all(atom_set(i) is i for i in got)
+
+    def test_canonical_order_of_mixed_names(self):
+        """Names that differ only in case, digits and underscores, and the
+        `__aux` atoms of an SFLP rewriting, which sort before them: answers
+        in all four modes and DNF disjuncts come out in the order of
+        `interp_sort_key`, over the universe that `positions` numbers."""
+        program = parse_program(
+            "a0 :- count{a0, ab} != 1. ab :- count{a0, ab} != 1. "
+            "aB :- not a_. a_ :- not aB. zZ9 :- zZ9. a0 :- zZ9, not aB."
+        )
+        rewritten, _ = rew_sflp(program)
+        names = ["aB", "a_", "a0", "ab", "zZ9"]
+        odd = frozenset(s for s in all_subsets([Atom(x) for x in names]) if len(s) % 2)
+        table = TruthTable(frozenset(Atom(x) for x in names), odd)
+        answers = 0
+        for p in (program, rewritten):
+            assert lowering.lower(p).atoms == tuple(positions(p.atoms())[0])
+            for kind in SemanticsKind:
+                got = enumerate_interpretations(p, kind)
+                assert list(got) == sorted(got, key=interp_sort_key), kind
+                answers += len(got)
+        assert answers == 641
+        for body in [r.body for p in (program, rewritten) for r in p.rules] + [table]:
+            positives = [d.positives for d in to_dnf(body).disjuncts]
+            assert positives == sorted(positives, key=interp_sort_key), body
 
     def test_atom_limit(self):
         wide = parse_program(" ".join(f"x{i}." for i in range(6)))
