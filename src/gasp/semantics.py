@@ -3,8 +3,8 @@
 The per-interpretation predicates work directly on the AST and accept any
 interpretation. Exhaustive enumeration restricts candidates to subsets of
 the program's own atoms (a foreign atom can never be supported and always
-breaks minimality) and runs on the bitmask kernel; the completion's tables
-are decoded from the same truth vectors.
+breaks minimality) and runs on the bitmask kernel; each completion table
+is decoded from the same truth vectors, over its atom's local domain.
 """
 
 from __future__ import annotations
@@ -102,13 +102,16 @@ def enumerate_interpretations(
     limit: int = DEFAULT_ATOM_LIMIT,
 ) -> tuple[frozenset[Atom], ...]:
     """All subsets of atoms(P) accepted by the kind, in canonical order."""
-    lp = _lower_capped(program, limit, "enumeration")
+    universe, _ = positions(program.atoms(), limit, "enumeration")
+    lp = lowering.lower(program, tuple(universe))
     masks = kernel.enumerate_masks(lp, _ENUM_MODE[kind])
     return tuple(lowering.interpretations(lp.atoms, masks))
 
 
 class CompletionAtom(Record):
-    """The support condition of one atom, realized as a truth table.
+    """The support condition of one atom, realized as a truth table over
+    the atom's local domain: the atom and the atoms of the rules whose
+    heads hold it.
 
     The table is true at I exactly when the atom is in I but no rule
     supports it there; used as a constraint body it forbids unsupported
@@ -127,44 +130,32 @@ class CompletionAtom(Record):
 def completion_atom(
     atom: Atom, program: Program, limit: int = DEFAULT_ATOM_LIMIT
 ) -> CompletionAtom:
-    if atom not in program.atoms():
+    """The completion table of `atom` over its local domain D: the atom and
+    the atoms of the rules whose heads hold it. Only those rules can
+    support it, and each decides that at I from I ∩ D, so the table is
+    X_a without a's support vector (`kernel.rule_vectors`) over D.
+    TooManyAtoms, naming the completion table, when D is over `limit`."""
+    rules = Program(r for r in program.rules if atom in r.head)
+    if not rules and atom not in program.atoms():
         raise UnknownAtom(f"atom {atom.name!r} does not occur in the program")
-    lp = _lower_capped(program, limit, "completion table")
-    return CompletionAtom(atom, _completion_table(lp, _unsupported(lp)[lp.index[atom]]))
+    universe, index = positions(rules.atoms() | {atom}, limit, "completion table")
+    lp = lowering.lower(rules, tuple(universe))
+    support = [0] * lp.n
+    for _ in kernel.rule_vectors(lp, support):  # only `support` is kept
+        pass
+    x = lowering.columns(lp.n)[index[atom]]
+    satisfying = lowering.decode(lp.atoms, lowering.members(x ^ (x & support[index[atom]])))
+    return CompletionAtom(atom, TruthTable(lp.atoms, satisfying))
 
 
 def completion(program: Program, limit: int = DEFAULT_ATOM_LIMIT) -> Program:
-    """The program extended with one constraint per atom forbidding
-    unsupported truth; its models are exactly the supported models."""
-    rules = list(program.rules)
-    lp = _lower_capped(program, limit, "completion table")
-    unsupported = _unsupported(lp)
-    for atom in sorted(lp.atoms):  # the constraints in name order
-        rules.append(Rule(frozenset(), _completion_table(lp, unsupported[lp.index[atom]])))
-    return Program(rules)
-
-
-def _lower_capped(program: Program, limit: int, what: str) -> lowering.LoweredProgram:
-    """The program lowered over its atoms in the order of `positions`;
-    TooManyAtoms, naming `what`, when they are over `limit`."""
-    universe, _ = positions(program.atoms(), limit, what)
-    return lowering.lower(program, tuple(universe))
-
-
-def _unsupported(lp: lowering.LoweredProgram) -> list[int]:
-    """Per atom a, the masks where a is true but no rule supports it: X_a
-    without the support vector of a that `kernel.rule_vectors` builds. The
-    vectors it yields per rule are dropped one rule at a time."""
-    support = [0] * lp.n
-    for _ in kernel.rule_vectors(lp, support):
-        pass
-    return [x ^ (x & s) for x, s in zip(lowering.columns(lp.n), support)]
-
-
-def _completion_table(lp: lowering.LoweredProgram, vector: int) -> TruthTable:
-    """The completion table of the atom that `_unsupported` gave `vector`."""
-    satisfying = frozenset(lowering.decode(lp.atoms, lowering.members(vector)))
-    return TruthTable(frozenset(lp.atoms), satisfying)
+    """The program extended with one constraint per atom, in name order,
+    forbidding unsupported truth (`completion_atom`); its models are
+    exactly the supported models. `limit` caps each table's domain."""
+    return Program(program.rules + tuple(
+        Rule(frozenset(), completion_atom(a, program, limit).realized)
+        for a in sorted(program.atoms())
+    ))
 
 
 def sflp_via_completion(

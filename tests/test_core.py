@@ -32,10 +32,10 @@ from gasp.compile import AuxNames, CompilationMap, CompilationReport
 from gasp.harness import BODY_KINDS, CheckResult, GenConfig, TheoremReport, _gen_body
 from gasp.lowering import lower
 from gasp.parser import SourceProgram, parse_program
-from gasp.semantics import CompletionAtom, SemanticsKind, completion
+from gasp.semantics import CompletionAtom, SemanticsKind
 
 from conftest import fs
-from oracles import all_subsets, convex_by_triples, reference_body_key
+from oracles import all_subsets, completion_oracle, convex_by_triples, reference_body_key
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 
@@ -315,15 +315,19 @@ class TestBodyKey:
             body_key(A)
 
     def test_wide_completion_keys_like_its_minterm_dnfs(self):
-        """A 12-atom chain's completion has 12 tables of 512 rows, more
-        rows than the atom-set table holds; each table keys like its
-        minterm DNF, and a missing row tells the programs apart."""
+        """A 12-atom chain plus one whole-universe completion table per
+        atom has 12 tables of 512 rows, more rows than the atom-set table
+        holds; each table keys like its minterm DNF, and a missing row
+        tells the programs apart."""
         atoms = [Atom(f"x{i}") for i in range(12)]
         chain = Program(
             Rule({a}, CountAggregate({atoms[(i + k) % 12] for k in range(3)}, "!=", 1))
             for i, a in enumerate(atoms)
         )
-        completed = completion(chain)
+        completed = Program(chain.rules + tuple(
+            Rule((), TruthTable(chain.atoms(), completion_oracle(a, chain)))
+            for a in sorted(chain.atoms())
+        ))
         tables = [r.body for r in completed.rules if isinstance(r.body, TruthTable)]
         assert sum(len(t.satisfying) for t in tables) == 6144
         as_dnf = Program(

@@ -249,6 +249,16 @@ class TestCandidateSpace:
                     assert predicate(interp | {foreign}, program) is False
 
 
+def _window_chain(n: int) -> Program:
+    """n rules `xi :- count{xi, x(i+1), x(i+2)} != 1`, indices mod n: each
+    atom's completion table spans 3 atoms however large n is."""
+    atoms = [Atom(f"x{i:02}") for i in range(n)]
+    return Program(
+        Rule({a}, CountAggregate({atoms[(i + k) % n] for k in range(3)}, "!=", 1))
+        for i, a in enumerate(atoms)
+    )
+
+
 class TestCompletion:
     def test_comp_a_p1(self, corpus):
         comp = completion_atom(Atom("a"), corpus["p1"])
@@ -296,12 +306,33 @@ class TestCompletion:
             expected = []
             for atom in sorted(program.atoms()):
                 table = completion_oracle(atom, program)
-                comp = completion_atom(atom, program)
-                assert comp.realized.domain == program.atoms()
-                assert comp.realized.satisfying == table, (seed, atom)
-                expected.append(Rule(frozenset(), TruthTable(program.atoms(), table)))
+                realized = completion_atom(atom, program).realized
+                local = {atom}.union(*(r.atoms() for r in program.rules if atom in r.head))
+                assert realized.domain == local, (seed, atom)
+                for i in all_subsets(program.atoms()):
+                    assert realized.eval(i) == (i in table), (seed, atom, i)
+                expected.append(Rule(frozenset(), realized))
             assert completion(program) == Program(list(program.rules) + expected)
         assert all(shapes.values()), shapes
+
+    def test_completion_at_twenty_atoms(self):
+        chain = _window_chain(20)
+        completed = completion(chain)
+        tables = [r.body for r in completed.rules if isinstance(r.body, TruthTable)]
+        assert len(tables) == 20
+        assert all(len(t.domain) == 3 for t in tables)
+        assert enumerate_interpretations(completed, SemanticsKind.CLASSICAL) == (
+            enumerate_interpretations(chain, SemanticsKind.SUPPORTED)
+        )
+
+    def test_limit_bounds_each_table_not_the_program(self):
+        chain = _window_chain(24)
+        assert len(completion(chain)) == 48  # under the default limit of 20
+        assert len(completion(chain, limit=3)) == 48
+        with pytest.raises(TooManyAtoms, match="completion table over 3 atoms"):
+            completion(chain, limit=2)
+        with pytest.raises(TooManyAtoms, match="completion table over 3 atoms"):
+            completion_atom(Atom("x00"), chain, limit=2)
 
     def test_supported_equals_completion_models_randomly(self):
         for seed in range(60):
