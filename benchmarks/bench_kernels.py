@@ -9,7 +9,7 @@ generator settings). Two more rows time queries end to end, kernel plus
 ordering and decoding: the four queries (models, supported, FLP, SFLP)
 on the 16-atom chain, and the 3^7 models of a 14-atom program of choice
 gadgets. One row times the completion of the `--atoms` chain, which
-builds one table per atom and keys every row of it in `Program`. One row
+builds one table per atom over the atom's local domain. One row
 times `lowering.truth_vector` of a parity table over 10 of 18 atoms: a
 table whose domain is not the whole universe costs its minterm DNF, and
 parity is the worst case for that, 512 minterms none of which merge.

@@ -36,7 +36,6 @@ _EXPORTS = {
     ),
     "parser": ("ParseError", "ReservedAtom", "SourceProgram", "parse_program", "render"),
     "semantics": (
-        "CompletionAtom",
         "SemanticsKind",
         "UnknownAtom",
         "completion",

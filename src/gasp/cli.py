@@ -26,10 +26,8 @@ from .core import (
     DEFAULT_ATOM_LIMIT,
     DisjunctiveHead,
     GaspError,
-    Program,
     ReservedAtomError,
     TooManyAtoms,
-    TruthTable,
     UnsatisfiableBody,
     format_interpretation,
     is_convex,
@@ -150,14 +148,10 @@ def _run_completion(args) -> int:
     program = parse_program(_read_source(args.input), allow_reserved=True)
     limit = _limit(args)
     completed = completion(program, limit)
-    printable = Program(
-        r for r in completed.rules
-        if not (isinstance(r.body, TruthTable) and not r.body.satisfying)
-    )  # a constraint with an unsatisfiable body never fires; it has no dnf form
     if args.json:
-        _print_json({"rules": [render_rule(r) for r in printable.rules]})
+        _print_json({"rules": [render_rule(r) for r in completed.rules]})
     else:
-        sys.stdout.write(render(printable))
+        sys.stdout.write(render(completed))
     return EXIT_OK
 
 

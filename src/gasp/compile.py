@@ -77,12 +77,10 @@ class CompilationMap:
     """Bookkeeping from each distinct rewritten body (canonical DNF) to its
     fresh atoms, in first-occurrence order."""
 
-    __slots__ = ("rewrite_all", "entries")
-    rewrite_all: bool
+    __slots__ = ("entries",)
     entries: dict[Dnf, AuxNames]
 
-    def __init__(self, rewrite_all: bool = False):
-        self.rewrite_all = rewrite_all
+    def __init__(self):
         self.entries = {}
 
     def names_for(self, canonical: Dnf) -> AuxNames:
@@ -242,7 +240,7 @@ def _rewrite(
 ) -> tuple[Program, CompilationMap]:
     """The FLP rewriting and the map of its rewritten bodies."""
     _check_fresh(program)
-    cmap = CompilationMap(rewrite_all)
+    cmap = CompilationMap()
     rewritten: list[Rule] = []
     for rule, canonical in _surviving(program.rules, max_domain):
         body = _kept_body(rule, canonical, rewrite_all)
@@ -303,9 +301,9 @@ def supp_rule(
         raise UnknownAtom(f"atom {atom.name!r} does not occur in the program")
     head = set()
     rules = (rule for rule in program.rules if atom in rule.head)
-    for rule, canonical in _surviving(rules, max_domain):
-        kept = _kept_body(rule, canonical, cmap.rewrite_all)
-        head |= {cmap.entries[canonical].t} if kept is None else kept.conjunct.positives
+    for _, canonical in _surviving(rules, max_domain):
+        names = cmap.entries.get(canonical)  # None for a kept body: one positive literal
+        head |= canonical.disjuncts[0].positives if names is None else {names.t}
     return Rule(frozenset(head), _atom_body(atom))
 
 

@@ -42,9 +42,9 @@ from .core import (
     Rule,
     TOP,
     TruthTable,
+    UnsatisfiableBody,
     _PLAIN_NAME,
     set_field,
-    to_dnf,
 )
 
 
@@ -294,7 +294,9 @@ def render_body(body: Body) -> str:
         ordered = sorted(set(body.disjuncts), key=Conjunct.sort_key)
         return "dnf{" + " | ".join(_render_conjunct(d, " & ", "~") for d in ordered) + "}"
     if isinstance(body, TruthTable):
-        return render_body(to_dnf(body))  # raises UnsatisfiableBody when empty
+        if not body.satisfying:
+            raise UnsatisfiableBody("body is false on every subset of its domain")
+        return render_body(Dnf(Conjunct(s, body.domain - s) for s in body.satisfying))
     raise TypeError(f"not a body: {body!r}")
 
 

@@ -19,11 +19,9 @@ from .core import (
     GaspError,
     Interpretation,
     Program,
-    Record,
     Rule,
     TruthTable,
     positions,
-    set_field,
     subsets_in_canonical_order,
 )
 
@@ -108,33 +106,17 @@ def enumerate_interpretations(
     return tuple(lowering.interpretations(lp.atoms, masks))
 
 
-class CompletionAtom(Record):
-    """The support condition of one atom, realized as a truth table over
-    the atom's local domain: the atom and the atoms of the rules whose
-    heads hold it.
+def completion_atom(atom: Atom, program: Program, limit: int = DEFAULT_ATOM_LIMIT) -> TruthTable:
+    """The support condition of `atom` as a truth table over its local
+    domain D: the atom and the atoms of the rules whose heads hold it.
 
     The table is true at I exactly when the atom is in I but no rule
     supports it there; used as a constraint body it forbids unsupported
-    truth of the atom.
-    """
-
-    __slots__ = ("target", "realized")
-    target: Atom
-    realized: TruthTable
-
-    def __init__(self, target: Atom, realized: TruthTable):
-        set_field(self, "target", target)
-        set_field(self, "realized", realized)
-
-
-def completion_atom(
-    atom: Atom, program: Program, limit: int = DEFAULT_ATOM_LIMIT
-) -> CompletionAtom:
-    """The completion table of `atom` over its local domain D: the atom and
-    the atoms of the rules whose heads hold it. Only those rules can
-    support it, and each decides that at I from I ∩ D, so the table is
-    X_a without a's support vector (`kernel.rule_vectors`) over D.
-    TooManyAtoms, naming the completion table, when D is over `limit`."""
+    truth of the atom. Only the rules heading the atom can support it, and
+    each decides that at I from I ∩ D, so the table is X_a without a's
+    support vector (`kernel.rule_vectors`) over D. It has no row when the
+    atom is supported wherever it is true. TooManyAtoms, naming the
+    completion table, when D is over `limit`."""
     rules = Program(r for r in program.rules if atom in r.head)
     if not rules and atom not in program.atoms():
         raise UnknownAtom(f"atom {atom.name!r} does not occur in the program")
@@ -145,17 +127,17 @@ def completion_atom(
         pass
     x = lowering.columns(lp.n)[index[atom]]
     satisfying = lowering.decode(lp.atoms, lowering.members(x ^ (x & support[index[atom]])))
-    return CompletionAtom(atom, TruthTable(lp.atoms, satisfying))
+    return TruthTable(lp.atoms, satisfying)
 
 
 def completion(program: Program, limit: int = DEFAULT_ATOM_LIMIT) -> Program:
-    """The program extended with one constraint per atom, in name order,
-    forbidding unsupported truth (`completion_atom`); its models are
-    exactly the supported models. `limit` caps each table's domain."""
-    return Program(program.rules + tuple(
-        Rule(frozenset(), completion_atom(a, program, limit).realized)
-        for a in sorted(program.atoms())
-    ))
+    """The program extended with one constraint per atom that can be true
+    without support, in name order, whose body is the atom's
+    `completion_atom` table; its models are exactly the supported models.
+    An atom supported wherever it is true gets no constraint, since a
+    table with no row never fires. `limit` caps each table's domain."""
+    tables = (completion_atom(a, program, limit) for a in sorted(program.atoms()))
+    return Program(program.rules + tuple(Rule((), t) for t in tables if t.satisfying))
 
 
 def sflp_via_completion(

@@ -161,6 +161,21 @@ class TestCompletionCommand:
             "rules": ["a.", "b :- a.", ":- dnf{b & ~a}."],
         }
 
+    def test_limit_bounds_the_printed_tables_too(self, capsys, monkeypatch):
+        # a's table spans 22 atoms and has one row; printing adds no cap
+        names = sorted(f"b{i}" for i in range(21))
+        code, out, err = run_cli(
+            ["completion", "--limit", "25", "-"],
+            stdin_text=f"a :- count{{{', '.join(names)}}} > 0.",
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            f"a :- count{{{', '.join(names)}}} > 0.",
+            ":- dnf{a & " + " & ".join("~" + n for n in names) + "}.",
+            *(f":- dnf{{{n}}}." for n in names),
+        ]
+
 
 class TestConvexityCommand:
     def test_p1(self, capsys):

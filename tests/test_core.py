@@ -32,7 +32,7 @@ from gasp.compile import AuxNames, CompilationMap, CompilationReport
 from gasp.harness import BODY_KINDS, CheckResult, GenConfig, TheoremReport, _gen_body
 from gasp.lowering import lower
 from gasp.parser import SourceProgram, parse_program
-from gasp.semantics import CompletionAtom, SemanticsKind
+from gasp.semantics import SemanticsKind
 
 from conftest import fs
 from oracles import all_subsets, completion_oracle, convex_by_triples, reference_body_key
@@ -357,7 +357,6 @@ RECORDS = [
     (_TABLE, (fs("a", "b"), frozenset({fs("a"), fs()}))),
     (Rule(fs("a"), _TABLE), (fs("a"), _TABLE)),
     (SourceProgram("a.", "p.gasp"), ("a.", "p.gasp")),
-    (CompletionAtom(A, _TABLE), (A, _TABLE)),
     (AuxNames(Atom("__aux_t_1"), (Atom("__aux_f_1_0"),)),
      (Atom("__aux_t_1"), (Atom("__aux_f_1_0"),))),
     (CompilationReport(SemanticsKind.FLP, (fs("a"),), (), ()),
@@ -458,8 +457,8 @@ class TestRecords:
         cmap = CompilationMap()
         lp.heads.append(0)
         lp.n = 3
-        cmap.rewrite_all = True
-        assert (lp.n, cmap.rewrite_all, cmap.entries) == (3, True, {})
+        cmap.entries = {Dnf((_C1,)): None}
+        assert (lp.n, cmap.entries) == (3, {Dnf((_C1,)): None})
         for value in (lp, cmap):
             assert not hasattr(value, "__dict__")
             with pytest.raises(AttributeError):

@@ -1,8 +1,19 @@
+import hashlib
+import itertools
+
 import pytest
 
 from gasp import compile as comp, harness
 from gasp.compile import CompilationMap, verify_compilation, with_support_rules
-from gasp.core import CountAggregate, is_convex
+from gasp.core import (
+    Atom,
+    CountAggregate,
+    Program,
+    Rule,
+    TruthTable,
+    is_convex,
+    subsets_in_canonical_order,
+)
 from gasp.harness import (
     FAIL,
     PASS,
@@ -317,3 +328,52 @@ class TestOneRewritingPerProgram:
         for result in (flp, sflp):
             assert (result.status, result.details) == (SKIP, (f"rewriting spans {spans} atoms",))
         assert len(rewrites["compile._rewrite"]) == 1
+
+
+# The small-scope battery: every rule whose body is one of the 21 nonempty
+# truth families over {a}, {b} or {a, b} and whose head is {a}, {b}, {a, b}
+# or empty (84 rules), and every program of at most two distinct rules.
+_SMALL_DOMAINS = ((Atom("a"),), (Atom("b"),), (Atom("a"), Atom("b")))
+_SMALL_HEADS = ((Atom("a"),), (Atom("b"),), (Atom("a"), Atom("b")), ())
+
+# sha256 of the small-scope battery's reports, built like the acceptance
+# battery's: each program's text, then repr((name, status, details)) of
+# each of its results. A change that means to alter a report updates this
+# value and says so in CHANGES.md.
+SMALL_SCOPE_DIGEST = "36e2f839efb1bfe604b2d11049dd49e3493e173b3d684150949f02327900ec10"
+
+SMALL_SCOPE_COUNTS = {  # check name: (pass, fail, skip)
+    "flp_subset_sflp": (3571, 0, 0),
+    "convex_equivalence": (2629, 0, 942),
+    "supported_equals_completion_models": (3571, 0, 0),
+    "sflp_completion_characterization": (3571, 0, 0),
+    "compilation_bijection_flp": (2017, 0, 1554),
+    "compilation_bijection_sflp": (2017, 0, 1554),
+}
+
+
+def small_scope_programs() -> list[Program]:
+    bodies = []
+    for domain in _SMALL_DOMAINS:
+        rows = list(subsets_in_canonical_order(domain))
+        for family in range(1, 2 ** len(rows)):
+            bodies.append(TruthTable(domain, (r for i, r in enumerate(rows) if family >> i & 1)))
+    rules = [Rule(head, body) for body in bodies for head in _SMALL_HEADS]
+    assert len(rules) == 84
+    pairs = itertools.combinations(rules, 2)
+    return [Program()] + [Program([r]) for r in rules] + [Program(pair) for pair in pairs]
+
+
+def test_small_scope_battery():
+    digest = hashlib.sha256()
+    counts = {name: [0, 0, 0] for name in CHECK_NAMES}
+    programs = small_scope_programs()
+    assert len(programs) == 3571
+    for program in programs:
+        report = check_theorems(program, compile_limit=16)
+        digest.update(report.program_text.encode())
+        for result in report.results:
+            digest.update(repr((result.name, result.status, result.details)).encode())
+            counts[result.name][(PASS, FAIL, SKIP).index(result.status)] += 1
+    assert {name: tuple(c) for name, c in counts.items()} == SMALL_SCOPE_COUNTS
+    assert digest.hexdigest() == SMALL_SCOPE_DIGEST

@@ -18,7 +18,7 @@ from gasp.core import (
     to_dnf,
 )
 from gasp.harness import GenConfig, generate
-from gasp.parser import parse_program
+from gasp.parser import parse_program, render
 from gasp.semantics import (
     SemanticsKind,
     UnknownAtom,
@@ -261,19 +261,18 @@ def _window_chain(n: int) -> Program:
 
 class TestCompletion:
     def test_comp_a_p1(self, corpus):
-        comp = completion_atom(Atom("a"), corpus["p1"])
-        assert comp.target == Atom("a")
-        assert comp.realized.domain == fs("a", "b")
+        table = completion_atom(Atom("a"), corpus["p1"])
+        assert table.domain == fs("a", "b")
         # true exactly where a holds and the count body is false
-        assert comp.realized.satisfying == frozenset({fs("a")})
+        assert table.satisfying == frozenset({fs("a")})
 
     def test_comp_a_p2(self, corpus):
-        comp = completion_atom(Atom("a"), corpus["p2"])
-        assert comp.realized.satisfying == frozenset({fs("a")})
+        table = completion_atom(Atom("a"), corpus["p2"])
+        assert table.satisfying == frozenset({fs("a")})
 
     def test_fact_makes_completion_unsatisfiable(self):
-        comp = completion_atom(Atom("a"), parse_program("a."))
-        assert comp.realized.satisfying == frozenset()
+        table = completion_atom(Atom("a"), parse_program("a."))
+        assert table.satisfying == frozenset()
 
     def test_unknown_atom(self, corpus):
         with pytest.raises(UnknownAtom):
@@ -286,6 +285,20 @@ class TestCompletion:
 
     def test_completion_of_empty_program(self):
         assert completion(Program([])) == Program([])
+
+    def test_a_supported_atom_gets_no_constraint(self):
+        assert completion(parse_program("a.")) == parse_program("a.")
+
+    def test_completion_round_trips_through_its_text(self, corpus):
+        programs = [corpus[name] for name in CORPUS_NAMES] + [parse_program("a. b :- a.")]
+        programs += [
+            generate(GenConfig(atom_count=1 + seed % 6, rule_count=seed % 7,
+                               allow_disjunctive_heads=(seed % 3 == 0), seed=seed))
+            for seed in range(500)
+        ]
+        for program in programs:
+            completed = completion(program)
+            assert parse_program(render(completed)) == completed, render(program)
 
     def test_tables_match_the_definition_on_random_programs(self):
         shapes = {"disjunctive head": 0, "constraint": 0, "body-only atom": 0}
@@ -306,12 +319,13 @@ class TestCompletion:
             expected = []
             for atom in sorted(program.atoms()):
                 table = completion_oracle(atom, program)
-                realized = completion_atom(atom, program).realized
+                realized = completion_atom(atom, program)
                 local = {atom}.union(*(r.atoms() for r in program.rules if atom in r.head))
                 assert realized.domain == local, (seed, atom)
                 for i in all_subsets(program.atoms()):
                     assert realized.eval(i) == (i in table), (seed, atom, i)
-                expected.append(Rule(frozenset(), realized))
+                if table:  # a table with no row is no constraint
+                    expected.append(Rule(frozenset(), realized))
             assert completion(program) == Program(list(program.rules) + expected)
         assert all(shapes.values()), shapes
 
