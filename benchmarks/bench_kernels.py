@@ -16,6 +16,9 @@ parity is the worst case for that, 512 minterms none of which merge.
 Two rows time the models and the FLP answer sets of the FLP and SFLP
 rewritings, over at most 20 atoms, of the battery slice's atomic-head
 programs: their `__aux` atoms sort first, so they hold the top bits.
+Two rows time the supported models and the FLP and SFLP answer sets of
+the battery slice's programs, lowered, enumerated and decoded: as three
+queries, and as the one scan the theorem battery reads.
 Each of these rows is the best of `--repeat` runs. The last
 row is start-up: the median of 15 fresh `python -m gasp models
 corpus/p1.gasp` calls minus the median of 15 `python -c pass` calls.
@@ -184,6 +187,18 @@ def main() -> int:
             f"{label}, {len(rewritings)} rewritings of the battery slice",
             timed(lambda: [kernel.enumerate_masks(lp, mode) for lp in rewritings], args.repeat),
         ))
+    battery_slice = [battery_program(seed) for seed in range(args.seeds)]
+    kinds = (semantics.SemanticsKind.SUPPORTED, semantics.SemanticsKind.FLP,
+             semantics.SemanticsKind.SFLP)
+    rows.append((
+        f"supported + flp + sflp, {args.seeds} programs, three queries",
+        timed(lambda: [semantics.enumerate_interpretations(p, kind)
+                       for p in battery_slice for kind in kinds], args.repeat),
+    ))
+    rows.append((
+        f"supported + flp + sflp, {args.seeds} programs, one scan",
+        timed(lambda: [semantics.enumerate_candidates(p) for p in battery_slice], args.repeat),
+    ))
     rows.append((
         f"theorem battery, {args.seeds} programs",
         timed(lambda: run_battery(args.seeds), args.repeat),

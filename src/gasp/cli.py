@@ -28,7 +28,6 @@ from .core import (
     GaspError,
     ReservedAtomError,
     TooManyAtoms,
-    UnsatisfiableBody,
     format_interpretation,
     is_convex,
 )
@@ -268,7 +267,7 @@ def main(argv=None) -> int:
         print(f"gasp: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (ParseError, ReservedAtomError, DisjunctiveHead, UnknownAtom,
-            UnsatisfiableBody, InputError) as exc:
+            InputError) as exc:
         print(f"gasp: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -9,7 +9,10 @@ each rewritten body, one closure rule per prime implicant of the body's
 negation, which ties the truth atom to the body from above, and one
 support rule per source atom. `with_support_rules` builds those rules
 from the FLP rewriting and its map; `rew_sflp` and the theorem battery
-both build it that way, so one rewriting serves both variants.
+both build it that way, so one rewriting serves both variants. The
+rewriting's size is known from the canonical bodies alone
+(`rewriting_size`), so the battery skips a rewriting over its cap
+without building it (`build_rewriting`).
 
 Bodies that amount to a single positive literal are left alone (their
 literal can stand directly in support heads), and constraints keep
@@ -235,14 +238,40 @@ def _atom_body(atom: Atom) -> LiteralConjunction:
     return LiteralConjunction(Conjunct(frozenset({atom}), frozenset()))
 
 
-def _rewrite(
-    program: Program, rewrite_all: bool, max_domain: int
-) -> tuple[Program, CompilationMap]:
-    """The FLP rewriting and the map of its rewritten bodies."""
+def canonical_rules(
+    program: Program, max_domain: int = DEFAULT_ATOM_LIMIT
+) -> list[tuple[Rule, Dnf]]:
+    """The rules of `program` that its rewriting keeps, each with its
+    canonical DNF (`_surviving`), so that one DNF per body serves both
+    `rewriting_size` and `build_rewriting`. ReservedAtomError when the
+    program already uses reserved atoms."""
     _check_fresh(program)
+    return _surviving(program.rules, max_domain)
+
+
+def rewriting_size(rules: list[tuple[Rule, Dnf]], rewrite_all: bool = False) -> int:
+    """The number of atoms of `build_rewriting(rules, rewrite_all)`, without
+    building it: the heads and body domains of the rules (a canonical DNF
+    spans its body's domain, and a kept body is its one disjunct), plus a
+    truth atom and k + 1 falsity atoms per distinct rewritten body of k
+    disjuncts."""
+    atoms: set[Atom] = set()
+    rewritten = set()
+    for rule, canonical in rules:
+        atoms |= rule.atoms()
+        if _kept_body(rule, canonical, rewrite_all) is None:
+            rewritten.add(canonical)
+    return len(atoms) + sum(len(c.disjuncts) + 2 for c in rewritten)
+
+
+def build_rewriting(
+    rules: list[tuple[Rule, Dnf]], rewrite_all: bool = False
+) -> tuple[Program, CompilationMap]:
+    """The FLP rewriting of the rules `canonical_rules` keeps, and the map
+    of its rewritten bodies."""
     cmap = CompilationMap()
     rewritten: list[Rule] = []
-    for rule, canonical in _surviving(program.rules, max_domain):
+    for rule, canonical in rules:
         body = _kept_body(rule, canonical, rewrite_all)
         if body is None:
             body = _atom_body(cmap.names_for(canonical).t)
@@ -255,13 +284,13 @@ def _rewrite(
 def rew_flp(
     program: Program, rewrite_all: bool = False, max_domain: int = DEFAULT_ATOM_LIMIT
 ) -> tuple[Program, CompilationMap]:
-    return _rewrite(program, rewrite_all, max_domain)
+    return build_rewriting(canonical_rules(program, max_domain), rewrite_all)
 
 
 def rew_sflp(
     program: Program, rewrite_all: bool = False, max_domain: int = DEFAULT_ATOM_LIMIT
 ) -> tuple[Program, CompilationMap]:
-    flp, cmap = _rewrite(program, rewrite_all, max_domain)
+    flp, cmap = build_rewriting(canonical_rules(program, max_domain), rewrite_all)
     return with_support_rules(flp, cmap), cmap
 
 

@@ -7,9 +7,13 @@ coincide on convex programs; that supported models are exactly the models
 of the completion; that the SFLP test agrees with its completion-based
 characterization (checked over every candidate interpretation); and, for
 atomic-head programs whose rewriting stays enumerable, that compilation
-is answer-set preserving in both directions. Each program is rewritten
-once: the SFLP rewriting is the FLP rewriting plus closure and support
-rules, so one rewriting serves both compilation checks.
+is answer-set preserving in both directions. The supported models and
+both kinds of answer sets come from one lowering and one kernel pass
+(`semantics.enumerate_candidates`). Each program is rewritten at most
+once, and never when the rewriting is skipped: its size is read off the
+rules' canonical bodies before any rule is built, and the SFLP rewriting
+is the FLP rewriting plus closure and support rules, so one rewriting
+serves both compilation checks.
 """
 
 from __future__ import annotations
@@ -17,7 +21,13 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from .compile import bijection_violations, rew_flp, with_support_rules
+from .compile import (
+    bijection_violations,
+    build_rewriting,
+    canonical_rules,
+    rewriting_size,
+    with_support_rules,
+)
 from .core import (
     Atom,
     Conjunct,
@@ -39,6 +49,7 @@ from .parser import render
 from .semantics import (
     SemanticsKind,
     completion,
+    enumerate_candidates,
     enumerate_interpretations,
     is_sflp_answer_set,
     sflp_given_completion,
@@ -199,13 +210,12 @@ def check_theorems(
     Checks over a cap are reported as skipped, never silently dropped.
     """
     results = []
-    flp_sets = enumerate_interpretations(program, SemanticsKind.FLP, limit)
-    sflp_sets = enumerate_interpretations(program, SemanticsKind.SFLP, limit)
+    found = enumerate_candidates(program, limit)
+    flp_sets = found[SemanticsKind.FLP]
+    sflp_sets = found[SemanticsKind.SFLP]
     flp = set(flp_sets)
     sflp = set(sflp_sets)
-    supported = set(
-        enumerate_interpretations(program, SemanticsKind.SUPPORTED, limit)
-    )
+    supported = set(found[SemanticsKind.SUPPORTED])
 
     results.append(_disagreement("flp_subset_sflp", "flp answer set not sflp: ", flp - sflp))
     if is_convex_program(program, limit):
@@ -279,11 +289,14 @@ def _compilation_checks(
     and one rewriting, where a rewriting over that cap is skipped rather
     than raising TooManyAtoms: the SFLP rewriting is the FLP one plus its
     closure and support rules, which add no atoms, so one skip decision
-    serves both checks.
+    serves both checks. The decision reads the rewriting's size off the
+    canonical bodies (`rewriting_size`), so a skipped program builds no
+    rule and a kept one builds its rewriting once, from the same bodies.
 
     Precondition: the program has at most `limit` atoms, as `check_theorems`
     has enumerated it under `limit`. Every body domain is a subset of them,
-    so `rew_flp`, given `limit` as its DNF limit, never raises TooManyAtoms."""
+    so `canonical_rules`, given `limit` as its DNF limit, never raises
+    TooManyAtoms."""
     names = CHECK_NAMES[-2:]
 
     def skipped(detail: str) -> tuple[CheckResult, CheckResult]:
@@ -294,10 +307,11 @@ def _compilation_checks(
         return skipped("already-compiled input (reserved atoms)")
     if any(len(r.head) > 1 for r in program.rules):
         return skipped("disjunctive head")
-    flp, cmap = rew_flp(program, max_domain=limit)
-    n_rewritten = len(flp.atoms())
+    rules = canonical_rules(program, limit)
+    n_rewritten = rewriting_size(rules)
     if n_rewritten > min(limit, compile_limit):
         return skipped(f"rewriting spans {n_rewritten} atoms")
+    flp, cmap = build_rewriting(rules)
     results = []
     for name, rewritten, source in (
         (names[0], flp, flp_sets),

@@ -17,23 +17,30 @@ below is a handful of big-int operations over all 2^n masks at once:
 FLP answer sets are supported models too: were a in I supported by no
 rule, every rule of the reduct would have a true head atom other than a,
 so I without a would be a smaller model of the reduct. So both
-semantics scan the same candidates, in one loop that tests each of them
-against its reduct. A smaller model of P below a candidate blocks it for
-FLP, since a model of P is a model of every reduct, so the reduct test
-rejects it. Beyond n candidates FLP first drops all such candidates in
-one pass over all masks (`_above`, about 2n big-int steps), so that a
-program with many supported models that are not minimal (n loops
-`a :- a.` have 2^n) costs what its models cost. SFLP first drops the
-blocking masks unsupported in P (a rule of a reduct is a rule of P), one
-AND, before the support test against the reduct.
+semantics scan the same candidates, in one loop (`_scan`) that tests
+each of them against its reduct. A candidate with no model of its reduct
+below it is an FLP answer set and, as a supported model is a model, an
+SFLP one; only the others go on to SFLP's support test, which first
+drops the blocking masks unsupported in P (a rule of a reduct is a rule
+of P), one AND. One pass (`scan`) thus gives the supported models and
+both kinds of answer sets, which the theorem battery reads together;
+`enumerate_masks` reads one mode off the same loop, which stops where
+that mode's answer is known. A smaller model of P below a candidate
+blocks it for FLP, since a model of P is a model of every reduct, so
+the reduct test rejects it. Beyond n candidates the FLP query alone
+first drops all such candidates in one pass over all masks (`_above`,
+about 2n big-int steps), so that a program with many supported models
+that are not minimal (n loops `a :- a.` have 2^n) costs what its models
+cost.
 
 The reduct of each candidate is read rule by rule, one AND of the body
 vector with the candidate vector and then its few set bits, and the
 minimality test of I starts from the vector of I's proper subsets, built
 by doubling over the atoms of I. Both are sized by the candidates rather
-than by 2^n. The FLP and SFLP queries hold the n columns, two vectors
-per rule (SFLP three for a head of two or more atoms), one per atom and
-a few temporaries; the models and supported queries keep none per rule.
+than by 2^n. The FLP and SFLP queries and the scan hold the n columns,
+two vectors per rule (SFLP and the scan three for a head of two or more
+atoms), one per atom and a few temporaries; the models and supported
+queries keep none per rule.
 """
 
 from __future__ import annotations
@@ -63,6 +70,22 @@ def default_backend() -> str:
 
 def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
     """All masks over the lowered universe accepted by `mode`, increasing."""
+    return _scan(lp, mode)
+
+
+def scan(lp: LoweredProgram) -> dict[int, list[int]]:
+    """The supported models and the FLP and SFLP answer sets, keyed by
+    their modes, from one pass over the supported models: each candidate's
+    reduct test gives its FLP verdict on the way to its SFLP one."""
+    return _scan(lp, None)
+
+
+def _scan(lp: LoweredProgram, mode: int | None) -> list[int] | dict[int, list[int]]:
+    """The masks accepted by `mode`, increasing, or, when it is None, those
+    of the supported, FLP and SFLP modes keyed by mode. Each mode stops
+    where its answer is known: models and supported models keep no
+    per-rule vectors, and FLP alone drops the candidates above a smaller
+    model first and skips the support test."""
     n = lp.n
     cols = columns(n)
     support = [0] * n
@@ -70,14 +93,15 @@ def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
     violated = []
     rule_support = []
     bad = 0
-    minimal = mode == ENUM_FLP or mode == ENUM_SFLP
+    minimal = mode != ENUM_MODELS and mode != ENUM_SUPPORTED
+    sflp = mode != ENUM_FLP  # whether SFLP's support test runs
     for holds, hit, supports in rule_vectors(lp, support):
         misses = holds ^ (holds & hit)
         bad |= misses
         if minimal:  # the reduct tests read each rule's vectors
             bodies.append(holds)
             violated.append(misses)
-            if mode == ENUM_SFLP:
+            if sflp:
                 rule_support.append(supports)
     models = full(n) ^ bad
     if mode == ENUM_MODELS:
@@ -86,27 +110,36 @@ def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
     for x, s in zip(cols, support):
         unsupported |= x ^ (x & s)
     candidates = models ^ (models & unsupported)
-    if mode == ENUM_SUPPORTED:
+    if not minimal:
         return members(candidates)
-    if mode == ENUM_FLP and candidates.bit_count() > n:
+    if not sflp and candidates.bit_count() > n:
         # a smaller model of P is a model of every reduct, so it blocks I
         candidates ^= candidates & _above(models, cols)
-    heads = [members(h) for h in lp.heads] if mode == ENUM_SFLP else None
-    accepted = []
-    for i, reduct in _reducts(candidates, bodies).items():
+    heads = [members(h) for h in lp.heads] if sflp else None
+    flp_accepted = []
+    sflp_accepted = []
+    reducts = _reducts(candidates, bodies)
+    for i, reduct in reducts.items():
         blocking = _proper_subsets(i)
         for r in reduct:
             blocking ^= blocking & violated[r]
             if not blocking:
                 break
-        if blocking and mode == ENUM_SFLP:
+        if not blocking:  # no model of the reduct below I: I is FLP and SFLP
+            flp_accepted.append(i)
+            sflp_accepted.append(i)
+        elif sflp:
             # a mask supported in a reduct is supported in P
             blocking ^= blocking & unsupported
             if blocking:
                 blocking = _supported(blocking, reduct, heads, rule_support, cols)
-        if not blocking:
-            accepted.append(i)
-    return accepted
+            if not blocking:
+                sflp_accepted.append(i)
+    if mode is None:
+        # the candidates are the supported models, increasing
+        return {ENUM_SUPPORTED: list(reducts), ENUM_FLP: flp_accepted,
+                ENUM_SFLP: sflp_accepted}
+    return sflp_accepted if sflp else flp_accepted
 
 
 def rule_vectors(lp: LoweredProgram, support: list[int]) -> Iterator[tuple[int, int, int]]:

@@ -3,8 +3,10 @@
 The per-interpretation predicates work directly on the AST and accept any
 interpretation. Exhaustive enumeration restricts candidates to subsets of
 the program's own atoms (a foreign atom can never be supported and always
-breaks minimality) and runs on the bitmask kernel; each completion table
-is decoded from the same truth vectors, over its atom's local domain.
+breaks minimality) and runs on the bitmask kernel, one query at a time
+or, for the supported models and both kinds of answer sets together, in
+one kernel pass; each completion table is decoded from the same truth
+vectors, over its atom's local domain.
 """
 
 from __future__ import annotations
@@ -104,6 +106,26 @@ def enumerate_interpretations(
     lp = lowering.lower(program, tuple(universe))
     masks = kernel.enumerate_masks(lp, _ENUM_MODE[kind])
     return tuple(lowering.interpretations(lp.atoms, masks))
+
+
+def enumerate_candidates(
+    program: Program, limit: int = DEFAULT_ATOM_LIMIT
+) -> dict[SemanticsKind, tuple[frozenset[Atom], ...]]:
+    """The supported models and the FLP and SFLP answer sets, each as
+    `enumerate_interpretations` gives it, from one lowering and one kernel
+    pass (`kernel.scan`). The answer sets are supported models, so the
+    supported models are ordered and decoded once and the answer sets are
+    read off them."""
+    universe, _ = positions(program.atoms(), limit, "enumeration")
+    lp = lowering.lower(program, tuple(universe))
+    found = kernel.scan(lp)
+    ordered = sorted(found[lowering.ENUM_SUPPORTED], key=lowering.rank_key(lp.n))
+    decoded = lowering.decode(lp.atoms, ordered)
+    out = {SemanticsKind.SUPPORTED: tuple(decoded)}
+    for kind in (SemanticsKind.FLP, SemanticsKind.SFLP):
+        accepted = set(found[_ENUM_MODE[kind]])
+        out[kind] = tuple(i for m, i in zip(ordered, decoded) if m in accepted)
+    return out
 
 
 def completion_atom(atom: Atom, program: Program, limit: int = DEFAULT_ATOM_LIMIT) -> TruthTable:

@@ -129,6 +129,20 @@ class TestEnumerationCommands:
         with pytest.raises(ValueError, match="kernel bug"):
             cli.main(["models", corpus_path("p1")])
 
+    def test_unsatisfiable_body_is_not_an_input_error(self, capsys, monkeypatch):
+        # no input reaches a raise of UnsatisfiableBody (parsed programs hold
+        # no tables, the compiler drops dead bodies, the completion keeps
+        # only tables with a row), so one that escapes is a bug, not exit 2
+        from gasp.core import UnsatisfiableBody
+
+        def broken(*args, **kwargs):
+            raise UnsatisfiableBody("body is false on every subset of its domain")
+
+        monkeypatch.setattr(cli, "enumerate_interpretations", broken)
+        with pytest.raises(UnsatisfiableBody):
+            cli.main(["models", corpus_path("p1")])
+        assert capsys.readouterr().err == ""
+
 
 class TestCompletionCommand:
     def test_p1_text(self, capsys):

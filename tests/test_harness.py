@@ -8,6 +8,7 @@ from gasp.compile import CompilationMap, verify_compilation, with_support_rules
 from gasp.core import (
     Atom,
     CountAggregate,
+    DEFAULT_ATOM_LIMIT,
     Program,
     Rule,
     TruthTable,
@@ -263,38 +264,54 @@ def _compilation_statuses(programs):
 
 
 class TestOneRewritingPerProgram:
-    @pytest.fixture
-    def rewrites(self, monkeypatch):
-        """Programs rewritten through `harness.rew_flp`, and by `_rewrite`."""
-        seen = {"harness.rew_flp": [], "compile._rewrite": []}
+    """A program whose rewriting is checked builds it once; one whose
+    rewriting is skipped, for its size or before that, builds none. Either
+    way each rule's body is put in DNF at most once."""
 
-        def count(key, owner, attr):
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The rule lists the harness builds a rewriting from, and the
+        bodies the compiler puts in DNF."""
+        seen = {"build_rewriting": [], "to_dnf": []}
+
+        def spy(key, owner, attr):
             original = getattr(owner, attr)
 
-            def wrapper(program, *args, **kwargs):
-                seen[key].append(program)
-                return original(program, *args, **kwargs)
+            def wrapper(first, *args, **kwargs):
+                seen[key].append(first)
+                return original(first, *args, **kwargs)
 
             monkeypatch.setattr(owner, attr, wrapper)
 
-        count("harness.rew_flp", harness, "rew_flp")
-        count("compile._rewrite", comp, "_rewrite")
+        spy("build_rewriting", harness, "build_rewriting")
+        spy("to_dnf", comp, "to_dnf")
         return seen
 
-    def test_atomic_head_programs_are_rewritten_once(self, corpus, rewrites):
+    @staticmethod
+    def atomic_head_programs(corpus) -> list[Program]:
         programs = [corpus[name] for name in ("p1", "p2", "p3", "p5")]
-        programs += [
+        return programs + [
             generate(GenConfig(atom_count=2 + seed % 4, rule_count=seed % 7, seed=seed))
             for seed in range(60)
         ]
-        for program in programs:
-            check_theorems(program, compile_limit=16)
-            assert rewrites["harness.rew_flp"] == [program]
-            assert rewrites["compile._rewrite"] == [program]
-            rewrites["harness.rew_flp"].clear()
-            rewrites["compile._rewrite"].clear()
 
-    def test_disjunctive_and_reserved_programs_are_not_rewritten(self, corpus, rewrites):
+    def test_atomic_head_programs_are_rewritten_once(self, corpus, builds):
+        built = skipped = 0
+        for program in self.atomic_head_programs(corpus):
+            report = check_theorems(program, compile_limit=16)
+            statuses = {r.status for r in report.results[-2:]}
+            assert builds["to_dnf"] == [r.body for r in program.rules]
+            if statuses == {SKIP}:
+                assert builds["build_rewriting"] == []
+                skipped += 1
+            else:
+                assert len(builds["build_rewriting"]) == 1
+                built += 1
+            builds["build_rewriting"].clear()
+            builds["to_dnf"].clear()
+        assert built >= 30 and skipped >= 5, (built, skipped)
+
+    def test_disjunctive_and_reserved_programs_are_not_rewritten(self, corpus, builds):
         from gasp.compile import rew_flp
 
         disjunctive = [corpus["p4"]] + [
@@ -306,28 +323,57 @@ class TestOneRewritingPerProgram:
             if any(len(r.head) > 1 for r in p.rules)
         ]
         compiled = rew_flp(corpus["p1"])[0]
-        rewrites["compile._rewrite"].clear()
+        builds["to_dnf"].clear()
         for program, detail in [(p, "disjunctive head") for p in disjunctive] + [
             (compiled, "already-compiled input (reserved atoms)")
         ]:
             report = check_theorems(program)
             for result in report.results[-2:]:
                 assert (result.status, result.details) == (SKIP, (detail,))
-        assert rewrites == {"harness.rew_flp": [], "compile._rewrite": []}
+        assert builds == {"build_rewriting": [], "to_dnf": []}
 
-    def test_one_skip_decision_over_the_compile_limit(self, corpus, rewrites):
+    def test_one_skip_decision_over_the_compile_limit(self, corpus, builds):
         from gasp.compile import rew_flp, rew_sflp
 
         program = corpus["p5"]
         spans = len(rew_flp(program)[0].atoms())
         assert len(rew_sflp(program)[0].atoms()) == spans
-        rewrites["compile._rewrite"].clear()
+        builds["to_dnf"].clear()
         report = check_theorems(program, compile_limit=spans - 1)
         flp, sflp = report.results[-2:]
         assert (flp.name, sflp.name) == CHECK_NAMES[-2:]
         for result in (flp, sflp):
             assert (result.status, result.details) == (SKIP, (f"rewriting spans {spans} atoms",))
-        assert len(rewrites["compile._rewrite"]) == 1
+        bodies = [r.body for r in program.rules]
+        assert builds == {"build_rewriting": [], "to_dnf": bodies}
+        builds["to_dnf"].clear()
+        report = check_theorems(program, compile_limit=spans)
+        assert [r.status for r in report.results[-2:]] == [PASS, PASS]
+        assert len(builds["build_rewriting"]) == 1
+        assert builds["to_dnf"] == bodies
+
+    def test_skip_detail_is_the_size_of_the_rewriting(self, corpus):
+        # the size is read off the canonical bodies, never off a rewriting:
+        # it must be the atom count of the rewriting `rew_flp` builds, and
+        # a rewriting of exactly `compile_limit` atoms is checked
+        from gasp.compile import canonical_rules, rew_flp, rewriting_size
+
+        programs = self.atomic_head_programs(corpus) + [
+            parse_program("a :- count{a, b} >= 0. :- not a. :- b. c :- a, not b."),
+            parse_program("a :- count{a} > 1. b :- a. :- count{a, b} != 1."),
+        ]
+        for program in programs:
+            rules = canonical_rules(program)
+            for rewrite_all in (True, False):
+                spans = len(rew_flp(program, rewrite_all)[0].atoms())
+                assert rewriting_size(rules, rewrite_all) == spans, render(program)
+            if not 0 < spans <= DEFAULT_ATOM_LIMIT:  # `limit` caps it too
+                continue
+            over = check_theorems(program, compile_limit=spans - 1).results[-2:]
+            detail = f"rewriting spans {spans} atoms"
+            assert [(r.status, r.details) for r in over] == [(SKIP, (detail,))] * 2
+            at = check_theorems(program, compile_limit=spans).results[-2:]
+            assert [r.status for r in at] == [PASS, PASS], render(program)
 
 
 # The small-scope battery: every rule whose body is one of the 21 nonempty

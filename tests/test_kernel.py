@@ -1,7 +1,8 @@
 """The bit-sliced kernel against the AST: `truth_vector` against Body.eval
 on every mask, `enumerate_masks` against the oracles of tests/oracles.py
-in all four modes, and the mask order and decoding of `interpretations`
-against `core.interp_sort_key`."""
+in all four modes, the one scan (`kernel.scan`) against the per-mode
+queries, and the mask order and decoding of `interpretations` against
+`core.interp_sort_key`."""
 
 import itertools
 import random
@@ -24,7 +25,11 @@ from gasp.core import (
 )
 from gasp.harness import GenConfig, generate
 from gasp.parser import parse_program
-from gasp.semantics import completion
+from gasp.semantics import (
+    completion,
+    enumerate_candidates,
+    enumerate_interpretations,
+)
 
 from conftest import CORPUS_NAMES, fs, mixed_programs
 from oracles import all_subsets, decode, enumerate_oracle
@@ -43,8 +48,19 @@ def kernel_sets(program: Program, mode_name: str) -> set:
 
 
 def assert_agrees(program: Program, label) -> None:
+    """Each mode's kernel answer is the oracle's, and the one scan that
+    serves the supported, FLP and SFLP modes together (`kernel.scan`,
+    decoded by `semantics.enumerate_candidates`) gives their answers."""
     for name in MODES:
         assert kernel_sets(program, name) == enumerate_oracle(program, name), (label, name)
+    lp = lowering.lower(program)
+    found = kernel.scan(lp)
+    decoded = enumerate_candidates(program)
+    assert set(found) == {MODES[kind.value] for kind in decoded}, label
+    for kind, interpretations in decoded.items():
+        mode = MODES[kind.value]
+        assert found[mode] == kernel.enumerate_masks(lp, mode), (label, kind)
+        assert interpretations == enumerate_interpretations(program, kind), (label, kind)
 
 
 def assert_vectors_agree(program: Program, universe=None) -> None:
@@ -214,6 +230,47 @@ class TestOracleAgreement:
         assert_agrees(program, "self-supporting loops")
 
 
+def chain_text(n: int) -> str:
+    """The coordination chain of `benchmarks/bench_kernels.py` over n atoms."""
+    return "".join(f"x{i} :- count{{x{i}, x{(i + 1) % n}, x{(i + 2) % n}}} != 1. "
+                   for i in range(n))
+
+
+class TestOneScan:
+    """`kernel.scan`, the one pass the theorem battery reads, against the
+    per-mode queries and, through them, the oracles (`assert_agrees`, which
+    every oracle test in this module runs, the rewritings' included), on
+    the shapes that take its distinct paths."""
+
+    def test_disjunctive_programs(self):
+        # a head of two atoms gives its rule a support vector of its own,
+        # which only the SFLP test reads
+        disjunctive = differ = 0
+        for seed in range(150):
+            program = generate(GenConfig(atom_count=3 + seed % 3, rule_count=4 + seed % 5,
+                                         allow_disjunctive_heads=True, seed=seed))
+            assert_agrees(program, seed)
+            if any(len(r.head) > 1 for r in program.rules):
+                disjunctive += 1
+                found = kernel.scan(lowering.lower(program))
+                differ += found[MODES["flp"]] != found[MODES["sflp"]]
+        assert disjunctive >= 60 and differ >= 1, (disjunctive, differ)
+
+    def test_self_supporting_loops(self):
+        # more supported models than atoms: the FLP query first drops those
+        # above a smaller model (`_above`), the scan tests every one
+        program = parse_program(" ".join(f"a{i} :- a{i}." for i in range(10)))
+        assert_agrees(program, "10 loops")
+        found = kernel.scan(lowering.lower(program))
+        assert [len(found[MODES[name]]) for name in ("supported", "flp", "sflp")] == [1024, 1, 1]
+
+    def test_coordination_chain(self):
+        program = parse_program(chain_text(12))
+        assert_agrees(program, "12-atom chain")
+        found = kernel.scan(lowering.lower(program))
+        assert len(found[MODES["supported"]]) > len(found[MODES["flp"]])
+
+
 @given(
     st.integers(0, 10**6),
     st.integers(1, 5),
@@ -299,8 +356,7 @@ def test_flp_masks_are_supported_masks(corpus):
 
 @pytest.mark.parametrize("program, supported, flp, calls_wanted", [
     ("".join(f"a{i} :- a{i}. " for i in range(16)), 1 << 16, 1, 1),
-    ("".join(f"x{i} :- count{{x{i}, x{(i + 1) % 16}, x{(i + 2) % 16}}} != 1. "
-             for i in range(16)), 3, 0, 3),
+    (chain_text(16), 3, 0, 3),
 ], ids=["16 self-supporting loops", "16-atom chain"])
 def test_flp_tests_at_most_n_candidates_one_by_one(monkeypatch, program, supported, flp,
                                                    calls_wanted):
