@@ -249,17 +249,16 @@ def canonical_rules(
     return _surviving(program.rules, max_domain)
 
 
-def rewriting_size(rules: list[tuple[Rule, Dnf]], rewrite_all: bool = False) -> int:
-    """The number of atoms of `build_rewriting(rules, rewrite_all)`, without
-    building it: the heads and body domains of the rules (a canonical DNF
-    spans its body's domain, and a kept body is its one disjunct), plus a
-    truth atom and k + 1 falsity atoms per distinct rewritten body of k
-    disjuncts."""
+def rewriting_size(rules: list[tuple[Rule, Dnf]]) -> int:
+    """The number of atoms of `build_rewriting(rules)`, without building
+    it: the heads and body domains of the rules (a canonical DNF spans its
+    body's domain, and a kept body is its one disjunct), plus a truth atom
+    and k + 1 falsity atoms per distinct rewritten body of k disjuncts."""
     atoms: set[Atom] = set()
     rewritten = set()
     for rule, canonical in rules:
         atoms |= rule.atoms()
-        if _kept_body(rule, canonical, rewrite_all) is None:
+        if _kept_body(rule, canonical, False) is None:
             rewritten.add(canonical)
     return len(atoms) + sum(len(c.disjuncts) + 2 for c in rewritten)
 

@@ -70,22 +70,26 @@ def default_backend() -> str:
 
 def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
     """All masks over the lowered universe accepted by `mode`, increasing."""
-    return _scan(lp, mode)
+    candidates, flp, sflp = _scan(lp, mode)
+    return flp if mode == ENUM_FLP else sflp if mode == ENUM_SFLP else candidates
 
 
 def scan(lp: LoweredProgram) -> dict[int, list[int]]:
     """The supported models and the FLP and SFLP answer sets, keyed by
     their modes, from one pass over the supported models: each candidate's
     reduct test gives its FLP verdict on the way to its SFLP one."""
-    return _scan(lp, None)
+    supported, flp, sflp = _scan(lp, None)
+    return {ENUM_SUPPORTED: supported, ENUM_FLP: flp, ENUM_SFLP: sflp}
 
 
-def _scan(lp: LoweredProgram, mode: int | None) -> list[int] | dict[int, list[int]]:
-    """The masks accepted by `mode`, increasing, or, when it is None, those
-    of the supported, FLP and SFLP modes keyed by mode. Each mode stops
-    where its answer is known: models and supported models keep no
-    per-rule vectors, and FLP alone drops the candidates above a smaller
-    model first and skips the support test."""
+def _scan(lp: LoweredProgram, mode: int | None) -> tuple[list[int], list[int], list[int]]:
+    """The candidates, then those FLP and SFLP accept, each increasing.
+    `mode` None runs every step, so the candidates are the supported
+    models; otherwise the loop stops where that mode's answer is known:
+    models and supported models are the candidates, read before any
+    per-rule vectors are kept, and FLP alone drops the candidates above a
+    smaller model first and skips the support test (its SFLP list then
+    holds only the FLP answer sets)."""
     n = lp.n
     cols = columns(n)
     support = [0] * n
@@ -105,13 +109,13 @@ def _scan(lp: LoweredProgram, mode: int | None) -> list[int] | dict[int, list[in
                 rule_support.append(supports)
     models = full(n) ^ bad
     if mode == ENUM_MODELS:
-        return members(models)
+        return members(models), [], []
     unsupported = 0  # the masks with a true atom that no rule supports
     for x, s in zip(cols, support):
         unsupported |= x ^ (x & s)
     candidates = models ^ (models & unsupported)
     if not minimal:
-        return members(candidates)
+        return members(candidates), [], []
     if not sflp and candidates.bit_count() > n:
         # a smaller model of P is a model of every reduct, so it blocks I
         candidates ^= candidates & _above(models, cols)
@@ -135,11 +139,7 @@ def _scan(lp: LoweredProgram, mode: int | None) -> list[int] | dict[int, list[in
                 blocking = _supported(blocking, reduct, heads, rule_support, cols)
             if not blocking:
                 sflp_accepted.append(i)
-    if mode is None:
-        # the candidates are the supported models, increasing
-        return {ENUM_SUPPORTED: list(reducts), ENUM_FLP: flp_accepted,
-                ENUM_SFLP: sflp_accepted}
-    return sflp_accepted if sflp else flp_accepted
+    return list(reducts), flp_accepted, sflp_accepted
 
 
 def rule_vectors(lp: LoweredProgram, support: list[int]) -> Iterator[tuple[int, int, int]]:

@@ -363,10 +363,8 @@ class TestOneRewritingPerProgram:
             parse_program("a :- count{a} > 1. b :- a. :- count{a, b} != 1."),
         ]
         for program in programs:
-            rules = canonical_rules(program)
-            for rewrite_all in (True, False):
-                spans = len(rew_flp(program, rewrite_all)[0].atoms())
-                assert rewriting_size(rules, rewrite_all) == spans, render(program)
+            spans = len(rew_flp(program)[0].atoms())
+            assert rewriting_size(canonical_rules(program)) == spans, render(program)
             if not 0 < spans <= DEFAULT_ATOM_LIMIT:  # `limit` caps it too
                 continue
             over = check_theorems(program, compile_limit=spans - 1).results[-2:]
