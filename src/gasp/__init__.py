@@ -51,8 +51,6 @@ _EXPORTS = {
     ),
     "compile": (
         "AuxNames",
-        "CompilationMap",
-        "IndexOutOfRange",
         "contraction",
         "expansion",
         "rew_flp",

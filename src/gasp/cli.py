@@ -188,7 +188,7 @@ def _run_compile(args) -> int:
                     "t": names.t.name,
                     "f": [a.name for a in names.f],
                 }
-                for canonical, names in cmap.entries.items()
+                for canonical, names in cmap.items()
             ],
         }
         _print_json(payload)
@@ -212,6 +212,8 @@ def _run_verify(args) -> int:
     from . import harness
 
     limit = _limit(args)
+    if args.random and args.input:
+        raise InputError("verify takes a program file or --random, not both")
     if not args.random:
         if not args.input:
             raise InputError("verify needs a program file or --random")

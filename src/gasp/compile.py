@@ -3,8 +3,10 @@
 Every rule body is normalized to its minterm DNF and replaced by a fresh
 truth atom; auxiliary rules tie that atom to the disjuncts so that answer
 sets of the rewritten program correspond one-to-one (via expansion and
-contraction) to the answer sets of the source program. The FLP variant
-adds only those rules. The SFLP variant is the FLP rewriting plus, for
+contraction) to the answer sets of the source program. `rew_atom` builds
+all of one body's auxiliary rules, and the rewriting's map is a plain
+dict from each rewritten body to its fresh atoms (`AuxNames`). The FLP
+variant adds only those rules. The SFLP variant is the FLP rewriting plus, for
 each rewritten body, one closure rule per prime implicant of the body's
 negation, which ties the truth atom to the body from above, and one
 support rule per source atom. `with_support_rules` builds those rules
@@ -32,7 +34,6 @@ from .core import (
     DEFAULT_ATOM_LIMIT,
     DisjunctiveHead,
     Dnf,
-    GaspError,
     Interpretation,
     LiteralConjunction,
     Program,
@@ -50,10 +51,6 @@ from .semantics import (
     UnknownAtom,
     enumerate_interpretations,
 )
-
-
-class IndexOutOfRange(GaspError, IndexError):
-    """A disjunct or literal index fell outside the DNF being rewritten."""
 
 
 class AuxNames(Record):
@@ -76,68 +73,26 @@ def aux_names(idx: int, k: int) -> AuxNames:
     )
 
 
-class CompilationMap:
-    """Bookkeeping from each distinct rewritten body (canonical DNF) to its
-    fresh atoms, in first-occurrence order."""
-
-    __slots__ = ("entries",)
-    entries: dict[Dnf, AuxNames]
-
-    def __init__(self):
-        self.entries = {}
-
-    def names_for(self, canonical: Dnf) -> AuxNames:
-        names = self.entries.get(canonical)
-        if names is None:
-            names = aux_names(len(self.entries) + 1, len(canonical.disjuncts))
-            self.entries[canonical] = names
-        return names
-
-
-def tr(body: Dnf, i: int, names: AuxNames) -> Rule:
-    """Truth rule for disjunct i: fires the truth atom when the disjunct's
-    positives hold, carrying its negated atoms into the head so the rule
-    survives reducts taken below the candidate."""
-    if not 1 <= i <= len(body.disjuncts):
-        raise IndexOutOfRange(f"disjunct index {i} out of 1..{len(body.disjuncts)}")
-    d = body.disjuncts[i - 1]
-    head = frozenset({names.t}) | d.negatives
-    cond = Conjunct(d.positives, frozenset({names.f[0]}))
-    return Rule(head, LiteralConjunction(cond))
-
-
-def fls_literal(body: Dnf, i: int, j: int, names: AuxNames) -> Rule:
-    """Falsity rule: disjunct i is falsified by its j-th literal."""
-    if not 1 <= i <= len(body.disjuncts):
-        raise IndexOutOfRange(f"disjunct index {i} out of 1..{len(body.disjuncts)}")
-    literals = body.disjuncts[i - 1].literals()
-    if not 1 <= j <= len(literals):
-        raise IndexOutOfRange(f"literal index {j} out of 1..{len(literals)}")
-    return _falsity_rule(i, *literals[j - 1], names)
-
-
-def _falsity_rule(i: int, atom: Atom, positive: bool, names: AuxNames) -> Rule:
-    if positive:
-        cond = Conjunct(frozenset(), frozenset({atom, names.t}))
-    else:
-        cond = Conjunct(frozenset({atom}), frozenset({names.t}))
-    return Rule(frozenset({names.f[i]}), LiteralConjunction(cond))
-
-
-def fls_final(body: Dnf, names: AuxNames) -> Rule:
-    """All disjuncts falsified: the body as a whole is false."""
-    cond = Conjunct(frozenset(names.f[1:]), frozenset({names.t}))
-    return Rule(frozenset({names.f[0]}), LiteralConjunction(cond))
+# each distinct rewritten body (canonical DNF) to its fresh atoms, in
+# first-occurrence order
+_AuxMap = dict[Dnf, AuxNames]
 
 
 def rew_atom(body: Dnf, names: AuxNames) -> tuple[Rule, ...]:
-    """All auxiliary rules for one rewritten body."""
-    k = len(body.disjuncts)
-    rules = [tr(body, i, names) for i in range(1, k + 1)]
+    """All auxiliary rules for one rewritten body, in this order: the truth
+    rule of each disjunct, which fires t when the disjunct's positives hold
+    and carries its negated atoms into the head, so the rule survives
+    reducts taken below the candidate; then, disjunct by disjunct, the
+    falsity rule of each literal, f_i when the literal is false; then the
+    final rule, f_0 when every disjunct is falsified."""
+    t, f = names.t, names.f
+    rules = [Rule({t} | d.negatives, LiteralConjunction(Conjunct(d.positives, (f[0],))))
+             for d in body.disjuncts]
     for i, d in enumerate(body.disjuncts, 1):
         for atom, positive in d.literals():
-            rules.append(_falsity_rule(i, atom, positive, names))
-    rules.append(fls_final(body, names))
+            cond = Conjunct((), (atom, t)) if positive else Conjunct((atom,), (t,))
+            rules.append(Rule((f[i],), LiteralConjunction(cond)))
+    rules.append(Rule((f[0],), LiteralConjunction(Conjunct(f[1:], (t,)))))
     return tuple(rules)
 
 
@@ -265,35 +220,38 @@ def rewriting_size(rules: list[tuple[Rule, Dnf]]) -> int:
 
 def build_rewriting(
     rules: list[tuple[Rule, Dnf]], rewrite_all: bool = False
-) -> tuple[Program, CompilationMap]:
+) -> tuple[Program, _AuxMap]:
     """The FLP rewriting of the rules `canonical_rules` keeps, and the map
     of its rewritten bodies."""
-    cmap = CompilationMap()
+    cmap: _AuxMap = {}
     rewritten: list[Rule] = []
     for rule, canonical in rules:
         body = _kept_body(rule, canonical, rewrite_all)
         if body is None:
-            body = _atom_body(cmap.names_for(canonical).t)
+            names = cmap.get(canonical)
+            if names is None:
+                names = cmap[canonical] = aux_names(len(cmap) + 1, len(canonical.disjuncts))
+            body = _atom_body(names.t)
         rewritten.append(Rule(rule.head, body))
-    for canonical, names in cmap.entries.items():
+    for canonical, names in cmap.items():
         rewritten.extend(rew_atom(canonical, names))
     return Program(rewritten), cmap
 
 
 def rew_flp(
     program: Program, rewrite_all: bool = False, max_domain: int = DEFAULT_ATOM_LIMIT
-) -> tuple[Program, CompilationMap]:
+) -> tuple[Program, _AuxMap]:
     return build_rewriting(canonical_rules(program, max_domain), rewrite_all)
 
 
 def rew_sflp(
     program: Program, rewrite_all: bool = False, max_domain: int = DEFAULT_ATOM_LIMIT
-) -> tuple[Program, CompilationMap]:
+) -> tuple[Program, _AuxMap]:
     flp, cmap = build_rewriting(canonical_rules(program, max_domain), rewrite_all)
     return with_support_rules(flp, cmap), cmap
 
 
-def with_support_rules(flp: Program, cmap: CompilationMap) -> Program:
+def with_support_rules(flp: Program, cmap: _AuxMap) -> Program:
     """The SFLP rewriting, given the FLP one (`rew_flp`'s pair): its rules,
     then the `closure_rules` of every rewritten body in map order, then one
     support rule per source atom, in sorted order.
@@ -305,7 +263,7 @@ def with_support_rules(flp: Program, cmap: CompilationMap) -> Program:
     source rule, and its body is the single atom (a kept literal or a
     truth atom) that the support rule puts in its head.
     """
-    closure = [rule for body, names in cmap.entries.items()
+    closure = [rule for body, names in cmap.items()
                for rule in closure_rules(body, names)]
     heads: dict[Atom, set[Atom]] = {a: set() for a in flp.atoms() if not a.is_reserved}
     for rule in flp.rules:
@@ -320,7 +278,7 @@ def with_support_rules(flp: Program, cmap: CompilationMap) -> Program:
 def supp_rule(
     atom: Atom,
     program: Program,
-    cmap: CompilationMap,
+    cmap: _AuxMap,
     max_domain: int = DEFAULT_ATOM_LIMIT,
 ) -> Rule:
     """Support rule for an atom: its truth demands one of the (rewritten)
@@ -330,20 +288,20 @@ def supp_rule(
     head = set()
     rules = (rule for rule in program.rules if atom in rule.head)
     for _, canonical in _surviving(rules, max_domain):
-        names = cmap.entries.get(canonical)  # None for a kept body: one positive literal
+        names = cmap.get(canonical)  # None for a kept body: one positive literal
         head |= canonical.disjuncts[0].positives if names is None else {names.t}
     return Rule(frozenset(head), _atom_body(atom))
 
 
 def expansion(
-    interpretation: Interpretation, program: Program, cmap: CompilationMap
+    interpretation: Interpretation, program: Program, cmap: _AuxMap
 ) -> frozenset[Atom]:
     """Add to the interpretation the auxiliary atoms that a corresponding
     answer set of the rewritten program must contain: the truth atom of
     every satisfied rewritten body, all falsity atoms of every falsified
     one."""
     out = set(interpretation)
-    for canonical, names in cmap.entries.items():
+    for canonical, names in cmap.items():
         if canonical.eval(interpretation):
             out.add(names.t)
         else:
@@ -400,7 +358,7 @@ def verify_compilation(
 
 def bijection_violations(
     program: Program,
-    cmap: CompilationMap,
+    cmap: _AuxMap,
     source: tuple[frozenset[Atom], ...],
     compiled: tuple[frozenset[Atom], ...],
 ) -> tuple[str, ...]:

@@ -74,12 +74,11 @@ def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
     return flp if mode == ENUM_FLP else sflp if mode == ENUM_SFLP else candidates
 
 
-def scan(lp: LoweredProgram) -> dict[int, list[int]]:
-    """The supported models and the FLP and SFLP answer sets, keyed by
-    their modes, from one pass over the supported models: each candidate's
+def scan(lp: LoweredProgram) -> tuple[list[int], list[int], list[int]]:
+    """The supported models and the FLP and SFLP answer sets, each
+    increasing, from one pass over the supported models: each candidate's
     reduct test gives its FLP verdict on the way to its SFLP one."""
-    supported, flp, sflp = _scan(lp, None)
-    return {ENUM_SUPPORTED: supported, ENUM_FLP: flp, ENUM_SFLP: sflp}
+    return _scan(lp, None)
 
 
 def _scan(lp: LoweredProgram, mode: int | None) -> tuple[list[int], list[int], list[int]]:

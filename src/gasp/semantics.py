@@ -118,12 +118,12 @@ def enumerate_candidates(
     read off them."""
     universe, _ = positions(program.atoms(), limit, "enumeration")
     lp = lowering.lower(program, tuple(universe))
-    found = kernel.scan(lp)
-    ordered = sorted(found[lowering.ENUM_SUPPORTED], key=lowering.rank_key(lp.n))
+    supported, flp, sflp = kernel.scan(lp)
+    ordered = sorted(supported, key=lowering.rank_key(lp.n))
     decoded = lowering.decode(lp.atoms, ordered)
     out = {SemanticsKind.SUPPORTED: tuple(decoded)}
-    for kind in (SemanticsKind.FLP, SemanticsKind.SFLP):
-        accepted = set(found[_ENUM_MODE[kind]])
+    for kind, masks in ((SemanticsKind.FLP, flp), (SemanticsKind.SFLP, sflp)):
+        accepted = set(masks)
         out[kind] = tuple(i for m, i in zip(ordered, decoded) if m in accepted)
     return out
 

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,15 @@ import pytest
 from gasp import parse_program
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def src_env() -> dict[str, str]:
+    """The environment for a subprocess that imports gasp from this
+    checkout: its src directory first on PYTHONPATH."""
+    path = [str(CORPUS_DIR.parent / "src")]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 # pass/fail lines recorded by the acceptance tests; replayed after the run
 # so they stay visible even though pytest captures stdout of passing tests

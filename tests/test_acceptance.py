@@ -18,7 +18,7 @@ from gasp.harness import FAIL, PASS, SKIP, GenConfig, check_theorems, generate
 from gasp.parser import parse_program, render
 from gasp.semantics import SemanticsKind, completion, enumerate_interpretations
 
-from conftest import CORPUS_NAMES, COMPLETION_MODELS, TABLE_EXPECTED, corpus_text, fs
+from conftest import CORPUS_NAMES, COMPLETION_MODELS, TABLE_EXPECTED, corpus_text, fs, src_env
 from oracles import all_subsets, convex_by_triples
 
 SEEDS = 1000
@@ -294,11 +294,11 @@ def test_criterion_7_round_trips(corpus):
     # and the same through the actual executable pipe
     compiled = subprocess.run(
         [sys.executable, "-m", "gasp", "compile", "--semantics", "sflp", "-"],
-        input=corpus_text("p1"), capture_output=True, text=True, check=True,
+        input=corpus_text("p1"), env=src_env(), capture_output=True, text=True, check=True,
     )
     solved = subprocess.run(
         [sys.executable, "-m", "gasp", "flp", "-"],
-        input=compiled.stdout, capture_output=True, text=True, check=True,
+        input=compiled.stdout, env=src_env(), capture_output=True, text=True, check=True,
     )
     if solved.stdout != "{__aux_t_1, a, b}\n":
         problems.append(("cli pipe", solved.stdout))

@@ -9,7 +9,7 @@ from gasp import cli, harness
 from gasp.harness import CheckResult, TheoremReport
 from gasp.parser import parse_program
 
-from conftest import CORPUS_DIR, corpus_text
+from conftest import CORPUS_DIR, corpus_text, src_env
 
 
 def run_cli(args, stdin_text=None, monkeypatch=None, capsys=None):
@@ -22,6 +22,26 @@ def run_cli(args, stdin_text=None, monkeypatch=None, capsys=None):
 
 def corpus_path(name):
     return str(CORPUS_DIR / f"{name}.gasp")
+
+
+# the bound each command hits first on p1, two atoms, under --limit 1
+LIMIT_LABELS = {
+    "models": "enumeration",
+    "supported": "enumeration",
+    "flp": "enumeration",
+    "sflp": "enumeration",
+    "completion": "completion table",
+    "convexity": "convexity scan",
+    "compile": "dnf expansion",
+    "verify": "enumeration",
+}
+
+
+@pytest.mark.parametrize("command", sorted(LIMIT_LABELS))
+def test_limit_exit_code_names_the_bound(command, capsys):
+    code, _, err = run_cli([command, corpus_path("p1"), "--limit", "1"], capsys=capsys)
+    assert code == 3
+    assert f"gasp: {LIMIT_LABELS[command]} over 2 atoms exceeds the limit of 1" in err
 
 
 class TestEnumerationCommands:
@@ -357,6 +377,12 @@ class TestVerifyCommand:
         code, _, err = run_cli(["verify"], capsys=capsys)
         assert code == 2
 
+    def test_verify_rejects_input_with_random(self, capsys):
+        code, out, err = run_cli(["verify", corpus_path("p1"), "--random"], capsys=capsys)
+        assert code == 2
+        assert "verify takes a program file or --random, not both" in err
+        assert out == ""
+
     def test_random_mode_rejects_bad_sizes(self, capsys):
         code, _, err = run_cli(["verify", "--random", "--atoms", "9"], capsys=capsys)
         assert code == 2
@@ -369,22 +395,17 @@ class TestVerifyCommand:
         assert "result" not in out
 
 
+def _gasp(*args, stdin_text=None) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "gasp", *args], input=stdin_text,
+                          env=src_env(), capture_output=True, text=True, check=True)
+
+
 class TestConsoleEntry:
     def test_module_invocation_pipe(self):
-        compiled = subprocess.run(
-            [sys.executable, "-m", "gasp", "compile", "--semantics", "sflp",
-             corpus_path("p1")],
-            capture_output=True, text=True, check=True,
-        )
-        solved = subprocess.run(
-            [sys.executable, "-m", "gasp", "flp", "-"],
-            input=compiled.stdout, capture_output=True, text=True, check=True,
-        )
+        compiled = _gasp("compile", "--semantics", "sflp", corpus_path("p1"))
+        solved = _gasp("flp", "-", stdin_text=compiled.stdout)
         assert solved.stdout == "{__aux_t_1, a, b}\n"
 
     def test_version_flag(self):
-        out = subprocess.run(
-            [sys.executable, "-m", "gasp", "--version"],
-            capture_output=True, text=True, check=True,
-        )
+        out = _gasp("--version")
         assert "gasp" in out.stdout

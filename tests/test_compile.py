@@ -4,21 +4,16 @@ import pytest
 
 from gasp import cli
 from gasp.compile import (
-    CompilationMap,
     DisjunctiveHead,
-    IndexOutOfRange,
     aux_names,
     bijection_violations,
     closure_rules,
     contraction,
     expansion,
-    fls_final,
-    fls_literal,
     rew_atom,
     rew_flp,
     rew_sflp,
     supp_rule,
-    tr,
     verify_compilation,
 )
 from gasp.core import (
@@ -81,59 +76,6 @@ class TestAuxNames:
         assert all(a.is_reserved for a in (names.t, *names.f))
 
 
-class TestTr:
-    def test_first_disjunct_moves_negatives_to_head(self):
-        rule = tr(A_DNF, 1, NAMES)
-        assert render_rule(rule) == "__aux_t_1 | a | b :- not __aux_f_1_0."
-
-    def test_second_disjunct_keeps_positives_in_body(self):
-        rule = tr(A_DNF, 2, NAMES)
-        assert render_rule(rule) == "__aux_t_1 :- a, b, not __aux_f_1_0."
-
-    def test_empty_disjunct(self):
-        top = Dnf((Conjunct(frozenset(), frozenset()),))
-        rule = tr(top, 1, aux_names(1, 1))
-        assert render_rule(rule) == "__aux_t_1 :- not __aux_f_1_0."
-
-    def test_index_checked(self):
-        with pytest.raises(IndexOutOfRange):
-            tr(A_DNF, 3, NAMES)
-        with pytest.raises(IndexOutOfRange):
-            tr(A_DNF, 0, NAMES)
-
-
-class TestFls:
-    def test_negative_literal(self):
-        rule = fls_literal(A_DNF, 1, 1, NAMES)
-        assert render_rule(rule) == "__aux_f_1_1 :- a, not __aux_t_1."
-
-    def test_positive_literal(self):
-        rule = fls_literal(A_DNF, 2, 1, NAMES)
-        assert render_rule(rule) == "__aux_f_1_2 :- not __aux_t_1, not a."
-
-    def test_literal_index_checked(self):
-        with pytest.raises(IndexOutOfRange):
-            fls_literal(A_DNF, 1, 3, NAMES)
-
-    def test_disjunct_index_checked(self):
-        with pytest.raises(IndexOutOfRange, match="disjunct index 3"):
-            fls_literal(A_DNF, 3, 1, NAMES)
-        with pytest.raises(IndexOutOfRange, match="disjunct index 0"):
-            fls_literal(A_DNF, 0, 1, NAMES)
-
-    def test_final_rule(self):
-        rule = fls_final(A_DNF, NAMES)
-        assert render_rule(rule) == "__aux_f_1_0 :- __aux_f_1_1, __aux_f_1_2, not __aux_t_1."
-
-    def test_final_rule_k1(self):
-        names = aux_names(1, 1)
-        single = Dnf((Conjunct(fs("a"), frozenset()),))
-        rule = fls_final(single, names)
-        assert rule.head == fs("__aux_f_1_0")
-        assert rule.body.conjunct.positives == fs("__aux_f_1_1")
-        assert rule.body.conjunct.negatives == fs("__aux_t_1")
-
-
 class TestRewAtom:
     def test_rule_inventory(self):
         rules = rew_atom(A_DNF, NAMES)
@@ -151,7 +93,20 @@ class TestRewAtom:
     def test_single_literal_inventory(self):
         single = Dnf((Conjunct(fs("a"), frozenset()),))
         rules = rew_atom(single, aux_names(1, 1))
-        assert len(rules) == 3
+        assert [render_rule(r) for r in rules] == [
+            "__aux_t_1 :- a, not __aux_f_1_0.",
+            "__aux_f_1_1 :- not __aux_t_1, not a.",
+            "__aux_f_1_0 :- __aux_f_1_1, not __aux_t_1.",
+        ]
+
+    def test_empty_disjunct_inventory(self):
+        # the body of a fact: one disjunct with no literal
+        top = Dnf((Conjunct(frozenset(), frozenset()),))
+        rules = rew_atom(top, aux_names(1, 1))
+        assert [render_rule(r) for r in rules] == [
+            "__aux_t_1 :- not __aux_f_1_0.",
+            "__aux_f_1_0 :- __aux_f_1_1, not __aux_t_1.",
+        ]
 
     def test_count_formula(self):
         for body in (A_DNF, to_dnf(parse_program("x :- count{a, b, c} >= 2.").rules[0].body)):
@@ -165,8 +120,7 @@ class TestRewFlp:
     def test_p1_golden(self, corpus):
         rewritten, cmap = rew_flp(corpus["p1"])
         assert render(rewritten) == REW_FLP_P1
-        assert list(cmap.entries) == [A_DNF]
-        assert cmap.entries[A_DNF] == NAMES
+        assert cmap == {A_DNF: NAMES}
 
     def test_p1_has_no_flp_answer_sets(self, corpus):
         rewritten, _ = rew_flp(corpus["p1"])
@@ -204,12 +158,12 @@ class TestRewFlp:
         program = parse_program("a :- count{b} > 1. b.")
         rewritten, cmap = rew_flp(program)
         assert Atom("a") not in rewritten.atoms()
-        assert len(cmap.entries) == 1  # only the fact's body is rewritten
+        assert len(cmap) == 1  # only the fact's body is rewritten
 
     def test_shared_bodies_share_one_family(self):
         program = parse_program("a :- count{a, b} != 1. b :- dnf{~a & ~b | a & b}.")
         _, cmap = rew_flp(program)
-        assert len(cmap.entries) == 1
+        assert len(cmap) == 1
 
     def test_output_is_convex_and_aggregate_free(self, corpus):
         for name in ("p1", "p2", "p3", "p5"):
@@ -266,7 +220,7 @@ class TestSupp:
     def test_disjunctive_head_is_rejected(self):
         # skipping `a | b :- c.` would give the wrong support rule `:- a.`
         program = parse_program("a | b :- c. c.")
-        cmap = CompilationMap()
+        cmap = {}
         for name in ("a", "b"):
             with pytest.raises(DisjunctiveHead):
                 supp_rule(Atom(name), program, cmap)
@@ -328,17 +282,17 @@ class TestRewSflp:
         for program in programs:
             flp_version, flp_map = rew_flp(program, rewrite_all)
             sflp_version, sflp_map = rew_sflp(program, rewrite_all)
-            entries = list(flp_map.entries.items())
+            entries = list(flp_map.items())
             closure = []
             for body, names in entries:
                 rules = closure_rules(body, names)
                 _check_closure(body, names, rules)
                 closure.extend(rules)
             support = [supp_rule(a, program, flp_map) for a in _live_atoms(program)]
-            assert list(flp_map.entries.items()) == entries  # supp_rule only looks up
+            assert list(flp_map.items()) == entries  # supp_rule only looks up
             expected = Program(flp_version.rules + tuple(closure) + tuple(support))
             assert sflp_version.rules == expected.rules, render(program)
-            assert list(sflp_map.entries.items()) == entries
+            assert list(sflp_map.items()) == entries
 
     def test_compile_command_text_is_pinned(self, capsys):
         digest = hashlib.sha256()
@@ -374,8 +328,7 @@ class TestExpansionContraction:
         assert not A_DNF.eval(fs("a"))
 
     def test_expansion_with_empty_map(self):
-        cmap = CompilationMap()
-        assert expansion(frozenset(), Program([]), cmap) == frozenset()
+        assert expansion(frozenset(), Program([]), {}) == frozenset()
 
     def test_contraction(self, corpus):
         assert contraction(TOTAL, corpus["p1"]) == fs("a", "b")
@@ -473,7 +426,7 @@ class TestVerifyCompilation:
     def test_rewrite_all_removes_exemptions(self, corpus):
         rewritten, cmap = rew_flp(corpus["p2"], rewrite_all=True)
         # all four bodies rewritten: the shared count body plus b and a
-        assert len(cmap.entries) == 3
+        assert len(cmap) == 3
         assert all(isinstance(r.body, LiteralConjunction) for r in rewritten.rules)
 
     def test_rule_count_formula(self):
@@ -493,7 +446,7 @@ class TestVerifyCompilation:
                 surviving.append(rule)
             aux_rules = sum(
                 len(dnf.disjuncts) + sum(len(d.literals()) for d in dnf.disjuncts) + 1
-                for dnf in cmap.entries
+                for dnf in cmap
             )
             # rendered rewriting collapses duplicates, so compare as sets
             assert len(rewritten.rules) <= len(surviving) + aux_rules

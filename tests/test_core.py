@@ -28,7 +28,7 @@ from gasp.core import (
     subsets_in_canonical_order,
     to_dnf,
 )
-from gasp.compile import AuxNames, CompilationMap, CompilationReport
+from gasp.compile import AuxNames, CompilationReport
 from gasp.harness import BODY_KINDS, CheckResult, GenConfig, TheoremReport, _gen_body
 from gasp.lowering import lower
 from gasp.parser import SourceProgram, parse_program
@@ -452,17 +452,14 @@ class TestRecords:
         with pytest.raises(AttributeError):
             Program(rules).rules = ()
 
-    def test_lowered_program_and_compilation_map_stay_mutable(self):
+    def test_lowered_program_stays_mutable(self):
         lp = lower(parse_program("a :- b. b."))
-        cmap = CompilationMap()
         lp.heads.append(0)
         lp.n = 3
-        cmap.entries = {Dnf((_C1,)): None}
-        assert (lp.n, cmap.entries) == (3, {Dnf((_C1,)): None})
-        for value in (lp, cmap):
-            assert not hasattr(value, "__dict__")
-            with pytest.raises(AttributeError):
-                value.extra = 1
+        assert (lp.n, lp.heads[-1]) == (3, 0)
+        assert not hasattr(lp, "__dict__")
+        with pytest.raises(AttributeError):
+            lp.extra = 1
 
 
 class TestAtomSets:

@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from gasp import compile as comp, harness
-from gasp.compile import CompilationMap, verify_compilation, with_support_rules
+from gasp.compile import verify_compilation, with_support_rules
 from gasp.core import (
     Atom,
     CountAggregate,
@@ -240,7 +240,7 @@ def support_only(flp, cmap):
     """The SFLP rewriting without its closure rules, which is not exact: an
     empty map has no bodies to close, and the support rules are read off
     the FLP rewriting alone."""
-    return with_support_rules(flp, CompilationMap())
+    return with_support_rules(flp, {})
 
 
 def _compilation_statuses(programs):
