@@ -43,7 +43,6 @@ from .core import (
     UnsatisfiableBody,
     format_interpretation,
     positions,
-    set_field,
     to_dnf,
 )
 from .semantics import (
@@ -60,10 +59,6 @@ class AuxNames(Record):
     __slots__ = ("t", "f")
     t: Atom
     f: tuple[Atom, ...]
-
-    def __init__(self, t: Atom, f: tuple[Atom, ...]):
-        set_field(self, "t", t)
-        set_field(self, "f", f)
 
 
 def aux_names(idx: int, k: int) -> AuxNames:
@@ -320,13 +315,6 @@ class CompilationReport(Record):
     source_sets: tuple[frozenset[Atom], ...]
     compiled_sets: tuple[frozenset[Atom], ...]
     violations: tuple[str, ...]
-
-    def __init__(self, semantics: SemanticsKind, source_sets: tuple[frozenset[Atom], ...],
-                 compiled_sets: tuple[frozenset[Atom], ...], violations: tuple[str, ...]):
-        set_field(self, "semantics", semantics)
-        set_field(self, "source_sets", source_sets)
-        set_field(self, "compiled_sets", compiled_sets)
-        set_field(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

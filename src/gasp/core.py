@@ -39,18 +39,25 @@ class DisjunctiveHead(GaspError):
     """Compilation input must have atomic heads (or be constraints)."""
 
 
-# How a record's `__init__` sets its fields, past `Record.__setattr__`.
+# How constructors set fields past `Record.__setattr__`: `Record.__init__`,
+# and field by field the AST records, built per rule, minterm or query.
 set_field = object.__setattr__
 
 
 class Record:
     """Base of the immutable records: the AST values and the reports.
 
-    A subclass names its fields in `__slots__` and sets them in `__init__`
-    with `set_field`; after that no field can be assigned or deleted. A
-    record equals only a record of the same class with the same field
-    tuple, and hashes like that tuple, so hash values, and with them the
-    iteration order of sets of records, are those of the equivalent tuples.
+    A subclass names its fields in `__slots__`, and `Record.__init__`
+    stores its positional arguments in that order: the constructor of the
+    reports and of the compilation's fresh names. A record that checks or
+    defaults its arguments ends its own `__init__` in `super().__init__`.
+    The AST records (`Atom`, the bodies, `Rule` and `Program`) are built
+    once per rule, minterm or query, so their constructors normalise their
+    arguments and store each field with `set_field`, skipping the generic
+    loop. After construction no field can be assigned or deleted. A record
+    equals only a record of the same class with the same field tuple, and
+    hashes like that tuple, so hash values, and with them the iteration
+    order of sets of records, are those of the equivalent tuples.
     """
 
     __slots__ = ()
@@ -82,6 +89,13 @@ class Record:
 
         cls.__eq__, cls.__hash__ = __eq__, __hash__
 
+    def __init__(self, *values):
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} values, not {len(values)}")
+        for name, value in zip(fields, values):
+            set_field(self, name, value)
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -99,16 +113,16 @@ class Record:
 class Atom(Record):
     """A propositional atom, identified by name.
 
-    Ordinary names start with a lowercase letter; names starting with
-    `__aux` are reserved for compilation output and rejected wherever user
-    input is expected. Atoms order by name.
+    Ordinary names start with a lowercase letter and are not the keyword
+    `not`; names starting with `__aux` are reserved for compilation output
+    and rejected wherever user input is expected. Atoms order by name.
     """
 
     __slots__ = ("name",)
     name: str
 
     def __init__(self, name: str):
-        if not (_PLAIN_NAME.match(name) or _RESERVED_NAME.match(name)):
+        if not (_PLAIN_NAME.match(name) or _RESERVED_NAME.match(name)) or name == "not":
             raise ValueError(f"invalid atom name: {name!r}")
         set_field(self, "name", name)
 

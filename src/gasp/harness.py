@@ -42,7 +42,6 @@ from .core import (
     TruthTable,
     format_interpretation,
     is_convex_program,
-    set_field,
     subsets_in_canonical_order,
 )
 from .parser import render
@@ -88,11 +87,7 @@ class GenConfig(Record):
                 raise ValueError("body weights must be non-negative")
         if not any(w > 0 for _, w in body_mix):
             raise ValueError("at least one body kind needs positive weight")
-        set_field(self, "atom_count", atom_count)
-        set_field(self, "rule_count", rule_count)
-        set_field(self, "body_mix", body_mix)
-        set_field(self, "allow_disjunctive_heads", allow_disjunctive_heads)
-        set_field(self, "seed", seed)
+        super().__init__(atom_count, rule_count, body_mix, allow_disjunctive_heads, seed)
 
 
 def generate(cfg: GenConfig) -> Program:
@@ -166,20 +161,11 @@ class CheckResult(Record):
     status: str
     details: tuple[str, ...]
 
-    def __init__(self, name: str, status: str, details: tuple[str, ...] = ()):
-        set_field(self, "name", name)
-        set_field(self, "status", status)
-        set_field(self, "details", details)
-
 
 class TheoremReport(Record):
     __slots__ = ("program_text", "results")
     program_text: str
     results: tuple[CheckResult, ...]
-
-    def __init__(self, program_text: str, results: tuple[CheckResult, ...]):
-        set_field(self, "program_text", program_text)
-        set_field(self, "results", results)
 
     @property
     def ok(self) -> bool:

@@ -78,17 +78,16 @@ def scan(lp: LoweredProgram) -> tuple[list[int], list[int], list[int]]:
     """The supported models and the FLP and SFLP answer sets, each
     increasing, from one pass over the supported models: each candidate's
     reduct test gives its FLP verdict on the way to its SFLP one."""
-    return _scan(lp, None)
+    return _scan(lp, ENUM_SFLP)
 
 
-def _scan(lp: LoweredProgram, mode: int | None) -> tuple[list[int], list[int], list[int]]:
+def _scan(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], list[int]]:
     """The candidates, then those FLP and SFLP accept, each increasing.
-    `mode` None runs every step, so the candidates are the supported
-    models; otherwise the loop stops where that mode's answer is known:
-    models and supported models are the candidates, read before any
-    per-rule vectors are kept, and FLP alone drops the candidates above a
-    smaller model first and skips the support test (its SFLP list then
-    holds only the FLP answer sets)."""
+    The loop stops where `mode`'s answer is known: models and supported
+    models are the candidates, read before any per-rule vectors are kept;
+    FLP alone drops the candidates above a smaller model first and skips
+    the support test (its SFLP list then holds only the FLP answer sets);
+    SFLP runs every step, so its candidates are the supported models."""
     n = lp.n
     cols = columns(n)
     support = [0] * n

@@ -44,7 +44,6 @@ from .core import (
     TruthTable,
     UnsatisfiableBody,
     _PLAIN_NAME,
-    set_field,
 )
 
 
@@ -56,8 +55,7 @@ class SourceProgram(Record):
     origin: str
 
     def __init__(self, text: str, origin: str = "<string>"):
-        set_field(self, "text", text)
-        set_field(self, "origin", origin)
+        super().__init__(text, origin)
 
 
 class ParseError(GaspError):
@@ -95,11 +93,6 @@ class _Token(Record):
     kind: str  # "name", "int", "op", "eof"
     text: str
     offset: int
-
-    def __init__(self, kind: str, text: str, offset: int):
-        set_field(self, "kind", kind)
-        set_field(self, "text", text)
-        set_field(self, "offset", offset)
 
 
 def _line_column(text: str, offset: int) -> tuple[int, int]:

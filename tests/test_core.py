@@ -31,7 +31,7 @@ from gasp.core import (
 from gasp.compile import AuxNames, CompilationReport
 from gasp.harness import BODY_KINDS, CheckResult, GenConfig, TheoremReport, _gen_body
 from gasp.lowering import lower
-from gasp.parser import SourceProgram, parse_program
+from gasp.parser import SourceProgram, _Token, parse_program
 from gasp.semantics import SemanticsKind
 
 from conftest import fs
@@ -54,7 +54,7 @@ class TestAtom:
         assert Atom("__aux_t_1").is_reserved
         assert not Atom("a").is_reserved
 
-    @pytest.mark.parametrize("name", ["", "A", "1a", "_x", "a-b", "__other"])
+    @pytest.mark.parametrize("name", ["", "A", "1a", "_x", "a-b", "__other", "not"])
     def test_invalid_names(self, name):
         with pytest.raises(ValueError):
             Atom(name)
@@ -364,6 +364,7 @@ RECORDS = [
     (GenConfig(3, 2, _GEN_MIX, True, 7), (3, 2, _GEN_MIX, True, 7)),
     (_CHECK, ("flp_subset_sflp", "pass", ("detail",))),
     (TheoremReport("a.\n", (_CHECK,)), ("a.\n", (_CHECK,))),
+    (_Token("name", "a", 0), ("name", "a", 0)),
 ]
 RECORD_IDS = [type(x).__name__ for x, _ in RECORDS]
 
@@ -371,14 +372,9 @@ RECORD_IDS = [type(x).__name__ for x, _ in RECORDS]
 class _Pair(Record):
     __slots__ = ("x", "y")
 
-    def __init__(self, x, y):
-        core.set_field(self, "x", x)
-        core.set_field(self, "y", y)
-
 
 class _OtherPair(Record):  # the fields of _Pair, in another class
     __slots__ = ("x", "y")
-    __init__ = _Pair.__init__
 
 
 class TestRecords:
@@ -395,6 +391,14 @@ class TestRecords:
         twin = type(record)(*fields)
         assert twin == record and not twin != record
         assert record != fields and fields != record
+
+    @pytest.mark.parametrize("record, fields", RECORDS, ids=RECORD_IDS)
+    def test_wrong_number_of_values(self, record, fields):
+        with pytest.raises(TypeError):
+            type(record)(*fields, fields[-1])
+        if type(record).__init__ is Record.__init__:
+            with pytest.raises(TypeError):
+                type(record)(*fields[:-1])
 
     def test_no_equality_across_classes(self):
         assert _Pair(1, 2) == _Pair(1, 2)

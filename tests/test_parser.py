@@ -149,6 +149,22 @@ class TestRender:
             rendered = render(corpus[name])
             assert parse_program(rendered) == corpus[name]
 
+    def test_count_and_dnf_round_trip_as_atoms(self):
+        # in every atom position: head, literal body, after `not`, count
+        # member and dnf literal
+        program = Program([
+            Rule(fs("count", "dnf"), LiteralConjunction(Conjunct(fs("count"), fs("dnf")))),
+            Rule(fs("dnf"), CountAggregate(fs("count", "dnf"), ">=", 1)),
+            Rule(fs(), Dnf((Conjunct(fs("count"), fs("dnf")), Conjunct(fs("dnf"), fs())))),
+        ])
+        text = render(program)
+        assert text == (
+            "count | dnf :- count, not dnf.\n"
+            "dnf :- count{count, dnf} >= 1.\n"
+            ":- dnf{count & ~dnf | dnf}.\n"
+        )
+        assert parse_program(text) == program
+
     def test_render_parse_render_fixpoint(self, corpus):
         for name in CORPUS_NAMES:
             once = render(corpus[name])
