@@ -51,20 +51,26 @@ class Record:
     stores its positional arguments in that order: the constructor of the
     reports and of the compilation's fresh names. A record that checks or
     defaults its arguments ends its own `__init__` in `super().__init__`.
-    The AST records (`Atom`, the bodies, `Rule` and `Program`) are built
-    once per rule, minterm or query, so their constructors normalise their
+    The AST records (the bodies, `Rule` and `Program`) are built once per
+    rule, minterm or query, so their constructors normalise their
     arguments and store each field with `set_field`, skipping the generic
-    loop. After construction no field can be assigned or deleted. A record
+    loop. A record that keeps a derived value in a slot of its own names
+    its fields in `_fields` instead, so the slot takes no part in them.
+    After construction no field can be assigned or deleted. A record
     equals only a record of the same class with the same field tuple, and
     hashes like that tuple, so hash values, and with them the iteration
     order of sets of records, are those of the equivalent tuples.
+
+    `Atom` keeps the same contract but is not a subclass: it is the
+    1-tuple `(name,)` itself, so that its hash and order are the tuple's,
+    computed in C.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = cls.__dict__.get("__slots__", ())
+        fields = cls.__dict__.get("_fields") or cls.__dict__.get("__slots__", ())
         if not fields:  # an abstract base such as Body
             return
         cls._fields = fields
@@ -110,52 +116,58 @@ class Record:
         return f"{type(self).__name__}({args})"
 
 
-class Atom(Record):
+class Atom(tuple):
     """A propositional atom, identified by name.
 
     Ordinary names start with a lowercase letter and are not the keyword
     `not`; names starting with `__aux` are reserved for compilation output
     and rejected wherever user input is expected. Atoms order by name.
+
+    An atom is the 1-tuple `(name,)`: its hash and its order are the
+    tuple's, computed in C, and `name` is read by a C getter. It equals no
+    plain tuple, and it cannot be iterated, so an atom passed where a
+    collection of atoms is expected raises TypeError rather than reading
+    as its name.
     """
 
-    __slots__ = ("name",)
-    name: str
+    __slots__ = ()
+    _fields = ("name",)
+    name = property(operator.itemgetter(0))
+    # defining __eq__ would drop the inherited hash; keep the tuple's
+    __hash__ = tuple.__hash__
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
         if not (_PLAIN_NAME.match(name) or _RESERVED_NAME.match(name)) or name == "not":
             raise ValueError(f"invalid atom name: {name!r}")
-        set_field(self, "name", name)
+        return tuple.__new__(cls, (name,))
 
-    # Written out rather than inherited: these are the hottest methods of
-    # the package, and the hash stays that of the 1-tuple (name,). Python
-    # answers `a > b` by `b < a` and `a >= b` by `b <= a`.
-    def __hash__(self) -> int:
-        return hash((self.name,))
-
+    # Python asks the subclass first, so a plain tuple gets False from
+    # here in both directions instead of the tuple's own answer.
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
+        if other.__class__ is Atom:
+            return self[0] == other[0]
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name < other.name
-        return NotImplemented
+    def __ne__(self, other):
+        if other.__class__ is Atom:
+            return self[0] != other[0]
+        return True if isinstance(other, tuple) else NotImplemented
 
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name <= other.name
-        return NotImplemented
+    def __iter__(self):
+        raise TypeError("'Atom' object is not iterable")
+
+    def __reduce__(self):  # copy and pickle through __new__
+        return Atom, (self[0],)
 
     @property
     def is_reserved(self) -> bool:
-        return self.name.startswith(RESERVED_PREFIX)
+        return self[0].startswith(RESERVED_PREFIX)
 
     def __str__(self) -> str:
-        return self.name
+        return self[0]
 
     def __repr__(self) -> str:
-        return f"Atom({self.name!r})"
+        return f"Atom({self[0]!r})"
 
 
 Interpretation = frozenset[Atom]
@@ -179,9 +191,6 @@ def atom_set(items: Iterable[Atom] = ()) -> frozenset[Atom]:
     return shared
 
 
-_NAME = operator.attrgetter("name")
-
-
 def positions(
     atoms: Iterable[Atom], limit: int | None = None, what: str = ""
 ) -> tuple[list[Atom], dict[Atom, int]]:
@@ -190,7 +199,7 @@ def positions(
     than `limit` of them. This is the one place that numbers atoms: in
     reverse name order, the name-first atom on the top bit, so that a
     mask's canonical rank is a closed form of the mask (`lowering.rank_key`)."""
-    items = sorted(atoms, key=_NAME, reverse=True)
+    items = sorted(atoms, reverse=True)
     if limit is not None and len(items) > limit:
         raise TooManyAtoms(f"{what} over {len(items)} atoms exceeds the limit of {limit}")
     return items, {a: i for i, a in enumerate(items)}
@@ -444,30 +453,35 @@ class Program(Record):
     Construction collapses duplicate rules (first occurrence wins) using
     canonical rule keys, so equality and hashing are order-insensitive
     while rendering stays deterministic. The keys are recomputed when
-    compared rather than stored, to keep programs small.
+    compared rather than stored, to keep programs small. The atom set is
+    kept, shared through `atom_set`: it is read many times per query. It
+    is not a field, so equality, hashing, repr and pickling see only the
+    rules.
     """
 
-    __slots__ = ("rules",)
+    __slots__ = ("rules", "_atoms")
+    _fields = ("rules",)
     rules: tuple[Rule, ...]
 
     def __init__(self, rules: Iterable[Rule] = ()):
         seen = set()
         kept = []
+        atoms = set()
         for r in rules:
             key = rule_key(r)
             if key not in seen:
                 seen.add(key)
                 kept.append(r)
+                atoms |= r.head
+                atoms |= r.body.domain
         set_field(self, "rules", tuple(kept))
+        set_field(self, "_atoms", atom_set(atoms))
 
     def _keys(self) -> frozenset:
         return frozenset(rule_key(r) for r in self.rules)
 
     def atoms(self) -> frozenset[Atom]:
-        out: frozenset[Atom] = frozenset()
-        for r in self.rules:
-            out |= r.atoms()
-        return out
+        return self._atoms
 
     def __len__(self) -> int:
         return len(self.rules)

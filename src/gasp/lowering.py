@@ -85,12 +85,19 @@ class LoweredProgram:
         self.bodies = bodies
 
 
-def lower(program: Program, universe: tuple[Atom, ...] | None = None) -> LoweredProgram:
+def lower(
+    program: Program,
+    universe: tuple[Atom, ...] | None = None,
+    index: dict[Atom, int] | None = None,
+) -> LoweredProgram:
     """Fix a program's atom universe (defaults to atoms(P) in the order of
-    `core.positions`)."""
+    `core.positions`). `index`, when given, is the position of each atom
+    of `universe`, as `core.positions` returns it with the universe."""
     if universe is None:
-        universe = tuple(positions(program.atoms())[0])
-    index = {a: i for i, a in enumerate(universe)}
+        items, index = positions(program.atoms())
+        universe = tuple(items)
+    elif index is None:
+        index = {a: i for i, a in enumerate(universe)}
     lp = LoweredProgram(universe, index, len(universe), [], [])
     for rule in program.rules:
         mask = 0

@@ -22,7 +22,9 @@ negation of DNF literals.
 Rendering is canonical: heads and literal groups are sorted, disjuncts
 are sorted, aggregates keep their comparator, and a satisfiable truth
 table renders as its minterm DNF. `parse_program(render(p)) == p` for
-every program (canonical program equality).
+every program (canonical program equality); a program with reserved
+`__aux` atoms, such as a rewriting from `compile`, parses back only with
+`allow_reserved=True`.
 """
 
 from __future__ import annotations

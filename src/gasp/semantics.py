@@ -102,8 +102,8 @@ def enumerate_interpretations(
     limit: int = DEFAULT_ATOM_LIMIT,
 ) -> tuple[frozenset[Atom], ...]:
     """All subsets of atoms(P) accepted by the kind, in canonical order."""
-    universe, _ = positions(program.atoms(), limit, "enumeration")
-    lp = lowering.lower(program, tuple(universe))
+    universe, index = positions(program.atoms(), limit, "enumeration")
+    lp = lowering.lower(program, tuple(universe), index)
     masks = kernel.enumerate_masks(lp, _ENUM_MODE[kind])
     return tuple(lowering.interpretations(lp.atoms, masks))
 
@@ -116,8 +116,8 @@ def enumerate_candidates(
     pass (`kernel.scan`). The answer sets are supported models, so the
     supported models are ordered and decoded once and the answer sets are
     read off them."""
-    universe, _ = positions(program.atoms(), limit, "enumeration")
-    lp = lowering.lower(program, tuple(universe))
+    universe, index = positions(program.atoms(), limit, "enumeration")
+    lp = lowering.lower(program, tuple(universe), index)
     supported, flp, sflp = kernel.scan(lp)
     ordered = sorted(supported, key=lowering.rank_key(lp.n))
     decoded = lowering.decode(lp.atoms, ordered)
@@ -143,7 +143,7 @@ def completion_atom(atom: Atom, program: Program, limit: int = DEFAULT_ATOM_LIMI
     if not rules and atom not in program.atoms():
         raise UnknownAtom(f"atom {atom.name!r} does not occur in the program")
     universe, index = positions(rules.atoms() | {atom}, limit, "completion table")
-    lp = lowering.lower(rules, tuple(universe))
+    lp = lowering.lower(rules, tuple(universe), index)
     support = [0] * lp.n
     for _ in kernel.rule_vectors(lp, support):  # only `support` is kept
         pass

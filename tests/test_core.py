@@ -29,7 +29,7 @@ from gasp.core import (
     to_dnf,
 )
 from gasp.compile import AuxNames, CompilationReport
-from gasp.harness import BODY_KINDS, CheckResult, GenConfig, TheoremReport, _gen_body
+from gasp.harness import BODY_KINDS, CheckResult, GenConfig, TheoremReport, _gen_body, generate
 from gasp.lowering import lower
 from gasp.parser import SourceProgram, _Token, parse_program
 from gasp.semantics import SemanticsKind
@@ -61,6 +61,50 @@ class TestAtom:
 
     def test_ordering_is_by_name(self):
         assert sorted([B, Atom("__aux_t_1"), A]) == [Atom("__aux_t_1"), A, B]
+
+    def test_sorted_atoms_are_in_name_order(self):
+        rng = random.Random(3)
+        alphabet = "abAB09_"
+        names = {rng.choice("ab") + "".join(rng.choices(alphabet, k=rng.randrange(4)))
+                 for _ in range(300)}
+        names |= {f"__aux_t_{i}" for i in range(12)}
+        atoms = [Atom(n) for n in names]
+        rng.shuffle(atoms)
+        assert [a.name for a in sorted(atoms)] == sorted(names)
+
+    def test_hash_is_the_tuple_hash_itself(self):
+        # a Python-level __hash__ would run once per set operation on atoms
+        assert Atom.__hash__ is tuple.__hash__
+
+    def test_equality_is_strict_in_both_directions(self):
+        a = Atom("a")
+        assert a == Atom("a") and not a != Atom("a")
+        assert a != Atom("b") and not a == Atom("b")
+        for other in [("a",), "a", ["a"]]:
+            assert a != other and other != a
+            assert not a == other and not other == a
+        assert a.__eq__(("a",)) is False and a.__ne__(("a",)) is True
+        assert len({a, ("a",)}) == 2
+
+    def test_copies_and_pickles_round_trip(self):
+        for a in [A, Atom("__aux_f_1_0")]:
+            copies = [copy.copy(a), copy.deepcopy(a)]
+            copies += [pickle.loads(pickle.dumps(a, protocol))
+                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for twin in copies:
+                assert type(twin) is Atom and twin == a and hash(twin) == hash(a)
+                assert twin.name == a.name and repr(twin) == repr(a)
+
+    # Each case would silently read the atom as its one-letter name if an
+    # atom iterated like the tuple it is.
+    @pytest.mark.parametrize("build", [
+        lambda: Rule(Atom("a"), TOP),
+        lambda: Conjunct(Atom("a"), ()),
+        lambda: frozenset(Atom("a")),
+    ], ids=["rule_head", "conjunct_positives", "frozenset"])
+    def test_is_not_iterable(self, build):
+        with pytest.raises(TypeError, match="'Atom' object is not iterable"):
+            build()
 
 
 class TestConjunct:
@@ -272,6 +316,34 @@ class TestProgram:
         assert p.atoms() == fs("a", "b", "c")
 
 
+class TestProgramAtoms:
+    def test_atoms_are_the_union_of_the_rules_and_shared(self):
+        core._ATOM_SETS.clear()  # 8 atom names: the table cannot fill up
+        by_set = {}
+        for s in range(500):
+            program = generate(GenConfig(
+                atom_count=1 + s % 8, rule_count=s % 11,
+                allow_disjunctive_heads=s % 2 == 0, seed=s,
+            ))
+            expected = frozenset().union(*(r.head | r.body.domain for r in program.rules))
+            assert program.atoms() == expected
+            assert program.atoms() is program.atoms()
+            assert by_set.setdefault(expected, program.atoms()) is program.atoms()
+        assert len(by_set) > 50
+
+    def test_pickle_carries_only_the_rules(self):
+        program = parse_program("a :- count{a, b} != 1. b :- not c. :- dnf{a & ~c}.")
+        assert Program._fields == ("rules",)
+        assert program.__reduce__() == (Program, (program.rules,))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            twin = pickle.loads(pickle.dumps(program, protocol))
+            assert twin == program and twin.rules == program.rules
+            assert twin.atoms() == program.atoms() == fs("a", "b", "c")
+        assert repr(program) == "Program(3 rules)"
+        with pytest.raises(AttributeError):
+            program._atoms = frozenset()
+
+
 def _key_variants(body):
     """The body and bodies that must key like it or apart from it: its
     minterm DNF, that DNF with an empty disjunct appended, the table of its
@@ -412,7 +484,7 @@ class TestRecords:
 
     @pytest.mark.parametrize("record, fields", RECORDS, ids=RECORD_IDS)
     def test_fields_cannot_be_assigned_or_deleted(self, record, fields):
-        names = type(record).__slots__
+        names = type(record)._fields
         assert len(names) == len(fields)
         for name, value in zip(names, fields):
             with pytest.raises(AttributeError):

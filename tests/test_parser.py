@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gasp.compile import rew_flp, rew_sflp
 from gasp.core import Atom, Conjunct, CountAggregate, Dnf, LiteralConjunction, TruthTable
 from gasp.parser import (
     ParseError,
@@ -164,6 +165,15 @@ class TestRender:
             ":- dnf{count & ~dnf | dnf}.\n"
         )
         assert parse_program(text) == program
+
+    @pytest.mark.parametrize("rewrite", [rew_flp, rew_sflp])
+    def test_rewritings_round_trip_with_reserved_atoms(self, corpus, rewrite):
+        for name in ("p1", "p2", "p3", "p5"):  # p4 has a disjunctive head
+            rewritten, _ = rewrite(corpus[name])
+            text = render(rewritten)
+            assert parse_program(text, allow_reserved=True) == rewritten
+            with pytest.raises(ReservedAtom):
+                parse_program(text)
 
     def test_render_parse_render_fixpoint(self, corpus):
         for name in CORPUS_NAMES:
