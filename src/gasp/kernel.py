@@ -27,11 +27,13 @@ both kinds of answer sets, which the theorem battery reads together;
 `enumerate_masks` reads one mode off the same loop, which stops where
 that mode's answer is known. A smaller model of P below a candidate
 blocks it for FLP, since a model of P is a model of every reduct, so
-the reduct test rejects it. Beyond n candidates the FLP query alone
-first drops all such candidates in one pass over all masks (`_above`,
-about 2n big-int steps), so that a program with many supported models
-that are not minimal (n loops `a :- a.` have 2^n) costs what its models
-cost.
+the reduct test rejects it. The FLP query alone drops such candidates
+before their reduct loops: up to n candidates one by one, one AND of a
+candidate's proper subsets with the models; beyond n, all at once in
+one pass over all masks (`_above`, about 2n big-int steps), so that a
+program with many supported models that are not minimal (n loops
+`a :- a.` have 2^n) costs what its models cost. The scan keeps testing
+them against their reducts, as SFLP's verdict needs the reduct.
 
 The reduct of each candidate is read rule by rule, one AND of the body
 vector with the candidate vector and then its few set bits, and the
@@ -53,6 +55,7 @@ from .lowering import (
     ENUM_SFLP,
     ENUM_SUPPORTED,
     LoweredProgram,
+    at_least,
     columns,
     full,
     members,
@@ -85,8 +88,8 @@ def _scan(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], list[int
     """The candidates, then those FLP and SFLP accept, each increasing.
     The loop stops where `mode`'s answer is known: models and supported
     models are the candidates, read before any per-rule vectors are kept;
-    FLP alone drops the candidates above a smaller model first and skips
-    the support test (its SFLP list then holds only the FLP answer sets);
+    FLP alone passes over the candidates above a smaller model of P and
+    skips the support test (its SFLP list then holds only the FLP answer sets);
     SFLP runs every step, so its candidates are the supported models."""
     n = lp.n
     cols = columns(n)
@@ -114,15 +117,21 @@ def _scan(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], list[int
     candidates = models ^ (models & unsupported)
     if not minimal:
         return members(candidates), [], []
-    if not sflp and candidates.bit_count() > n:
-        # a smaller model of P is a model of every reduct, so it blocks I
-        candidates ^= candidates & _above(models, cols)
+    # a smaller model of P is a model of every reduct, so it blocks I
+    blockers = 0  # FLP alone: the models of P tested under each candidate
+    if not sflp:
+        if candidates.bit_count() > n:
+            candidates ^= candidates & _above(models, cols)
+        else:
+            blockers = models
     heads = [members(h) for h in lp.heads] if sflp else None
     flp_accepted = []
     sflp_accepted = []
     reducts = _reducts(candidates, bodies)
     for i, reduct in reducts.items():
         blocking = _proper_subsets(i)
+        if blocking & blockers:
+            continue
         for r in reduct:
             blocking ^= blocking & violated[r]
             if not blocking:
@@ -143,25 +152,25 @@ def _scan(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], list[int
 def rule_vectors(lp: LoweredProgram, support: list[int]) -> Iterator[tuple[int, int, int]]:
     """Per rule, the masks where its body holds, the OR of its head columns
     (where its head is hit) and its support vector: where its body holds
-    and no two head atoms are true, the body vector itself for a one-atom
-    head. The last is ORed into `support[a]` for each head atom a, so a
-    mask in X_a ends up in support[a] exactly when a is supported there.
+    and no two head atoms are true, the body vector itself for a head of
+    at most one atom. The last is ORed into `support[a]` for each head
+    atom a, so a mask in X_a ends up in support[a] exactly when a is
+    supported there.
     A caller that needs only `support` keeps no rule's vectors."""
     n = lp.n
     cols = columns(n)
     for head, body in zip(lp.heads, lp.bodies):
         holds = truth_vector(body, lp.index, n)
-        if head and not head & (head - 1):  # one head atom
+        if not head:  # a constraint: its head is never hit
+            yield holds, 0, holds
+            continue
+        if not head & (head - 1):  # one head atom
             a = head.bit_length() - 1
             support[a] |= holds
             yield holds, cols[a], holds
             continue
         atoms = members(head)
-        hit = two = 0  # the masks with at least one, at least two true head atoms
-        for a in atoms:
-            x = cols[a]
-            two |= hit & x
-            hit |= x
+        hit, two = at_least(cols, atoms, 2)
         supports = holds ^ (holds & two)
         for a in atoms:
             support[a] |= supports

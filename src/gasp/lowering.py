@@ -6,7 +6,11 @@ bit 0, so an interpretation is a mask J < 2^n. A *vector* is a Python int
 with one bit per mask: bit J is set when some property holds at J. The
 column of atom i, X_i, is the vector of the masks that contain i, and
 every body becomes a vector through `truth_vector`, built from columns by
-AND, OR and shifts. A truth table over the whole universe is its own
+AND, OR and shifts. A count body against the bound k reads "at least k"
+and "at least k + 1" of its m members off counters kept up to
+min(k + 1, m) (`at_least`), 2 * min(k + 1, m) - 1 steps per member; the
+kernel counts the true atoms of a disjunctive head with the same
+counters, up to two. A truth table over the whole universe is its own
 vector, one bit per satisfying subset; any other is the OR of one minterm
 conjunction per satisfying subset, so it costs what its minterm DNF
 costs. A vector takes 2^n / 8 bytes (128 KiB at n = 20). The
@@ -33,7 +37,7 @@ order.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     Atom,
@@ -277,32 +281,47 @@ def _conjunction(positives, negatives, index, n, cols) -> int:
 
 
 def _count(body: CountAggregate, index, n, cols) -> int:
-    """Dynamic programming over the members: exact[c] holds the masks with
-    exactly c of the members seen so far; counts above the bound can only
-    matter through the complement, so they are dropped."""
-    cap = min(body.bound, len(body.atoms))
-    exact = [full(n)] + [0] * cap
-    for a in body.atoms:
-        x = cols[index[a]]
-        for c in range(cap, 0, -1):
-            exact[c] = (exact[c] ^ (exact[c] & x)) | (exact[c - 1] & x)
-        exact[0] ^= exact[0] & x
-    below = 0  # masks with fewer than `bound` members
-    for c in range(min(body.bound, cap + 1)):
-        below |= exact[c]
-    at = exact[body.bound] if body.bound <= cap else 0
+    """Every comparator against the bound k reads two counters: at least
+    k and at least k + 1 of the m members, where at least 0 holds every
+    mask and more than m none. So `at_least` counts only up to
+    min(k + 1, m), 2 * min(k + 1, m) - 1 big-int steps per member, and
+    the comparator costs at most two more."""
+    k = body.bound
+    m = len(body.atoms)
+    ge = at_least(cols, map(index.__getitem__, body.atoms), min(k + 1, m))
+    ge_k = full(n) if k == 0 else ge[k - 1] if k <= m else 0
+    ge_next = ge[k] if k < m else 0  # at least k + 1
     cmp = body.comparator
-    if cmp == "<":
-        return below
-    if cmp == "<=":
-        return below | at
-    if cmp == "=":
-        return at
-    if cmp == "!=":
-        return full(n) ^ at
     if cmp == ">=":
-        return full(n) ^ below
-    return full(n) ^ below ^ at  # ">"
+        return ge_k
+    if cmp == ">":
+        return ge_next
+    if cmp == "<":
+        return full(n) ^ ge_k
+    if cmp == "<=":
+        return full(n) ^ ge_next
+    if cmp == "=":
+        return ge_k ^ ge_next
+    return full(n) ^ ge_k ^ ge_next  # "!="
+
+
+def at_least(cols: Sequence[int], bits: Iterable[int], top: int) -> list[int]:
+    """Counters over the columns of the bit positions `bits`, top >= 1:
+    entry c - 1 holds the masks where at least c of those atoms are true,
+    for c = 1 .. top. Each column x raises the counts from the top down,
+    at least c gaining the masks of x at least c - 1, then at least 1
+    gains x: 2 * top - 1 big-int steps per atom. Count bodies use it, and
+    so do disjunctive heads with top = 2 (where the head is hit, where
+    two of its atoms are true)."""
+    ge = [0] * top
+    for i in bits:
+        x = cols[i]
+        c = top - 1
+        while c:  # cheaper than a range for the one or two steps of most calls
+            ge[c] |= ge[c - 1] & x
+            c -= 1
+        ge[0] |= x
+    return ge
 
 
 def _table(body: TruthTable, index, n, cols) -> int:

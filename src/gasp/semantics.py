@@ -53,7 +53,11 @@ def satisfies_rule(interpretation: Interpretation, rule: Rule) -> bool:
 
 
 def is_model(interpretation: Interpretation, program: Program) -> bool:
-    return all(satisfies_rule(interpretation, r) for r in program.rules)
+    return _is_model(interpretation, program.rules)
+
+
+def _is_model(interpretation: Interpretation, rules: tuple[Rule, ...]) -> bool:
+    return all(satisfies_rule(interpretation, r) for r in rules)
 
 
 def _supports(rule: Rule, atom: Atom, interpretation: Interpretation) -> bool:
@@ -63,17 +67,24 @@ def _supports(rule: Rule, atom: Atom, interpretation: Interpretation) -> bool:
 def is_supported_model(interpretation: Interpretation, program: Program) -> bool:
     """A model where every true atom is the unique true head atom of some
     rule with a true body."""
-    if not is_model(interpretation, program):
+    return _is_supported_model(interpretation, program.rules)
+
+
+def _is_supported_model(interpretation: Interpretation, rules: tuple[Rule, ...]) -> bool:
+    if not _is_model(interpretation, rules):
         return False
-    return all(
-        any(_supports(r, a, interpretation) for r in program.rules)
-        for a in interpretation
-    )
+    return all(any(_supports(r, a, interpretation) for r in rules) for a in interpretation)
 
 
 def flp_reduct(program: Program, interpretation: Interpretation) -> Program:
     """The rules whose bodies are true under the interpretation."""
-    return Program(r for r in program.rules if r.body.eval(interpretation))
+    return Program(_reduct_rules(program, interpretation))
+
+
+def _reduct_rules(program: Program, interpretation: Interpretation) -> tuple[Rule, ...]:
+    """The rules of `flp_reduct`, in program order, without building a
+    `Program`: the answer-set predicates only test them."""
+    return tuple(r for r in program.rules if r.body.eval(interpretation))
 
 
 def proper_subsets(interpretation: Interpretation) -> Iterator[frozenset[Atom]]:
@@ -85,15 +96,15 @@ def proper_subsets(interpretation: Interpretation) -> Iterator[frozenset[Atom]]:
 def is_flp_answer_set(interpretation: Interpretation, program: Program) -> bool:
     if not is_model(interpretation, program):
         return False
-    reduct = flp_reduct(program, interpretation)
-    return not any(is_model(j, reduct) for j in proper_subsets(interpretation))
+    reduct = _reduct_rules(program, interpretation)
+    return not any(_is_model(j, reduct) for j in proper_subsets(interpretation))
 
 
 def is_sflp_answer_set(interpretation: Interpretation, program: Program) -> bool:
     if not is_supported_model(interpretation, program):
         return False
-    reduct = flp_reduct(program, interpretation)
-    return not any(is_supported_model(j, reduct) for j in proper_subsets(interpretation))
+    reduct = _reduct_rules(program, interpretation)
+    return not any(_is_supported_model(j, reduct) for j in proper_subsets(interpretation))
 
 
 def enumerate_interpretations(

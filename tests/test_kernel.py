@@ -5,6 +5,7 @@ queries, and the mask order and decoding of `interpretations` against
 `core.interp_sort_key`."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -63,6 +64,17 @@ def assert_agrees(program: Program, label) -> None:
         assert interpretations == enumerate_interpretations(program, kind), (label, kind)
 
 
+COUNT_COMPARATORS = ("=", "!=", "<=", ">=", "<", ">")
+
+
+def body_holds(cmp: str, count: int, bound: int) -> bool:
+    """The comparison of a count body, written out apart from `core`."""
+    return {
+        "=": count == bound, "!=": count != bound, "<=": count <= bound,
+        ">=": count >= bound, "<": count < bound, ">": count > bound,
+    }[cmp]
+
+
 def assert_vectors_agree(program: Program, universe=None) -> None:
     lp = lowering.lower(program, universe)
     for rule in program.rules:
@@ -108,10 +120,31 @@ class TestTruthVector:
             assert_vectors_agree(program, tuple(universe) + (Atom("zz"),))
 
     def test_count_bounds_beyond_members(self):
-        for cmp in ("=", "!=", "<=", ">=", "<", ">"):
-            for bound in range(5):
-                body = CountAggregate(fs("a", "b", "c"), cmp, bound)
-                assert_vectors_agree(Program([Rule(fs("d"), body)]))
+        """Every comparator at every bound 0 .. m + 1 over m = 1 .. 6
+        members, placed at scattered bit positions of universes of up to
+        9 atoms, against Body.eval on every mask."""
+        rng = random.Random(23)
+        for m in range(1, 7):
+            for n in (m, rng.randint(m, 9), 9):
+                universe = scrambled_atoms(n, rng)
+                members = rng.sample(universe, m)
+                program = Program(
+                    Rule(fs(), CountAggregate(members, cmp, bound))
+                    for cmp in COUNT_COMPARATORS for bound in range(m + 2)
+                )
+                assert_vectors_agree(program, universe)
+
+    def test_count_at_twenty_atoms(self):
+        """count{x0, ..., x19} <cmp> k at the north star's width: each
+        vector holds as many masks as there are subsets whose size
+        satisfies the comparison, a count taken without the kernel."""
+        atoms = [Atom(f"x{i}") for i in range(20)]
+        index = {a: i for i, a in enumerate(atoms)}
+        for cmp in COUNT_COMPARATORS:
+            for k in (0, 1, 10, 19, 20, 21):
+                body = CountAggregate(atoms, cmp, k)
+                want = sum(math.comb(20, j) for j in range(21) if body_holds(cmp, j, k))
+                assert lowering.truth_vector(body, index, 20).bit_count() == want, (cmp, k)
 
     def test_parity_table_over_wide_domain(self):
         names = [Atom(f"x{i}") for i in range(9)]
