@@ -5,7 +5,11 @@ shapes: the models, FLP and SFLP answer sets of a scaled non-convex
 program, the FLP answer sets of 16 self-supporting loops `a :- a.`
 (2^16 supported models, one answer set), enumeration of a compiled
 rewriting, and a slice of the theorem battery (the acceptance battery's
-generator settings). Two more rows time queries end to end, kernel plus
+generator settings). Three rows time SFLP beyond n supported models:
+14 loops and the 14-atom choice gadgets, whose parts share no atom, so
+the kernel scans each part on its own, and 12 loops joined by one
+constraint that never fires, one part, so every supported model is
+tested. Two more rows time queries end to end, kernel plus
 ordering and decoding: the four queries (models, supported, FLP, SFLP)
 on the 16-atom chain, and the 3^7 models of a 14-atom program of choice
 gadgets. One row times the completion of the `--atoms` chain, which
@@ -147,6 +151,10 @@ def main() -> int:
 
     chain = coordination_chain(args.atoms)
     loops = parse_program(" ".join(f"a{i} :- a{i}." for i in range(16)))
+    loops14 = parse_program(" ".join(f"a{i} :- a{i}." for i in range(14)))
+    joined = parse_program(" ".join(f"a{i} :- a{i}." for i in range(12))
+                           + " :- count{" + ", ".join(f"a{i}" for i in range(12)) + "} > 12.")
+    choice = choice_gadgets()
     compiled_p1, _ = rew_sflp(parse_program(
         "a :- count{a, b} != 1. b :- count{a, b} != 1."
     ))
@@ -157,6 +165,9 @@ def main() -> int:
             (f"flp, {args.atoms}-atom chain", chain, lowering.ENUM_FLP),
             (f"sflp, {args.atoms}-atom chain", chain, lowering.ENUM_SFLP),
             ("flp, 16 self-supporting loops", loops, lowering.ENUM_FLP),
+            ("sflp, 14 self-supporting loops", loops14, lowering.ENUM_SFLP),
+            ("sflp, 12 loops joined by one constraint", joined, lowering.ENUM_SFLP),
+            ("sflp, 14-atom choice gadgets", choice, lowering.ENUM_SFLP),
             ("flp, rewritten 2-atom program", compiled_p1, lowering.ENUM_FLP),
         )
     ]
@@ -166,7 +177,6 @@ def main() -> int:
         timed(lambda: [semantics.enumerate_interpretations(chain16, kind)
                        for kind in semantics.SemanticsKind], args.repeat),
     ))
-    choice = choice_gadgets()
     models = semantics.SemanticsKind.CLASSICAL
     rows.append((
         "models + decode, 14-atom choice gadgets",

@@ -35,6 +35,21 @@ program with many supported models that are not minimal (n loops
 `a :- a.` have 2^n) costs what its models cost. The scan keeps testing
 them against their reducts, as SFLP's verdict needs the reduct.
 
+No such pass is known for SFLP, whose blocking family depends on the
+reduct. Past the same gate, more than n candidates, SFLP and the scan
+split the program instead (Lifschitz and Turner's splitting): rules
+linked through shared head or body-domain atoms form one part
+(`_parts`), and with two or more parts each is scanned over its own n_k
+atoms, its vectors 2^{n_k} bits, its bodies kept and read through a
+local index (`_split`). For atom-disjoint parts the reduct of I is the
+union of the parts' reducts, and I's share of each part is a supported
+model of that part's reduct, so some J below I blocks I exactly when
+I's share of some part is blocked in that part: the answer sets are the
+products of the parts' answer sets, and the parts' costs add up where
+the candidates' would multiply. The supported models stay the global
+candidates, and `enumerate_masks` never lists them for an SFLP query.
+FLP alone does not split: `_above` already costs what its models cost.
+
 The reduct of each candidate is read rule by rule, one AND of the body
 vector with the candidate vector and then its few set bits, and the
 minimality test of I starts from the vector of I's proper subsets, built
@@ -74,23 +89,26 @@ def default_backend() -> str:
 def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
     """All masks over the lowered universe accepted by `mode`, increasing."""
     candidates, flp, sflp = _scan(lp, mode)
-    return flp if mode == ENUM_FLP else sflp if mode == ENUM_SFLP else candidates
+    return flp if mode == ENUM_FLP else sflp if mode == ENUM_SFLP else members(candidates)
 
 
 def scan(lp: LoweredProgram) -> tuple[list[int], list[int], list[int]]:
     """The supported models and the FLP and SFLP answer sets, each
     increasing, from one pass over the supported models: each candidate's
     reduct test gives its FLP verdict on the way to its SFLP one."""
-    return _scan(lp, ENUM_SFLP)
+    candidates, flp, sflp = _scan(lp, ENUM_SFLP)
+    return members(candidates), flp, sflp
 
 
-def _scan(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], list[int]]:
-    """The candidates, then those FLP and SFLP accept, each increasing.
-    The loop stops where `mode`'s answer is known: models and supported
-    models are the candidates, read before any per-rule vectors are kept;
-    FLP alone passes over the candidates above a smaller model of P and
-    skips the support test (its SFLP list then holds only the FLP answer sets);
-    SFLP runs every step, so its candidates are the supported models."""
+def _scan(lp: LoweredProgram, mode: int) -> tuple[int, list[int], list[int]]:
+    """The vector of the candidates, then the lists of those FLP and SFLP
+    accept, each increasing. The loop stops where `mode`'s answer is known:
+    models and supported models are the candidates, read before any
+    per-rule vectors are kept; FLP alone passes over the candidates above a
+    smaller model of P and skips the support test (its SFLP list then holds
+    only the FLP answer sets); SFLP runs every step, so its candidates are
+    the supported models, and beyond n of them it scans each atom-disjoint
+    part of the program on its own (`_split`)."""
     n = lp.n
     cols = columns(n)
     support = [0] * n
@@ -110,20 +128,24 @@ def _scan(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], list[int
                 rule_support.append(supports)
     models = full(n) ^ bad
     if mode == ENUM_MODELS:
-        return members(models), [], []
+        return models, [], []
     unsupported = 0  # the masks with a true atom that no rule supports
     for x, s in zip(cols, support):
         unsupported |= x ^ (x & s)
     candidates = models ^ (models & unsupported)
     if not minimal:
-        return members(candidates), [], []
+        return candidates, [], []
     # a smaller model of P is a model of every reduct, so it blocks I
     blockers = 0  # FLP alone: the models of P tested under each candidate
-    if not sflp:
-        if candidates.bit_count() > n:
+    if candidates.bit_count() > n:
+        if not sflp:
             candidates ^= candidates & _above(models, cols)
         else:
-            blockers = models
+            parts = _parts(lp)
+            if len(parts) > 1:
+                return candidates, *_split(lp, parts)
+    elif not sflp:
+        blockers = models
     heads = [members(h) for h in lp.heads] if sflp else None
     flp_accepted = []
     sflp_accepted = []
@@ -146,7 +168,74 @@ def _scan(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], list[int
                 blocking = _supported(blocking, reduct, heads, rule_support, cols)
             if not blocking:
                 sflp_accepted.append(i)
-    return list(reducts), flp_accepted, sflp_accepted
+    return candidates, flp_accepted, sflp_accepted
+
+
+def _parts(lp: LoweredProgram) -> list[tuple[int, list[int]]]:
+    """The atom-disjoint parts of the program, each the mask of its atoms
+    and its rules: two rules share a part when a chain of rules links them,
+    each sharing a head or body-domain atom with the next. A rule over no
+    atom is left out: its body is constant, and false wherever the program
+    has a model."""
+    index = lp.index
+    parts = []
+    for r, (head, body) in enumerate(zip(lp.heads, lp.bodies)):
+        atoms = head
+        for a in body.domain:
+            atoms |= 1 << index[a]
+        if not atoms:
+            continue
+        rules = [r]
+        apart = []
+        for part in parts:
+            if part[0] & atoms:
+                atoms |= part[0]
+                rules += part[1]
+            else:
+                apart.append(part)
+        apart.append((atoms, rules))
+        parts = apart
+    return parts
+
+
+def _split(lp: LoweredProgram, parts: list[tuple[int, list[int]]]) -> tuple[list[int], list[int]]:
+    """The FLP and SFLP answer sets, each increasing, of a program made of
+    atom-disjoint `parts`: the products of the parts' answer sets, each
+    part scanned over its own atoms, its bodies kept and read through a
+    local index (see the module docstring for why the products are
+    exact). Atoms in no part are false in every candidate."""
+    flp = [0]
+    sflp = [0]
+    for atoms, rules in parts:
+        bits = members(atoms)
+        local = {b: 1 << j for j, b in enumerate(bits)}
+        part = LoweredProgram(
+            tuple(lp.atoms[b] for b in bits),
+            {lp.atoms[b]: j for j, b in enumerate(bits)},
+            len(bits),
+            [sum(local[b] for b in members(lp.heads[r])) for r in rules],
+            [lp.bodies[r] for r in rules],
+        )
+        _, part_flp, part_sflp = _scan(part, ENUM_SFLP)
+        if not part_sflp:  # FLP answer sets are SFLP ones: none of either
+            return [], []
+        flp = [i | m for m in _spread(part_flp, bits) for i in flp]
+        sflp = [i | m for m in _spread(part_sflp, bits) for i in sflp]
+    flp.sort()
+    sflp.sort()
+    return flp, sflp
+
+
+def _spread(masks: list[int], bits: list[int]) -> list[int]:
+    """Each mask with its bit j moved to bit `bits[j]`."""
+    out = []
+    for mask in masks:
+        spread = 0
+        for j, b in enumerate(bits):
+            if mask >> j & 1:
+                spread |= 1 << b
+        out.append(spread)
+    return out
 
 
 def rule_vectors(lp: LoweredProgram, support: list[int]) -> Iterator[tuple[int, int, int]]:

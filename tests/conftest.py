@@ -103,3 +103,71 @@ def mixed_programs(count: int = 1000):
                            allow_disjunctive_heads=s % 3 != 2, seed=s))
         for s in range(count)
     ]
+
+
+def renamed(program, suffix: str):
+    """The program with every atom `x` renamed to `x<suffix>`."""
+    from gasp.core import (
+        Atom, Conjunct, CountAggregate, Dnf, LiteralConjunction, Program, Rule, TruthTable,
+    )
+
+    def group(atoms):
+        return frozenset(Atom(a.name + suffix) for a in atoms)
+
+    def conjunct(c):
+        return Conjunct(group(c.positives), group(c.negatives))
+
+    def body(b):
+        if isinstance(b, LiteralConjunction):
+            return LiteralConjunction(conjunct(b.conjunct))
+        if isinstance(b, CountAggregate):
+            return CountAggregate(group(b.atoms), b.comparator, b.bound)
+        if isinstance(b, Dnf):
+            return Dnf(tuple(conjunct(d) for d in b.disjuncts))
+        return TruthTable(group(b.domain), frozenset(group(s) for s in b.satisfying))
+
+    return Program(Rule(group(r.head), body(r.body)) for r in program.rules)
+
+
+def disjoint_union(seed: int, width: int):
+    """2-4 programs over at most `width` atoms in all, renamed apart (part
+    k's atom `a` becomes `a<k>`, so the parts' atoms interleave in name
+    order and in bit positions), and their union. A part of two or three
+    atoms is a corpus program over {a, b} half the time: three of the five
+    (p1, p3, p5) have an SFLP answer set that is no FLP one. Every other
+    part is generated, with the generator's full body mix, about half of
+    them with disjunctive heads, plus a self-supporting loop `a :- a.` on
+    about half of its atoms, so that many unions have more supported
+    models than atoms."""
+    import random
+
+    from gasp.core import Atom, Conjunct, LiteralConjunction, Program, Rule
+    from gasp.harness import GenConfig, generate
+
+    rng = random.Random(seed)
+    count = rng.randint(2, min(4, width))
+    sizes = [1] * count
+    for _ in range(width - count):
+        sizes[rng.choice([k for k in range(count) if sizes[k] < 8])] += 1
+    parts = []
+    for k, size in enumerate(sizes):
+        if size in (2, 3) and rng.random() < 0.5:
+            part = parse_program(corpus_text(rng.choice(CORPUS_NAMES)))
+        else:
+            part = generate(GenConfig(atom_count=size, rule_count=rng.randint(1, min(9, size)),
+                                      allow_disjunctive_heads=rng.random() < 0.5,
+                                      seed=rng.randrange(10**6)))
+            loops = [frozenset({Atom(a)}) for a in "abcdefgh"[:size] if rng.random() < 0.5]
+            part = Program(part.rules + tuple(
+                Rule(a, LiteralConjunction(Conjunct(a, ()))) for a in loops
+            ))
+        parts.append(renamed(part, str(k)))
+    return Program(r for part in parts for r in part.rules), parts
+
+
+def product_of(families):
+    """The unions of one set from each family: the answers of a program
+    whose parts share no atom, from each part's answers."""
+    import itertools
+
+    return {frozenset().union(*combo) for combo in itertools.product(*families)}

@@ -7,8 +7,10 @@ from gasp import compile as comp, harness
 from gasp.compile import verify_compilation, with_support_rules
 from gasp.core import (
     Atom,
+    Conjunct,
     CountAggregate,
     DEFAULT_ATOM_LIMIT,
+    LiteralConjunction,
     Program,
     Rule,
     TruthTable,
@@ -376,7 +378,10 @@ class TestOneRewritingPerProgram:
 
 # The small-scope battery: every rule whose body is one of the 21 nonempty
 # truth families over {a}, {b} or {a, b} and whose head is {a}, {b}, {a, b}
-# or empty (84 rules), and every program of at most two distinct rules.
+# or empty (84 rules); the literal bodies `a` and `b` under each of those
+# heads (a positive literal the rewriting keeps, and under the empty head a
+# one-literal constraint) and the constraints `:- not a.` and `:- not b.`
+# (10 more); and every program of at most two distinct rules.
 _SMALL_DOMAINS = ((Atom("a"),), (Atom("b"),), (Atom("a"), Atom("b")))
 _SMALL_HEADS = ((Atom("a"),), (Atom("b"),), (Atom("a"), Atom("b")), ())
 
@@ -384,15 +389,15 @@ _SMALL_HEADS = ((Atom("a"),), (Atom("b"),), (Atom("a"), Atom("b")), ())
 # battery's: each program's text, then repr((name, status, details)) of
 # each of its results. A change that means to alter a report updates this
 # value and says so in CHANGES.md.
-SMALL_SCOPE_DIGEST = "36e2f839efb1bfe604b2d11049dd49e3493e173b3d684150949f02327900ec10"
+SMALL_SCOPE_DIGEST = "e93acc09062a123f9382fec11298aad2fa085df641bf9ee39f13d706c71a95cf"
 
 SMALL_SCOPE_COUNTS = {  # check name: (pass, fail, skip)
-    "flp_subset_sflp": (3571, 0, 0),
-    "convex_equivalence": (2629, 0, 942),
-    "supported_equals_completion_models": (3571, 0, 0),
-    "sflp_completion_characterization": (3571, 0, 0),
-    "compilation_bijection_flp": (2017, 0, 1554),
-    "compilation_bijection_sflp": (2017, 0, 1554),
+    "flp_subset_sflp": (4466, 0, 0),
+    "convex_equivalence": (3404, 0, 1062),
+    "supported_equals_completion_models": (4466, 0, 0),
+    "sflp_completion_characterization": (4466, 0, 0),
+    "compilation_bijection_flp": (2557, 0, 1909),
+    "compilation_bijection_sflp": (2557, 0, 1909),
 }
 
 
@@ -403,7 +408,11 @@ def small_scope_programs() -> list[Program]:
         for family in range(1, 2 ** len(rows)):
             bodies.append(TruthTable(domain, (r for i, r in enumerate(rows) if family >> i & 1)))
     rules = [Rule(head, body) for body in bodies for head in _SMALL_HEADS]
-    assert len(rules) == 84
+    for a in _SMALL_DOMAINS[:2]:
+        positive = LiteralConjunction(Conjunct(a, ()))
+        rules.extend(Rule(head, positive) for head in _SMALL_HEADS)
+        rules.append(Rule((), LiteralConjunction(Conjunct((), a))))
+    assert len(rules) == 94
     pairs = itertools.combinations(rules, 2)
     return [Program()] + [Program([r]) for r in rules] + [Program(pair) for pair in pairs]
 
@@ -412,7 +421,7 @@ def test_small_scope_battery():
     digest = hashlib.sha256()
     counts = {name: [0, 0, 0] for name in CHECK_NAMES}
     programs = small_scope_programs()
-    assert len(programs) == 3571
+    assert len(programs) == 4466
     for program in programs:
         report = check_theorems(program, compile_limit=16)
         digest.update(report.program_text.encode())

@@ -32,7 +32,16 @@ from gasp.semantics import (
     enumerate_interpretations,
 )
 
-from conftest import CORPUS_NAMES, fs, mixed_programs
+from conftest import (
+    CORPUS_NAMES,
+    TABLE_EXPECTED,
+    corpus_text,
+    disjoint_union,
+    fs,
+    mixed_programs,
+    product_of,
+    renamed,
+)
 from oracles import all_subsets, decode, enumerate_oracle
 
 MODES = {
@@ -51,7 +60,8 @@ def kernel_sets(program: Program, mode_name: str) -> set:
 def assert_agrees(program: Program, label) -> None:
     """Each mode's kernel answer is the oracle's, and the one scan that
     serves the supported, FLP and SFLP modes together (`kernel.scan`,
-    decoded by `semantics.enumerate_candidates`) gives their answers."""
+    decoded by `semantics.enumerate_candidates`) gives their answers, each
+    list of masks increasing."""
     for name in MODES:
         assert kernel_sets(program, name) == enumerate_oracle(program, name), (label, name)
     lp = lowering.lower(program)
@@ -60,6 +70,7 @@ def assert_agrees(program: Program, label) -> None:
     assert set(found) == {kind.value for kind in decoded}, label
     for kind, interpretations in decoded.items():
         masks = found[kind.value]
+        assert masks == sorted(set(masks)), (label, kind)
         assert masks == kernel.enumerate_masks(lp, MODES[kind.value]), (label, kind)
         assert interpretations == enumerate_interpretations(program, kind), (label, kind)
 
@@ -302,6 +313,140 @@ class TestOneScan:
         assert_agrees(program, "12-atom chain")
         supported, flp, _ = kernel.scan(lowering.lower(program))
         assert len(supported) > len(flp)
+
+
+def count_splits(monkeypatch) -> list[int]:
+    """The part counts of the programs that `kernel._split` scans from now on."""
+    calls = []
+    split = kernel._split
+    monkeypatch.setattr(kernel, "_split", lambda lp, parts: calls.append(len(parts))
+                        or split(lp, parts))
+    return calls
+
+
+def count_subset_vectors(monkeypatch) -> list[int]:
+    """The candidates that get a subset vector (`kernel._proper_subsets`)
+    from now on."""
+    calls = []
+    proper_subsets = kernel._proper_subsets
+    monkeypatch.setattr(kernel, "_proper_subsets", lambda i: calls.append(i) or proper_subsets(i))
+    return calls
+
+
+def shapes(program: Program) -> set:
+    """The body kinds of the program, and whether it has a disjunctive head
+    and a constraint."""
+    out = {type(r.body).__name__ for r in program.rules}
+    out.update("disjunctive" for r in program.rules if len(r.head) > 1)
+    out.update("constraint" for r in program.rules if not r.head)
+    return out
+
+
+def loops(n: int, extra: str = "") -> Program:
+    return parse_program(" ".join(f"a{i} :- a{i}." for i in range(n)) + extra)
+
+
+class TestDisjointParts:
+    """Programs made of parts that share no atom. Beyond n supported models
+    the SFLP query and the scan test each part on its own universe
+    (`kernel._split`) and multiply the parts' answers; below that, and on
+    every connected program, they test every candidate."""
+
+    def test_unions_agree_with_the_oracles(self, monkeypatch):
+        splits = count_splits(monkeypatch)
+        seen = set()
+        split = 0  # the programs split into parts
+        for seed in range(300):
+            program, _ = disjoint_union(seed, 4 + seed % 7)
+            before = len(splits)
+            assert_agrees(program, seed)
+            split += len(splits) > before
+            seen |= shapes(program)
+        assert split >= 60, split
+        assert seen >= {"LiteralConjunction", "CountAggregate", "Dnf", "TruthTable",
+                        "disjunctive", "constraint"}, seen
+
+    def test_wide_unions_are_the_products_of_their_parts(self, monkeypatch):
+        """At 12-16 atoms the reference is the product of each part's oracle
+        sets, which neither the whole-program oracle nor the kernel computes."""
+        splits = count_splits(monkeypatch)
+        wide = split = 0
+        for seed in range(100):
+            program, parts = disjoint_union(seed, 12 + seed % 5)
+            lp = lowering.lower(program)
+            wide += lp.n >= 12
+            before = len(splits)
+            want = {name: product_of(enumerate_oracle(p, name) for p in parts)
+                    for name in MODES}
+            for name in MODES:
+                assert kernel_sets(program, name) == want[name], (seed, name)
+            for name, masks in zip(("supported", "flp", "sflp"), kernel.scan(lp)):
+                assert {decode(lp.atoms, m) for m in masks} == want[name], (seed, name)
+            split += len(splits) > before
+        assert wide >= 60 and split >= 45, (wide, split)
+
+    def test_corpus_side_by_side(self, monkeypatch):
+        """p4, p5, p4, p5 and p2 over 10 atoms: 36 supported models, 16 SFLP
+        and 4 FLP answer sets, each the product of the corpus table's."""
+        splits = count_splits(monkeypatch)
+        names = ("p4", "p5", "p4", "p5", "p2")
+        parts = [renamed(parse_program(corpus_text(name)), str(k)) for k, name in enumerate(names)]
+        program = Program(r for part in parts for r in part.rules)
+        assert_agrees(program, "corpus side by side")
+        for mode in MODES:
+            want = product_of(
+                {frozenset(Atom(a.name + str(k)) for a in i) for i in TABLE_EXPECTED[name][mode]}
+                for k, name in enumerate(names)
+            )
+            assert kernel_sets(program, mode) == want, mode
+        assert [len(masks) for masks in kernel.scan(lowering.lower(program))] == [36, 4, 16]
+        assert splits and set(splits) == {5}
+
+    def test_sflp_tests_at_most_two_candidates_per_loop(self, monkeypatch):
+        """14 loops `a :- a.`: 2^14 supported models, but each loop is a part
+        of one atom and two supported models, so the SFLP query builds two
+        subset vectors per part, not 2^14."""
+        lp = lowering.lower(loops(14))
+        calls = count_subset_vectors(monkeypatch)
+        assert kernel.enumerate_masks(lp, lowering.ENUM_SFLP) == [0]
+        assert len(calls) <= 2 * 14
+        assert kernel.scan(lp)[1:] == ([0], [0])
+
+    def test_a_constraint_that_never_fires_joins_the_loops(self, monkeypatch):
+        """`:- count{a0, ..., a9} > 10.` never fires, but it reads every atom,
+        so the loops form one part: the query tests all 2^10 candidates."""
+        splits = count_splits(monkeypatch)
+        program = loops(10, " :- count{" + ", ".join(f"a{i}" for i in range(10)) + "} > 10.")
+        lp = lowering.lower(program)
+        assert len(kernel._parts(lp)) == 1
+        calls = count_subset_vectors(monkeypatch)
+        assert kernel.enumerate_masks(lp, lowering.ENUM_SFLP) == [0]
+        assert len(calls) == 1 << 10 and splits == []
+        assert_agrees(program, "joined loops")
+
+    def test_constraints_over_no_atom_next_to_loops(self, monkeypatch):
+        """A body over no atom is constant. `:- .` always fires, so no mode
+        answers; a table over no atom without a row never fires, and as it
+        is in no part the loops still split one by one."""
+        program = loops(6, " :- .")
+        lp = lowering.lower(program)
+        for mode in MODES.values():
+            assert kernel.enumerate_masks(lp, mode) == []
+        assert kernel.scan(lp) == ([], [], [])
+        assert_agrees(program, "loops and :- .")
+        splits = count_splits(monkeypatch)
+        program = Program(loops(6).rules + (Rule(fs(), TruthTable(fs(), ())),))
+        assert_agrees(program, "loops and a constraint that never fires")
+        assert splits and set(splits) == {6}
+
+    def test_free_atoms_stay_false(self):
+        """Atoms of the universe that no rule reads are in no part; they are
+        unsupported wherever true, so every answer leaves them out."""
+        program = loops(5)
+        universe = tuple(sorted(program.atoms() | {Atom("z"), Atom("b0")}, reverse=True))
+        lp = lowering.lower(program, universe)
+        supported, flp, sflp = kernel.scan(lp)
+        assert len(supported) == 32 and flp == sflp == [0]
 
 
 @given(

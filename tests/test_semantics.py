@@ -36,7 +36,15 @@ from gasp.semantics import (
     sflp_via_completion,
 )
 
-from conftest import CORPUS_NAMES, TABLE_EXPECTED, COMPLETION_MODELS, fs, mixed_programs
+from conftest import (
+    CORPUS_NAMES,
+    TABLE_EXPECTED,
+    COMPLETION_MODELS,
+    disjoint_union,
+    fs,
+    mixed_programs,
+    product_of,
+)
 from oracles import all_subsets, completion_oracle, enumerate_oracle
 
 EMPTY = frozenset()
@@ -257,6 +265,54 @@ def choice_gadgets() -> Program:
         else:
             parts.append(f"{x} :- count{{{x}, {y}}} != 1. {y} :- count{{{x}, {y}}} != 1.")
     return parse_program("\n".join(parts))
+
+
+PREDICATES = {
+    SemanticsKind.CLASSICAL: is_model,
+    SemanticsKind.SUPPORTED: is_supported_model,
+    SemanticsKind.FLP: is_flp_answer_set,
+    SemanticsKind.SFLP: is_sflp_answer_set,
+}
+
+
+def ast_sets(program: Program, kind: SemanticsKind) -> tuple:
+    """The subsets of atoms(P) that the AST predicate of `kind` accepts, in
+    canonical order."""
+    accepts = PREDICATES[kind]
+    return tuple(i for i in subsets_in_canonical_order(program.atoms()) if accepts(i, program))
+
+
+class TestDisjointUnions:
+    """Unions of 2-4 programs over disjoint atoms (`conftest.disjoint_union`),
+    many of which the SFLP query splits into their parts: every query and
+    the one scan, in canonical order, against the AST predicates of the
+    whole program up to 10 atoms, and against the product of the parts'
+    AST sets at 12-16 atoms, a reference the kernel plays no part in."""
+
+    def test_whole_program_predicates(self):
+        for seed in range(1000, 1100):
+            program, _ = disjoint_union(seed, 4 + seed % 7)
+            want = {kind: ast_sets(program, kind) for kind in SemanticsKind}
+            for kind in SemanticsKind:
+                assert enumerate_interpretations(program, kind) == want[kind], (seed, kind)
+            for kind, got in enumerate_candidates(program).items():
+                assert got == want[kind], (seed, kind)
+
+    def test_products_of_the_parts(self):
+        wide = 0
+        for seed in range(1000, 1060):
+            program, parts = disjoint_union(seed, 12 + seed % 5)
+            wide += len(program.atoms()) >= 12
+            want = {
+                kind: tuple(sorted(product_of(ast_sets(p, kind) for p in parts),
+                                   key=interp_sort_key))
+                for kind in SemanticsKind
+            }
+            for kind in SemanticsKind:
+                assert enumerate_interpretations(program, kind) == want[kind], (seed, kind)
+            for kind, got in enumerate_candidates(program).items():
+                assert got == want[kind], (seed, kind)
+        assert wide >= 40, wide
 
 
 class TestCandidateSpace:
