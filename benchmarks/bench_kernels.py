@@ -46,6 +46,9 @@ from gasp.harness import GenConfig, check_theorems, generate
 from gasp.parser import parse_program
 
 
+# perfbench/workloads.py imports this function for its chain workload
+# (perfbench/run.py puts this directory on sys.path): renaming it breaks
+# that workload, and changing it changes what the workload measures.
 def coordination_chain(n: int) -> Program:
     """n atoms, each derived when a 3-atom window has an uneven count;
     non-convex bodies keep the subset checks busy."""

@@ -51,6 +51,9 @@ EXIT_INPUT = 2
 EXIT_LIMIT = 3
 EXIT_VIOLATION = 4
 
+# the defaults of `verify --random`'s options, which a program file rejects
+_RANDOM_DEFAULTS = {"seeds": 200, "atoms": 4, "rules": 4}
+
 
 class InputError(GaspError):
     """An unreadable input file or an invalid argument or environment value."""
@@ -120,9 +123,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("input", nargs="?", help="program file, or - for stdin")
     ver.add_argument("--limit", type=int, default=None)
     ver.add_argument("--random", action="store_true", help="check generated programs")
-    ver.add_argument("--seeds", type=int, default=200, help="number of random programs")
-    ver.add_argument("--atoms", type=int, default=4, help="atoms per random program")
-    ver.add_argument("--rules", type=int, default=4, help="rules per random program")
+    for flag, what in (("seeds", "number of random programs"),
+                       ("atoms", "atoms per random program"),
+                       ("rules", "rules per random program")):
+        ver.add_argument(f"--{flag}", type=int, help=f"{what} (default {_RANDOM_DEFAULTS[flag]})")
     return top
 
 
@@ -212,8 +216,10 @@ def _run_verify(args) -> int:
     from . import harness
 
     limit = _limit(args)
-    if args.random and args.input:
-        raise InputError("verify takes a program file or --random, not both")
+    given = ["--random"] if args.random else []
+    given += [f"--{k}" for k in _RANDOM_DEFAULTS if getattr(args, k) is not None]
+    if args.input and given:
+        raise InputError(f"verify takes a program file or {', '.join(given)}, not both")
     if not args.random:
         if not args.input:
             raise InputError("verify needs a program file or --random")
@@ -221,20 +227,24 @@ def _run_verify(args) -> int:
         report = harness.check_theorems(program, limit)
         _print_report(report)
         return EXIT_VIOLATION if not report.ok else EXIT_OK
+    for k, default in _RANDOM_DEFAULTS.items():
+        if getattr(args, k) is None:
+            setattr(args, k, default)
     if args.seeds < 0:
         raise InputError(f"--seeds must not be negative, got {args.seeds}")
+    try:  # the sizes are checked before the first program, even when there is none
+        harness.GenConfig(atom_count=args.atoms, rule_count=args.rules)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     counts = {name: {"pass": 0, "fail": 0, "skip": 0} for name in harness.CHECK_NAMES}
     failures = []
     for seed in range(args.seeds):
-        try:
-            cfg = harness.GenConfig(
-                atom_count=args.atoms,
-                rule_count=args.rules,
-                allow_disjunctive_heads=(seed % 4 == 3),
-                seed=seed,
-            )
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        cfg = harness.GenConfig(
+            atom_count=args.atoms,
+            rule_count=args.rules,
+            allow_disjunctive_heads=(seed % 4 == 3),
+            seed=seed,
+        )
         report = harness.check_theorems(harness.generate(cfg), limit)
         for result in report.results:
             counts[result.name][result.status] += 1

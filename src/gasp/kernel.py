@@ -39,9 +39,9 @@ No such pass is known for SFLP, whose blocking family depends on the
 reduct. Past the same gate, more than n candidates, SFLP and the scan
 split the program instead (Lifschitz and Turner's splitting): rules
 linked through shared head or body-domain atoms form one part
-(`_parts`), and with two or more parts each is scanned over its own n_k
-atoms, its vectors 2^{n_k} bits, its bodies kept and read through a
-local index (`_split`). For atom-disjoint parts the reduct of I is the
+(`_parts`), and with two or more parts each is lowered on its own
+through `lower`, over its own n_k atoms, and scanned with vectors of
+2^{n_k} bits (`_split`). For atom-disjoint parts the reduct of I is the
 union of the parts' reducts, and I's share of each part is a supported
 model of that part's reduct, so some J below I blocks I exactly when
 I's share of some part is blocked in that part: the answer sets are the
@@ -73,6 +73,7 @@ from .lowering import (
     at_least,
     columns,
     full,
+    lower,  # by name, so that perfbench's tracer counts each query's lowering once
     members,
     truth_vector,
     upward,
@@ -179,9 +180,9 @@ def _parts(lp: LoweredProgram) -> list[tuple[int, list[int]]]:
     has a model."""
     index = lp.index
     parts = []
-    for r, (head, body) in enumerate(zip(lp.heads, lp.bodies)):
+    for r, (head, rule) in enumerate(zip(lp.heads, lp.rules)):
         atoms = head
-        for a in body.domain:
+        for a in rule.body.domain:
             atoms |= 1 << index[a]
         if not atoms:
             continue
@@ -201,21 +202,15 @@ def _parts(lp: LoweredProgram) -> list[tuple[int, list[int]]]:
 def _split(lp: LoweredProgram, parts: list[tuple[int, list[int]]]) -> tuple[list[int], list[int]]:
     """The FLP and SFLP answer sets, each increasing, of a program made of
     atom-disjoint `parts`: the products of the parts' answer sets, each
-    part scanned over its own atoms, its bodies kept and read through a
-    local index (see the module docstring for why the products are
-    exact). Atoms in no part are false in every candidate."""
+    part lowered through `lower` over its own atoms and scanned (see the
+    module docstring for why the products are exact). A part's atoms keep
+    their relative order, so its bit j is `bits[j]`. Atoms in no part are
+    false in every candidate."""
     flp = [0]
     sflp = [0]
     for atoms, rules in parts:
         bits = members(atoms)
-        local = {b: 1 << j for j, b in enumerate(bits)}
-        part = LoweredProgram(
-            tuple(lp.atoms[b] for b in bits),
-            {lp.atoms[b]: j for j, b in enumerate(bits)},
-            len(bits),
-            [sum(local[b] for b in members(lp.heads[r])) for r in rules],
-            [lp.bodies[r] for r in rules],
-        )
+        part = lower([lp.rules[r] for r in rules], [lp.atoms[b] for b in bits])
         _, part_flp, part_sflp = _scan(part, ENUM_SFLP)
         if not part_sflp:  # FLP answer sets are SFLP ones: none of either
             return [], []
@@ -248,8 +243,8 @@ def rule_vectors(lp: LoweredProgram, support: list[int]) -> Iterator[tuple[int, 
     A caller that needs only `support` keeps no rule's vectors."""
     n = lp.n
     cols = columns(n)
-    for head, body in zip(lp.heads, lp.bodies):
-        holds = truth_vector(body, lp.index, n)
+    for head, rule in zip(lp.heads, lp.rules):
+        holds = truth_vector(rule.body, lp.index, n)
         if not head:  # a constraint: its head is never hit
             yield holds, 0, holds
             continue

@@ -1,4 +1,5 @@
-"""Bit-sliced form of a program, the input of the enumeration kernel.
+"""Bit-sliced form of a program, the input of the enumeration kernel:
+a `LoweredProgram`, whose one constructor is `lower`.
 
 Atoms get bit positions in reverse name order (`core.positions`): over a
 universe of n atoms the name-first atom holds bit n - 1 and the name-last
@@ -46,6 +47,7 @@ from .core import (
     Dnf,
     LiteralConjunction,
     Program,
+    Rule,
     TruthTable,
     atom_set,
     positions,
@@ -71,44 +73,39 @@ _PEELED = 64
 
 
 class LoweredProgram:
-    """Rules over a fixed universe: head masks plus the bodies themselves."""
+    """Rules over a fixed universe and their head masks; `lower` sets the
+    fields."""
 
-    __slots__ = ("atoms", "index", "n", "heads", "bodies")
+    __slots__ = ("atoms", "index", "n", "heads", "rules")
     atoms: tuple[Atom, ...]
     index: dict[Atom, int]
     n: int
     heads: list[int]
-    bodies: list[Body]
-
-    def __init__(self, atoms: tuple[Atom, ...], index: dict[Atom, int], n: int,
-                 heads: list[int], bodies: list[Body]):
-        self.atoms = atoms
-        self.index = index
-        self.n = n
-        self.heads = heads
-        self.bodies = bodies
+    rules: tuple[Rule, ...]
 
 
 def lower(
-    program: Program,
-    universe: tuple[Atom, ...] | None = None,
-    index: dict[Atom, int] | None = None,
+    rules: Program | Sequence[Rule],
+    atoms: Iterable[Atom] | None = None,
+    limit: int | None = None,
+    what: str = "enumeration",
 ) -> LoweredProgram:
-    """Fix a program's atom universe (defaults to atoms(P) in the order of
-    `core.positions`). `index`, when given, is the position of each atom
-    of `universe`, as `core.positions` returns it with the universe."""
-    if universe is None:
-        items, index = positions(program.atoms())
-        universe = tuple(items)
-    elif index is None:
-        index = {a: i for i, a in enumerate(universe)}
-    lp = LoweredProgram(universe, index, len(universe), [], [])
-    for rule in program.rules:
+    """The rules, a `Program` or any sequence of rules, over the universe
+    `atoms` (default: the rules' atoms) as `core.positions` numbers it:
+    for every query and each part the kernel splits off. TooManyAtoms,
+    naming `what`, when the universe has more than `limit` atoms."""
+    if atoms is None:
+        atoms = rules.atoms() if isinstance(rules, Program) else set().union(*map(Rule.atoms, rules))
+    rules = rules.rules if isinstance(rules, Program) else tuple(rules)
+    items, index = positions(atoms, limit, what)
+    heads = []
+    for rule in rules:
         mask = 0
         for a in rule.head:
             mask |= 1 << index[a]
-        lp.heads.append(mask)
-        lp.bodies.append(rule.body)
+        heads.append(mask)
+    lp = LoweredProgram()
+    lp.atoms, lp.index, lp.n, lp.heads, lp.rules = tuple(items), index, len(items), heads, rules
     return lp
 
 

@@ -12,7 +12,7 @@ vectors, over its atom's local domain.
 from __future__ import annotations
 
 import enum
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import kernel, lowering
 from .core import (
@@ -23,7 +23,6 @@ from .core import (
     Program,
     Rule,
     TruthTable,
-    positions,
     subsets_in_canonical_order,
 )
 
@@ -52,28 +51,21 @@ def satisfies_rule(interpretation: Interpretation, rule: Rule) -> bool:
     return not rule.body.eval(interpretation) or bool(rule.head & interpretation)
 
 
-def is_model(interpretation: Interpretation, program: Program) -> bool:
-    return _is_model(interpretation, program.rules)
-
-
-def _is_model(interpretation: Interpretation, rules: tuple[Rule, ...]) -> bool:
-    return all(satisfies_rule(interpretation, r) for r in rules)
+def is_model(interpretation: Interpretation, program: Program | Sequence[Rule]) -> bool:
+    """Every rule of `program`, a `Program` or a sequence of rules, holds."""
+    return all(satisfies_rule(interpretation, r) for r in program)
 
 
 def _supports(rule: Rule, atom: Atom, interpretation: Interpretation) -> bool:
     return rule.head & interpretation == {atom} and rule.body.eval(interpretation)
 
 
-def is_supported_model(interpretation: Interpretation, program: Program) -> bool:
+def is_supported_model(interpretation: Interpretation, program: Program | Sequence[Rule]) -> bool:
     """A model where every true atom is the unique true head atom of some
-    rule with a true body."""
-    return _is_supported_model(interpretation, program.rules)
-
-
-def _is_supported_model(interpretation: Interpretation, rules: tuple[Rule, ...]) -> bool:
-    if not _is_model(interpretation, rules):
+    rule with a true body, over a `Program` or a sequence of rules."""
+    if not is_model(interpretation, program):
         return False
-    return all(any(_supports(r, a, interpretation) for r in rules) for a in interpretation)
+    return all(any(_supports(r, a, interpretation) for r in program) for a in interpretation)
 
 
 def flp_reduct(program: Program, interpretation: Interpretation) -> Program:
@@ -81,10 +73,12 @@ def flp_reduct(program: Program, interpretation: Interpretation) -> Program:
     return Program(_reduct_rules(program, interpretation))
 
 
-def _reduct_rules(program: Program, interpretation: Interpretation) -> tuple[Rule, ...]:
+def _reduct_rules(
+    program: Program | Sequence[Rule], interpretation: Interpretation
+) -> tuple[Rule, ...]:
     """The rules of `flp_reduct`, in program order, without building a
     `Program`: the answer-set predicates only test them."""
-    return tuple(r for r in program.rules if r.body.eval(interpretation))
+    return tuple(r for r in program if r.body.eval(interpretation))
 
 
 def proper_subsets(interpretation: Interpretation) -> Iterator[frozenset[Atom]]:
@@ -93,18 +87,18 @@ def proper_subsets(interpretation: Interpretation) -> Iterator[frozenset[Atom]]:
     return (s for s in subsets_in_canonical_order(interpretation) if len(s) < size)
 
 
-def is_flp_answer_set(interpretation: Interpretation, program: Program) -> bool:
+def is_flp_answer_set(interpretation: Interpretation, program: Program | Sequence[Rule]) -> bool:
     if not is_model(interpretation, program):
         return False
     reduct = _reduct_rules(program, interpretation)
-    return not any(_is_model(j, reduct) for j in proper_subsets(interpretation))
+    return not any(is_model(j, reduct) for j in proper_subsets(interpretation))
 
 
-def is_sflp_answer_set(interpretation: Interpretation, program: Program) -> bool:
+def is_sflp_answer_set(interpretation: Interpretation, program: Program | Sequence[Rule]) -> bool:
     if not is_supported_model(interpretation, program):
         return False
     reduct = _reduct_rules(program, interpretation)
-    return not any(_is_supported_model(j, reduct) for j in proper_subsets(interpretation))
+    return not any(is_supported_model(j, reduct) for j in proper_subsets(interpretation))
 
 
 def enumerate_interpretations(
@@ -113,8 +107,7 @@ def enumerate_interpretations(
     limit: int = DEFAULT_ATOM_LIMIT,
 ) -> tuple[frozenset[Atom], ...]:
     """All subsets of atoms(P) accepted by the kind, in canonical order."""
-    universe, index = positions(program.atoms(), limit, "enumeration")
-    lp = lowering.lower(program, tuple(universe), index)
+    lp = lowering.lower(program, limit=limit)
     masks = kernel.enumerate_masks(lp, _ENUM_MODE[kind])
     return tuple(lowering.interpretations(lp.atoms, masks))
 
@@ -127,8 +120,7 @@ def enumerate_candidates(
     pass (`kernel.scan`). The answer sets are supported models, so the
     supported models are ordered and decoded once and the answer sets are
     read off them."""
-    universe, index = positions(program.atoms(), limit, "enumeration")
-    lp = lowering.lower(program, tuple(universe), index)
+    lp = lowering.lower(program, limit=limit)
     supported, flp, sflp = kernel.scan(lp)
     ordered = sorted(supported, key=lowering.rank_key(lp.n))
     decoded = lowering.decode(lp.atoms, ordered)
@@ -153,13 +145,12 @@ def completion_atom(atom: Atom, program: Program, limit: int = DEFAULT_ATOM_LIMI
     rules = Program(r for r in program.rules if atom in r.head)
     if not rules and atom not in program.atoms():
         raise UnknownAtom(f"atom {atom.name!r} does not occur in the program")
-    universe, index = positions(rules.atoms() | {atom}, limit, "completion table")
-    lp = lowering.lower(rules, tuple(universe), index)
+    lp = lowering.lower(rules, rules.atoms() | {atom}, limit, "completion table")
     support = [0] * lp.n
     for _ in kernel.rule_vectors(lp, support):  # only `support` is kept
         pass
-    x = lowering.columns(lp.n)[index[atom]]
-    satisfying = lowering.decode(lp.atoms, lowering.members(x ^ (x & support[index[atom]])))
+    x = lowering.columns(lp.n)[lp.index[atom]]
+    satisfying = lowering.decode(lp.atoms, lowering.members(x ^ (x & support[lp.index[atom]])))
     return TruthTable(lp.atoms, satisfying)
 
 

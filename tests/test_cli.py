@@ -388,6 +388,26 @@ class TestVerifyCommand:
         assert code == 2
         assert "atom_count" in err
 
+    @pytest.mark.parametrize("seeds", ["0", "1"])
+    @pytest.mark.parametrize("option", [["--atoms", "99"], ["--atoms", "0"], ["--rules", "11"]])
+    def test_random_sizes_are_checked_before_any_program(self, seeds, option, capsys):
+        """A bad size is bad input whether or not a program is generated."""
+        code, out, err = run_cli(["verify", "--random", "--seeds", seeds, *option], capsys=capsys)
+        assert code == 2
+        assert "count must be in" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("options", [
+        ["--seeds", "3"], ["--atoms", "3"], ["--rules", "2"], ["--atoms", "4", "--rules", "4"],
+    ])
+    def test_program_file_rejects_random_options(self, options, capsys):
+        """The random-program options, even at their defaults, are bad input
+        next to a program file, as --random is."""
+        code, out, err = run_cli(["verify", corpus_path("p1"), *options], capsys=capsys)
+        assert code == 2
+        assert f"verify takes a program file or {', '.join(options[::2])}, not both" in err
+        assert out == ""
+
     def test_random_mode_rejects_negative_seeds(self, capsys):
         code, out, err = run_cli(["verify", "--random", "--seeds", "-3"], capsys=capsys)
         assert code == 2

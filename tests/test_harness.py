@@ -27,6 +27,7 @@ from gasp.harness import (
     generate,
 )
 from gasp.parser import parse_program, render
+from gasp.semantics import is_flp_answer_set, is_model, is_sflp_answer_set, is_supported_model
 
 from conftest import CORPUS_NAMES
 
@@ -415,6 +416,22 @@ def small_scope_programs() -> list[Program]:
     assert len(rules) == 94
     pairs = itertools.combinations(rules, 2)
     return [Program()] + [Program([r]) for r in rules] + [Program(pair) for pair in pairs]
+
+
+def test_predicates_take_a_program_or_its_rules():
+    """The AST predicates give one verdict on a `Program` and on its rule
+    tuple, at every interpretation over the small-scope programs' atoms."""
+    # each predicate accepts a subset of what the one before it accepts
+    predicates = (is_model, is_supported_model, is_sflp_answer_set, is_flp_answer_set)
+    interpretations = list(subsets_in_canonical_order(_SMALL_DOMAINS[2]))
+    accepted = [0] * len(predicates)
+    for program in small_scope_programs():
+        for i in interpretations:
+            for k, predicate in enumerate(predicates):
+                verdict = predicate(i, program)
+                assert predicate(i, program.rules) is verdict, (render(program), i, predicate)
+                accepted[k] += verdict
+    assert all(accepted) and accepted == sorted(accepted, reverse=True), accepted
 
 
 def test_small_scope_battery():

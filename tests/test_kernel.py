@@ -125,9 +125,9 @@ class TestTruthVector:
             program = battery_program(seed)
             universe = []
             for i, a in enumerate(sorted(program.atoms())):
-                if i % 2 == 0:
-                    universe.append(Atom(f"z{i}"))
                 universe.append(a)
+                if i % 2 == 0:  # a name between a and the next atom
+                    universe.append(Atom(f"{a.name}{i}"))
             assert_vectors_agree(program, tuple(universe) + (Atom("zz"),))
 
     def test_count_bounds_beyond_members(self):
@@ -324,6 +324,22 @@ def count_splits(monkeypatch) -> list[int]:
     return calls
 
 
+def rule_components(rules) -> set[frozenset[Rule]]:
+    """The rule sets linked, directly or through other rules, by a shared
+    head or body-domain atom; rules over no atom are in none."""
+    components: list[tuple[set, set]] = []
+    for rule in rules:
+        atoms, linked = set(rule.atoms()), {rule}
+        if not atoms:
+            continue
+        for component in [c for c in components if c[0] & atoms]:
+            components.remove(component)
+            atoms |= component[0]
+            linked |= component[1]
+        components.append((atoms, linked))
+    return {frozenset(linked) for _, linked in components}
+
+
 def count_subset_vectors(monkeypatch) -> list[int]:
     """The candidates that get a subset vector (`kernel._proper_subsets`)
     from now on."""
@@ -438,6 +454,31 @@ class TestDisjointParts:
         program = Program(loops(6).rules + (Rule(fs(), TruthTable(fs(), ())),))
         assert_agrees(program, "loops and a constraint that never fires")
         assert splits and set(splits) == {6}
+
+    def test_each_part_is_lowered_like_any_program(self, monkeypatch):
+        """Each part that `_split` scans is what `lower` makes of the part's
+        rules over the part's atoms, and its rules are one connected
+        component of the program: rules linked by shared atoms, a rule over
+        no atom in none."""
+        scanned = []
+        scan = kernel._scan
+        monkeypatch.setattr(kernel, "_scan", lambda lp, mode: scanned.append(lp) or scan(lp, mode))
+        split = 0
+        for seed in range(120):
+            program, _ = disjoint_union(seed, 4 + seed % 9)
+            scanned.clear()
+            kernel.scan(lowering.lower(program))
+            parts = scanned[1:]
+            split += bool(parts)
+            components = rule_components(program.rules)
+            for part in parts:
+                atoms = frozenset().union(*(r.atoms() for r in part.rules))
+                assert frozenset(part.rules) in components, seed
+                assert part.atoms == tuple(sorted(atoms, reverse=True)), seed
+                own = lowering.lower(part.rules, atoms)
+                assert (own.atoms, own.index, own.n, own.heads, own.rules) == (
+                    part.atoms, part.index, part.n, part.heads, part.rules), seed
+        assert split >= 30, split
 
     def test_free_atoms_stay_false(self):
         """Atoms of the universe that no rule reads are in no part; they are

@@ -227,30 +227,6 @@ class TestEnumerate:
         with pytest.raises(TooManyAtoms):
             enumerate_interpretations(wide, SemanticsKind.CLASSICAL, limit=5)
 
-    def test_lowering_reuses_the_index_of_positions(self, monkeypatch):
-        """Each caller that numbers the atoms hands `lower` that numbering,
-        and a lowering so given equals one that numbers the atoms itself."""
-        program = parse_program("a :- count{a, b} != 1. b :- not c. c :- dnf{a & ~b}.")
-        given = []
-        real = lowering.lower
-
-        def spy(program, universe=None, index=None):
-            lp = real(program, universe, index)
-            given.append((lp, index))
-            return lp
-
-        monkeypatch.setattr(lowering, "lower", spy)
-        enumerate_interpretations(program, SemanticsKind.FLP)
-        enumerate_candidates(program)
-        completion_atom(Atom("a"), program)
-        assert len(given) == 3
-        for lp, index in given:
-            assert lp.index is index
-            assert index == {a: i for i, a in enumerate(lp.atoms)}
-        lp, own = given[0][0], real(program)
-        assert (own.atoms, own.index, own.n, own.heads, own.bodies) == (
-            lp.atoms, lp.index, lp.n, lp.heads, lp.bodies)
-
 
 def choice_gadgets() -> Program:
     """Five even loops `x :- not y. y :- not x.` and two corpus-p1 gadgets
