@@ -26,7 +26,6 @@ from .core import (
     DEFAULT_ATOM_LIMIT,
     DisjunctiveHead,
     GaspError,
-    ReservedAtomError,
     TooManyAtoms,
     format_interpretation,
     is_convex,
@@ -41,7 +40,6 @@ from .parser import (
 )
 from .semantics import (
     SemanticsKind,
-    UnknownAtom,
     completion,
     enumerate_interpretations,
 )
@@ -278,8 +276,7 @@ def main(argv=None) -> int:
     except TooManyAtoms as exc:
         print(f"gasp: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (ParseError, ReservedAtomError, DisjunctiveHead, UnknownAtom,
-            InputError) as exc:
+    except (ParseError, DisjunctiveHead, InputError) as exc:
         print(f"gasp: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

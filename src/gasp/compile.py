@@ -42,7 +42,6 @@ from .core import (
     Rule,
     UnsatisfiableBody,
     format_interpretation,
-    positions,
     to_dnf,
 )
 from .semantics import (
@@ -97,15 +96,12 @@ def closure_rules(body: Dnf, names: AuxNames) -> tuple[Rule, ...]:
     domain, in the order of the implicants' literals. Their bodies are
     positive, so each is in the reduct of I whenever t and P hold in I, and
     a model of that reduct below I that holds t satisfies the body."""
-    items, index = positions(body.domain)
+    items, vector = lowering.body_vector(body)
     n = len(items)
-    false = lowering.full(n) ^ lowering.truth_vector(body, index, n)
-    cubes = sorted(
-        (Conjunct((a for i, a in enumerate(items) if value >> i & 1),
-                  (a for i, a in enumerate(items) if (care ^ value) >> i & 1))
-         for care, value in _prime_cubes(n, false)),
-        key=Conjunct.sort_key,
-    )
+    masks = [m for care, value in _prime_cubes(n, lowering.full(n) ^ vector)
+             for m in (value, care ^ value)]
+    sets = lowering.decode(items, masks)  # the positives and negatives of each cube
+    cubes = sorted(map(Conjunct, sets[::2], sets[1::2]), key=Conjunct.sort_key)
     return tuple(
         Rule(c.negatives, LiteralConjunction(Conjunct(c.positives | {names.t}, ())))
         for c in cubes

@@ -59,7 +59,9 @@ class Record:
     After construction no field can be assigned or deleted. A record
     equals only a record of the same class with the same field tuple, and
     hashes like that tuple, so hash values, and with them the iteration
-    order of sets of records, are those of the equivalent tuples.
+    order of sets of records, are those of the equivalent tuples; each
+    class gets the getter of its field tuple, `_values`, and `Program`
+    overrides this equality with its own.
 
     `Atom` keeps the same contract but is not a subclass: it is the
     1-tuple `(name,)` itself, so that its hash and order are the tuple's,
@@ -82,18 +84,7 @@ class Record:
                 return (get(record),)
         else:
             values = operator.attrgetter(*fields)
-        if "__eq__" in cls.__dict__:  # the class defines its own equality
-            return
-
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return values(self) == values(other)
-            return NotImplemented
-
-        def __hash__(self):
-            return hash(values(self))
-
-        cls.__eq__, cls.__hash__ = __eq__, __hash__
+        cls._values = staticmethod(values)
 
     def __init__(self, *values):
         fields = self._fields
@@ -101,6 +92,15 @@ class Record:
             raise TypeError(f"{type(self).__name__}() takes {len(fields)} values, not {len(values)}")
         for name, value in zip(fields, values):
             set_field(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -189,20 +189,6 @@ def atom_set(items: Iterable[Atom] = ()) -> frozenset[Atom]:
             _ATOM_SETS.clear()
         shared = _ATOM_SETS[s] = s
     return shared
-
-
-def positions(
-    atoms: Iterable[Atom], limit: int | None = None, what: str = ""
-) -> tuple[list[Atom], dict[Atom, int]]:
-    """The atoms in the order of their bit positions and the position of
-    each; TooManyAtoms, naming `what` and the limit, when there are more
-    than `limit` of them. This is the one place that numbers atoms: in
-    reverse name order, the name-first atom on the top bit, so that a
-    mask's canonical rank is a closed form of the mask (`lowering.rank_key`)."""
-    items = sorted(atoms, reverse=True)
-    if limit is not None and len(items) > limit:
-        raise TooManyAtoms(f"{what} over {len(items)} atoms exceeds the limit of {limit}")
-    return items, {a: i for i, a in enumerate(items)}
 
 
 def interp_sort_key(interpretation: Iterable[Atom]) -> tuple[str, ...]:
@@ -508,8 +494,7 @@ def to_dnf(body: Body, max_domain: int = DEFAULT_ATOM_LIMIT) -> Dnf:
     unique normal form for each (domain, truth function) pair. Raises
     UnsatisfiableBody when no subset of the domain satisfies the body.
     """
-    items, index = positions(body.domain, max_domain, "dnf expansion")
-    vector = lowering.truth_vector(body, index, len(items))
+    items, vector = lowering.body_vector(body, max_domain, "dnf expansion")
     if not vector:
         raise UnsatisfiableBody("body is false on every subset of its domain")
     dom = body.domain
@@ -526,10 +511,9 @@ def is_convex(body: Body, max_domain: int = DEFAULT_ATOM_LIMIT) -> bool:
     subset below it and a satisfying superset above it, which the subset
     and superset closures of the truth vector decide at once.
     """
-    items, index = positions(body.domain, max_domain, "convexity scan")
+    items, true = lowering.body_vector(body, max_domain, "convexity scan")
     n = len(items)
     cols = lowering.columns(n)
-    true = lowering.truth_vector(body, index, n)
     false = lowering.full(n) ^ true
     return not false & lowering.upward(true, cols) & lowering.downward(true, cols)
 

@@ -184,7 +184,7 @@ EXHAUSTIVE_LIMIT = 12
 def check_theorems(
     program: Program,
     limit: int = DEFAULT_ATOM_LIMIT,
-    compile_limit: int = 18,
+    compile_limit: int = DEFAULT_ATOM_LIMIT,
 ) -> TheoremReport:
     """Run every theorem check that applies to the program.
 

@@ -1,13 +1,13 @@
 """Bit-sliced form of a program, the input of the enumeration kernel:
 a `LoweredProgram`, whose one constructor is `lower`.
 
-Atoms get bit positions in reverse name order (`core.positions`): over a
-universe of n atoms the name-first atom holds bit n - 1 and the name-last
-bit 0, so an interpretation is a mask J < 2^n. A *vector* is a Python int
-with one bit per mask: bit J is set when some property holds at J. The
-column of atom i, X_i, is the vector of the masks that contain i, and
-every body becomes a vector through `truth_vector`, built from columns by
-AND, OR and shifts. A count body against the bound k reads "at least k"
+Atoms get bit positions in reverse name order (`positions`, the one
+place that numbers atoms): over a universe of n atoms the name-first
+atom holds bit n - 1 and the name-last bit 0, so an interpretation is a
+mask J < 2^n. A *vector* is a Python int with one bit per mask: bit J
+is set when some property holds at J. The column of atom i, X_i, is the
+vector of the masks that contain i, and every body becomes a vector
+through `truth_vector`, built from columns by AND, OR and shifts. A count body against the bound k reads "at least k"
 and "at least k + 1" of its m members off counters kept up to
 min(k + 1, m) (`at_least`), 2 * min(k + 1, m) - 1 steps per member; the
 kernel counts the true atoms of a disjunctive head with the same
@@ -17,12 +17,13 @@ conjunction per satisfying subset, so it costs what its minterm DNF
 costs. A vector takes 2^n / 8 bytes (128 KiB at n = 20). The
 columns and the all-masks vector of a width (`columns`, `full`) are built
 once and shared by every later caller: (n + 1) * 2^n / 8 bytes per width
-used. Besides the kernel, `core.to_dnf`, `core.is_convex` and the
-completion work on these vectors.
+used. Besides the kernel, the completion works on these vectors, and
+`core.to_dnf`, `core.is_convex` and `compile.closure_rules` on the
+vector of one body over its own domain (`body_vector`).
 
 `members` lists the masks of a vector: one with at most 64 set bits is
 peeled from its top bit down, any other is cut into 64-bit words whose
-zero words are skipped in C. Masks go back to atom sets through
+zero words are skipped in C. Masks go back to atom sets only here, through
 `decode`, which builds each set as the union of two frozensets over the
 low and the high half of the universe, taken from lazily filled tables
 whose entries are unions of one-atom sets. Union and hashing reuse
@@ -31,8 +32,8 @@ call, not once per element. `interpretations` sorts the masks by their
 rank, the position of the set among all 2^n subsets in canonical order,
 and decodes them in that order. With the name-first atom on top, the
 rank of a mask m is the closed form (popcount(m) - m - (m & -m)) mod 2^n
-(`rank_key`). The completion, whose tables are sets, decodes in mask
-order.
+(`rank_key`). The completion, whose tables are sets, and the closure
+rules, which sort their cubes themselves, decode in mask order.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ from .core import (
     LiteralConjunction,
     Program,
     Rule,
+    TooManyAtoms,
     TruthTable,
     atom_set,
-    positions,
 )
 
 # Enumeration modes of the kernel.
@@ -91,7 +92,7 @@ def lower(
     what: str = "enumeration",
 ) -> LoweredProgram:
     """The rules, a `Program` or any sequence of rules, over the universe
-    `atoms` (default: the rules' atoms) as `core.positions` numbers it:
+    `atoms` (default: the rules' atoms) as `positions` numbers it:
     for every query and each part the kernel splits off. TooManyAtoms,
     naming `what`, when the universe has more than `limit` atoms."""
     if atoms is None:
@@ -107,6 +108,28 @@ def lower(
     lp = LoweredProgram()
     lp.atoms, lp.index, lp.n, lp.heads, lp.rules = tuple(items), index, len(items), heads, rules
     return lp
+
+
+def positions(
+    atoms: Iterable[Atom], limit: int | None = None, what: str = ""
+) -> tuple[list[Atom], dict[Atom, int]]:
+    """The atoms in the order of their bit positions and the position of
+    each; TooManyAtoms, naming `what` and the limit, when there are more
+    than `limit` of them. This is the one place that numbers atoms: in
+    reverse name order, the name-first atom on the top bit, so that a
+    mask's canonical rank is a closed form of the mask (`rank_key`)."""
+    items = sorted(atoms, reverse=True)
+    if limit is not None and len(items) > limit:
+        raise TooManyAtoms(f"{what} over {len(items)} atoms exceeds the limit of {limit}")
+    return items, {a: i for i, a in enumerate(items)}
+
+
+def body_vector(body: Body, limit: int | None = None, what: str = "") -> tuple[list[Atom], int]:
+    """The body's domain in bit order (`positions`, with its `limit` and
+    `what`) and the body's vector over that domain alone: the first step
+    of a body's DNF, convexity test and closure rules."""
+    items, index = positions(body.domain, limit, what)
+    return items, truth_vector(body, index, len(items))
 
 
 def full(n: int) -> int:

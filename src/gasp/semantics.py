@@ -117,18 +117,12 @@ def enumerate_candidates(
 ) -> dict[SemanticsKind, tuple[frozenset[Atom], ...]]:
     """The supported models and the FLP and SFLP answer sets, each as
     `enumerate_interpretations` gives it, from one lowering and one kernel
-    pass (`kernel.scan`). The answer sets are supported models, so the
-    supported models are ordered and decoded once and the answer sets are
-    read off them."""
+    pass (`kernel.scan`), each list ordered and decoded by
+    `lowering.interpretations`."""
     lp = lowering.lower(program, limit=limit)
-    supported, flp, sflp = kernel.scan(lp)
-    ordered = sorted(supported, key=lowering.rank_key(lp.n))
-    decoded = lowering.decode(lp.atoms, ordered)
-    out = {SemanticsKind.SUPPORTED: tuple(decoded)}
-    for kind, masks in ((SemanticsKind.FLP, flp), (SemanticsKind.SFLP, sflp)):
-        accepted = set(masks)
-        out[kind] = tuple(i for m, i in zip(ordered, decoded) if m in accepted)
-    return out
+    kinds = (SemanticsKind.SUPPORTED, SemanticsKind.FLP, SemanticsKind.SFLP)
+    return {kind: tuple(lowering.interpretations(lp.atoms, masks))
+            for kind, masks in zip(kinds, kernel.scan(lp))}
 
 
 def completion_atom(atom: Atom, program: Program, limit: int = DEFAULT_ATOM_LIMIT) -> TruthTable:

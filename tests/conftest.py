@@ -107,12 +107,20 @@ def mixed_programs(count: int = 1000):
 
 def renamed(program, suffix: str):
     """The program with every atom `x` renamed to `x<suffix>`."""
+    from gasp.core import Atom
+
+    return relabelled(program, lambda a: Atom(a.name + suffix))
+
+
+def relabelled(program, rename):
+    """The program with every atom `a` replaced by `rename(a)`, rule by
+    rule in the same order."""
     from gasp.core import (
-        Atom, Conjunct, CountAggregate, Dnf, LiteralConjunction, Program, Rule, TruthTable,
+        Conjunct, CountAggregate, Dnf, LiteralConjunction, Program, Rule, TruthTable,
     )
 
     def group(atoms):
-        return frozenset(Atom(a.name + suffix) for a in atoms)
+        return frozenset(map(rename, atoms))
 
     def conjunct(c):
         return Conjunct(group(c.positives), group(c.negatives))
@@ -130,8 +138,8 @@ def renamed(program, suffix: str):
 
 
 def disjoint_union(seed: int, width: int):
-    """2-4 programs over at most `width` atoms in all, renamed apart (part
-    k's atom `a` becomes `a<k>`, so the parts' atoms interleave in name
+    """2-4 programs over at most `width` <= 32 atoms in all, renamed apart
+    (part k's atom `a` becomes `a<k>`, so the parts' atoms interleave in name
     order and in bit positions), and their union. A part of two or three
     atoms is a corpus program over {a, b} half the time: three of the five
     (p1, p3, p5) have an SFLP answer set that is no FLP one. Every other
@@ -145,7 +153,8 @@ def disjoint_union(seed: int, width: int):
     from gasp.harness import GenConfig, generate
 
     rng = random.Random(seed)
-    count = rng.randint(2, min(4, width))
+    # a part has at most 8 atoms, so a width over 16 takes three parts
+    count = rng.randint(max(2, -(-width // 8)), min(4, width))
     sizes = [1] * count
     for _ in range(width - count):
         sizes[rng.choice([k for k in range(count) if sizes[k] < 8])] += 1

@@ -163,6 +163,33 @@ class TestEnumerationCommands:
             cli.main(["models", corpus_path("p1")])
         assert capsys.readouterr().err == ""
 
+    def test_unknown_atom_is_not_an_input_error(self, capsys, monkeypatch):
+        # `completion` asks only for the program's own atoms, so no input
+        # makes it raise UnknownAtom
+        from gasp.semantics import UnknownAtom
+
+        def broken(*args, **kwargs):
+            raise UnknownAtom("atom 'z' does not occur in the program")
+
+        monkeypatch.setattr(cli, "completion", broken)
+        with pytest.raises(UnknownAtom):
+            cli.main(["completion", corpus_path("p1")])
+        assert capsys.readouterr().err == ""
+
+    def test_reserved_atom_error_is_not_an_input_error(self, capsys, monkeypatch):
+        # `compile` parses without reserved atoms, so the parser rejects
+        # them first (exit 2) and the rewriting's own check cannot fire
+        from gasp import compile as comp
+        from gasp.core import ReservedAtomError
+
+        def broken(*args, **kwargs):
+            raise ReservedAtomError("input already uses reserved atoms: __aux_t_1")
+
+        monkeypatch.setattr(comp, "rew_flp", broken)
+        with pytest.raises(ReservedAtomError):
+            cli.main(["compile", corpus_path("p1")])
+        assert capsys.readouterr().err == ""
+
 
 class TestCompletionCommand:
     def test_p1_text(self, capsys):
@@ -262,12 +289,14 @@ class TestCompileCommand:
                 assert flp_out == sflp_out
 
     def test_reserved_input_rejected(self, capsys, monkeypatch):
-        code, _, err = run_cli(
-            ["compile", "-"], stdin_text="a :- __aux_t_1.",
-            monkeypatch=monkeypatch, capsys=capsys,
-        )
-        assert code == 2
-        assert "__aux" in err
+        # the parser rejects a reserved atom anywhere, as bad input
+        for text in ("a :- __aux_t_1.", "__aux_t_1.\n"):
+            code, _, err = run_cli(
+                ["compile", "-"], stdin_text=text,
+                monkeypatch=monkeypatch, capsys=capsys,
+            )
+            assert code == 2
+            assert "uses the reserved `__aux` prefix" in err
 
     def test_disjunctive_head_rejected(self, capsys):
         code, _, err = run_cli(["compile", corpus_path("p4")], capsys=capsys)

@@ -13,7 +13,6 @@ from gasp.core import (
     TruthTable,
     atom_set,
     interp_sort_key,
-    positions,
     subsets_in_canonical_order,
     to_dnf,
 )
@@ -212,7 +211,7 @@ class TestEnumerate:
         table = TruthTable(frozenset(Atom(x) for x in names), odd)
         answers = 0
         for p in (program, rewritten):
-            assert lowering.lower(p).atoms == tuple(positions(p.atoms())[0])
+            assert lowering.lower(p).atoms == tuple(lowering.positions(p.atoms())[0])
             for kind in SemanticsKind:
                 got = enumerate_interpretations(p, kind)
                 assert list(got) == sorted(got, key=interp_sort_key), kind
