@@ -5,11 +5,12 @@ shapes: the models, FLP and SFLP answer sets of a scaled non-convex
 program, the FLP answer sets of 16 self-supporting loops `a :- a.`
 (2^16 supported models, one answer set), enumeration of a compiled
 rewriting, and a slice of the theorem battery (the acceptance battery's
-generator settings). Three rows time SFLP beyond n supported models:
-14 loops and the 14-atom choice gadgets, whose parts share no atom, so
-the kernel scans each part on its own, and 12 loops joined by one
-constraint that never fires, one part, so every supported model is
-tested. Two more rows time queries end to end, kernel plus
+generator settings). Three rows time SFLP on programs that split into
+parts that share no atom, so the kernel scans each part on its own and
+builds no vector over all 2^n masks: 14 loops, the 14-atom choice
+gadgets, and 12 loops joined by one constraint that never fires, which
+joins no part and filters the product of the parts' answers instead.
+Two more rows time queries end to end, kernel plus
 ordering and decoding: the four queries (models, supported, FLP, SFLP)
 on the 16-atom chain, and the 3^7 models of a 14-atom program of choice
 gadgets. One row times the completion of the `--atoms` chain, which

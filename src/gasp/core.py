@@ -116,6 +116,10 @@ class Record:
         return f"{type(self).__name__}({args})"
 
 
+# The one atom of each name made so far (see `Atom`).
+_ATOMS: dict[str, Atom] = {}
+
+
 class Atom(tuple):
     """A propositional atom, identified by name.
 
@@ -127,7 +131,9 @@ class Atom(tuple):
     tuple's, computed in C, and `name` is read by a C getter. It equals no
     plain tuple, and it cannot be iterated, so an atom passed where a
     collection of atoms is expected raises TypeError rather than reading
-    as its name.
+    as its name. Each name has one atom object (`__new__` returns the one
+    made first), so lookups in sets and dicts meet the identical object and
+    never call `__eq__`; the table holds one entry per distinct name.
     """
 
     __slots__ = ()
@@ -137,9 +143,12 @@ class Atom(tuple):
     __hash__ = tuple.__hash__
 
     def __new__(cls, name: str):
-        if not (_PLAIN_NAME.match(name) or _RESERVED_NAME.match(name)) or name == "not":
-            raise ValueError(f"invalid atom name: {name!r}")
-        return tuple.__new__(cls, (name,))
+        atom = _ATOMS.get(name)
+        if atom is None:
+            if not (_PLAIN_NAME.match(name) or _RESERVED_NAME.match(name)) or name == "not":
+                raise ValueError(f"invalid atom name: {name!r}")
+            atom = _ATOMS[name] = tuple.__new__(cls, (name,))
+        return atom
 
     # Python asks the subclass first, so a plain tuple gets False from
     # here in both directions instead of the tuple's own answer.

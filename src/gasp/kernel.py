@@ -36,18 +36,29 @@ program with many supported models that are not minimal (n loops
 them against their reducts, as SFLP's verdict needs the reduct.
 
 No such pass is known for SFLP, whose blocking family depends on the
-reduct. Past the same gate, more than n candidates, SFLP and the scan
-split the program instead (Lifschitz and Turner's splitting): rules
-linked through shared head or body-domain atoms form one part
-(`_parts`), and with two or more parts each is lowered on its own
-through `lower`, over its own n_k atoms, and scanned with vectors of
-2^{n_k} bits (`_split`). For atom-disjoint parts the reduct of I is the
-union of the parts' reducts, and I's share of each part is a supported
-model of that part's reduct, so some J below I blocks I exactly when
-I's share of some part is blocked in that part: the answer sets are the
-products of the parts' answer sets, and the parts' costs add up where
-the candidates' would multiply. The supported models stay the global
-candidates, and `enumerate_masks` never lists them for an SFLP query.
+reduct, so SFLP splits the program instead (Lifschitz and Turner's
+splitting): rules other than constraints that are linked through shared
+head or body-domain atoms form one part (`_parts`), and with two or more
+parts each is lowered on its own through `lower`, over its own n_k atoms,
+and scanned with vectors of 2^{n_k} bits (`_split`). For atom-disjoint
+parts the reduct of I is the union of the parts' reducts, and I's share
+of each part is a supported model of that part's reduct, so some J below
+I blocks I exactly when I's share of some part is blocked in that part:
+the answer sets are the products of the parts' answer sets, and the
+parts' costs add up where the candidates' would multiply.
+
+Constraints join no part; they filter the product. A constraint supports
+no atom, and at a model of P its body is false, so it is in the reduct
+of no model. Hence I is a model, a supported model, or an FLP or SFLP
+answer set of P exactly when it is one of P without its constraints and
+no constraint body holds at I: the same reducts test the same subsets.
+`_split` ORs the constraints' truth vectors and keeps the products whose
+bit is clear, one byte lookup per product.
+
+An SFLP query over more than `_SPLIT_FIRST` atoms looks for parts first
+and, with two or more, builds no vector over all 2^n masks. Narrower
+queries and the scan, which lists the supported models and so needs the
+global pass, split past the same gate as FLP's, more than n candidates.
 FLP alone does not split: `_above` already costs what its models cost.
 
 The reduct of each candidate is read rule by rule, one AND of the body
@@ -57,7 +68,8 @@ by doubling over the atoms of I. Both are sized by the candidates rather
 than by 2^n. The FLP and SFLP queries and the scan hold the n columns,
 two vectors per rule (SFLP and the scan three for a head of two or more
 atoms), one per atom and a few temporaries; the models and supported
-queries keep none per rule.
+queries keep none per rule. An SFLP query that splits first holds one
+global vector, the constraints' OR, and each part's vectors in turn.
 """
 
 from __future__ import annotations
@@ -81,6 +93,16 @@ from .lowering import (
 
 NAME = "bitsliced"
 
+# An SFLP query over more atoms than this looks for parts before it builds
+# any vector (`enumerate_masks`). Below it a vector has at most 256 bits and
+# the global pass costs about what `_parts` does: splitting first took
+# 1.44-1.55 ms against 1.02-1.14 ms for the 112 battery programs of 2-5
+# atoms. Above it the pass grows with 2^n: the 14-atom choice gadgets took
+# 99-110 against 141-159 us, while `_parts` adds 8 us (3%) to the 16-atom
+# chain, which is one part (best of 100-2000 calls, one core of a shared
+# 2-vCPU host, Python 3.11.7).
+_SPLIT_FIRST = 8
+
 
 def default_backend() -> str:
     """The name of the kernel (there is one)."""
@@ -88,8 +110,14 @@ def default_backend() -> str:
 
 
 def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
-    """All masks over the lowered universe accepted by `mode`, increasing."""
-    candidates, flp, sflp = _scan(lp, mode)
+    """All masks over the lowered universe accepted by `mode`, increasing.
+    An SFLP query over more than `_SPLIT_FIRST` atoms whose program splits
+    scans its parts alone and builds no vector over all 2^n masks."""
+    if mode == ENUM_SFLP and lp.n > _SPLIT_FIRST:
+        parts = _parts(lp)
+        if len(parts) > 1:
+            return _split(lp, parts)[1]
+    candidates, _, flp, sflp = _scan(lp, mode)
     return flp if mode == ENUM_FLP else sflp if mode == ENUM_SFLP else members(candidates)
 
 
@@ -97,13 +125,14 @@ def scan(lp: LoweredProgram) -> tuple[list[int], list[int], list[int]]:
     """The supported models and the FLP and SFLP answer sets, each
     increasing, from one pass over the supported models: each candidate's
     reduct test gives its FLP verdict on the way to its SFLP one."""
-    candidates, flp, sflp = _scan(lp, ENUM_SFLP)
-    return members(candidates), flp, sflp
+    candidates, listed, flp, sflp = _scan(lp, ENUM_SFLP)
+    return members(candidates) if listed is None else listed, flp, sflp
 
 
-def _scan(lp: LoweredProgram, mode: int) -> tuple[int, list[int], list[int]]:
-    """The vector of the candidates, then the lists of those FLP and SFLP
-    accept, each increasing. The loop stops where `mode`'s answer is known:
+def _scan(lp: LoweredProgram, mode: int) -> tuple[int, list[int] | None, list[int], list[int]]:
+    """The vector of the candidates, their list where the reduct loop made
+    one (else None), then the lists of those FLP and SFLP accept, each
+    increasing. The loop stops where `mode`'s answer is known:
     models and supported models are the candidates, read before any
     per-rule vectors are kept; FLP alone passes over the candidates above a
     smaller model of P and skips the support test (its SFLP list then holds
@@ -129,13 +158,13 @@ def _scan(lp: LoweredProgram, mode: int) -> tuple[int, list[int], list[int]]:
                 rule_support.append(supports)
     models = full(n) ^ bad
     if mode == ENUM_MODELS:
-        return models, [], []
+        return models, None, [], []
     unsupported = 0  # the masks with a true atom that no rule supports
     for x, s in zip(cols, support):
         unsupported |= x ^ (x & s)
     candidates = models ^ (models & unsupported)
     if not minimal:
-        return candidates, [], []
+        return candidates, None, [], []
     # a smaller model of P is a model of every reduct, so it blocks I
     blockers = 0  # FLP alone: the models of P tested under each candidate
     if candidates.bit_count() > n:
@@ -144,7 +173,7 @@ def _scan(lp: LoweredProgram, mode: int) -> tuple[int, list[int], list[int]]:
         else:
             parts = _parts(lp)
             if len(parts) > 1:
-                return candidates, *_split(lp, parts)
+                return candidates, None, *_split(lp, parts)
     elif not sflp:
         blockers = models
     heads = [members(h) for h in lp.heads] if sflp else None
@@ -169,53 +198,66 @@ def _scan(lp: LoweredProgram, mode: int) -> tuple[int, list[int], list[int]]:
                 blocking = _supported(blocking, reduct, heads, rule_support, cols)
             if not blocking:
                 sflp_accepted.append(i)
-    return candidates, flp_accepted, sflp_accepted
+    return candidates, list(reducts), flp_accepted, sflp_accepted
 
 
-def _parts(lp: LoweredProgram) -> list[tuple[int, list[int]]]:
-    """The atom-disjoint parts of the program, each the mask of its atoms
-    and its rules: two rules share a part when a chain of rules links them,
-    each sharing a head or body-domain atom with the next. A rule over no
-    atom is left out: its body is constant, and false wherever the program
-    has a model."""
+def _parts(lp: LoweredProgram) -> list[int]:
+    """The atom masks of the atom-disjoint parts of the program without its
+    constraints: two rules share a part when a chain of rules links them,
+    each sharing a head or body-domain atom with the next. Constraints join
+    no part: `_split` filters by them."""
     index = lp.index
     parts = []
-    for r, (head, rule) in enumerate(zip(lp.heads, lp.rules)):
+    for head, rule in zip(lp.heads, lp.rules):
+        if not head:
+            continue
         atoms = head
         for a in rule.body.domain:
             atoms |= 1 << index[a]
-        if not atoms:
-            continue
-        rules = [r]
         apart = []
         for part in parts:
-            if part[0] & atoms:
-                atoms |= part[0]
-                rules += part[1]
+            if part & atoms:
+                atoms |= part
             else:
                 apart.append(part)
-        apart.append((atoms, rules))
+        apart.append(atoms)
         parts = apart
     return parts
 
 
-def _split(lp: LoweredProgram, parts: list[tuple[int, list[int]]]) -> tuple[list[int], list[int]]:
-    """The FLP and SFLP answer sets, each increasing, of a program made of
-    atom-disjoint `parts`: the products of the parts' answer sets, each
-    part lowered through `lower` over its own atoms and scanned (see the
-    module docstring for why the products are exact). A part's atoms keep
-    their relative order, so its bit j is `bits[j]`. Atoms in no part are
-    false in every candidate."""
+def _split(lp: LoweredProgram, parts: list[int]) -> tuple[list[int], list[int]]:
+    """The FLP and SFLP answer sets, each increasing, of a program whose
+    rules other than constraints make the atom-disjoint `parts`: the
+    products of the parts' answer sets at which no constraint body holds,
+    each part lowered through `lower` over its own atoms and scanned (see
+    the module docstring for why this is exact). Each rule other than a
+    constraint lies in the part of its head atoms. A part's atoms keep
+    their relative order, so its bit j is `part_bits[j]`. Atoms in no part
+    are false in every candidate."""
+    bits = [members(atoms) for atoms in parts]
+    part_of = {b: k for k, part_bits in enumerate(bits) for b in part_bits}
+    rules = [[] for _ in parts]
+    for head, rule in zip(lp.heads, lp.rules):
+        if head:
+            rules[part_of[head.bit_length() - 1]].append(rule)
     flp = [0]
     sflp = [0]
-    for atoms, rules in parts:
-        bits = members(atoms)
-        part = lower([lp.rules[r] for r in rules], [lp.atoms[b] for b in bits])
-        _, part_flp, part_sflp = _scan(part, ENUM_SFLP)
+    for part_bits, part_rules in zip(bits, rules):
+        part = lower(part_rules, [lp.atoms[b] for b in part_bits])
+        _, _, part_flp, part_sflp = _scan(part, ENUM_SFLP)
         if not part_sflp:  # FLP answer sets are SFLP ones: none of either
             return [], []
-        flp = [i | m for m in _spread(part_flp, bits) for i in flp]
-        sflp = [i | m for m in _spread(part_sflp, bits) for i in sflp]
+        if flp:
+            flp = [i | m for m in _spread(part_flp, part_bits) for i in flp]
+        sflp = [i | m for m in _spread(part_sflp, part_bits) for i in sflp]
+    fires = 0
+    for head, rule in zip(lp.heads, lp.rules):
+        if not head:
+            fires |= truth_vector(rule.body, lp.index, lp.n)
+    if fires:
+        data = fires.to_bytes(((1 << lp.n) + 7) >> 3, "little")
+        flp = [m for m in flp if not data[m >> 3] >> (m & 7) & 1]
+        sflp = [m for m in sflp if not data[m >> 3] >> (m & 7) & 1]
     flp.sort()
     sflp.sort()
     return flp, sflp

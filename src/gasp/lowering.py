@@ -32,8 +32,10 @@ call, not once per element. `interpretations` sorts the masks by their
 rank, the position of the set among all 2^n subsets in canonical order,
 and decodes them in that order. With the name-first atom on top, the
 rank of a mask m is the closed form (popcount(m) - m - (m & -m)) mod 2^n
-(`rank_key`). The completion, whose tables are sets, and the closure
-rules, which sort their cubes themselves, decode in mask order.
+(`rank_key`). `semantics.enumerate_candidates` sorts only the supported
+models of its one scan so and decodes each of them once, since every
+answer set is among them. The completion, whose tables are sets, and the closure rules, which sort
+their cubes themselves, decode in mask order.
 """
 
 from __future__ import annotations

@@ -117,12 +117,19 @@ def enumerate_candidates(
 ) -> dict[SemanticsKind, tuple[frozenset[Atom], ...]]:
     """The supported models and the FLP and SFLP answer sets, each as
     `enumerate_interpretations` gives it, from one lowering and one kernel
-    pass (`kernel.scan`), each list ordered and decoded by
-    `lowering.interpretations`."""
+    pass (`kernel.scan`). Both kinds of answer sets are supported models,
+    so each mask is decoded once: the supported models in canonical order
+    (`lowering.rank_key`), and each answer list is the subsequence of
+    their sets whose masks it holds."""
     lp = lowering.lower(program, limit=limit)
-    kinds = (SemanticsKind.SUPPORTED, SemanticsKind.FLP, SemanticsKind.SFLP)
-    return {kind: tuple(lowering.interpretations(lp.atoms, masks))
-            for kind, masks in zip(kinds, kernel.scan(lp))}
+    supported, flp, sflp = kernel.scan(lp)
+    ordered = sorted(supported, key=lowering.rank_key(lp.n))
+    sets = lowering.decode(lp.atoms, ordered)
+    out = {SemanticsKind.SUPPORTED: tuple(sets)}
+    for kind, masks in ((SemanticsKind.FLP, flp), (SemanticsKind.SFLP, sflp)):
+        accepted = set(masks)
+        out[kind] = tuple(s for m, s in zip(ordered, sets) if m in accepted)
+    return out
 
 
 def completion_atom(atom: Atom, program: Program, limit: int = DEFAULT_ATOM_LIMIT) -> TruthTable:

@@ -95,6 +95,12 @@ class TestAtom:
                 assert type(twin) is Atom and twin == a and hash(twin) == hash(a)
                 assert twin.name == a.name and repr(twin) == repr(a)
 
+    def test_one_object_per_name(self):
+        assert Atom("a") is Atom("a") is A
+        assert Atom("".join(["a", "b"])) is Atom("ab")
+        assert Atom("a") is not Atom("b")
+        assert copy.deepcopy(A) is A and pickle.loads(pickle.dumps(A)) is A
+
     # Each case would silently read the atom as its one-letter name if an
     # atom iterated like the tuple it is.
     @pytest.mark.parametrize("build", [

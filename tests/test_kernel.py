@@ -16,7 +16,9 @@ from gasp import kernel, lowering
 from gasp.compile import rew_flp, rew_sflp
 from gasp.core import (
     Atom,
+    Conjunct,
     CountAggregate,
+    LiteralConjunction,
     Program,
     Rule,
     TruthTable,
@@ -314,6 +316,41 @@ class TestOneScan:
         supported, flp, _ = kernel.scan(lowering.lower(program))
         assert len(supported) > len(flp)
 
+    @pytest.mark.parametrize("text, count", [
+        (chain_text(12), 3),
+        # 2^10 supported models, more than the atoms, in one part: z reads
+        # every loop's atom
+        (" ".join(f"a{i} :- a{i}." for i in range(10))
+         + " z :- count{" + ", ".join(f"a{i}" for i in range(10)) + "} > 10.", 1 << 10),
+    ], ids=["chain", "joined-loops"])
+    def test_lists_the_supported_models_once(self, monkeypatch, text, count):
+        """Where the program does not split, the list of the supported models
+        that the reduct loop reads is the list the scan returns."""
+        lp = lowering.lower(parse_program(text))
+        assert len(kernel._parts(lp)) == 1
+        listed = []
+        list_members = kernel.members
+        monkeypatch.setattr(kernel, "members", lambda v: listed.append(v) or list_members(v))
+        supported, _, _ = kernel.scan(lp)
+        assert len(supported) == count
+        assert listed.count(sum(1 << m for m in supported)) == 1
+
+    def test_lookups_meet_the_one_atom_of_each_name(self, monkeypatch):
+        """Each name has one `Atom`, so parsing, lowering, scanning and
+        decoding a program and a renamed copy of it meet equal atoms as one
+        object: `Atom.__eq__` runs only on two names that share a hash."""
+        compared = []
+        eq = Atom.__eq__
+        monkeypatch.setattr(Atom, "__eq__", lambda a, b: compared.append((a, b)) or eq(a, b))
+        program = parse_program(chain_text(12))
+        for p in (program, renamed(program, "0")):
+            lp = lowering.lower(p)
+            kernel.scan(lp)
+            for mode in MODES.values():
+                kernel.enumerate_masks(lp, mode)
+            enumerate_candidates(p)
+        assert all(a.name != b.name for a, b in compared), len(compared)
+
 
 def count_splits(monkeypatch) -> list[int]:
     """The part counts of the programs that `kernel._split` scans from now on."""
@@ -326,11 +363,11 @@ def count_splits(monkeypatch) -> list[int]:
 
 def rule_components(rules) -> set[frozenset[Rule]]:
     """The rule sets linked, directly or through other rules, by a shared
-    head or body-domain atom; rules over no atom are in none."""
+    head or body-domain atom; constraints are in none."""
     components: list[tuple[set, set]] = []
     for rule in rules:
         atoms, linked = set(rule.atoms()), {rule}
-        if not atoms:
+        if not rule.head:
             continue
         for component in [c for c in components if c[0] & atoms]:
             components.remove(component)
@@ -363,10 +400,11 @@ def loops(n: int, extra: str = "") -> Program:
 
 
 class TestDisjointParts:
-    """Programs made of parts that share no atom. Beyond n supported models
-    the SFLP query and the scan test each part on its own universe
-    (`kernel._split`) and multiply the parts' answers; below that, and on
-    every connected program, they test every candidate."""
+    """Programs made of parts that share no atom, constraints aside. Over
+    more than `kernel._SPLIT_FIRST` atoms the SFLP query, and beyond n
+    supported models the SFLP query and the scan, test each part on its
+    own universe (`kernel._split`) and multiply the parts' answers; below
+    that, and on every connected program, they test every candidate."""
 
     def test_unions_agree_with_the_oracles(self, monkeypatch):
         splits = count_splits(monkeypatch)
@@ -428,17 +466,24 @@ class TestDisjointParts:
         assert len(calls) <= 2 * 14
         assert kernel.scan(lp)[1:] == ([0], [0])
 
-    def test_a_constraint_that_never_fires_joins_the_loops(self, monkeypatch):
-        """`:- count{a0, ..., a9} > 10.` never fires, but it reads every atom,
-        so the loops form one part: the query tests all 2^10 candidates."""
+    def test_a_constraint_filters_the_product_of_the_loops(self, monkeypatch):
+        """`:- count{a0, ..., a9} > 10.` reads every atom, but a constraint
+        joins no part: the loops are ten parts of one atom, so the SFLP query
+        builds two subset vectors per part, not 2^10, and keeps the products
+        at which no constraint body holds. This one never fires; `< 1`
+        fires at the one product, the empty set."""
         splits = count_splits(monkeypatch)
-        program = loops(10, " :- count{" + ", ".join(f"a{i}" for i in range(10)) + "} > 10.")
+        every = "count{" + ", ".join(f"a{i}" for i in range(10)) + "}"
+        program = loops(10, f" :- {every} > 10.")
         lp = lowering.lower(program)
-        assert len(kernel._parts(lp)) == 1
+        assert len(kernel._parts(lp)) == 10
         calls = count_subset_vectors(monkeypatch)
         assert kernel.enumerate_masks(lp, lowering.ENUM_SFLP) == [0]
-        assert len(calls) == 1 << 10 and splits == []
+        assert len(calls) <= 2 * 10 and splits == [10]
         assert_agrees(program, "joined loops")
+        fires = lowering.lower(loops(10, f" :- {every} < 1."))
+        assert kernel.enumerate_masks(fires, lowering.ENUM_SFLP) == []
+        assert kernel.scan(fires)[1:] == ([], [])
 
     def test_constraints_over_no_atom_next_to_loops(self, monkeypatch):
         """A body over no atom is constant. `:- .` always fires, so no mode
@@ -458,8 +503,8 @@ class TestDisjointParts:
     def test_each_part_is_lowered_like_any_program(self, monkeypatch):
         """Each part that `_split` scans is what `lower` makes of the part's
         rules over the part's atoms, and its rules are one connected
-        component of the program: rules linked by shared atoms, a rule over
-        no atom in none."""
+        component of the program: rules linked by shared atoms, a
+        constraint in none."""
         scanned = []
         scan = kernel._scan
         monkeypatch.setattr(kernel, "_scan", lambda lp, mode: scanned.append(lp) or scan(lp, mode))
@@ -488,6 +533,77 @@ class TestDisjointParts:
         lp = lowering.lower(program, universe)
         supported, flp, sflp = kernel.scan(lp)
         assert len(supported) == 32 and flp == sflp == [0]
+
+
+def count_constraint(rng: random.Random, atoms) -> Rule:
+    """`:- count{D} cmp k` over a random nonempty D of `atoms`, with a random
+    comparator and 0 <= k <= |D|."""
+    domain = rng.sample(sorted(atoms), rng.randint(1, len(atoms)))
+    return Rule((), CountAggregate(domain, rng.choice(COUNT_COMPARATORS),
+                                   rng.randint(0, len(domain))))
+
+
+def looped_with_constraint(seed: int) -> Program:
+    """A generated program over 3-8 atoms, allowed disjunctive heads half
+    the time, plus a loop `a :- a.` on about 60% of its atoms and one
+    random count constraint over them."""
+    rng = random.Random(seed)
+    size = 3 + seed % 6
+    program = generate(GenConfig(atom_count=size, rule_count=rng.randint(1, size),
+                                 allow_disjunctive_heads=rng.random() < 0.5, seed=seed))
+    atoms = [Atom(a) for a in "abcdefgh"[:size]]
+    looped = tuple(Rule({a}, LiteralConjunction(Conjunct({a}, ())))
+                   for a in atoms if rng.random() < 0.6)
+    return Program(program.rules + looped + (count_constraint(rng, atoms),))
+
+
+class TestConstraintFilter:
+    """A constraint supports no atom and, at a model, its body is false, so
+    it is in no reduct: the FLP and SFLP answer sets of P are those of P
+    without its constraints that satisfy the constraints. So constraints
+    join no part, and `_split` keeps the products of the parts' answers at
+    which no constraint body holds."""
+
+    def test_looped_programs_with_a_constraint_agree_with_the_oracles(self, monkeypatch):
+        splits = count_splits(monkeypatch)
+        split = 0
+        for seed in range(400):
+            before = len(splits)
+            assert_agrees(looped_with_constraint(seed), seed)
+            split += len(splits) > before
+        assert split >= 60, split
+
+    def test_unions_joined_by_constraints_are_filtered_products(self, monkeypatch):
+        """9-16 atoms of 2-4 programs that only one or two count constraints
+        join: the SFLP query, which splits before it builds any vector over
+        all 2^n masks, the one scan, and the products of the parts' oracle
+        sets at which no joining constraint fires agree."""
+        widths = []
+        vectors = kernel.rule_vectors
+        monkeypatch.setattr(kernel, "rule_vectors",
+                            lambda lp, support: widths.append(lp.n) or vectors(lp, support))
+        filtered = split_first = 0
+        for seed in range(150):
+            union, parts = disjoint_union(seed, 9 + seed % 8)
+            rng = random.Random(f"joins-{seed}")
+            joins = tuple(count_constraint(rng, union.atoms()) for _ in range(rng.randint(1, 2)))
+            program = Program(union.rules + joins)
+            lp = lowering.lower(program)
+            want = {}
+            for name in ("flp", "sflp"):
+                product = product_of(enumerate_oracle(p, name) for p in parts)
+                want[name] = {i for i in product if not any(r.body.eval(i) for r in joins)}
+            filtered += len(want["sflp"]) < len(product)  # the SFLP product
+            widths.clear()
+            first = kernel.enumerate_masks(lp, lowering.ENUM_SFLP)
+            if lp.n > kernel._SPLIT_FIRST and len(kernel._parts(lp)) > 1:
+                assert max(widths, default=0) < lp.n, seed  # no global pass
+                split_first += 1
+            _, flp, sflp = kernel.scan(lp)
+            assert first == sflp, seed
+            assert {decode(lp.atoms, m) for m in sflp} == want["sflp"], seed
+            assert {decode(lp.atoms, m) for m in flp} == want["flp"], seed
+        assert filtered >= 30 and split_first >= 110, (filtered, split_first)
 
 
 @given(

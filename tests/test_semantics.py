@@ -289,6 +289,20 @@ class TestDisjointUnions:
                 assert got == want[kind], (seed, kind)
         assert wide >= 40, wide
 
+    def test_one_scan_decodes_each_supported_model_once(self, monkeypatch):
+        """Nine even loops `x :- not y. y :- not x.`: their 512 supported
+        models are all FLP and SFLP answer sets, and each is decoded once."""
+        program = parse_program(" ".join(f"x{i} :- not y{i}. y{i} :- not x{i}."
+                                         for i in range(9)))
+        decoded = []
+        decode = lowering.decode
+        monkeypatch.setattr(lowering, "decode", lambda atoms, masks: decoded.extend(masks)
+                            or decode(atoms, masks))
+        found = enumerate_candidates(program)
+        assert sorted(decoded) == sorted(set(decoded)) and len(decoded) == 512
+        assert [len(found[kind]) for kind in found] == [512, 512, 512]
+        assert all(found[kind] == found[SemanticsKind.SUPPORTED] for kind in found)
+
 
 class TestCandidateSpace:
     def test_foreign_atom_never_helps(self):
