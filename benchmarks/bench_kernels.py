@@ -10,6 +10,11 @@ parts that share no atom, so the kernel scans each part on its own and
 builds no vector over all 2^n masks: 14 loops, the 14-atom choice
 gadgets, and 12 loops joined by one constraint that never fires, which
 joins no part and filters the product of the parts' answers instead.
+Two rows sit on either side of the width above which SFLP splits
+(`kernel._SPLIT_FIRST`, 8 atoms): the SFLP query on 8 loops, which does
+not split and tests their 2^8 supported models in one global pass, and
+the one scan of 14 loops, which splits and lists the 2^14 supported
+models as the product of the parts' lists.
 Two more rows time queries end to end, kernel plus
 ordering and decoding: the four queries (models, supported, FLP, SFLP)
 on the 16-atom chain, and the 3^7 models of a 14-atom program of choice
@@ -156,6 +161,7 @@ def main() -> int:
     chain = coordination_chain(args.atoms)
     loops = parse_program(" ".join(f"a{i} :- a{i}." for i in range(16)))
     loops14 = parse_program(" ".join(f"a{i} :- a{i}." for i in range(14)))
+    loops8 = parse_program(" ".join(f"a{i} :- a{i}." for i in range(8)))
     joined = parse_program(" ".join(f"a{i} :- a{i}." for i in range(12))
                            + " :- count{" + ", ".join(f"a{i}" for i in range(12)) + "} > 12.")
     choice = choice_gadgets()
@@ -170,11 +176,15 @@ def main() -> int:
             (f"sflp, {args.atoms}-atom chain", chain, lowering.ENUM_SFLP),
             ("flp, 16 self-supporting loops", loops, lowering.ENUM_FLP),
             ("sflp, 14 self-supporting loops", loops14, lowering.ENUM_SFLP),
+            ("sflp, 8 self-supporting loops", loops8, lowering.ENUM_SFLP),
             ("sflp, 12 loops joined by one constraint", joined, lowering.ENUM_SFLP),
             ("sflp, 14-atom choice gadgets", choice, lowering.ENUM_SFLP),
             ("flp, rewritten 2-atom program", compiled_p1, lowering.ENUM_FLP),
         )
     ]
+    lowered14 = lowering.lower(loops14)
+    rows.append(("one scan, 14 self-supporting loops",
+                 timed(lambda: kernel.scan(lowered14), args.repeat)))
     chain16 = coordination_chain(16)
     rows.append((
         "four queries, 16-atom chain",

@@ -37,6 +37,7 @@ from .core import (
     Interpretation,
     LiteralConjunction,
     Program,
+    RESERVED_PREFIX,
     Record,
     ReservedAtomError,
     Rule,
@@ -62,8 +63,8 @@ class AuxNames(Record):
 
 def aux_names(idx: int, k: int) -> AuxNames:
     return AuxNames(
-        Atom(f"__aux_t_{idx}"),
-        tuple(Atom(f"__aux_f_{idx}_{i}") for i in range(k + 1)),
+        Atom(f"{RESERVED_PREFIX}_t_{idx}"),
+        tuple(Atom(f"{RESERVED_PREFIX}_f_{idx}_{i}") for i in range(k + 1)),
     )
 
 

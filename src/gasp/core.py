@@ -16,7 +16,7 @@ RESERVED_PREFIX = "__aux"
 DEFAULT_ATOM_LIMIT = 20
 
 _PLAIN_NAME = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
-_RESERVED_NAME = re.compile(r"__aux[A-Za-z0-9_]*\Z")
+_RESERVED_NAME = re.compile(RESERVED_PREFIX + r"[A-Za-z0-9_]*\Z")
 
 
 class GaspError(Exception):

@@ -17,23 +17,24 @@ below is a handful of big-int operations over all 2^n masks at once:
 FLP answer sets are supported models too: were a in I supported by no
 rule, every rule of the reduct would have a true head atom other than a,
 so I without a would be a smaller model of the reduct. So both
-semantics scan the same candidates, in one loop (`_scan`) that tests
-each of them against its reduct. A candidate with no model of its reduct
-below it is an FLP answer set and, as a supported model is a model, an
-SFLP one; only the others go on to SFLP's support test, which first
-drops the blocking masks unsupported in P (a rule of a reduct is a rule
-of P), one AND. One pass (`scan`) thus gives the supported models and
-both kinds of answer sets, which the theorem battery reads together;
-`enumerate_masks` reads one mode off the same loop, which stops where
-that mode's answer is known. A smaller model of P below a candidate
-blocks it for FLP, since a model of P is a model of every reduct, so
-the reduct test rejects it. The FLP query alone drops such candidates
-before their reduct loops: up to n candidates one by one, one AND of a
-candidate's proper subsets with the models; beyond n, all at once in
-one pass over all masks (`_above`, about 2n big-int steps), so that a
-program with many supported models that are not minimal (n loops
-`a :- a.` have 2^n) costs what its models cost. The scan keeps testing
-them against their reducts, as SFLP's verdict needs the reduct.
+semantics scan the same candidates, in one loop (`_global_pass`) that
+tests each of them against its reduct. A candidate with no model of its
+reduct below it is an FLP answer set and, as a supported model is a
+model, an SFLP one; only the others go on to SFLP's support test,
+which first drops the blocking masks unsupported in P (a rule of a
+reduct is a rule of P), one AND. One pass (`scan`) thus gives the
+supported models and both kinds of answer sets, which the theorem
+battery reads together; `enumerate_masks` reads one mode off the same
+loop, which stops where that mode's answer is known. A smaller model of
+P below a candidate blocks it for FLP, since a model of P is a model of
+every reduct, so the reduct test rejects it. The FLP query alone drops
+such candidates before their reduct loops: up to n candidates one by
+one, one AND of a candidate's proper subsets with the models; beyond n,
+all at once in one pass over all masks (`_above`, about 2n big-int
+steps), so that a program with many supported models that are not
+minimal (n loops `a :- a.` have 2^n) costs what its models cost. The
+scan keeps testing them against their reducts, as SFLP's verdict needs
+the reduct.
 
 No such pass is known for SFLP, whose blocking family depends on the
 reduct, so SFLP splits the program instead (Lifschitz and Turner's
@@ -45,7 +46,10 @@ parts the reduct of I is the union of the parts' reducts, and I's share
 of each part is a supported model of that part's reduct, so some J below
 I blocks I exactly when I's share of some part is blocked in that part:
 the answer sets are the products of the parts' answer sets, and the
-parts' costs add up where the candidates' would multiply.
+parts' costs add up where the candidates' would multiply. Splitting on
+anything else is not exact for SFLP: `a :- a. b :- dnf{~b | a}.` has the
+SFLP answer set {a, b}, but its bottom `a :- a.` has only the empty set,
+and its top at the empty set, `b :- dnf{~b}.`, has none.
 
 Constraints join no part; they filter the product. A constraint supports
 no atom, and at a model of P its body is false, so it is in the reduct
@@ -55,11 +59,13 @@ no constraint body holds at I: the same reducts test the same subsets.
 `_split` ORs the constraints' truth vectors and keeps the products whose
 bit is clear, one byte lookup per product.
 
-An SFLP query over more than `_SPLIT_FIRST` atoms looks for parts first
-and, with two or more, builds no vector over all 2^n masks. Narrower
-queries and the scan, which lists the supported models and so needs the
-global pass, split past the same gate as FLP's, more than n candidates.
-FLP alone does not split: `_above` already costs what its models cost.
+Whether to split is decided in one place, from the universe size alone
+(`_scan`): an SFLP query or the scan over more than `_SPLIT_FIRST` atoms
+looks for parts first and, with two or more, builds no vector over all
+2^n masks; the scan then lists the supported models and the FLP answer
+sets as filtered products too. Nothing else splits, so at `_SPLIT_FIRST`
+atoms or fewer one global pass tests at most 2^8 candidates. FLP alone
+does not split: `_above` already costs what its models cost.
 
 The reduct of each candidate is read rule by rule, one AND of the body
 vector with the candidate vector and then its few set bits, and the
@@ -68,8 +74,10 @@ by doubling over the atoms of I. Both are sized by the candidates rather
 than by 2^n. The FLP and SFLP queries and the scan hold the n columns,
 two vectors per rule (SFLP and the scan three for a head of two or more
 atoms), one per atom and a few temporaries; the models and supported
-queries keep none per rule. An SFLP query that splits first holds one
-global vector, the constraints' OR, and each part's vectors in turn.
+queries keep none per rule. An SFLP query or scan that splits holds one
+global vector, the constraints' OR, each part's vectors in turn and the
+products it lists: the SFLP answer sets, and for the scan the supported
+models and FLP answer sets too, as many as the global pass would list.
 """
 
 from __future__ import annotations
@@ -93,14 +101,18 @@ from .lowering import (
 
 NAME = "bitsliced"
 
-# An SFLP query over more atoms than this looks for parts before it builds
-# any vector (`enumerate_masks`). Below it a vector has at most 256 bits and
-# the global pass costs about what `_parts` does: splitting first took
-# 1.44-1.55 ms against 1.02-1.14 ms for the 112 battery programs of 2-5
-# atoms. Above it the pass grows with 2^n: the 14-atom choice gadgets took
-# 99-110 against 141-159 us, while `_parts` adds 8 us (3%) to the 16-atom
-# chain, which is one part (best of 100-2000 calls, one core of a shared
-# 2-vCPU host, Python 3.11.7).
+# An SFLP query or scan over more atoms than this looks for parts before it
+# builds any vector (`_scan`), and nothing else splits. At this width or
+# below a vector has at most 256 bits and the global pass costs about what
+# `_parts` does: splitting first took 1.44-1.55 ms against 1.02-1.14 ms for
+# the 112 battery programs of 2-5 atoms, and battery seed 58 (3 atoms) takes
+# 10 us unsplit against 29 us split. The pass tests at most 2^8 candidates,
+# so its worst case is bounded: 8 loops `a :- a.` take 1.05 ms against
+# 0.09 ms split, while 4 even loops take 36 against 65 us. Above it the pass
+# grows with 2^n: the 14-atom choice gadgets took 99-110 against 141-159 us
+# as a query, and the scan of 14 loops takes 1.7 against 2.6 ms, while
+# `_parts` adds 8 us (3%) to the 16-atom chain, which is one part (best of
+# 50-2000 calls, one core of a shared 2-vCPU host, Python 3.11.7).
 _SPLIT_FIRST = 8
 
 
@@ -110,35 +122,40 @@ def default_backend() -> str:
 
 
 def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
-    """All masks over the lowered universe accepted by `mode`, increasing.
-    An SFLP query over more than `_SPLIT_FIRST` atoms whose program splits
-    scans its parts alone and builds no vector over all 2^n masks."""
-    if mode == ENUM_SFLP and lp.n > _SPLIT_FIRST:
-        parts = _parts(lp)
-        if len(parts) > 1:
-            return _split(lp, parts)[1]
-    candidates, _, flp, sflp = _scan(lp, mode)
-    return flp if mode == ENUM_FLP else sflp if mode == ENUM_SFLP else members(candidates)
+    """All masks over the lowered universe accepted by `mode`, increasing."""
+    supported, flp, sflp = _scan(lp, mode)
+    return flp if mode == ENUM_FLP else sflp if mode == ENUM_SFLP else supported
 
 
 def scan(lp: LoweredProgram) -> tuple[list[int], list[int], list[int]]:
     """The supported models and the FLP and SFLP answer sets, each
-    increasing, from one pass over the supported models: each candidate's
-    reduct test gives its FLP verdict on the way to its SFLP one."""
-    candidates, listed, flp, sflp = _scan(lp, ENUM_SFLP)
-    return members(candidates) if listed is None else listed, flp, sflp
+    increasing, from one pass over the supported models, or over each
+    part's where the program splits (`_scan`): each candidate's reduct test
+    gives its FLP verdict on the way to its SFLP one."""
+    return _scan(lp, ENUM_SFLP, products=True)
 
 
-def _scan(lp: LoweredProgram, mode: int) -> tuple[int, list[int] | None, list[int], list[int]]:
-    """The vector of the candidates, their list where the reduct loop made
-    one (else None), then the lists of those FLP and SFLP accept, each
-    increasing. The loop stops where `mode`'s answer is known:
-    models and supported models are the candidates, read before any
-    per-rule vectors are kept; FLP alone passes over the candidates above a
-    smaller model of P and skips the support test (its SFLP list then holds
-    only the FLP answer sets); SFLP runs every step, so its candidates are
-    the supported models, and beyond n of them it scans each atom-disjoint
-    part of the program on its own (`_split`)."""
+def _scan(lp: LoweredProgram, mode: int,
+          products: bool = False) -> tuple[list[int], list[int], list[int]]:
+    """`_global_pass`'s three lists, except that an SFLP call over more than
+    `_SPLIT_FIRST` atoms whose program splits scans its parts alone
+    (`_split`; the supported models and FLP answer sets only with
+    `products`). No other call splits."""
+    if mode == ENUM_SFLP and lp.n > _SPLIT_FIRST:
+        parts = _parts(lp)
+        if len(parts) > 1:
+            return _split(lp, parts, products)
+    return _global_pass(lp, mode)
+
+
+def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], list[int]]:
+    """The candidates, then those FLP and SFLP accept, each increasing.
+    The pass stops where `mode`'s answer is known: models and supported
+    models are the candidates, read before any per-rule vectors are kept;
+    FLP alone passes over the candidates above a smaller model of P and
+    skips the support test (its candidates are then not all the supported
+    models, and its SFLP list holds only the FLP answer sets); SFLP runs
+    every step, so its candidates are the supported models."""
     n = lp.n
     cols = columns(n)
     support = [0] * n
@@ -158,24 +175,20 @@ def _scan(lp: LoweredProgram, mode: int) -> tuple[int, list[int] | None, list[in
                 rule_support.append(supports)
     models = full(n) ^ bad
     if mode == ENUM_MODELS:
-        return models, None, [], []
+        return members(models), [], []
     unsupported = 0  # the masks with a true atom that no rule supports
     for x, s in zip(cols, support):
         unsupported |= x ^ (x & s)
     candidates = models ^ (models & unsupported)
     if not minimal:
-        return candidates, None, [], []
+        return members(candidates), [], []
     # a smaller model of P is a model of every reduct, so it blocks I
     blockers = 0  # FLP alone: the models of P tested under each candidate
-    if candidates.bit_count() > n:
-        if not sflp:
+    if not sflp:
+        if candidates.bit_count() > n:
             candidates ^= candidates & _above(models, cols)
         else:
-            parts = _parts(lp)
-            if len(parts) > 1:
-                return candidates, None, *_split(lp, parts)
-    elif not sflp:
-        blockers = models
+            blockers = models
     heads = [members(h) for h in lp.heads] if sflp else None
     flp_accepted = []
     sflp_accepted = []
@@ -198,7 +211,7 @@ def _scan(lp: LoweredProgram, mode: int) -> tuple[int, list[int] | None, list[in
                 blocking = _supported(blocking, reduct, heads, rule_support, cols)
             if not blocking:
                 sflp_accepted.append(i)
-    return candidates, list(reducts), flp_accepted, sflp_accepted
+    return list(reducts), flp_accepted, sflp_accepted
 
 
 def _parts(lp: LoweredProgram) -> list[int]:
@@ -225,42 +238,41 @@ def _parts(lp: LoweredProgram) -> list[int]:
     return parts
 
 
-def _split(lp: LoweredProgram, parts: list[int]) -> tuple[list[int], list[int]]:
-    """The FLP and SFLP answer sets, each increasing, of a program whose
-    rules other than constraints make the atom-disjoint `parts`: the
-    products of the parts' answer sets at which no constraint body holds,
-    each part lowered through `lower` over its own atoms and scanned (see
-    the module docstring for why this is exact). Each rule other than a
-    constraint lies in the part of its head atoms. A part's atoms keep
-    their relative order, so its bit j is `part_bits[j]`. Atoms in no part
-    are false in every candidate."""
+def _split(lp: LoweredProgram, parts: list[int],
+           products: bool) -> tuple[list[int], list[int], list[int]]:
+    """The supported models and the FLP and SFLP answer sets, each
+    increasing, of a program whose rules other than constraints make the
+    atom-disjoint `parts`: the products of the parts' lists at which no
+    constraint body holds, each part lowered through `lower` over its own
+    atoms and scanned (see the module docstring for why this is exact).
+    Without `products` the first two lists are left empty. Each rule other
+    than a constraint lies in the part of its head atoms. A part's atoms
+    keep their relative order, so its bit j is `part_bits[j]`. Atoms in no
+    part are false in every candidate."""
     bits = [members(atoms) for atoms in parts]
     part_of = {b: k for k, part_bits in enumerate(bits) for b in part_bits}
     rules = [[] for _ in parts]
     for head, rule in zip(lp.heads, lp.rules):
         if head:
             rules[part_of[head.bit_length() - 1]].append(rule)
-    flp = [0]
-    sflp = [0]
+    found = [[0], [0], [0]] if products else [[], [], [0]]
     for part_bits, part_rules in zip(bits, rules):
         part = lower(part_rules, [lp.atoms[b] for b in part_bits])
-        _, _, part_flp, part_sflp = _scan(part, ENUM_SFLP)
-        if not part_sflp:  # FLP answer sets are SFLP ones: none of either
-            return [], []
-        if flp:
-            flp = [i | m for m in _spread(part_flp, part_bits) for i in flp]
-        sflp = [i | m for m in _spread(part_sflp, part_bits) for i in sflp]
+        for k, masks in enumerate(_global_pass(part, ENUM_SFLP)):
+            if found[k]:  # an empty product stays empty
+                found[k] = [i | m for m in _spread(masks, part_bits) for i in found[k]]
+        if not any(found):
+            return [], [], []
     fires = 0
     for head, rule in zip(lp.heads, lp.rules):
         if not head:
             fires |= truth_vector(rule.body, lp.index, lp.n)
     if fires:
         data = fires.to_bytes(((1 << lp.n) + 7) >> 3, "little")
-        flp = [m for m in flp if not data[m >> 3] >> (m & 7) & 1]
-        sflp = [m for m in sflp if not data[m >> 3] >> (m & 7) & 1]
-    flp.sort()
-    sflp.sort()
-    return flp, sflp
+        found = [[m for m in masks if not data[m >> 3] >> (m & 7) & 1] for masks in found]
+    for masks in found:
+        masks.sort()
+    return tuple(found)
 
 
 def _spread(masks: list[int], bits: list[int]) -> list[int]:

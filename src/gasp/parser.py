@@ -40,6 +40,7 @@ from .core import (
     GaspError,
     LiteralConjunction,
     Program,
+    RESERVED_PREFIX,
     Record,
     Rule,
     TOP,
@@ -176,10 +177,10 @@ class _Parser:
             self._unexpected("atom")
         if tok.text == "not":
             self._fail("'not' is a keyword, not an atom", expected=("atom",))
-        if tok.text.startswith("__aux"):
+        if tok.text.startswith(RESERVED_PREFIX):
             if not self.allow_reserved:
                 raise ReservedAtom(
-                    f"atom {tok.text!r} uses the reserved `__aux` prefix",
+                    f"atom {tok.text!r} uses the reserved `{RESERVED_PREFIX}` prefix",
                     self.src.origin, *_line_column(self.src.text, tok.offset),
                 )
         elif not _PLAIN_NAME.match(tok.text):

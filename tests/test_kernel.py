@@ -32,6 +32,8 @@ from gasp.semantics import (
     completion,
     enumerate_candidates,
     enumerate_interpretations,
+    is_flp_answer_set,
+    is_sflp_answer_set,
 )
 
 from conftest import (
@@ -267,13 +269,20 @@ class TestOracleAgreement:
         assert kernel_sets(program, "sflp") == {fs("c", "e"), fs("c", "d", "e")}
         assert_agrees(program, "disjunctive support in the reduct")
 
-    def test_self_supporting_loops(self):
+    def test_self_supporting_loops(self, monkeypatch):
         """Each `a :- a.` supports its own atom, so every mask is a supported
-        model, but only the empty one is minimal for its reduct."""
+        model, but only the empty one is minimal for its reduct. At 8 atoms,
+        `kernel._SPLIT_FIRST`, nothing splits: the SFLP query and the scan
+        test all 2^8 masks in one global pass."""
+        splits = []
+        split = kernel._split
+        monkeypatch.setattr(kernel, "_split", lambda lp, parts, products: splits.append(len(parts))
+                            or split(lp, parts, products))
         program = parse_program(" ".join(f"a{i} :- a{i}." for i in range(8)))
         assert len(kernel_sets(program, "supported")) == 256
         assert kernel_sets(program, "flp") == {fs()}
         assert_agrees(program, "self-supporting loops")
+        assert splits == []
 
 
 def chain_text(n: int) -> str:
@@ -324,16 +333,24 @@ class TestOneScan:
          + " z :- count{" + ", ".join(f"a{i}" for i in range(10)) + "} > 10.", 1 << 10),
     ], ids=["chain", "joined-loops"])
     def test_lists_the_supported_models_once(self, monkeypatch, text, count):
-        """Where the program does not split, the list of the supported models
-        that the reduct loop reads is the list the scan returns."""
+        """Where the program does not split, the scan and the SFLP query each
+        look for parts once, over more than `kernel._SPLIT_FIRST` atoms, and
+        the list of the supported models that the reduct loop reads is the
+        list the scan returns."""
         lp = lowering.lower(parse_program(text))
-        assert len(kernel._parts(lp)) == 1
+        assert len(kernel._parts(lp)) == 1 and lp.n > kernel._SPLIT_FIRST
+        looked = []
+        parts = kernel._parts
+        monkeypatch.setattr(kernel, "_parts", lambda p: looked.append(p) or parts(p))
         listed = []
         list_members = kernel.members
         monkeypatch.setattr(kernel, "members", lambda v: listed.append(v) or list_members(v))
         supported, _, _ = kernel.scan(lp)
         assert len(supported) == count
         assert listed.count(sum(1 << m for m in supported)) == 1
+        assert looked == [lp]
+        kernel.enumerate_masks(lp, lowering.ENUM_SFLP)
+        assert looked == [lp, lp]
 
     def test_lookups_meet_the_one_atom_of_each_name(self, monkeypatch):
         """Each name has one `Atom`, so parsing, lowering, scanning and
@@ -353,11 +370,15 @@ class TestOneScan:
 
 
 def count_splits(monkeypatch) -> list[int]:
-    """The part counts of the programs that `kernel._split` scans from now on."""
+    """The part counts of the programs that `kernel._split` scans from now
+    on, with the split gate lowered to 0 atoms: every SFLP query and scan of
+    a program of two or more parts then splits, so `assert_agrees` checks
+    `_split` against the oracles at the few atoms they reach."""
     calls = []
     split = kernel._split
-    monkeypatch.setattr(kernel, "_split", lambda lp, parts: calls.append(len(parts))
-                        or split(lp, parts))
+    monkeypatch.setattr(kernel, "_SPLIT_FIRST", 0)
+    monkeypatch.setattr(kernel, "_split", lambda lp, parts, products: calls.append(len(parts))
+                        or split(lp, parts, products))
     return calls
 
 
@@ -401,10 +422,12 @@ def loops(n: int, extra: str = "") -> Program:
 
 class TestDisjointParts:
     """Programs made of parts that share no atom, constraints aside. Over
-    more than `kernel._SPLIT_FIRST` atoms the SFLP query, and beyond n
-    supported models the SFLP query and the scan, test each part on its
-    own universe (`kernel._split`) and multiply the parts' answers; below
-    that, and on every connected program, they test every candidate."""
+    more than `kernel._SPLIT_FIRST` atoms the SFLP query and the scan test
+    each part on its own universe (`kernel._split`) and multiply the
+    parts' answers; at that width or below, and on every connected
+    program, they test every candidate in one global pass. No other call
+    splits. `count_splits` lowers the width to 0, so that the split path
+    meets the oracles at the sizes they reach."""
 
     def test_unions_agree_with_the_oracles(self, monkeypatch):
         splits = count_splits(monkeypatch)
@@ -505,15 +528,18 @@ class TestDisjointParts:
         rules over the part's atoms, and its rules are one connected
         component of the program: rules linked by shared atoms, a
         constraint in none."""
+        splits = count_splits(monkeypatch)
         scanned = []
-        scan = kernel._scan
-        monkeypatch.setattr(kernel, "_scan", lambda lp, mode: scanned.append(lp) or scan(lp, mode))
+        global_pass = kernel._global_pass
+        monkeypatch.setattr(kernel, "_global_pass",
+                            lambda lp, mode: scanned.append(lp) or global_pass(lp, mode))
         split = 0
         for seed in range(120):
             program, _ = disjoint_union(seed, 4 + seed % 9)
             scanned.clear()
+            before = len(splits)
             kernel.scan(lowering.lower(program))
-            parts = scanned[1:]
+            parts = scanned if len(splits) > before else []
             split += bool(parts)
             components = rule_components(program.rules)
             for part in parts:
@@ -575,9 +601,9 @@ class TestConstraintFilter:
 
     def test_unions_joined_by_constraints_are_filtered_products(self, monkeypatch):
         """9-16 atoms of 2-4 programs that only one or two count constraints
-        join: the SFLP query, which splits before it builds any vector over
-        all 2^n masks, the one scan, and the products of the parts' oracle
-        sets at which no joining constraint fires agree."""
+        join: the SFLP query and the one scan, which both split before they
+        build any vector over all 2^n masks, and the products of the parts'
+        oracle sets at which no joining constraint fires agree."""
         widths = []
         vectors = kernel.rule_vectors
         monkeypatch.setattr(kernel, "rule_vectors",
@@ -594,16 +620,42 @@ class TestConstraintFilter:
                 product = product_of(enumerate_oracle(p, name) for p in parts)
                 want[name] = {i for i in product if not any(r.body.eval(i) for r in joins)}
             filtered += len(want["sflp"]) < len(product)  # the SFLP product
+            splits = lp.n > kernel._SPLIT_FIRST and len(kernel._parts(lp)) > 1
+            split_first += splits
             widths.clear()
             first = kernel.enumerate_masks(lp, lowering.ENUM_SFLP)
-            if lp.n > kernel._SPLIT_FIRST and len(kernel._parts(lp)) > 1:
-                assert max(widths, default=0) < lp.n, seed  # no global pass
-                split_first += 1
+            assert not splits or max(widths, default=0) < lp.n, seed  # no global pass
+            widths.clear()
             _, flp, sflp = kernel.scan(lp)
+            assert not splits or max(widths, default=0) < lp.n, seed  # nor in the scan
             assert first == sflp, seed
             assert {decode(lp.atoms, m) for m in sflp} == want["sflp"], seed
             assert {decode(lp.atoms, m) for m in flp} == want["flp"], seed
         assert filtered >= 30 and split_first >= 110, (filtered, split_first)
+
+
+def test_sflp_splits_only_on_disjoint_parts_and_constraints():
+    """`a :- a. b :- dnf{~b | a}.` has one SFLP answer set, {a, b}: {b} is
+    the only proper subset that is a model of its reduct, and b is
+    unsupported there. It has no FLP answer set. The splitting set {a}
+    would split it into the bottom `a :- a.`, whose only SFLP answer set
+    is the empty set, and the top at the empty set, `b :- dnf{~b}.`, which
+    has none: that split would lose {a, b}. The kernel splits SFLP only on
+    atom-disjoint parts and on constraints, and this program is one part."""
+    program = parse_program("a :- a. b :- dnf{~b | a}.")
+    subsets = all_subsets(program.atoms())
+    assert [i for i in subsets if is_sflp_answer_set(i, program)] == [fs("a", "b")]
+    assert not any(is_flp_answer_set(i, program) for i in subsets)
+    lp = lowering.lower(program)
+    assert len(kernel._parts(lp)) == 1
+    assert kernel_sets(program, "sflp") == {fs("a", "b")}
+    assert kernel_sets(program, "flp") == set()
+    _, flp, sflp = kernel.scan(lp)
+    assert flp == [] and [decode(lp.atoms, m) for m in sflp] == [fs("a", "b")]
+    bottom, top = parse_program("a :- a."), parse_program("b :- dnf{~b}.")
+    assert [i for i in all_subsets(bottom.atoms()) if is_sflp_answer_set(i, bottom)] == [fs()]
+    assert not any(is_sflp_answer_set(i, top) for i in all_subsets(top.atoms()))
+    assert kernel_sets(bottom, "sflp") == {fs()} and kernel_sets(top, "sflp") == set()
 
 
 @given(
