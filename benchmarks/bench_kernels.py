@@ -15,10 +15,12 @@ Two rows sit on either side of the width above which SFLP splits
 not split and tests their 2^8 supported models in one global pass, and
 the one scan of 14 loops, which splits and lists the 2^14 supported
 models as the product of the parts' lists.
-Two more rows time queries end to end, kernel plus
+Four more rows time queries end to end, kernel plus
 ordering and decoding: the four queries (models, supported, FLP, SFLP)
-on the 16-atom chain, and the 3^7 models of a 14-atom program of choice
-gadgets. One row times the completion of the `--atoms` chain, which
+on the 16-atom chain, its 91 models alone, the 3^7 models of a 14-atom
+program of choice gadgets, and their 2^5 supported models. One row times
+`lowering.members` alone on the 16-atom chain's models vector, 91 set
+bits of 2^16. One row times the completion of the `--atoms` chain, which
 builds one table per atom over the atom's local domain. One row
 times `lowering.truth_vector` of a parity table over 10 of 18 atoms: a
 table whose domain is not the whole universe costs its minterm DNF, and
@@ -29,8 +31,8 @@ programs: their `__aux` atoms sort first, so they hold the top bits.
 Two rows time the supported models and the FLP and SFLP answer sets of
 the battery slice's programs, lowered, enumerated and decoded: as three
 queries, and as the one scan the theorem battery reads.
-Each of these rows is the best of `--repeat` runs. The last
-row is start-up: the median of 15 fresh `python -m gasp models
+Each of these rows is the best of `--repeat` runs, printed in
+microseconds to three significant digits. The last row is start-up: the median of 15 fresh `python -m gasp models
 corpus/p1.gasp` calls minus the median of 15 `python -c pass` calls.
 `perfbench/run.py` is the measurement of record; this is a quick look.
 
@@ -38,6 +40,7 @@ corpus/p1.gasp` calls minus the median of 15 `python -c pass` calls.
 """
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -96,6 +99,14 @@ def timed(fn, repeat: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def significant(us: float) -> str:
+    """`us` to three significant digits, with no exponent."""
+    if us <= 0:
+        return "0"
+    rounded = float(f"{us:.3g}")
+    return f"{rounded:.{max(0, 2 - math.floor(math.log10(rounded)))}f}"
 
 
 def bench_enumeration(program: Program, mode: int, repeat: int) -> float:
@@ -192,9 +203,24 @@ def main() -> int:
                        for kind in semantics.SemanticsKind], args.repeat),
     ))
     models = semantics.SemanticsKind.CLASSICAL
+    supported = semantics.SemanticsKind.SUPPORTED
+    rows.append((
+        "models + decode, 16-atom chain",
+        timed(lambda: semantics.enumerate_interpretations(chain16, models), args.repeat),
+    ))
     rows.append((
         "models + decode, 14-atom choice gadgets",
         timed(lambda: semantics.enumerate_interpretations(choice, models), args.repeat),
+    ))
+    rows.append((
+        "supported + decode, 14-atom choice gadgets",
+        timed(lambda: semantics.enumerate_interpretations(choice, supported), args.repeat),
+    ))
+    chain_models = kernel.enumerate_masks(lowering.lower(chain16), lowering.ENUM_MODELS)
+    vector = sum(1 << m for m in chain_models)
+    rows.append((
+        f"members, {len(chain_models)} of 2^16 bits",
+        timed(lambda: lowering.members(vector), args.repeat),
     ))
     rows.append((
         f"completion, {args.atoms}-atom chain",
@@ -232,7 +258,7 @@ def main() -> int:
     width = max(len(label) for label, _ in rows)
     print(f"{'workload':<{width}}  {'time':>10}")
     for label, seconds in rows:
-        print(f"{label:<{width}}  {seconds * 1e3:>8.1f}ms")
+        print(f"{label:<{width}}  {significant(seconds * 1e6):>8}us")
     return 0
 
 

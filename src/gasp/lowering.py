@@ -7,35 +7,43 @@ atom holds bit n - 1 and the name-last bit 0, so an interpretation is a
 mask J < 2^n. A *vector* is a Python int with one bit per mask: bit J
 is set when some property holds at J. The column of atom i, X_i, is the
 vector of the masks that contain i, and every body becomes a vector
-through `truth_vector`, built from columns by AND, OR and shifts. A count body against the bound k reads "at least k"
-and "at least k + 1" of its m members off counters kept up to
-min(k + 1, m) (`at_least`), 2 * min(k + 1, m) - 1 steps per member; the
-kernel counts the true atoms of a disjunctive head with the same
-counters, up to two. A truth table over the whole universe is its own
-vector, one bit per satisfying subset; any other is the OR of one minterm
-conjunction per satisfying subset, so it costs what its minterm DNF
-costs. A vector takes 2^n / 8 bytes (128 KiB at n = 20). The
+through `truth_vector`, built from columns by AND, OR and shifts. A
+count body against the bound k reads "at least k" and "at least k + 1"
+of its m members off counters kept up to min(k + 1, m) (`at_least`),
+each started from its first term, at most 2 * min(k + 1, m) - 1 steps
+per member; the kernel counts the true atoms of a disjunctive head with
+the same counters, up to two. A truth table over the whole universe is
+its own vector, one bit per satisfying subset; any other is the OR of one
+minterm conjunction per satisfying subset, so it costs what its minterm
+DNF costs. A vector takes 2^n / 8 bytes (128 KiB at n = 20). The
 columns and the all-masks vector of a width (`columns`, `full`) are built
 once and shared by every later caller: (n + 1) * 2^n / 8 bytes per width
 used. Besides the kernel, the completion works on these vectors, and
 `core.to_dnf`, `core.is_convex` and `compile.closure_rules` on the
 vector of one body over its own domain (`body_vector`).
 
-`members` lists the masks of a vector: one with at most 64 set bits is
-peeled from its top bit down, any other is cut into 64-bit words whose
-zero words are skipped in C. Masks go back to atom sets only here, through
-`decode`, which builds each set as the union of two frozensets over the
-low and the high half of the universe, taken from lazily filled tables
-whose entries are unions of one-atom sets. Union and hashing reuse
-the stored hashes of those sets, so each atom is hashed at most once per
-call, not once per element. `interpretations` sorts the masks by their
-rank, the position of the set among all 2^n subsets in canonical order,
-and decodes them in that order. With the name-first atom on top, the
+`members` lists the masks of a vector at a cost that follows its set
+bits, not its width: it takes them off the top by 64-bit windows, one
+shift and one XOR over the vector each, and only where the bits taken so
+far project more than `_PEELED` still to come does it cut the rest into
+64-bit words, whose zero words are skipped in C. No sparse vector pays a
+count or a byte copy over its whole width. Masks go back to atom sets
+only here, through `decode`. With fewer masks than the
+2^(n // 2) entries of a table over the low half of the universe, or over
+at most 8 atoms, it builds each set on its own from the atoms that its
+mask's byte selectors pick. With more, some low half must serve several
+masks, and each set is the union of two frozensets over the low and the
+high half of the universe, taken from lazily filled tables whose entries
+are unions of one-atom sets: union and hashing reuse the stored hashes of
+those sets, so each atom is hashed at most once per call, not once per
+element. `interpretations` sorts the masks by their rank, the position
+of the set among all 2^n subsets in canonical order, and decodes them in
+that order. With the name-first atom on top, the
 rank of a mask m is the closed form (popcount(m) - m - (m & -m)) mod 2^n
 (`rank_key`). `semantics.enumerate_candidates` sorts only the supported
-models of its one scan so and decodes each of them once, since every
-answer set is among them. The completion, whose tables are sets, and the closure rules, which sort
-their cubes themselves, decode in mask order.
+models of its one scan and decodes each of them once, since every
+answer set is among them. The completion, whose tables are sets, and the
+closure rules, which sort their cubes themselves, decode in mask order.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ ENUM_FLP = 2
 ENUM_SFLP = 3
 
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+_BYTE_SELECTORS = tuple(tuple(b >> i & 1 for i in range(8)) for b in range(256))
 _EMPTY: frozenset[Atom] = frozenset()
 
 # The width tables of `full` and `columns`: an entry is never changed
@@ -70,9 +79,24 @@ _EMPTY: frozenset[Atom] = frozenset()
 _FULL: dict[int, int] = {}
 _COLUMNS: dict[int, tuple[int, ...]] = {}
 
-# `members` peels a vector with at most this many set bits from the top:
-# below it that beats the word scan at every width up to 2^20 bits.
-_PEELED = 64
+# `members` peels set bits off a vector's top while the bits taken so far
+# project at most this many more below them, then scans the rest by words.
+# A window costs one pass over what is left of the vector, the word scan a
+# pass over its bytes plus its per-bit work, so peeling wins up to about
+# this many spread bits: peeling all of 64-384 random bits of 2^16 took
+# 0.55-0.76 of the scan's time, of 2^18 0.96 at 128 bits, and of 2^20
+# 0.66 at 64 bits and 1.24 at 128. The projection is first made after 16
+# bits, so a dense vector reaches the scan after a window or two (the 2187
+# choice models cost the same either way). Measured against the scan
+# alone, best of 8-100 calls: the 91 models of perfbench's 16-atom chain
+# in four name orders 42-51 against 77-93 us, 159 models of an 18-atom
+# chain 134-257 against 226-313 us, and 278 models of a 20-atom chain
+# 0.73-1.20 against 0.73-0.82 ms (permuted names, whose models are denser
+# low down than the projection expects) and 0.40 against 0.67 ms (names in
+# order). On one of those orders a fixed budget of 128 bits took 1.36 ms
+# where the projection took 0.88 (one core of a shared 2-vCPU host,
+# Python 3.11.7).
+_PEELED = 128
 
 
 class LoweredProgram:
@@ -164,21 +188,44 @@ def columns(n: int) -> tuple[int, ...]:
 def members(vector: int) -> list[int]:
     """The masks whose bits are set in a vector, in increasing order.
 
-    A vector with few set bits is peeled from its top bit down, each step
-    a `bit_length`, a shift and an XOR. Any other is cut into 64-bit
-    words; the zero words are skipped in C (`itertools.compress` over the
-    words of its bytes), which costs about 30 us per 1024 words however
-    few bits are set, and the bits of the others are peeled off, lowest
-    first.
+    The set bits come off from the top first, by 64-bit windows from the
+    top set bit down: each window is one shift and one XOR over the
+    vector, and its bits are then read off a small int, so a sparse vector
+    costs what its bits cost and bits that cluster share a window. After
+    16, 32, 64, ... bits the bits taken so far, over the positions they
+    came from, project how many are left; once that is more than
+    `_PEELED`, what is left of the vector is cut into 64-bit words
+    instead: the zero words are skipped in C (`itertools.compress` over
+    the words of its bytes), which costs about 30 us per 1024 words
+    however few bits are set, and the bits of the others are peeled off,
+    lowest first.
     """
+    top = []  # highest first
+    length = vector.bit_length()
+    check = 16
+    while vector:
+        if len(top) >= check:
+            left = vector.bit_length()
+            if len(top) * left > _PEELED * (length - left):
+                break
+            check <<= 1
+        shift = vector.bit_length() - 64
+        if shift > 0:
+            word = vector >> shift
+            vector ^= word << shift
+            if word == 1 << 63:  # a bit alone in its window, as spread bits are
+                top.append(shift + 63)
+                continue
+        else:
+            shift, word, vector = 0, vector, 0
+        while word:
+            i = word.bit_length() - 1
+            top.append(shift + i)
+            word ^= 1 << i
+    top.reverse()
+    if not vector:
+        return top
     out = []
-    if vector.bit_count() <= _PEELED:
-        while vector:
-            i = vector.bit_length() - 1
-            out.append(i)
-            vector ^= 1 << i
-        out.reverse()
-        return out
     count = (vector.bit_length() + 63) >> 6
     data = vector.to_bytes(count << 3, "little")
     for k in compress(range(count), memoryview(data).cast("Q")):
@@ -188,6 +235,7 @@ def members(vector: int) -> list[int]:
             low = word & -word
             out.append(base + low.bit_length())
             word ^= low
+    out += top
     return out
 
 
@@ -221,13 +269,31 @@ def decode(atoms: Sequence[Atom], masks: list[int]) -> list[frozenset[Atom]]:
     """The sets with the given masks over `atoms`, in the order of `masks`,
     each the shared set of `core.atom_set`.
 
-    Each set is the union of a frozenset over the low half of the universe
-    and one over the high half; the two tables are filled as masks need
-    their entries, each entry a union of one-atom sets, which are made on
-    first use, so that only they hash their atom.
+    With fewer masks than the 2^h entries of a table over the low
+    h = n // 2 bits, or with n <= 8, each set is built on its own: the
+    atoms that the mask's per-byte selectors pick (`compress`), each of
+    them hashed. Otherwise each set is the union of a frozenset over the
+    low half of the universe and one over the high half; the two tables
+    are filled as masks need their entries, each entry a union of one-atom
+    sets, which are made on first use, so that only they hash their atom.
+    With 2^h masks or more some low entry must serve several masks, and
+    the tables save more hashing than they cost: the 2187 models of the
+    14-atom choice gadgets take 1.3-1.5 ms through them and 2.2-2.7 ms set
+    by set. Below that an entry may serve one mask alone: the 91 models of
+    perfbench's 16-atom chain (atom names permuted) take 108-165 us set by
+    set and 121-272 us through the tables, three models of a 4-atom chain
+    2-4 us against 5-10 us (best of 50-300 calls, as for `_PEELED`).
     """
-    if not masks:
-        return []
+    if len(masks) < 1 << (len(atoms) >> 1) or len(atoms) <= 8:
+        out = []
+        for m in masks:
+            selectors = _BYTE_SELECTORS[m & 255]
+            m >>= 8
+            while m:
+                selectors += _BYTE_SELECTORS[m & 255]
+                m >>= 8
+            out.append(atom_set(compress(atoms, selectors)))
+        return out
     half = len(atoms) >> 1
     low_mask = (1 << half) - 1
     singles: list[frozenset[Atom] | None] = [None] * len(atoms)
@@ -330,19 +396,27 @@ def _count(body: CountAggregate, index, n, cols) -> int:
 def at_least(cols: Sequence[int], bits: Iterable[int], top: int) -> list[int]:
     """Counters over the columns of the bit positions `bits`, top >= 1:
     entry c - 1 holds the masks where at least c of those atoms are true,
-    for c = 1 .. top. Each column x raises the counts from the top down,
-    at least c gaining the masks of x at least c - 1, then at least 1
-    gains x: 2 * top - 1 big-int steps per atom. Count bodies use it, and
-    so do disjunctive heads with top = 2 (where the head is hit, where
-    two of its atoms are true)."""
-    ge = [0] * top
+    for c = 1 .. top, and is 0 where there are fewer than c atoms. Each
+    column x raises the counts from the top down, at least c gaining the
+    masks of x at least c - 1, then at least 1 gains x: at most 2 * top - 1
+    big-int steps per atom. A counter starts from its first term, the
+    first column itself or the AND that first reaches it, so no step ORs
+    into zero. Count bodies use it, and so do disjunctive heads with
+    top = 2 (where the head is hit, where two of its atoms are true)."""
+    ge = []
     for i in bits:
         x = cols[i]
-        c = top - 1
+        c = len(ge)
+        if c < top:
+            ge.append(ge[c - 1] & x if c else x)
+            if not c:
+                continue
+        c -= 1
         while c:  # cheaper than a range for the one or two steps of most calls
             ge[c] |= ge[c - 1] & x
             c -= 1
         ge[0] |= x
+    ge += [0] * (top - len(ge))
     return ge
 
 

@@ -143,10 +143,10 @@ def completion_atom(atom: Atom, program: Program, limit: int = DEFAULT_ATOM_LIMI
     support vector (`kernel.rule_vectors`) over D. It has no row when the
     atom is supported wherever it is true. TooManyAtoms, naming the
     completion table, when D is over `limit`."""
-    rules = Program(r for r in program.rules if atom in r.head)
+    rules = tuple(r for r in program.rules if atom in r.head)
     if not rules and atom not in program.atoms():
         raise UnknownAtom(f"atom {atom.name!r} does not occur in the program")
-    lp = lowering.lower(rules, rules.atoms() | {atom}, limit, "completion table")
+    lp = lowering.lower(rules, {atom}.union(*map(Rule.atoms, rules)), limit, "completion table")
     support = [0] * lp.n
     for _ in kernel.rule_vectors(lp, support):  # only `support` is kept
         pass

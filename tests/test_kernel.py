@@ -235,6 +235,40 @@ class TestCanonicalOrder:
             got = lowering.interpretations(atoms, masks)
             assert got == sorted((decode(atoms, m) for m in masks), key=interp_sort_key), n
 
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_both_sides_of_the_pigeonhole_boundary(self, n):
+        """Around 2^(n // 2) masks, where `decode` switches from building
+        each set on its own to the two half tables, at every width up to
+        24: the sets built from the masks' bits, in the masks' order and,
+        through `interpretations`, in canonical order."""
+        rng = random.Random(f"pigeonhole-{n}")
+        atoms = scrambled_atoms(n, rng)
+        boundary = 1 << (n >> 1)
+        for count in (boundary - 1, boundary, boundary + 1):
+            if not 0 < count <= 1 << n:
+                continue
+            masks = rng.sample(range(1 << n), count)
+            want = [decode(atoms, m) for m in masks]
+            got = lowering.decode(atoms, masks)
+            assert got == want and all(atom_set(i) is i for i in got), (n, count)
+            assert lowering.interpretations(atoms, masks) == sorted(want, key=interp_sort_key), \
+                (n, count)
+
+    def test_universes_wider_than_the_default_limit(self):
+        """26 and 40 atoms, lowered under a raised limit: five-byte masks,
+        the empty and the full one among them, set by set, and 26 atoms on
+        both sides of the pigeonhole boundary."""
+        rng = random.Random(5)
+        for n, counts in ((26, (3, (1 << 13) - 1, (1 << 13) + 1)), (40, (2, 50))):
+            program = parse_program(" ".join(f"w{i:02d} :- w{i:02d}." for i in range(n)))
+            atoms = lowering.lower(program, limit=n).atoms
+            for count in counts:
+                masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(count - 2)]
+                want = [decode(atoms, m) for m in masks]
+                assert lowering.decode(atoms, masks) == want, (n, count)
+                assert lowering.interpretations(atoms, masks) == \
+                    sorted(want, key=interp_sort_key), (n, count)
+
 
 class TestOracleAgreement:
     def test_random_programs(self):
@@ -721,6 +755,103 @@ def test_members_of_long_vectors(width, count):
             vector |= 1 << (size - 1 if not vector else rng.randrange(size))
     reference = [i for i, bit in enumerate(reversed(bin(vector)[2:])) if bit == "1"]
     assert kernel.members(vector) == reference
+
+
+def set_bits(vector: int) -> list[int]:
+    """The set bits of a vector, increasing, read one by one off its
+    binary digits."""
+    return [i for i, bit in enumerate(reversed(bin(vector)[2:])) if bit == "1"]
+
+
+def shaped_vector(shape: str, width: int, count: int, rng: random.Random) -> int:
+    """A vector of 2^width bits: `count` bits (at most all of them) spread
+    at random ("sparse") or in runs of up to 40 ("clustered"), its top bit
+    among them, or about half of all bits ("dense", `count` unused)."""
+    size = 1 << width
+    if shape == "dense":
+        return rng.getrandbits(size) | 1 << (size - 1)
+    count = min(count, size)
+    vector = 1 << (size - 1)
+    while vector.bit_count() < count:
+        if shape == "sparse":
+            vector |= 1 << rng.randrange(size)
+        else:
+            start = rng.randrange(size)
+            run = min(rng.randint(1, 40), size - start, count - vector.bit_count())
+            vector |= ((1 << run) - 1) << start
+    return vector
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("shape", ["sparse", "clustered", "dense"])
+@pytest.mark.parametrize("width", range(4, 21))
+def test_members_around_the_peel_budget(width, shape, offset):
+    """One set bit fewer than `lowering._PEELED`, as many and one more, at
+    every width from 2^4 to 2^20 bits, against a reference that reads
+    every bit."""
+    rng = random.Random(f"{width}-{shape}-{offset}")
+    vector = shaped_vector(shape, width, lowering._PEELED + offset, rng)
+    assert lowering.members(vector) == set_bits(vector)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("shape", ["sparse", "clustered", "dense"])
+def test_members_where_the_peel_hands_over_to_the_word_scan(shape, offset):
+    """16 bits 64 apart on top, each its own window, then a rest whose top
+    bit sits 1024 positions below the vector's: after those 16 the bits
+    taken project 16 * left / 1024 more for the `left` bits below, one
+    fewer than `lowering._PEELED`, as many (the peel goes on past that
+    check) and one more (the rest is scanned by words at once)."""
+    rng = random.Random(f"handover-{shape}-{offset}")
+    left = lowering._PEELED * 64 + 64 * offset
+    width = (left - 1).bit_length()
+    rest = shaped_vector(shape, width, 300, rng) >> ((1 << width) - left)
+    assert rest.bit_length() == left
+    top = sum(1 << (left + 1023 - 64 * j) for j in range(16))
+    assert lowering.members(top | rest) == set_bits(top | rest)
+
+
+def test_at_least_counts_against_brute_force():
+    """Every `top` from 1 to m + 1 over 0-6 atoms at scattered positions
+    of up to 8: counter c - 1 holds the masks with at least c of the atoms
+    true, counted bit by bit, and is 0 beyond m; one atom's first counter
+    is its column itself."""
+    rng = random.Random(6)
+    for trial in range(120):
+        n = rng.randint(0, 8)
+        cols = lowering.columns(n)
+        bits = rng.sample(range(n), rng.randint(0, min(6, n)))
+        atoms = sum(1 << b for b in bits)
+        for top in range(1, len(bits) + 2):
+            want = [sum(1 << j for j in range(1 << n) if (j & atoms).bit_count() >= c)
+                    for c in range(1, top + 1)]
+            assert lowering.at_least(cols, bits, top) == want, (trial, top)
+    cols = lowering.columns(5)
+    assert lowering.at_least(cols, [3], 2)[0] is cols[3]
+
+
+@pytest.mark.parametrize("text, above, answers", [
+    ("".join(f"a{i} :- a{i}. " for i in range(16)), True, 1),
+    (chain_text(16), False, 0),
+    ("".join(f"v{2 * k} :- not v{2 * k + 1}. v{2 * k + 1} :- not v{2 * k}. " for k in range(5))
+     + "".join(f"v{k} :- count{{v{k}, v{k + 1}}} != 1. v{k + 1} :- count{{v{k}, v{k + 1}}} != 1. "
+               for k in (10, 12)), True, 0),
+    ("x :- not y. y :- not x.", False, 2),  # 2 candidates over 2 atoms
+    ("x :- not y. y :- not x. z :- z.", True, 2),  # 4 over 3
+], ids=["16 loops", "16-atom chain", "choice gadgets", "n candidates", "n + 1 candidates"])
+def test_flp_gate_splits_at_n_candidates(monkeypatch, text, above, answers):
+    """The FLP query drops the candidates above a smaller model in one pass
+    (`_above`) exactly when there are more candidates, supported models,
+    than atoms: on loops, the chain and the choice gadgets, and at n and
+    n + 1 candidates."""
+    lp = lowering.lower(parse_program(text))
+    supported = kernel.enumerate_masks(lp, lowering.ENUM_SUPPORTED)
+    assert (len(supported) > lp.n) == above
+    calls = []
+    drop = kernel._above
+    monkeypatch.setattr(kernel, "_above", lambda *args: calls.append(args) or drop(*args))
+    assert len(kernel.enumerate_masks(lp, lowering.ENUM_FLP)) == answers
+    assert len(calls) == above
 
 
 def test_proper_subsets_of_every_small_mask():

@@ -1,6 +1,6 @@
 import pytest
 
-from gasp import lowering
+from gasp import lowering, semantics
 from gasp.compile import rew_sflp
 from gasp.core import (
     Atom,
@@ -347,6 +347,20 @@ class TestCompletion:
     def test_unknown_atom(self, corpus):
         with pytest.raises(UnknownAtom):
             completion_atom(Atom("zzz"), corpus["p1"])
+
+    def test_tables_are_lowered_from_the_heading_rules_alone(self, monkeypatch):
+        """`completion_atom` lowers the rules that head the atom as they
+        are, building no `Program` of them: an atom that heads rules, one
+        that heads none, and one not in the program (UnknownAtom)."""
+        def no_program(*args):
+            raise AssertionError("completion_atom built a Program")
+
+        monkeypatch.setattr(semantics, "Program", no_program)
+        program = parse_program("a :- b. a :- not c. b :- a.")
+        assert completion_atom(Atom("a"), program).domain == fs("a", "b", "c")
+        assert completion_atom(Atom("c"), program).satisfying == frozenset({fs("c")})
+        with pytest.raises(UnknownAtom):
+            completion_atom(Atom("z"), program)
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_completion_models(self, corpus, name):
