@@ -10,6 +10,11 @@ parts that share no atom, so the kernel scans each part on its own and
 builds no vector over all 2^n masks: 14 loops, the 14-atom choice
 gadgets, and 12 loops joined by one constraint that never fires, which
 joins no part and filters the product of the parts' answers instead.
+Two more time the cost of scanning each distinct part once: 7 even loops
+`x :- not y. y :- not x.` under `:- count{x0, ..., x6} != 1.`, seven
+parts of one shape whose constraint leaves 7 of their 128 supported
+models, and 7 pairwise distinct two-atom parts, where no part repeats,
+so the parts' keys are paid and nothing is saved.
 Two rows sit on either side of the width above which SFLP splits
 (`kernel._SPLIT_FIRST`, 8 atoms): the SFLP query on 8 loops, which does
 not split and tests their 2^8 supported models in one global pass, and
@@ -80,6 +85,21 @@ def choice_gadgets() -> Program:
         else:
             parts.append(f"{x} :- count{{{x}, {y}}} != 1. {y} :- count{{{x}, {y}}} != 1.")
     return parse_program("\n".join(parts))
+
+
+def distinct_parts() -> Program:
+    """Seven two-atom parts, no two the same program up to a renaming that
+    keeps the atoms' order, over 14 atoms: the kernel's SFLP split scans
+    each of them, so its part keys save nothing."""
+    shapes = ("{x} :- not {y}. {y} :- not {x}.",
+              "{x} :- count{{{x}, {y}}} != 1. {y} :- count{{{x}, {y}}} != 1.",
+              "{x} :- {y}. {y} :- {x}.",
+              "{x} :- not {y}.",
+              "{y} :- not {x}.",
+              "{x} :- {y}. {y} :- not {x}.",
+              "{x} | {y}.")
+    return parse_program(" ".join(shape.format(x=f"v{2 * k:02d}", y=f"v{2 * k + 1:02d}")
+                                  for k, shape in enumerate(shapes)))
 
 
 def sparse_parity_table(width: int, universe: int) -> tuple[TruthTable, dict[Atom, int]]:
@@ -176,6 +196,8 @@ def main() -> int:
     joined = parse_program(" ".join(f"a{i} :- a{i}." for i in range(12))
                            + " :- count{" + ", ".join(f"a{i}" for i in range(12)) + "} > 12.")
     choice = choice_gadgets()
+    one_of_seven = parse_program(" ".join(f"x{i} :- not y{i}. y{i} :- not x{i}." for i in range(7))
+                                 + " :- count{" + ", ".join(f"x{i}" for i in range(7)) + "} != 1.")
     compiled_p1, _ = rew_sflp(parse_program(
         "a :- count{a, b} != 1. b :- count{a, b} != 1."
     ))
@@ -190,6 +212,8 @@ def main() -> int:
             ("sflp, 8 self-supporting loops", loops8, lowering.ENUM_SFLP),
             ("sflp, 12 loops joined by one constraint", joined, lowering.ENUM_SFLP),
             ("sflp, 14-atom choice gadgets", choice, lowering.ENUM_SFLP),
+            ("sflp, 7 even loops under exactly one x", one_of_seven, lowering.ENUM_SFLP),
+            ("sflp, 7 pairwise distinct two-atom parts", distinct_parts(), lowering.ENUM_SFLP),
             ("flp, rewritten 2-atom program", compiled_p1, lowering.ENUM_FLP),
         )
     ]

@@ -56,6 +56,16 @@ anything else is not exact for SFLP: `a :- a. b :- dnf{~b | a}.` has the
 SFLP answer set {a, b}, but its bottom `a :- a.` has only the empty set,
 and its top at the empty set, `b :- dnf{~b}.`, has none.
 
+Parts often repeat: perfbench's choice gadgets are seven parts of two
+shapes. So, as model counters cache components (Sang, Bacchus, Beame,
+Kautz and Pitassi, SAT 2004), `_split` scans each distinct part once per
+call. Before it is lowered, a part is keyed by what the scan reads of it
+over its own bits: its rules' head masks and their bodies' truth
+functions (`_part_key`). Parts with equal keys are the same program up to
+a renaming of atoms that keeps their order, so they share one scan's
+lists, placed at each part's own bits. No other renaming is looked for,
+and the cache ends with the call.
+
 Constraints join no part; they filter the product. A constraint supports
 no atom, and at a model of P its body is false, so it is in the reduct
 of no model. Hence I is a model, a supported model, or an FLP or SFLP
@@ -72,23 +82,26 @@ sets as filtered products too. Nothing else splits, so at `_SPLIT_FIRST`
 atoms or fewer one global pass tests at most 2^8 candidates. FLP alone
 does not split: `_above` already costs what its models cost.
 
-The reduct of each candidate is read rule by rule, one AND of the body
-vector with the candidate vector and then its few set bits, and the
-minimality test of I starts from the vector of I's proper subsets, built
-by doubling over the atoms of I. Both are sized by the candidates rather
+The reduct of each candidate is read rule by rule (`_reducts`), from the
+set bits of the body vector's AND with the candidate vector or, for a
+few wide candidates, by testing each candidate's bit, and the minimality
+test of I starts from the vector of I's proper subsets, built by
+doubling over the atoms of I. Both are sized by the candidates rather
 than by 2^n. The FLP and SFLP queries and the scan hold the n columns,
 two vectors per rule (SFLP and the scan three for a head of two or more
 atoms), one per atom and a few temporaries; the models and supported
 queries keep none per rule. An SFLP query or scan that splits holds one
-global vector, the constraints' OR, each part's vectors in turn and the
-products it lists: the SFLP answer sets, and for the scan the supported
-models and FLP answer sets too, as many as the global pass would list.
+global vector, the constraints' OR, each distinct part's vectors in turn
+and its local lists, and the products it lists: the SFLP answer sets,
+and for the scan the supported models and FLP answer sets too, as many
+as the global pass would list.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+from .core import Body, CountAggregate, Dnf, LiteralConjunction, Rule, TruthTable
 from .lowering import (
     ENUM_FLP,
     ENUM_MODELS,
@@ -108,16 +121,17 @@ NAME = "bitsliced"
 
 # An SFLP query or scan over more atoms than this looks for parts before it
 # builds any vector (`_scan`), and nothing else splits. At this width or
-# below a vector has at most 256 bits and the global pass costs about what
-# `_parts` does: splitting first took 1.44-1.55 ms against 1.02-1.14 ms for
-# the 112 battery programs of 2-5 atoms, and battery seed 58 (3 atoms) takes
-# 10 us unsplit against 29 us split. The pass tests at most 2^8 candidates,
-# so its worst case is bounded: 8 loops `a :- a.` take 1.05 ms against
-# 0.09 ms split, while 4 even loops take 36 against 65 us. Above it the pass
-# grows with 2^n: the 14-atom choice gadgets took 99-110 against 141-159 us
-# as a query, and the scan of 14 loops takes 1.7 against 2.6 ms, while
-# `_parts` adds 8 us (3%) to the 16-atom chain, which is one part (best of
-# 50-2000 calls, one core of a shared 2-vCPU host, Python 3.11.7).
+# below a vector has at most 256 bits and the global pass costs less than
+# `_parts` and the part keys: splitting first took 1.92-2.01 ms against
+# 1.33-1.39 ms for the scans of the 112 battery programs of 2-5 atoms, and
+# battery seed 58 (3 atoms) takes 13 us unsplit against 40 us split. The
+# pass tests at most 2^8 candidates, so its worst case is bounded: 8 loops
+# `a :- a.` take 1.0-1.2 ms against 34-38 us split, and 4 even loops 41-43
+# against 33-37 us. Above it the pass grows with 2^n: the 14-atom choice
+# gadgets take 290-313 us as one pass against 73-83 us split, and the scan
+# of 14 loops 198-219 ms against 1.5-1.8 ms, while `_parts` adds 10-11 us
+# (4%) to the SFLP query on the 16-atom chain, which is one part (best of
+# 20-1000 calls, one core of a shared 2-vCPU host, Python 3.11.7).
 _SPLIT_FIRST = 8
 
 
@@ -213,17 +227,19 @@ def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], l
             # a mask supported in a reduct is supported in P
             blocking ^= blocking & unsupported
             if blocking:
-                blocking = _supported(blocking, reduct, heads, rule_support, cols)
+                blocking = _supported(blocking, i, reduct, heads, rule_support, cols)
             if not blocking:
                 sflp_accepted.append(i)
     return list(reducts), flp_accepted, sflp_accepted
 
 
-def _parts(lp: LoweredProgram) -> list[int]:
-    """The atom masks of the atom-disjoint parts of the program without its
-    constraints: two rules share a part when a chain of rules links them,
-    each sharing a head or body-domain atom with the next. Constraints join
-    no part: `_split` filters by them."""
+def _parts(lp: LoweredProgram) -> list[tuple[int, list[Rule]]]:
+    """The atom mask and the rules of each atom-disjoint part of the program
+    without its constraints: two rules share a part when a chain of rules
+    links them, each sharing a head or body-domain atom with the next. A
+    part lists its rules in the order the walk meets them, except that a
+    rule that joins parts comes after their rules. Constraints join no
+    part: `_split` filters by them."""
     index = lp.index
     parts = []
     for head, rule in zip(lp.heads, lp.rules):
@@ -232,40 +248,51 @@ def _parts(lp: LoweredProgram) -> list[int]:
         atoms = head
         for a in rule.body.domain:
             atoms |= 1 << index[a]
+        rules = []
         apart = []
         for part in parts:
-            if part & atoms:
-                atoms |= part
+            if part[0] & atoms:
+                atoms |= part[0]
+                rules += part[1]
             else:
                 apart.append(part)
-        apart.append(atoms)
+        rules.append(rule)
+        apart.append((atoms, rules))
         parts = apart
     return parts
 
 
-def _split(lp: LoweredProgram, parts: list[int],
+def _split(lp: LoweredProgram, parts: list[tuple[int, list[Rule]]],
            products: bool) -> tuple[list[int], list[int], list[int]]:
     """The supported models and the FLP and SFLP answer sets, each
     increasing, of a program whose rules other than constraints make the
-    atom-disjoint `parts`: the products of the parts' lists at which no
-    constraint body holds, each part lowered through `lower` over its own
-    atoms and scanned (see the module docstring for why this is exact).
-    Without `products` the first two lists are left empty. Each rule other
-    than a constraint lies in the part of its head atoms. A part's atoms
-    keep their relative order, so its bit j is `part_bits[j]`. Atoms in no
-    part are false in every candidate."""
-    bits = [members(atoms) for atoms in parts]
-    part_of = {b: k for k, part_bits in enumerate(bits) for b in part_bits}
-    rules = [[] for _ in parts]
-    for head, rule in zip(lp.heads, lp.rules):
-        if head:
-            rules[part_of[head.bit_length() - 1]].append(rule)
+    atom-disjoint `parts` (`_parts`): the products of the parts' lists at
+    which no constraint body holds (see the module docstring for why this
+    is exact). Without `products` the first two lists are left empty. A
+    part's atoms keep their relative order, so its local bit j is the
+    global bit `places[j]`. Each part is keyed before it is lowered
+    (`_part_key`), and each distinct key is lowered through `lower` over
+    its part's atoms and scanned once per call: parts with equal keys are
+    the same program up to the order-preserving renaming of their atoms,
+    so they share local lists, which `_spread` places at each part's own
+    bits. Atoms in no part are false in every candidate."""
     found = [[0], [0], [0]] if products else [[], [], [0]]
-    for part_bits, part_rules in zip(bits, rules):
-        part = lower(part_rules, [lp.atoms[b] for b in part_bits])
-        for k, masks in enumerate(_global_pass(part, ENUM_SFLP)):
+    scanned = {}  # a part's key -> its three local lists
+    for atoms, rules in parts:
+        places = []
+        local = {}  # each atom's local bit
+        while atoms:
+            place = atoms & -atoms
+            local[lp.atoms[place.bit_length() - 1]] = 1 << len(places)
+            places.append(place)
+            atoms ^= place
+        key = _part_key(rules, local.__getitem__)
+        lists = scanned.get(key)
+        if lists is None:
+            lists = scanned[key] = _global_pass(lower(rules, local), ENUM_SFLP)
+        for k, masks in enumerate(lists):
             if found[k]:  # an empty product stays empty
-                found[k] = [i | m for m in _spread(masks, part_bits) for i in found[k]]
+                found[k] = [i | m for m in _spread(masks, places) for i in found[k]]
         if not any(found):
             return [], [], []
     fires = 0
@@ -280,14 +307,45 @@ def _split(lp: LoweredProgram, parts: list[int],
     return tuple(found)
 
 
-def _spread(masks: list[int], bits: list[int]) -> list[int]:
-    """Each mask with its bit j moved to bit `bits[j]`."""
+def _part_key(rules: list[Rule], bit) -> frozenset:
+    """What `_global_pass` reads of a part, over its local bits (`bit` maps
+    each atom to its own): the set of its rules' head masks, each with its
+    body's truth function as `_body_key` gives it. The masks together cover
+    the part's atoms, so they fix its width. Rule order and repeats change
+    no answer, so two parts with equal keys are the same program up to a
+    renaming of atoms that keeps their order, with the same local lists."""
+    return frozenset([(sum(map(bit, rule.head)), _body_key(rule.body, bit)) for rule in rules])
+
+
+def _body_key(body: Body, bit) -> tuple | frozenset:
+    """A key that fixes the body's truth function over the local bits that
+    `bit` gives its atoms (masks are sums of distinct bits): the positive
+    and negative masks of a conjunction, a count's mask with its comparator
+    and bound, the set of a DNF's disjunct masks, or a table's domain mask
+    and the set of its row masks. Keys of different kinds never compare
+    equal."""
+    if isinstance(body, LiteralConjunction):
+        c = body.conjunct
+        return sum(map(bit, c.positives)), sum(map(bit, c.negatives))
+    if isinstance(body, CountAggregate):
+        return sum(map(bit, body.atoms)), body.comparator, body.bound
+    if isinstance(body, Dnf):
+        return frozenset((sum(map(bit, d.positives)), sum(map(bit, d.negatives)))
+                         for d in body.disjuncts)
+    if isinstance(body, TruthTable):
+        return sum(map(bit, body.domain)), frozenset(sum(map(bit, s)) for s in body.satisfying)
+    raise TypeError(f"not a body: {body!r}")
+
+
+def _spread(masks: list[int], places: list[int]) -> list[int]:
+    """Each mask with its bit j replaced by the bit `places[j]`."""
     out = []
     for mask in masks:
         spread = 0
-        for j, b in enumerate(bits):
-            if mask >> j & 1:
-                spread |= 1 << b
+        for place in places:
+            if mask & 1:
+                spread |= place
+            mask >>= 1
         out.append(spread)
     return out
 
@@ -323,18 +381,22 @@ def rule_vectors(lp: LoweredProgram,
         yield holds, hit, supports
 
 
-def _supported(family: int, rules: list[int], heads: list[list[int]],
+def _supported(family: int, candidate: int, rules: list[int], heads: list[list[int]],
                rule_support: list[int], cols) -> int:
-    """The masks of `family`, each a model of `rules`, where every true atom
-    is supported by one of `rules`: where a is true, rule r supports it in
-    `rule_support[r]`; `heads` lists each rule's head atoms. Each step is
-    sized by `family`."""
+    """The masks of `family`, each a model of `rules` and a subset of
+    `candidate`, where every true atom is supported by one of `rules`:
+    where a is true, rule r supports it in `rule_support[r]`; `heads` lists
+    each rule's head atoms. Only the candidate's atoms can be true in the
+    family, so only their columns are read. Each step is sized by
+    `family`."""
     by_atom = [[] for _ in cols]
     for r in rules:
         for a in heads[r]:
             by_atom[a].append(r)
-    for a, x in enumerate(cols):
-        true_a = family & x
+    while candidate:
+        a = candidate.bit_length() - 1
+        candidate ^= 1 << a
+        true_a = family & cols[a]
         if not true_a:
             continue
         kept = 0
@@ -357,10 +419,29 @@ def _above(family: int, cols) -> int:
 
 def _reducts(candidates: int, bodies: list[int]) -> dict[int, list[int]]:
     """The reduct of each candidate, in increasing candidate order: the
-    rules whose body vectors (`bodies`) hold it. Per rule, one AND with the
-    candidate vector, then its set bits from the top: the step that reads
-    candidate I costs what I's bits take, as its minimality test does."""
+    rules whose body vectors (`bodies`) hold it. Peeling a rule's hits off
+    its AND with the candidate vector builds and XORs an int as long as
+    each hit's mask; testing candidate i's bit in a vector of w bits reads
+    a probe of i bits or a shift that leaves w - i, whichever is shorter,
+    but for every rule, hit or not. So the hits are peeled while every
+    candidate is below 64 or the candidates outnumber the rules, and the
+    listed candidates' bits are tested otherwise. Testing took 28 against
+    58 us for peeling on the 16-atom chain (3 candidates of 2^16 bits, near
+    the top) and 510 against 593 us for the calls of the theorem checks of
+    the 112 battery programs; 8 loops `a :- a.` (256 candidates) and the
+    battery programs' scans (candidates below 32) stay at the peel's 168
+    and 96 us, where testing alone took 298 and 160 us (best of 30-150
+    calls, one core of a shared 2-vCPU host)."""
     reducts = {i: [] for i in members(candidates)}
+    if candidates >> 64 and len(reducts) <= len(bodies):
+        width = max(map(int.bit_length, bodies))
+        for i, rules in reducts.items():
+            if i << 1 < width:
+                probe = 1 << i
+                rules += [r for r, vector in enumerate(bodies) if vector & probe]
+            else:
+                rules += [r for r, vector in enumerate(bodies) if vector >> i & 1]
+        return reducts
     for r, vector in enumerate(bodies):
         hits = vector & candidates
         while hits:

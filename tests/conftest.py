@@ -174,6 +174,22 @@ def disjoint_union(seed: int, width: int):
     return Program(r for part in parts for r in part.rules), parts
 
 
+def choice_gadgets(names=None):
+    """Five even loops `x :- not y. y :- not x.` and two corpus-p1 gadgets,
+    part k over `names[2k]` and `names[2k + 1]`, by default 14 names that do
+    not follow the parts: 3^7 models, 2^5 supported models and SFLP answer
+    sets, and no FLP answer set."""
+    names = names or [f"v{(5 * k) % 14:02d}" for k in range(14)]
+    parts = []
+    for k in range(7):
+        x, y = names[2 * k], names[2 * k + 1]
+        if k < 5:
+            parts.append(f"{x} :- not {y}. {y} :- not {x}.")
+        else:
+            parts.append(f"{x} :- count{{{x}, {y}}} != 1. {y} :- count{{{x}, {y}}} != 1.")
+    return parse_program("\n".join(parts))
+
+
 def product_of(families):
     """The unions of one set from each family: the answers of a program
     whose parts share no atom, from each part's answers."""

@@ -39,11 +39,13 @@ from gasp.semantics import (
 from conftest import (
     CORPUS_NAMES,
     TABLE_EXPECTED,
+    choice_gadgets,
     corpus_text,
     disjoint_union,
     fs,
     mixed_programs,
     product_of,
+    relabelled,
     renamed,
 )
 from oracles import all_subsets, decode, enumerate_oracle
@@ -666,6 +668,237 @@ class TestConstraintFilter:
             assert {decode(lp.atoms, m) for m in sflp} == want["sflp"], seed
             assert {decode(lp.atoms, m) for m in flp} == want["flp"], seed
         assert filtered >= 30 and split_first >= 110, (filtered, split_first)
+
+
+def count_passes(monkeypatch) -> list:
+    """The lowered programs that `kernel._global_pass` scans from now on."""
+    scanned = []
+    global_pass = kernel._global_pass
+    monkeypatch.setattr(kernel, "_global_pass",
+                        lambda lp, mode: scanned.append(lp) or global_pass(lp, mode))
+    return scanned
+
+
+def renamed_copies(seed: int, width: int):
+    """Copies of one to three source programs over two to four atoms, as
+    many as fit in `width` atoms, and half the time one or two count
+    constraints over all of them. Copy k renames its source's atom x to x<k> (so it keeps
+    the atoms' order) or, a third of the time, to the atom at the mirrored
+    place in its source's name order, suffixed k (so it reverses it). A
+    source is a corpus program over {a, b} a third of the time; otherwise
+    it is generated with the full body mix, disjunctive heads half the
+    time, and a loop `a :- a.` on about half of its atoms. Returns the
+    program, the copies, the joining constraints and how many copies
+    reverse their source's order."""
+    rng = random.Random(f"copies-{seed}")
+    sources = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 1 / 3:
+            source = parse_program(corpus_text(rng.choice(CORPUS_NAMES)))
+        else:
+            size = rng.randint(2, 4)
+            source = generate(GenConfig(atom_count=size, rule_count=rng.randint(1, size + 1),
+                                        allow_disjunctive_heads=rng.random() < 0.5,
+                                        seed=rng.randrange(10**6)))
+            source = Program(source.rules + tuple(
+                Rule({a}, LiteralConjunction(Conjunct({a}, ())))
+                for a in map(Atom, "abcd"[:size]) if rng.random() < 0.5))
+        if source.atoms():
+            sources.append(source)
+    copies = []
+    atoms = mirrors = 0
+    while len(copies) < 10:
+        fits = [s for s in sources if atoms + len(s.atoms()) <= width]
+        if not fits:
+            break
+        source = rng.choice(fits)
+        names = sorted(source.atoms())
+        k = len(copies)
+        if rng.random() < 1 / 3:
+            mirror = dict(zip(names, reversed(names)))
+            copies.append(relabelled(source, lambda a: Atom(f"{mirror[a].name}{k}")))
+            mirrors += 1
+        else:
+            copies.append(renamed(source, str(k)))
+        atoms += len(names)
+    union = Program(r for copy in copies for r in copy.rules)
+    joins = ()
+    if rng.random() < 0.5:
+        joins = tuple(count_constraint(rng, union.atoms()) for _ in range(rng.randint(1, 2)))
+    return Program(union.rules + joins), copies, joins, mirrors
+
+
+def distinct_shapes(copies) -> int:
+    """An upper bound on the distinct parts of a union of `copies`: a
+    copy's parts count only where no earlier copy has the same rules up to
+    a renaming of atoms that keeps their order, found here by renaming
+    both to their rank in name order."""
+    seen = set()
+    for copy in copies:
+        rank = {a: Atom(f"r{i}") for i, a in enumerate(sorted(copy.atoms()))}
+        seen.add(relabelled(copy, rank.__getitem__))
+    return sum(len(kernel._parts(lowering.lower(copy))) for copy in seen)
+
+
+class TestRepeatedParts:
+    """Where the SFLP query or the scan splits, `_split` scans each distinct
+    part once per call: parts that are the same program up to a renaming of
+    their atoms that keeps the atoms' order share one `_global_pass`, whose
+    local lists each such part places at its own bits. A renaming that
+    reverses the order makes another part, scanned on its own."""
+
+    def test_renamed_copies_agree_with_the_oracles(self, monkeypatch):
+        """At most 10 atoms, every union split (`count_splits`): the AST
+        oracle."""
+        splits = count_splits(monkeypatch)
+        scanned = count_passes(monkeypatch)
+        shared = mirrored = 0
+        for seed in range(150):
+            program, copies, _, mirrors = renamed_copies(seed, 4 + seed % 7)
+            assert_agrees(program, seed)
+            lp = lowering.lower(program)
+            parts = len(kernel._parts(lp))
+            scanned.clear()
+            before = len(splits)
+            kernel.enumerate_masks(lp, lowering.ENUM_SFLP)
+            if len(splits) > before:
+                bound = distinct_shapes(copies)
+                assert len(scanned) <= bound, seed
+                shared += bound < parts
+            mirrored += mirrors > 0
+        assert shared >= 60 and mirrored >= 60, (shared, mirrored)
+
+    def test_wide_copies_are_the_filtered_products_of_their_parts(self, monkeypatch):
+        """Mostly 12-16 atoms, at the default split width: the products of
+        the copies' oracle sets at which no joining constraint holds."""
+        scanned = count_passes(monkeypatch)
+        wide = shared = split = 0
+        for seed in range(60):
+            program, copies, joins, _ = renamed_copies(seed, 13 + seed % 4)
+            lp = lowering.lower(program)
+            wide += lp.n >= 12
+            want = {}
+            for name in MODES:
+                product = product_of(enumerate_oracle(c, name) for c in copies)
+                want[name] = {i for i in product if not any(r.body.eval(i) for r in joins)}
+                assert kernel_sets(program, name) == want[name], (seed, name)
+            scanned.clear()
+            found = kernel.scan(lp)
+            for name, masks in zip(("supported", "flp", "sflp"), found):
+                assert {decode(lp.atoms, m) for m in masks} == want[name], (seed, name)
+            parts = len(kernel._parts(lp))
+            if lp.n > kernel._SPLIT_FIRST and parts > 1:
+                split += 1
+                bound = distinct_shapes(copies)
+                assert all(p.n < lp.n for p in scanned) and len(scanned) <= bound, seed
+                shared += bound < parts
+        assert wide >= 45 and split >= 50 and shared >= 30, (wide, split, shared)
+
+    @pytest.mark.parametrize("names", [
+        [f"v{i:02d}" for i in range(14)],
+        None,  # names that do not follow the parts: x after y in some
+    ], ids=["in-order", "interleaved"])
+    def test_choice_gadgets_take_two_passes(self, monkeypatch, names):
+        """The seven two-atom parts have two shapes, each symmetric in its
+        atoms, so whichever atom of a part sorts first they take two passes."""
+        lp = lowering.lower(choice_gadgets(names))
+        scanned = count_passes(monkeypatch)
+        assert len(kernel.enumerate_masks(lp, lowering.ENUM_SFLP)) == 32
+        assert len(scanned) == 2 and all(p.n == 2 for p in scanned)
+        scanned.clear()
+        assert [len(masks) for masks in kernel.scan(lp)] == [32, 0, 32]
+        assert len(scanned) == 2
+
+    def test_loops_take_one_pass(self, monkeypatch):
+        """14 loops `a :- a.` are 14 parts of one shape, and so are 12 loops
+        that one constraint joins: one pass each, for the query and the scan."""
+        every = "count{" + ", ".join(f"a{i}" for i in range(12)) + "}"
+        scanned = count_passes(monkeypatch)
+        for program in (loops(14), loops(12, f" :- {every} > 12.")):
+            lp = lowering.lower(program)
+            scanned.clear()
+            assert kernel.enumerate_masks(lp, lowering.ENUM_SFLP) == [0]
+            assert len(scanned) == 1 and scanned[0].n == 1
+            scanned.clear()
+            supported, flp, sflp = kernel.scan(lp)
+            assert len(supported) == 1 << lp.n and flp == sflp == [0]
+            assert len(scanned) == 1
+
+    def test_mirrored_parts_are_scanned_apart(self, monkeypatch):
+        """`b :- not a.` over {a, b} and its mirror `a0 :- not b0.` are not
+        the same program up to an order-keeping renaming: a shared pass
+        would give the mirror {b0} instead of {a0}."""
+        splits = count_splits(monkeypatch)
+        scanned = count_passes(monkeypatch)
+        program = parse_program("b :- not a. a0 :- not b0. d :- not c.")
+        lp = lowering.lower(program)
+        assert [decode(lp.atoms, m) for m in kernel.enumerate_masks(lp, lowering.ENUM_SFLP)] \
+            == [fs("a0", "b", "d")]
+        assert splits == [3] and len(scanned) == 2
+        assert_agrees(program, "mirrored parts")
+
+    @pytest.mark.parametrize("first, second", [
+        ("a :- count{a, b} != 1. b :- count{a, b} != 1.",
+         "a :- count{a, b} = 1. b :- count{a, b} = 1."),
+        ("a :- count{a, b} = 1.", "a :- count{a, b} = 2."),
+        ("c. a :- c, not b.", "c. a :- b, not c."),
+        ("b. a :- dnf{~b | b & c}.", "b. a :- dnf{~c | b & c}."),
+        ([fs("b")], [fs()]),  # the rows of `a :- table{b}` after the fact `b.`
+    ], ids=["comparator", "bound", "negated-atom", "dnf-negated-atom", "table-row"])
+    def test_parts_one_field_apart_are_scanned_apart(self, monkeypatch, first, second):
+        """Two programs over the same atoms whose keys differ in one field of
+        one body, and whose answers differ: copies of both, side by side,
+        take two passes and agree with the oracles."""
+        fact = Rule(fs("b"), TruthTable(fs(), [()]))
+        first, second = (
+            parse_program(p) if isinstance(p, str)
+            else Program([fact, Rule(fs("a"), TruthTable(fs("b"), p))])
+            for p in (first, second)
+        )
+        assert first.atoms() == second.atoms()
+        assert kernel.scan(lowering.lower(first)) != kernel.scan(lowering.lower(second))
+        splits = count_splits(monkeypatch)
+        scanned = count_passes(monkeypatch)
+        program = Program(renamed(first, "0").rules + renamed(second, "1").rules
+                          + renamed(first, "2").rules)
+        assert_agrees(program, "one field apart")
+        scanned.clear()
+        kernel.enumerate_masks(lowering.lower(program), lowering.ENUM_SFLP)
+        assert len(scanned) == 2 and splits
+
+
+def test_supported_is_the_support_test_on_random_families():
+    """`kernel._supported` keeps the masks of a family of subsets of the
+    candidate at which every true atom has a rule among `rules` whose body
+    holds there and whose head meets the mask in that atom alone, the
+    definition read off the AST."""
+    rng = random.Random(7)
+    checked = 0
+    for seed in range(200):
+        program = generate(GenConfig(atom_count=2 + seed % 5, rule_count=1 + seed % 8,
+                                     allow_disjunctive_heads=seed % 2 == 0, seed=seed))
+        lp = lowering.lower(program)
+        heads = [lowering.members(h) for h in lp.heads]
+        rule_support = [supports for _, _, supports in kernel.rule_vectors(lp, [0] * lp.n)]
+        cols = lowering.columns(lp.n)
+        for _ in range(5):
+            candidate = rng.getrandbits(lp.n)
+            subsets = [j for j in range(1 << lp.n) if j & candidate == j]
+            family = sum(1 << j for j in subsets if rng.random() < 0.6)
+            rules = sorted(rng.sample(range(len(lp.rules)), rng.randint(0, len(lp.rules))))
+            want = 0
+            for j in subsets:
+                interp = decode(lp.atoms, j)
+                if family >> j & 1 and all(
+                    any(a in lp.rules[r].head and lp.rules[r].head & interp == {a}
+                        and lp.rules[r].body.eval(interp) for r in rules)
+                    for a in interp
+                ):
+                    want |= 1 << j
+            got = kernel._supported(family, candidate, rules, heads, rule_support, cols)
+            assert got == want, (seed, candidate, rules)
+            checked += want != family
+    assert checked >= 300, checked
 
 
 def test_sflp_splits_only_on_disjoint_parts_and_constraints():

@@ -39,6 +39,7 @@ from conftest import (
     CORPUS_NAMES,
     TABLE_EXPECTED,
     COMPLETION_MODELS,
+    choice_gadgets,
     disjoint_union,
     fs,
     mixed_programs,
@@ -225,21 +226,6 @@ class TestEnumerate:
         wide = parse_program(" ".join(f"x{i}." for i in range(6)))
         with pytest.raises(TooManyAtoms):
             enumerate_interpretations(wide, SemanticsKind.CLASSICAL, limit=5)
-
-
-def choice_gadgets() -> Program:
-    """Five even loops `x :- not y. y :- not x.` and two corpus-p1 gadgets
-    over 14 atoms whose names do not follow the parts: 3^7 models, 2^5
-    supported models and SFLP answer sets, and no FLP answer set."""
-    names = [f"v{(5 * k) % 14:02d}" for k in range(14)]
-    parts = []
-    for k in range(7):
-        x, y = names[2 * k], names[2 * k + 1]
-        if k < 5:
-            parts.append(f"{x} :- not {y}. {y} :- not {x}.")
-        else:
-            parts.append(f"{x} :- count{{{x}, {y}}} != 1. {y} :- count{{{x}, {y}}} != 1.")
-    return parse_program("\n".join(parts))
 
 
 PREDICATES = {
