@@ -55,7 +55,6 @@ _EXPORTS = {
         "expansion",
         "rew_flp",
         "rew_sflp",
-        "supp_rule",
         "verify_compilation",
     ),
     "harness": ("GenConfig", "TheoremReport", "check_theorems", "generate"),

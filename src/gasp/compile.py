@@ -9,12 +9,17 @@ dict from each rewritten body to its fresh atoms (`AuxNames`). The FLP
 variant adds only those rules. The SFLP variant is the FLP rewriting plus, for
 each rewritten body, one closure rule per prime implicant of the body's
 negation, which ties the truth atom to the body from above, and one
-support rule per source atom. `with_support_rules` builds those rules
-from the FLP rewriting and its map; `rew_sflp` and the theorem battery
-both build it that way, so one rewriting serves both variants. The
-rewriting's size is known from the canonical bodies alone
-(`rewriting_size`), so the battery skips a rewriting over its cap
-without building it (`build_rewriting`).
+support rule per source atom. `with_support_rules`, the one builder of
+those rules, reads them off the FLP rewriting and its map; `rew_sflp` and
+the theorem battery both build the SFLP rewriting that way, so one
+rewriting serves both variants.
+
+`canonical_rules` is the compilation's one gate: it refuses a program
+with reserved atoms or a disjunctive head before any body is put in DNF,
+and otherwise pairs each rule it keeps with its canonical DNF. The
+rewriting's size is known from those bodies alone (`rewriting_size`), so
+the battery skips a rewriting over its cap without building it
+(`build_rewriting`).
 
 Bodies that amount to a single positive literal are left alone (their
 literal can stand directly in support heads), and constraints keep
@@ -24,8 +29,6 @@ reducts, and are dropped before compilation.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from . import lowering
 from .core import (
@@ -45,11 +48,7 @@ from .core import (
     format_interpretation,
     to_dnf,
 )
-from .semantics import (
-    SemanticsKind,
-    UnknownAtom,
-    enumerate_interpretations,
-)
+from .semantics import SemanticsKind, enumerate_interpretations
 
 
 class AuxNames(Record):
@@ -156,31 +155,6 @@ def _kept_body(rule: Rule, canonical: Dnf, rewrite_all: bool) -> LiteralConjunct
     return None
 
 
-def _surviving(rules: Iterable[Rule], max_domain: int) -> list[tuple[Rule, Dnf]]:
-    """Each rule with a satisfiable body and its canonical DNF; a rule with
-    a disjunctive head raises DisjunctiveHead."""
-    kept = []
-    for rule in rules:
-        if len(rule.head) > 1:
-            raise DisjunctiveHead(
-                "cannot compile a rule with a disjunctive head: "
-                + " | ".join(a.name for a in sorted(rule.head))
-            )
-        try:
-            kept.append((rule, to_dnf(rule.body, max_domain)))
-        except UnsatisfiableBody:
-            continue  # dead rule: true in no interpretation, hence inert
-    return kept
-
-
-def _check_fresh(program: Program) -> None:
-    reserved = sorted(a.name for a in program.atoms() if a.is_reserved)
-    if reserved:
-        raise ReservedAtomError(
-            "input already uses reserved atoms: " + ", ".join(reserved)
-        )
-
-
 def _atom_body(atom: Atom) -> LiteralConjunction:
     return LiteralConjunction(Conjunct(frozenset({atom}), frozenset()))
 
@@ -189,11 +163,29 @@ def canonical_rules(
     program: Program, max_domain: int = DEFAULT_ATOM_LIMIT
 ) -> list[tuple[Rule, Dnf]]:
     """The rules of `program` that its rewriting keeps, each with its
-    canonical DNF (`_surviving`), so that one DNF per body serves both
-    `rewriting_size` and `build_rewriting`. ReservedAtomError when the
-    program already uses reserved atoms."""
-    _check_fresh(program)
-    return _surviving(program.rules, max_domain)
+    canonical DNF, so that one DNF per body serves both `rewriting_size`
+    and `build_rewriting`; a rule whose body no interpretation satisfies
+    is inert and dropped. The compilation's one gate: before any DNF is
+    built, ReservedAtomError when the program already uses reserved atoms,
+    then DisjunctiveHead for its first rule with a disjunctive head."""
+    reserved = sorted(a.name for a in program.atoms() if a.is_reserved)
+    if reserved:
+        raise ReservedAtomError(
+            "input already uses reserved atoms: " + ", ".join(reserved)
+        )
+    for rule in program.rules:
+        if len(rule.head) > 1:
+            raise DisjunctiveHead(
+                "cannot compile a rule with a disjunctive head: "
+                + " | ".join(a.name for a in sorted(rule.head))
+            )
+    kept = []
+    for rule in program.rules:
+        try:
+            kept.append((rule, to_dnf(rule.body, max_domain)))
+        except UnsatisfiableBody:
+            continue
+    return kept
 
 
 def rewriting_size(rules: list[tuple[Rule, Dnf]]) -> int:
@@ -265,24 +257,6 @@ def with_support_rules(flp: Program, cmap: _AuxMap) -> Program:
                 heads[atom] |= rule.body.conjunct.positives
     support = [Rule(frozenset(heads[a]), _atom_body(a)) for a in sorted(heads)]
     return Program(flp.rules + tuple(closure) + tuple(support))
-
-
-def supp_rule(
-    atom: Atom,
-    program: Program,
-    cmap: _AuxMap,
-    max_domain: int = DEFAULT_ATOM_LIMIT,
-) -> Rule:
-    """Support rule for an atom: its truth demands one of the (rewritten)
-    bodies of the rules it heads; with no such rule this is a constraint."""
-    if atom not in program.atoms():
-        raise UnknownAtom(f"atom {atom.name!r} does not occur in the program")
-    head = set()
-    rules = (rule for rule in program.rules if atom in rule.head)
-    for _, canonical in _surviving(rules, max_domain):
-        names = cmap.get(canonical)  # None for a kept body: one positive literal
-        head |= canonical.disjuncts[0].positives if names is None else {names.t}
-    return Rule(frozenset(head), _atom_body(atom))
 
 
 def expansion(

@@ -33,11 +33,13 @@ from .core import (
     Conjunct,
     CountAggregate,
     DEFAULT_ATOM_LIMIT,
+    DisjunctiveHead,
     Dnf,
     Interpretation,
     LiteralConjunction,
     Program,
     Record,
+    ReservedAtomError,
     Rule,
     TruthTable,
     format_interpretation,
@@ -275,9 +277,11 @@ def _compilation_checks(
     and one rewriting, where a rewriting over that cap is skipped rather
     than raising TooManyAtoms: the SFLP rewriting is the FLP one plus its
     closure and support rules, which add no atoms, so one skip decision
-    serves both checks. The decision reads the rewriting's size off the
-    canonical bodies (`rewriting_size`), so a skipped program builds no
-    rule and a kept one builds its rewriting once, from the same bodies.
+    serves both checks. A program that `canonical_rules` refuses (reserved
+    atoms, a disjunctive head) is skipped before any body is put in DNF;
+    otherwise the decision reads the rewriting's size off the canonical
+    bodies (`rewriting_size`), so a skipped program builds no rule and a
+    kept one builds its rewriting once, from the same bodies.
 
     Precondition: the program has at most `limit` atoms, as `check_theorems`
     has enumerated it under `limit`. Every body domain is a subset of them,
@@ -289,11 +293,12 @@ def _compilation_checks(
         details = (detail,)
         return tuple(CheckResult(name, SKIP, details) for name in names)
 
-    if any(a.is_reserved for a in program.atoms()):
+    try:
+        rules = canonical_rules(program, limit)
+    except ReservedAtomError:
         return skipped("already-compiled input (reserved atoms)")
-    if any(len(r.head) > 1 for r in program.rules):
+    except DisjunctiveHead:
         return skipped("disjunctive head")
-    rules = canonical_rules(program, limit)
     n_rewritten = rewriting_size(rules)
     if n_rewritten > min(limit, compile_limit):
         return skipped(f"rewriting spans {n_rewritten} atoms")

@@ -106,6 +106,15 @@ def supported_oracle(interpretation, program) -> bool:
     return True
 
 
+def support_oracle(atom, interpretation, program) -> bool:
+    """Whether the atom is supported at the interpretation in the sense of
+    the SFLP compilation's support rules: it is false there, or some rule
+    whose head is exactly {atom} has a body true there."""
+    return atom not in interpretation or any(
+        r.head == {atom} and r.body.eval(interpretation) for r in program.rules
+    )
+
+
 def completion_oracle(atom, program) -> frozenset:
     """The satisfying subsets of the completion table of `atom`: the
     interpretations I over atoms(P) that contain the atom while no rule

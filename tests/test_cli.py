@@ -302,6 +302,15 @@ class TestCompileCommand:
         code, _, err = run_cli(["compile", corpus_path("p4")], capsys=capsys)
         assert code == 2
 
+    def test_disjunctive_head_reported_before_the_limit(self, capsys, monkeypatch):
+        # the first rule's DNF would exceed --limit 2; bad input comes first
+        code, out, err = run_cli(
+            ["compile", "--limit", "2", "-"], stdin_text="a :- count{b, c, d} > 1. x | y :- z.",
+            monkeypatch=monkeypatch, capsys=capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "gasp: cannot compile a rule with a disjunctive head: x | y\n"
+
     def test_emit_json(self, capsys):
         code, out, _ = run_cli(
             ["compile", "--semantics", "sflp", "--json", corpus_path("p1")],

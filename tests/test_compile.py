@@ -13,7 +13,6 @@ from gasp.compile import (
     rew_atom,
     rew_flp,
     rew_sflp,
-    supp_rule,
     verify_compilation,
 )
 from gasp.core import (
@@ -30,14 +29,10 @@ from gasp.core import (
 )
 from gasp.harness import GenConfig, generate
 from gasp.parser import parse_program, render, render_rule
-from gasp.semantics import (
-    SemanticsKind,
-    UnknownAtom,
-    enumerate_interpretations,
-)
+from gasp.semantics import SemanticsKind, enumerate_interpretations
 
 from conftest import CORPUS_DIR, fs
-from oracles import all_subsets, prime_implicants
+from oracles import all_subsets, prime_implicants, support_oracle
 
 TOTAL = fs("a", "b", "__aux_t_1")
 
@@ -154,6 +149,21 @@ class TestRewFlp:
         with pytest.raises(ReservedAtomError):
             rew_flp(bad)
 
+    def test_bad_input_is_refused_before_any_dnf(self):
+        # the count body's DNF would span 3 atoms, over the limit of 2, but
+        # the later rule's disjunctive head is reported first; reserved
+        # atoms come before disjunctive heads, and the first disjunctive
+        # rule in program order is the one named
+        program = parse_program("a :- count{b, c, d} > 1. x | y :- z.")
+        with pytest.raises(DisjunctiveHead) as refused:
+            rew_flp(program, max_domain=2)
+        assert str(refused.value) == "cannot compile a rule with a disjunctive head: x | y"
+        program = parse_program("q | p :- z. x | y :- z. __aux_t_1 :- z.", allow_reserved=True)
+        with pytest.raises(ReservedAtomError):
+            rew_sflp(program, max_domain=2)
+        with pytest.raises(DisjunctiveHead, match=r"head: p \| q$"):
+            rew_sflp(Program(program.rules[:2]), max_domain=2)
+
     def test_dead_rules_dropped(self):
         program = parse_program("a :- count{b} > 1. b.")
         rewritten, cmap = rew_flp(program)
@@ -195,35 +205,29 @@ def _live_atoms(program):
     return sorted(atoms)
 
 
+def _atom_body(atom):
+    return LiteralConjunction(Conjunct(frozenset({atom}), frozenset()))
+
+
+def _last_rule_with_body(rewritten, name):
+    """The last rule of the rewriting whose body is the atom `name` alone.
+    In an SFLP rewriting that is the atom's support rule, when no earlier
+    rule equals it: the support rules come last."""
+    return [r for r in rewritten.rules if r.body == _atom_body(Atom(name))][-1]
+
+
 class TestSupp:
     def test_p1_supp_a(self, corpus):
-        _, cmap = rew_flp(corpus["p1"])
-        rule = supp_rule(Atom("a"), corpus["p1"], cmap)
-        assert render_rule(rule) == "__aux_t_1 :- a."
+        rewritten, _ = rew_sflp(corpus["p1"])
+        assert render_rule(_last_rule_with_body(rewritten, "a")) == "__aux_t_1 :- a."
 
     def test_p2_supp_a_keeps_the_literal(self, corpus):
-        _, cmap = rew_flp(corpus["p2"])
-        rule = supp_rule(Atom("a"), corpus["p2"], cmap)
-        assert render_rule(rule) == "__aux_t_1 | b :- a."
+        rewritten, _ = rew_sflp(corpus["p2"])
+        assert render_rule(_last_rule_with_body(rewritten, "a")) == "__aux_t_1 | b :- a."
 
     def test_headless_atom_yields_constraint(self):
-        program = parse_program("a :- c.")
-        _, cmap = rew_flp(program)
-        rule = supp_rule(Atom("c"), program, cmap)
-        assert render_rule(rule) == ":- c."
-
-    def test_unknown_atom(self, corpus):
-        _, cmap = rew_flp(corpus["p1"])
-        with pytest.raises(UnknownAtom):
-            supp_rule(Atom("zzz"), corpus["p1"], cmap)
-
-    def test_disjunctive_head_is_rejected(self):
-        # skipping `a | b :- c.` would give the wrong support rule `:- a.`
-        program = parse_program("a | b :- c. c.")
-        cmap = {}
-        for name in ("a", "b"):
-            with pytest.raises(DisjunctiveHead):
-                supp_rule(Atom(name), program, cmap)
+        rewritten, _ = rew_sflp(parse_program("a :- c."))
+        assert render_rule(_last_rule_with_body(rewritten, "c")) == ":- c."
 
 
 def _check_closure(body, names, rules):
@@ -269,11 +273,16 @@ class TestRewSflp:
     @pytest.mark.parametrize("rewrite_all", [False, True])
     def test_extends_the_flp_rewriting_rule_for_rule(self, corpus, rewrite_all):
         # the FLP rules in order, then the closure rules of every map entry
-        # in map order, then `supp_rule` of every atom of a rule with a
+        # in map order, then one support rule per atom of a rule with a
         # satisfiable body, in sorted order; one map for both. The closure
         # rules of an entry are checked against the oracle: their cubes
         # (P true, N false) hold at exactly the subsets of the domain that
-        # falsify the body, each cube is prime, and none is missing.
+        # falsify the body, each cube is prime, and none is missing. The
+        # support rule `H :- a` is checked against the definition: at the
+        # expansion of every I over the program's atoms, it holds exactly
+        # when a is supported at I. A program keeps the first of equal
+        # rules, so a support rule equal to an earlier rule `h :- a` or
+        # `:- a` is found among the earlier rules with that body.
         programs = [corpus[name] for name in ATOMIC_HEAD_CORPUS]
         programs += [
             generate(GenConfig(atom_count=1 + seed % 6, rule_count=seed % 11, seed=seed))
@@ -288,11 +297,23 @@ class TestRewSflp:
                 rules = closure_rules(body, names)
                 _check_closure(body, names, rules)
                 closure.extend(rules)
-            support = [supp_rule(a, program, flp_map) for a in _live_atoms(program)]
-            assert list(flp_map.items()) == entries  # supp_rule only looks up
-            expected = Program(flp_version.rules + tuple(closure) + tuple(support))
-            assert sflp_version.rules == expected.rules, render(program)
+            prefix = Program(flp_version.rules + tuple(closure)).rules
+            assert sflp_version.rules[:len(prefix)] == prefix, render(program)
             assert list(sflp_map.items()) == entries
+            expanded = [(i, expansion(i, program, flp_map)) for i in all_subsets(program.atoms())]
+            support = list(sflp_version.rules[len(prefix):])
+            for atom in _live_atoms(program):
+                body = _atom_body(atom)
+                if support and support[0].body == body:
+                    candidates = [support.pop(0)]
+                else:
+                    candidates = [r for r in prefix if r.body == body]
+                verdicts = [support_oracle(atom, i, program) for i, _ in expanded]
+                assert any(
+                    [not r.body.eval(j) or bool(r.head & j) for _, j in expanded] == verdicts
+                    for r in candidates
+                ), (render(program), atom)
+            assert support == [], render(program)
 
     def test_compile_command_text_is_pinned(self, capsys):
         digest = hashlib.sha256()

@@ -36,7 +36,7 @@ HOMES = {
     },
     "compile": {
         "AuxNames", "contraction", "expansion", "rew_flp", "rew_sflp",
-        "supp_rule", "verify_compilation",
+        "verify_compilation",
     },
     "harness": {"GenConfig", "TheoremReport", "check_theorems", "generate"},
 }
@@ -51,7 +51,7 @@ def _python(code: str, *args: str) -> subprocess.CompletedProcess:
 
 class TestSurface:
     def test_all_names(self):
-        assert len(gasp.__all__) == len(PUBLIC) == 56
+        assert len(gasp.__all__) == len(PUBLIC) == 55
         assert set(gasp.__all__) == PUBLIC
 
     def test_names_resolve_to_their_submodules(self):
@@ -77,6 +77,8 @@ class TestSurface:
             gasp.nope
         with pytest.raises(ImportError):
             from gasp import nope  # noqa: F401
+        with pytest.raises(AttributeError, match="supp_rule"):
+            gasp.supp_rule  # deleted: `with_support_rules` is the one builder
 
     def test_disjunctive_head_is_one_class(self):
         from gasp import compile as comp
