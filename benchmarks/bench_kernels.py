@@ -10,6 +10,11 @@ parts that share no atom, so the kernel scans each part on its own and
 builds no vector over all 2^n masks: 14 loops, the 14-atom choice
 gadgets, and 12 loops joined by one constraint that never fires, which
 joins no part and filters the product of the parts' answers instead.
+Two rows time SFLP on k loops joined into one part by the rule
+`z :- count{a0, ..., a(k-1)} > k.`, whose body never holds, at 17 and 20
+atoms: 2^k supported models in one global pass, where every one but the
+empty set lies above a smaller mono-supported model and is dropped before
+its reduct is read.
 Two more time the cost of scanning each distinct part once: 7 even loops
 `x :- not y. y :- not x.` under `:- count{x0, ..., x6} != 1.`, seven
 parts of one shape whose constraint leaves 7 of their 128 supported
@@ -100,6 +105,15 @@ def distinct_parts() -> Program:
               "{x} | {y}.")
     return parse_program(" ".join(shape.format(x=f"v{2 * k:02d}", y=f"v{2 * k + 1:02d}")
                                   for k, shape in enumerate(shapes)))
+
+
+def joined_loops(k: int) -> Program:
+    """k loops `a :- a.` joined into one part by a rule over all of them
+    whose body never holds: k + 1 atoms, one SFLP answer set (the empty
+    set)."""
+    every = ", ".join(f"a{i}" for i in range(k))
+    return parse_program(" ".join(f"a{i} :- a{i}." for i in range(k))
+                         + f" z :- count{{{every}}} > {k}.")
 
 
 def sparse_parity_table(width: int, universe: int) -> tuple[TruthTable, dict[Atom, int]]:
@@ -211,6 +225,8 @@ def main() -> int:
             ("sflp, 14 self-supporting loops", loops14, lowering.ENUM_SFLP),
             ("sflp, 8 self-supporting loops", loops8, lowering.ENUM_SFLP),
             ("sflp, 12 loops joined by one constraint", joined, lowering.ENUM_SFLP),
+            ("sflp, 16 loops joined by one rule (17 atoms)", joined_loops(16), lowering.ENUM_SFLP),
+            ("sflp, 19 loops joined by one rule (20 atoms)", joined_loops(19), lowering.ENUM_SFLP),
             ("sflp, 14-atom choice gadgets", choice, lowering.ENUM_SFLP),
             ("sflp, 7 even loops under exactly one x", one_of_seven, lowering.ENUM_SFLP),
             ("sflp, 7 pairwise distinct two-atom parts", distinct_parts(), lowering.ENUM_SFLP),

@@ -301,15 +301,17 @@ def verify_compilation(
     """Check that expansion/contraction are mutually inverse bijections
     between the source answer sets and the rewritten program's FLP answer
     sets (which are also its SFLP answer sets, the target fragment being
-    convex)."""
+    convex). The rewriting comes first, so that the compilation's gate
+    (`canonical_rules`) reports bad input before any enumeration meets a
+    resource bound."""
     kind = SemanticsKind(kind)
     if kind not in (SemanticsKind.FLP, SemanticsKind.SFLP):
         raise ValueError("compilation exists for the flp and sflp semantics only")
-    source = enumerate_interpretations(program, kind, limit)
     if kind is SemanticsKind.FLP:
         rewritten, cmap = rew_flp(program, rewrite_all, limit)
     else:
         rewritten, cmap = rew_sflp(program, rewrite_all, limit)
+    source = enumerate_interpretations(program, kind, limit)
     compiled = enumerate_interpretations(rewritten, SemanticsKind.FLP, limit)
     violations = bijection_violations(program, cmap, source, compiled)
     return CompilationReport(kind, source, compiled, violations)

@@ -34,15 +34,29 @@ all at once in one pass over all masks (`_above`, about 2n big-int
 steps), so that a program with many supported models that are not
 minimal (n loops `a :- a.` have 2^n) costs what its models cost. Which
 side of n the candidates fall on is one `bit_count` over the candidate
-vector: reading candidates off its top instead, as `lowering.members`
-does, costs a pass over the vector per 64-bit window, and the 32
-supported models spread over the 2^14 masks of perfbench's choice
-gadgets took 15 windows, 8 us against 1.6 us for the count (best of
-300). The scan keeps testing them against their reducts, as SFLP's
-verdict needs the reduct.
+vector: reading candidates off its top instead costs a pass over the
+vector per 64-bit window, and the 32 supported models spread over the
+2^14 masks of perfbench's choice gadgets took 15 windows, 8 us against
+1.6 us for the count (best of 300).
 
-No such pass is known for SFLP, whose blocking family depends on the
-reduct, so SFLP splits the program instead (Lifschitz and Turner's
+SFLP's blocking family depends on the reduct, so no one pass finds all
+of it, but a mono-supported model J of P, one whose true atoms are each
+supported at J by a rule whose body vector is upward closed
+(`_mono_supported`), blocks every candidate I above it, for SFLP and
+FLP alike: J is a model of P, hence of the reduct of I, and each
+supporting body, true at J, holds at I, so its rule is in that reduct
+and J is a supported model of it. So where SFLP's support test runs on
+more candidates than atoms (the same `bit_count`), the candidates above
+a mono-supported model are dropped in one `_above` pass before their
+reducts are read; the scan lists every supported model first. k loops
+`a :- a.` that the rule `z :- count{a0, ...} > k.` joins into one part
+have 2^k supported models and one answer set, the empty set: at 17
+atoms the SFLP query took 2.7 s without the drop and takes 13-14 ms, at
+19 atoms 45 s against 55 ms, and at 20 atoms 110-120 ms, most of it
+listing the supported models (single runs to best of 3). SFLP is not
+read off FLP on convex programs: that is a theorem the battery checks.
+
+Beyond that, SFLP splits the program (Lifschitz and Turner's
 splitting): rules other than constraints that are linked through shared
 head or body-domain atoms form one part (`_parts`), and with two or more
 parts each is lowered on its own through `lower`, over its own n_k atoms,
@@ -60,11 +74,12 @@ Parts often repeat: perfbench's choice gadgets are seven parts of two
 shapes. So, as model counters cache components (Sang, Bacchus, Beame,
 Kautz and Pitassi, SAT 2004), `_split` scans each distinct part once per
 call. Before it is lowered, a part is keyed by what the scan reads of it
-over its own bits: its rules' head masks and their bodies' truth
-functions (`_part_key`). Parts with equal keys are the same program up to
-a renaming of atoms that keeps their order, so they share one scan's
-lists, placed at each part's own bits. No other renaming is looked for,
-and the cache ends with the call.
+over its own positions: its rules' head masks and their bodies' truth
+vectors (`_part_key`). Parts with equal keys are the same program up to
+a renaming of atoms that keeps their order, however their bodies are
+written (`a :- not b.`, `a :- count{b} = 0.` and `a :- dnf{~b}.` key
+alike), so they share one scan's lists, placed at each part's own bits.
+No other renaming is looked for, and the cache ends with the call.
 
 Constraints join no part; they filter the product. A constraint supports
 no atom, and at a model of P its body is false, so it is in the reduct
@@ -80,7 +95,11 @@ looks for parts first and, with two or more, builds no vector over all
 2^n masks; the scan then lists the supported models and the FLP answer
 sets as filtered products too. Nothing else splits, so at `_SPLIT_FIRST`
 atoms or fewer one global pass tests at most 2^8 candidates. FLP alone
-does not split: `_above` already costs what its models cost.
+does not split, which costs it where its candidates are minimal and
+`_above` drops none of them: 10 even loops `x :- not y. y :- not x.`
+(20 atoms, 1,024 supported models, each a minimal model and an answer
+set of both kinds) take 155-157 ms for FLP against 0.17 ms for the split
+SFLP query.
 
 The reduct of each candidate is read rule by rule (`_reducts`), from the
 set bits of the body vector's AND with the candidate vector or, for a
@@ -101,7 +120,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .core import Body, CountAggregate, Dnf, LiteralConjunction, Rule, TruthTable
+from .core import Rule
 from .lowering import (
     ENUM_FLP,
     ENUM_MODELS,
@@ -126,10 +145,11 @@ NAME = "bitsliced"
 # 1.33-1.39 ms for the scans of the 112 battery programs of 2-5 atoms, and
 # battery seed 58 (3 atoms) takes 13 us unsplit against 40 us split. The
 # pass tests at most 2^8 candidates, so its worst case is bounded: 8 loops
-# `a :- a.` take 1.0-1.2 ms against 34-38 us split, and 4 even loops 41-43
-# against 33-37 us. Above it the pass grows with 2^n: the 14-atom choice
-# gadgets take 290-313 us as one pass against 73-83 us split, and the scan
-# of 14 loops 198-219 ms against 1.5-1.8 ms, while `_parts` adds 10-11 us
+# `a :- a.` take 60-61 us against 32 us split (the mono-support drop leaves
+# one candidate), and 4 even loops, which it does not thin, 50-51 against
+# 32-33 us. Above it the pass grows with 2^n: the 14-atom choice gadgets
+# take 470-473 us as one pass against 76 us split, and the scan of 14
+# loops 2.4-2.5 ms against 1.5 ms, while `_parts` adds 10-11 us
 # (4%) to the SFLP query on the 16-atom chain, which is one part (best of
 # 20-1000 calls, one core of a shared 2-vCPU host, Python 3.11.7).
 _SPLIT_FIRST = 8
@@ -174,7 +194,8 @@ def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], l
     FLP alone passes over the candidates above a smaller model of P and
     skips the support test (its candidates are then not all the supported
     models, and its SFLP list holds only the FLP answer sets); SFLP runs
-    every step, so its candidates are the supported models."""
+    every step, so its candidates are the supported models, listed before
+    those above a smaller mono-supported model skip their reduct test."""
     n = lp.n
     cols = columns(n)
     support = [0] * n if mode != ENUM_MODELS else None
@@ -201,14 +222,19 @@ def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], l
     candidates = models ^ (models & unsupported)
     if not minimal:
         return members(candidates), [], []
-    # a smaller model of P is a model of every reduct, so it blocks I
-    blockers = 0  # FLP alone: the models of P tested under each candidate
-    if not sflp:
-        if candidates.bit_count() > n:
-            candidates ^= candidates & _above(models, cols)
-        else:
-            blockers = models
     heads = [members(h) for h in lp.heads] if sflp else None
+    # a smaller model of P is a model of every reduct, so it blocks I for
+    # FLP; a smaller mono-supported model blocks I for both semantics
+    blockers = 0  # FLP alone: the models of P tested under each candidate
+    listed = None  # the supported models, where SFLP's prefilter drops some
+    if candidates.bit_count() > n:
+        below = _mono_supported(candidates, bodies, rule_support, heads, cols) if sflp else models
+        blocked = candidates & _above(below, cols)
+        if blocked and sflp:
+            listed = members(candidates)
+        candidates ^= blocked
+    elif not sflp:
+        blockers = models
     flp_accepted = []
     sflp_accepted = []
     reducts = _reducts(candidates, bodies)
@@ -230,7 +256,7 @@ def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], l
                 blocking = _supported(blocking, i, reduct, heads, rule_support, cols)
             if not blocking:
                 sflp_accepted.append(i)
-    return list(reducts), flp_accepted, sflp_accepted
+    return listed or list(reducts), flp_accepted, sflp_accepted
 
 
 def _parts(lp: LoweredProgram) -> list[tuple[int, list[Rule]]]:
@@ -280,13 +306,13 @@ def _split(lp: LoweredProgram, parts: list[tuple[int, list[Rule]]],
     scanned = {}  # a part's key -> its three local lists
     for atoms, rules in parts:
         places = []
-        local = {}  # each atom's local bit
+        local = {}  # each atom's local position, lowest global bit first
         while atoms:
             place = atoms & -atoms
-            local[lp.atoms[place.bit_length() - 1]] = 1 << len(places)
+            local[lp.atoms[place.bit_length() - 1]] = len(places)
             places.append(place)
             atoms ^= place
-        key = _part_key(rules, local.__getitem__)
+        key = _part_key(rules, local)
         lists = scanned.get(key)
         if lists is None:
             lists = scanned[key] = _global_pass(lower(rules, local), ENUM_SFLP)
@@ -307,34 +333,18 @@ def _split(lp: LoweredProgram, parts: list[tuple[int, list[Rule]]],
     return tuple(found)
 
 
-def _part_key(rules: list[Rule], bit) -> frozenset:
-    """What `_global_pass` reads of a part, over its local bits (`bit` maps
-    each atom to its own): the set of its rules' head masks, each with its
-    body's truth function as `_body_key` gives it. The masks together cover
-    the part's atoms, so they fix its width. Rule order and repeats change
-    no answer, so two parts with equal keys are the same program up to a
-    renaming of atoms that keeps their order, with the same local lists."""
-    return frozenset([(sum(map(bit, rule.head)), _body_key(rule.body, bit)) for rule in rules])
-
-
-def _body_key(body: Body, bit) -> tuple | frozenset:
-    """A key that fixes the body's truth function over the local bits that
-    `bit` gives its atoms (masks are sums of distinct bits): the positive
-    and negative masks of a conjunction, a count's mask with its comparator
-    and bound, the set of a DNF's disjunct masks, or a table's domain mask
-    and the set of its row masks. Keys of different kinds never compare
-    equal."""
-    if isinstance(body, LiteralConjunction):
-        c = body.conjunct
-        return sum(map(bit, c.positives)), sum(map(bit, c.negatives))
-    if isinstance(body, CountAggregate):
-        return sum(map(bit, body.atoms)), body.comparator, body.bound
-    if isinstance(body, Dnf):
-        return frozenset((sum(map(bit, d.positives)), sum(map(bit, d.negatives)))
-                         for d in body.disjuncts)
-    if isinstance(body, TruthTable):
-        return sum(map(bit, body.domain)), frozenset(sum(map(bit, s)) for s in body.satisfying)
-    raise TypeError(f"not a body: {body!r}")
+def _part_key(rules: list[Rule], local: dict) -> frozenset:
+    """What `_global_pass` reads of a part over its local positions
+    (`local`, as `lower(rules, local)` numbers them): the set of its rules'
+    head masks, each with its body's truth vector. Rule order and repeats
+    change no answer, and an atom in no head is false in every candidate,
+    so the bits the pass reads are fixed by the key alone: two parts with
+    equal keys are the same program up to a renaming of atoms that keeps
+    their order and up to how their bodies are written, with the same
+    local lists."""
+    n = len(local)
+    return frozenset([(sum(1 << local[a] for a in rule.head), truth_vector(rule.body, local, n))
+                      for rule in rules])
 
 
 def _spread(masks: list[int], places: list[int]) -> list[int]:
@@ -406,6 +416,23 @@ def _supported(family: int, candidate: int, rules: list[int], heads: list[list[i
         if not family:
             break
     return family
+
+
+def _mono_supported(candidates: int, bodies: list[int], rule_support: list[int],
+                    heads: list[list[int]], cols) -> int:
+    """The candidates (supported models) where every true atom is supported
+    by a rule whose body vector is upward closed: each such rule's support
+    vector is ORed into its head atoms', as `_global_pass` builds
+    `unsupported`."""
+    support = [0] * len(cols)
+    for holds, supports, head in zip(bodies, rule_support, heads):
+        if upward(holds, cols) == holds:
+            for a in head:
+                support[a] |= supports
+    lacking = 0
+    for x, s in zip(cols, support):
+        lacking |= x ^ (x & s)
+    return candidates ^ (candidates & lacking)
 
 
 def _above(family: int, cols) -> int:

@@ -23,11 +23,11 @@ used. Besides the kernel, the completion works on these vectors, and
 vector of one body over its own domain (`body_vector`).
 
 `members` lists the masks of a vector at a cost that follows its set
-bits, not its width: it takes them off the top by 64-bit windows, one
-shift and one XOR over the vector each, and only where the bits taken so
-far project more than `_PEELED` still to come does it cut the rest into
-64-bit words, whose zero words are skipped in C. No sparse vector pays a
-count or a byte copy over its whole width. Masks go back to atom sets
+bits more than its width: one `bit_count` over the vector picks the path.
+At most `_PEELED` set bits come off the top by 64-bit windows, one shift
+and one XOR over the vector each; more go to a scan of the whole vector
+by 64-bit words, whose zero words are skipped in C. No sparse vector pays
+a byte copy over its whole width. Masks go back to atom sets
 only here, through `decode`. With fewer masks than the
 2^(n // 2) entries of a table over the low half of the universe, or over
 at most 8 atoms, it builds each set on its own from the atoms that its
@@ -79,23 +79,21 @@ _EMPTY: frozenset[Atom] = frozenset()
 _FULL: dict[int, int] = {}
 _COLUMNS: dict[int, tuple[int, ...]] = {}
 
-# `members` peels set bits off a vector's top while the bits taken so far
-# project at most this many more below them, then scans the rest by words.
-# A window costs one pass over what is left of the vector, the word scan a
+# `members` peels at most this many set bits off a vector's top; a vector
+# with more goes to the word scan, whatever its width. One `bit_count` picks
+# the path: 3.8 us over 2^16 bits, 15 us over 2^18 and 59 us over 2^20. A
+# window costs one pass over what is left of the vector, the word scan one
 # pass over its bytes plus its per-bit work, so peeling wins up to about
-# this many spread bits: peeling all of 64-384 random bits of 2^16 took
-# 0.55-0.76 of the scan's time, of 2^18 0.96 at 128 bits, and of 2^20
-# 0.66 at 64 bits and 1.24 at 128. The projection is first made after 16
-# bits, so a dense vector reaches the scan after a window or two (the 2187
-# choice models cost the same either way). Measured against the scan
-# alone, best of 8-100 calls: the 91 models of perfbench's 16-atom chain
-# in four name orders 42-51 against 77-93 us, 159 models of an 18-atom
-# chain 134-257 against 226-313 us, and 278 models of a 20-atom chain
-# 0.73-1.20 against 0.73-0.82 ms (permuted names, whose models are denser
-# low down than the projection expects) and 0.40 against 0.67 ms (names in
-# order). On one of those orders a fixed budget of 128 bits took 1.36 ms
-# where the projection took 0.88 (one core of a shared 2-vCPU host,
-# Python 3.11.7).
+# this many spread bits: peeling 64 random bits took 0.52 of the scan's
+# time at 2^16, 0.63 at 2^18 and 0.77 at 2^20, and 128 bits 0.66, 0.92 and
+# 1.27. The 91 models of perfbench's 16-atom chain are peeled in 37-38 us
+# against 64-66 us for the scan. The 159 models of an 18-atom chain
+# (169-190 us) and the 278 of a 20-atom chain (0.59-0.65 ms) are scanned,
+# where a projection of the bits still to come from those peeled so far
+# took 63-144 us and 0.32-0.95 ms: less where the models cluster at the
+# top, more where they grow denser below it, so that it could not be
+# bounded (best of 20-60 calls, three name orders, one core of a shared
+# 2-vCPU host, Python 3.11.7).
 _PEELED = 128
 
 
@@ -188,54 +186,43 @@ def columns(n: int) -> tuple[int, ...]:
 def members(vector: int) -> list[int]:
     """The masks whose bits are set in a vector, in increasing order.
 
-    The set bits come off from the top first, by 64-bit windows from the
-    top set bit down: each window is one shift and one XOR over the
-    vector, and its bits are then read off a small int, so a sparse vector
-    costs what its bits cost and bits that cluster share a window. After
-    16, 32, 64, ... bits the bits taken so far, over the positions they
-    came from, project how many are left; once that is more than
-    `_PEELED`, what is left of the vector is cut into 64-bit words
-    instead: the zero words are skipped in C (`itertools.compress` over
-    the words of its bytes), which costs about 30 us per 1024 words
-    however few bits are set, and the bits of the others are peeled off,
-    lowest first.
+    One `bit_count` picks the path. At most `_PEELED` set bits come off
+    from the top, by 64-bit windows from the top set bit down: each window
+    is one shift and one XOR over the vector, and its bits are then read
+    off a small int, so a sparse vector costs what its bits cost and bits
+    that cluster share a window. More set bits than that go to a word scan
+    of the whole vector: the zero 64-bit words are skipped in C
+    (`itertools.compress` over the words of its bytes), which costs about
+    30 us per 1024 words however few bits are set, and the bits of the
+    others are peeled off, lowest first.
     """
-    top = []  # highest first
-    length = vector.bit_length()
-    check = 16
-    while vector:
-        if len(top) >= check:
-            left = vector.bit_length()
-            if len(top) * left > _PEELED * (length - left):
-                break
-            check <<= 1
+    out = []
+    if vector.bit_count() > _PEELED:
+        count = (vector.bit_length() + 63) >> 6
+        data = vector.to_bytes(count << 3, "little")
+        for k in compress(range(count), memoryview(data).cast("Q")):
+            base = (k << 6) - 1
+            word = int.from_bytes(data[k << 3:(k + 1) << 3], "little")
+            while word:
+                low = word & -word
+                out.append(base + low.bit_length())
+                word ^= low
+        return out
+    while vector:  # highest first
         shift = vector.bit_length() - 64
         if shift > 0:
             word = vector >> shift
             vector ^= word << shift
             if word == 1 << 63:  # a bit alone in its window, as spread bits are
-                top.append(shift + 63)
+                out.append(shift + 63)
                 continue
         else:
             shift, word, vector = 0, vector, 0
         while word:
             i = word.bit_length() - 1
-            top.append(shift + i)
+            out.append(shift + i)
             word ^= 1 << i
-    top.reverse()
-    if not vector:
-        return top
-    out = []
-    count = (vector.bit_length() + 63) >> 6
-    data = vector.to_bytes(count << 3, "little")
-    for k in compress(range(count), memoryview(data).cast("Q")):
-        base = (k << 6) - 1
-        word = int.from_bytes(data[k << 3:(k + 1) << 3], "little")
-        while word:
-            low = word & -word
-            out.append(base + low.bit_length())
-            word ^= low
-    out += top
+    out.reverse()
     return out
 
 

@@ -427,6 +427,15 @@ class TestVerifyCompilation:
         with pytest.raises(ValueError, match="flp and sflp"):
             verify_compilation(corpus["p1"], "models")
 
+    @pytest.mark.parametrize("kind", ["flp", "sflp"])
+    def test_bad_input_is_refused_before_any_enumeration(self, kind):
+        # the source spans 7 atoms, over the limit of 2, but the compilation's
+        # gate runs first and refuses the disjunctive head
+        program = parse_program("a :- count{b, c, d} > 1. x | y :- z.")
+        with pytest.raises(DisjunctiveHead) as refused:
+            verify_compilation(program, kind, limit=2)
+        assert str(refused.value) == "cannot compile a rule with a disjunctive head: x | y"
+
     def test_bijection_violations_name_each_failure(self, corpus):
         program = corpus["p1"]
         _, cmap = rew_sflp(program)

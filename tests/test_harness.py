@@ -447,3 +447,48 @@ def test_small_scope_battery():
             counts[result.name][(PASS, FAIL, SKIP).index(result.status)] += 1
     assert {name: tuple(c) for name, c in counts.items()} == SMALL_SCOPE_COUNTS
     assert digest.hexdigest() == SMALL_SCOPE_DIGEST
+
+
+# The three-atom battery: every one-rule program over {a, b, c} whose body
+# is one of the 255 satisfiable truth tables over all three atoms and whose
+# head is any of the 8 subsets of {a, b, c}, empty included (2,040
+# programs). Its digest and tallies are built like the small-scope
+# battery's; a change that means to alter a report updates them and says
+# so in CHANGES.md.
+THREE_ATOM_DIGEST = "425edd379fab2dc45c627f54aeffc42c19add45d986ee80f36325da6b3db2eba"
+
+THREE_ATOM_COUNTS = {  # check name: (pass, fail, skip)
+    "flp_subset_sflp": (2040, 0, 0),
+    "convex_equivalence": (800, 0, 1240),
+    "supported_equals_completion_models": (2040, 0, 0),
+    "sflp_completion_characterization": (2040, 0, 0),
+    "compilation_bijection_flp": (1020, 0, 1020),
+    "compilation_bijection_sflp": (1020, 0, 1020),
+}
+
+
+def three_atom_programs() -> list[Program]:
+    domain = (Atom("a"), Atom("b"), Atom("c"))
+    rows = list(subsets_in_canonical_order(domain))
+    return [Program([Rule(head, TruthTable(domain, (r for i, r in enumerate(rows)
+                                                     if family >> i & 1)))])
+            for family in range(1, 2 ** len(rows)) for head in rows]
+
+
+def test_three_atom_battery():
+    """The generalized atoms first reach most non-convex shapes at three
+    atoms, where the small-scope battery stops short: every theorem check
+    passes or skips, the skips being the non-convex bodies (4b) and the
+    disjunctive heads (4e/4f)."""
+    digest = hashlib.sha256()
+    counts = {name: [0, 0, 0] for name in CHECK_NAMES}
+    programs = three_atom_programs()
+    assert len(programs) == 2040
+    for program in programs:
+        report = check_theorems(program)
+        digest.update(report.program_text.encode())
+        for result in report.results:
+            digest.update(repr((result.name, result.status, result.details)).encode())
+            counts[result.name][(PASS, FAIL, SKIP).index(result.status)] += 1
+    assert {name: tuple(c) for name, c in counts.items()} == THREE_ATOM_COUNTS
+    assert digest.hexdigest() == THREE_ATOM_DIGEST

@@ -867,6 +867,129 @@ class TestRepeatedParts:
         assert len(scanned) == 2 and splits
 
 
+    def test_bodies_with_one_truth_function_share_a_pass(self, monkeypatch):
+        """A part is keyed by its rules' head masks and body truth vectors,
+        so three pairs that write `a :- not b. b :- not a.` as literals, as
+        counts and as DNFs, side by side, take one pass: two answer sets
+        each, eight in all."""
+        splits = count_splits(monkeypatch)
+        scanned = count_passes(monkeypatch)
+        sources = ("a :- not b. b :- not a.",
+                   "a :- count{b} = 0. b :- count{a} < 1.",
+                   "a :- dnf{~b}. b :- dnf{~a}.")
+        program = Program(r for k, text in enumerate(sources)
+                          for r in renamed(parse_program(text), str(k)).rules)
+        lp = lowering.lower(program)
+        sflp = kernel.enumerate_masks(lp, lowering.ENUM_SFLP)
+        assert splits == [3] and len(scanned) == 1
+        assert len(sflp) == 8
+        assert {decode(lp.atoms, m) for m in sflp} == enumerate_oracle(program, "sflp")
+
+    def test_an_atom_in_no_head_does_not_key_a_part(self, monkeypatch):
+        """`b :- count{a} > 1.` over {a, b} and `y :- table{}` without a row
+        over {y} both key as one never-firing rule on local position 0: a is
+        in no head, so it is false in every candidate, and the two parts
+        share a pass though their widths differ. `d :- count{c} < 1.` and
+        `w :- table{v}` with the empty row are `d :- not c.` twice."""
+        splits = count_splits(monkeypatch)
+        scanned = count_passes(monkeypatch)
+        program = Program(parse_program("b :- count{a} > 1. d :- count{c} < 1.").rules
+                          + (Rule(fs("y"), TruthTable(fs(), ())),
+                             Rule(fs("w"), TruthTable(fs("v"), [()]))))
+        assert_agrees(program, "widths")
+        lp = lowering.lower(program)
+        scanned.clear()
+        assert [decode(lp.atoms, m) for m in kernel.enumerate_masks(lp, lowering.ENUM_SFLP)] \
+            == [fs("d", "w")]
+        assert splits and splits[-1] == 4 and len(scanned) == 2
+
+
+def joined_loops(k: int) -> Program:
+    """k loops `a :- a.` joined into one part by `z :- count{a0, ...} > k.`,
+    whose body never holds: 2^k supported models, and the empty set the
+    one answer set."""
+    every = "count{" + ", ".join(f"a{i}" for i in range(k)) + "}"
+    return loops(k, f" z :- {every} > {k}.")
+
+
+def looped_and_joined(seed: int) -> Program:
+    """A generated program over 3-8 atoms, allowed disjunctive heads half
+    the time, with up to two more atoms y0, y1, a loop `a :- a.` on about
+    60% of all of them and one count rule over a sample of them that links
+    the extra atoms in: up to 10 atoms."""
+    rng = random.Random(f"mono-{seed}")
+    size = 3 + seed % 6
+    program = generate(GenConfig(atom_count=size, rule_count=rng.randint(1, size),
+                                 allow_disjunctive_heads=rng.random() < 0.5, seed=seed))
+    atoms = [Atom(a) for a in "abcdefgh"[:size]] + [Atom(f"y{i}") for i in range(seed % 3)]
+    looped = tuple(Rule({a}, LiteralConjunction(Conjunct({a}, ())))
+                   for a in atoms if rng.random() < 0.6)
+    domain = atoms[size:] + rng.sample(atoms[:size], rng.randint(1, size))
+    join = Rule({rng.choice(atoms)}, CountAggregate(domain, rng.choice(COUNT_COMPARATORS),
+                                                    rng.randint(0, len(domain))))
+    return Program(program.rules + looped + (join,))
+
+
+def count_prefilter_drops(monkeypatch) -> list[bool]:
+    """Whether each run of SFLP's prefilter from now on drops a candidate:
+    a mono-supported model below it."""
+    drops = []
+    mono_supported = kernel._mono_supported
+
+    def recorded(candidates, bodies, rule_support, heads, cols):
+        mono = mono_supported(candidates, bodies, rule_support, heads, cols)
+        drops.append(bool(candidates & kernel._above(mono, cols)))
+        return mono
+
+    monkeypatch.setattr(kernel, "_mono_supported", recorded)
+    return drops
+
+
+class TestMonoSupportPrefilter:
+    """Where SFLP's support test runs on more candidates than atoms,
+    `_global_pass` drops each candidate above a mono-supported model J: a
+    model of P whose true atoms are each supported at J by a rule whose
+    body vector is upward closed. J is a model of every reduct, and each
+    supporting body, true at J, holds at every superset I, so its rule is
+    in I's reduct: J blocks I for SFLP and FLP alike. The scan still lists
+    every supported model."""
+
+    def test_generated_programs_agree_with_the_oracles(self, monkeypatch):
+        drops = count_prefilter_drops(monkeypatch)
+        dropped = wide = 0
+        for seed in range(300):
+            program = looped_and_joined(seed)
+            before = len(drops)
+            assert_agrees(program, seed)
+            dropped += any(drops[before:])
+            wide += len(program.atoms()) > 8
+        assert dropped >= 120 and wide >= 40, (dropped, wide)
+
+    def test_joined_loops_agree_with_the_oracles(self, monkeypatch):
+        drops = count_prefilter_drops(monkeypatch)
+        for k in range(1, 10):
+            assert_agrees(joined_loops(k), k)
+        assert sum(drops) >= 9 * 4, drops  # four calls per program drop
+
+    def test_joined_loops_test_the_empty_set_alone(self, monkeypatch):
+        """16 atoms, one part: every supported model but the empty set lies
+        above a mono-supported model, the empty set itself, so the reduct
+        loop sees one candidate, in the query and in the scan, and the scan
+        still lists the 2^15 supported models."""
+        lp = lowering.lower(joined_loops(15))
+        assert len(kernel._parts(lp)) == 1
+        seen = []
+        reducts = kernel._reducts
+        monkeypatch.setattr(kernel, "_reducts",  # how many candidates, and the empty set
+                            lambda candidates, bodies: seen.append((candidates.bit_count(),
+                                                                    candidates & 1))
+                            or reducts(candidates, bodies))
+        assert kernel.enumerate_masks(lp, lowering.ENUM_SFLP) == [0]
+        supported, flp, sflp = kernel.scan(lp)
+        assert seen == [(1, 1), (1, 1)]
+        assert len(supported) == 1 << 15 and flp == sflp == [0]
+
+
 def test_supported_is_the_support_test_on_random_families():
     """`kernel._supported` keeps the masks of a family of subsets of the
     candidate at which every true atom has a rule among `rules` whose body
