@@ -40,21 +40,30 @@ vector per 64-bit window, and the 32 supported models spread over the
 1.6 us for the count (best of 300).
 
 SFLP's blocking family depends on the reduct, so no one pass finds all
-of it, but a mono-supported model J of P, one whose true atoms are each
-supported at J by a rule whose body vector is upward closed
-(`_mono_supported`), blocks every candidate I above it, for SFLP and
-FLP alike: J is a model of P, hence of the reduct of I, and each
-supporting body, true at J, holds at I, so its rule is in that reduct
-and J is a supported model of it. So where SFLP's support test runs on
-more candidates than atoms (the same `bit_count`), the candidates above
-a mono-supported model are dropped in one `_above` pass before their
-reducts are read; the scan lists every supported model first. k loops
-`a :- a.` that the rule `z :- count{a0, ...} > k.` joins into one part
-have 2^k supported models and one answer set, the empty set: at 17
-atoms the SFLP query took 2.7 s without the drop and takes 13-14 ms, at
-19 atoms 45 s against 55 ms, and at 20 atoms 110-120 ms, most of it
-listing the supported models (single runs to best of 3). SFLP is not
-read off FLP on convex programs: that is a theorem the battery checks.
+of it, but two kinds of smaller supported model of P block a candidate
+I for SFLP and FLP alike: each is a model of P, hence of the reduct of
+I, and a supported model of that reduct. Up to n candidates, where
+SFLP's support test runs, a smaller candidate J whose true atoms are
+each supported at J by a rule of I's reduct (`_blocked_below`, a few
+small-int steps per pair, read off the candidates' reducts) rejects I
+before its subset vector is built: the full set of the 16-atom chain
+falls to its two answer sets this way, which took the SFLP query from
+255-262 to 202-209 us, and at 20 atoms from 9.9-10.2 to 8.2-8.6 ms
+(median of 200 calls, three alternating runs on one core of a shared
+2-vCPU host, Python 3.11.7). Beyond n, a mono-supported model J, one
+whose true atoms are each supported at J by a rule whose body vector is
+upward closed (`_mono_supported`), blocks every I above it, since each
+supporting body, true at J, holds at I, so its rule is in I's reduct:
+the candidates above one are dropped in one `_above` pass before their
+reducts are read. Only the scan lists the supported models before that
+drop; the SFLP query lists none it drops.
+k loops `a :- a.` that the rule `z :- count{a0, ...} > k.` joins into
+one part have 2^k supported models and one answer set, the empty set:
+at 17 atoms the SFLP query took 2.7 s without the drop and 13-14 ms
+with it while it listed the supported models, and takes 2.5-3.0 ms; at
+20 atoms 113-129 ms against 35-38 ms (best and median of 3-5 calls).
+SFLP is not read off FLP on convex programs: that is a theorem the
+battery checks.
 
 Beyond that, SFLP splits the program (Lifschitz and Turner's
 splitting): rules other than constraints that are linked through shared
@@ -145,14 +154,19 @@ NAME = "bitsliced"
 # 1.33-1.39 ms for the scans of the 112 battery programs of 2-5 atoms, and
 # battery seed 58 (3 atoms) takes 13 us unsplit against 40 us split. The
 # pass tests at most 2^8 candidates, so its worst case is bounded: 8 loops
-# `a :- a.` take 60-61 us against 32 us split (the mono-support drop leaves
-# one candidate), and 4 even loops, which it does not thin, 50-51 against
-# 32-33 us. Above it the pass grows with 2^n: the 14-atom choice gadgets
-# take 470-473 us as one pass against 76 us split, and the scan of 14
-# loops 2.4-2.5 ms against 1.5 ms, while `_parts` adds 10-11 us
-# (4%) to the SFLP query on the 16-atom chain, which is one part (best of
-# 20-1000 calls, one core of a shared 2-vCPU host, Python 3.11.7).
+# `a :- a.` take 27 us against 33 us split (the mono-support drop leaves
+# one candidate, and the query lists none of the others), and 4 even
+# loops, which it does not thin, 40 against 34 us. Above it the pass grows
+# with 2^n: the 14-atom choice gadgets take 470-473 us as one pass against
+# 76 us split, and the scan of 14 loops 2.4-2.5 ms against 1.5 ms, while
+# `_parts` adds 10-11 us (4%) to the SFLP query on the 16-atom chain,
+# which is one part (best of 20-1000 calls, one core of a shared 2-vCPU
+# host, Python 3.11.7).
 _SPLIT_FIRST = 8
+
+# The mode of the one scan (`scan`): SFLP's pass, which also lists every
+# supported model. No `lowering.ENUM_*` has this value.
+_SCAN = ENUM_SFLP + 1
 
 
 def default_backend() -> str:
@@ -171,31 +185,34 @@ def scan(lp: LoweredProgram) -> tuple[list[int], list[int], list[int]]:
     increasing, from one pass over the supported models, or over each
     part's where the program splits (`_scan`): each candidate's reduct test
     gives its FLP verdict on the way to its SFLP one."""
-    return _scan(lp, ENUM_SFLP, products=True)
+    return _scan(lp, _SCAN)
 
 
-def _scan(lp: LoweredProgram, mode: int,
-          products: bool = False) -> tuple[list[int], list[int], list[int]]:
-    """`_global_pass`'s three lists, except that an SFLP call over more than
-    `_SPLIT_FIRST` atoms whose program splits scans its parts alone
-    (`_split`; the supported models and FLP answer sets only with
-    `products`). No other call splits."""
-    if mode == ENUM_SFLP and lp.n > _SPLIT_FIRST:
+def _scan(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], list[int]]:
+    """`_global_pass`'s three lists, except that an SFLP query or the scan
+    over more than `_SPLIT_FIRST` atoms whose program splits scans its parts
+    alone (`_split`; the supported models and FLP answer sets only for the
+    scan). No other call splits."""
+    if mode >= ENUM_SFLP and lp.n > _SPLIT_FIRST:
         parts = _parts(lp)
         if len(parts) > 1:
-            return _split(lp, parts, products)
+            return _split(lp, parts, mode == _SCAN)
     return _global_pass(lp, mode)
 
 
 def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], list[int]]:
     """The candidates, then those FLP and SFLP accept, each increasing.
-    The pass stops where `mode`'s answer is known: models and supported
-    models are the candidates, read before any per-rule vectors are kept;
-    FLP alone passes over the candidates above a smaller model of P and
-    skips the support test (its candidates are then not all the supported
-    models, and its SFLP list holds only the FLP answer sets); SFLP runs
-    every step, so its candidates are the supported models, listed before
-    those above a smaller mono-supported model skip their reduct test."""
+    The pass stops where `mode`'s answer is known and lists what that
+    mode reads:
+    - models and supported models: the candidates, read before any
+      per-rule vectors are kept, and two empty lists;
+    - FLP: the candidates that reach the reduct loop (beyond n, not those
+      above a smaller model of P), its answer sets, and as SFLP's list the
+      FLP answer sets alone, as it skips the support test;
+    - SFLP: every step, and first the candidates that reach the reduct
+      loop (beyond n, not those above a mono-supported model);
+    - `_SCAN`: SFLP's pass, whose first list is every supported model,
+      listed before any candidate is dropped."""
     n = lp.n
     cols = columns(n)
     support = [0] * n if mode != ENUM_MODELS else None
@@ -224,21 +241,27 @@ def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], l
         return members(candidates), [], []
     heads = [members(h) for h in lp.heads] if sflp else None
     # a smaller model of P is a model of every reduct, so it blocks I for
-    # FLP; a smaller mono-supported model blocks I for both semantics
+    # FLP; a smaller mono-supported model, or up to n candidates a smaller
+    # candidate supported in I's reduct, blocks I for both semantics
     blockers = 0  # FLP alone: the models of P tested under each candidate
-    listed = None  # the supported models, where SFLP's prefilter drops some
+    listed = None  # the scan's supported models, where SFLP's prefilter drops some
+    few = False  # SFLP: each candidate is first tested against the smaller ones
     if candidates.bit_count() > n:
         below = _mono_supported(candidates, bodies, rule_support, heads, cols) if sflp else models
         blocked = candidates & _above(below, cols)
-        if blocked and sflp:
+        if blocked and mode == _SCAN:
             listed = members(candidates)
         candidates ^= blocked
-    elif not sflp:
+    elif sflp:
+        few = True
+    else:
         blockers = models
     flp_accepted = []
     sflp_accepted = []
     reducts = _reducts(candidates, bodies)
     for i, reduct in reducts.items():
+        if few and _blocked_below(i, reduct, reducts, lp.heads):
+            continue
         blocking = _proper_subsets(i)
         if blocking & blockers:
             continue
@@ -315,7 +338,8 @@ def _split(lp: LoweredProgram, parts: list[tuple[int, list[Rule]]],
         key = _part_key(rules, local)
         lists = scanned.get(key)
         if lists is None:
-            lists = scanned[key] = _global_pass(lower(rules, local), ENUM_SFLP)
+            lists = scanned[key] = _global_pass(lower(rules, local),
+                                                _SCAN if products else ENUM_SFLP)
         for k, masks in enumerate(lists):
             if found[k]:  # an empty product stays empty
                 found[k] = [i | m for m in _spread(masks, places) for i in found[k]]
@@ -418,15 +442,46 @@ def _supported(family: int, candidate: int, rules: list[int], heads: list[list[i
     return family
 
 
+def _blocked_below(candidate: int, reduct: list[int], reducts: dict[int, list[int]],
+                   heads: list[int]) -> bool:
+    """Whether a smaller candidate J, a subset of `candidate`, has each true
+    atom supported at J by a rule of `reduct`, the candidate's reduct.
+    `reducts` maps each candidate, increasing, to its own reduct, and
+    `heads` holds each rule's head mask: a rule supports at J the head atom
+    true there when its body holds at J and no other head atom is true, as
+    `rule_vectors` builds support. J is a model of P, hence of the reduct,
+    so it is then a supported model of the reduct below the candidate and
+    blocks it for SFLP and FLP alike. Each step is a small-int operation."""
+    fired = None
+    for j, rules in reducts.items():
+        if j >= candidate:
+            return False
+        if j & candidate != j:
+            continue
+        if fired is None:
+            fired = set(reduct)
+        supported = 0
+        for r in rules:
+            true = heads[r] & j
+            if not true & (true - 1) and r in fired:
+                supported |= true
+        if supported == j:
+            return True
+    return False
+
+
 def _mono_supported(candidates: int, bodies: list[int], rule_support: list[int],
                     heads: list[list[int]], cols) -> int:
     """The candidates (supported models) where every true atom is supported
     by a rule whose body vector is upward closed: each such rule's support
     vector is ORed into its head atoms', as `_global_pass` builds
-    `unsupported`."""
+    `unsupported`. A nonzero upward-closed vector holds at the full mask and
+    a zero one supports nothing, so `upward` runs only on bodies that hold
+    there."""
+    top = (1 << len(cols)) - 1
     support = [0] * len(cols)
     for holds, supports, head in zip(bodies, rule_support, heads):
-        if upward(holds, cols) == holds:
+        if holds >> top & 1 and upward(holds, cols) == holds:
             for a in head:
                 support[a] |= supports
     lacking = 0

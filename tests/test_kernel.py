@@ -989,6 +989,90 @@ class TestMonoSupportPrefilter:
         assert seen == [(1, 1), (1, 1)]
         assert len(supported) == 1 << 15 and flp == sflp == [0]
 
+    @pytest.mark.parametrize("k", [12, 16])
+    def test_the_query_lists_no_dropped_candidate(self, monkeypatch, k):
+        """The SFLP query reads only the answer sets, so where the prefilter
+        drops candidates it lists none of the 2^k supported models: no
+        `members` call in it returns more than n masks. The scan still lists
+        them all."""
+        lp = lowering.lower(joined_loops(k))
+        listed = []
+        list_members = kernel.members
+        monkeypatch.setattr(kernel, "members", lambda v: listed.append(v.bit_count())
+                            or list_members(v))
+        assert kernel.enumerate_masks(lp, lowering.ENUM_SFLP) == [0]
+        assert listed and max(listed) <= lp.n, listed
+        assert len(kernel.scan(lp)[0]) == 1 << k
+
+
+def record_blocked_below(monkeypatch) -> list:
+    """The lowered program and candidate of each call to
+    `kernel._blocked_below` from now on that rejects its candidate: the
+    program is the one the enclosing `_global_pass` scans, a part's where
+    the query splits, so the candidate is a mask over its atoms."""
+    rejected = []
+    scanned = count_passes(monkeypatch)
+    blocked_below = kernel._blocked_below
+
+    def recorded(candidate, *rest):
+        blocked = blocked_below(candidate, *rest)
+        if blocked:
+            rejected.append((scanned[-1], candidate))
+        return blocked
+
+    monkeypatch.setattr(kernel, "_blocked_below", recorded)
+    return rejected
+
+
+class TestSmallerCandidates:
+    """Where SFLP's support test runs on at most n candidates, `_global_pass`
+    first tests each candidate I against the smaller candidates: a J ⊊ I,
+    a supported model of P, whose true atoms are each supported at J by a
+    rule of I's reduct is a model of that reduct, as of any subset of P's
+    rules, and so a supported model of it below I. It blocks I for SFLP and
+    FLP alike, before I's subset vector is built."""
+
+    def test_rejected_candidates_are_no_answer_sets(self, monkeypatch):
+        """Single programs and renamed unions of up to 10 atoms, every union
+        split (`count_splits`), so that the parts' passes test too: each
+        rejected candidate fails both AST predicates over the rules of the
+        program that its pass scans, and every answer is the oracle's."""
+        count_splits(monkeypatch)
+        rejected = record_blocked_below(monkeypatch)
+        in_parts = 0  # rejections in the pass of a part narrower than its program
+        for seed in range(150):
+            for label, program in (
+                ("single", generate(GenConfig(atom_count=2 + seed % 7, rule_count=1 + seed % 8,
+                                              allow_disjunctive_heads=seed % 2 == 0, seed=seed))),
+                ("looped", looped_and_joined(seed)),
+                ("copies", renamed_copies(seed, 4 + seed % 7)[0]),
+            ):
+                before = len(rejected)
+                assert_agrees(program, (label, seed))
+                in_parts += sum(lp.n < len(program.atoms()) for lp, _ in rejected[before:])
+        for lp, candidate in rejected:
+            interpretation = decode(lp.atoms, candidate)
+            assert not is_sflp_answer_set(interpretation, lp.rules), (lp.rules, candidate)
+            assert not is_flp_answer_set(interpretation, lp.rules), (lp.rules, candidate)
+        assert len(rejected) >= 700 and in_parts >= 250, (len(rejected), in_parts)
+
+    def test_the_chain_builds_no_subset_vector_above_its_answer_sets(self, monkeypatch):
+        """The 16-atom chain has three supported models: two answer sets of 8
+        atoms and the full set, whose reduct is the whole program. Each
+        answer set is supported in it, so the full set is rejected before
+        its subset vector, and no family goes to the support test."""
+        lp = lowering.lower(parse_program(chain_text(16)))
+        subsets = count_subset_vectors(monkeypatch)
+        support_tests = []
+        supported = kernel._supported
+        monkeypatch.setattr(kernel, "_supported",
+                            lambda *args: support_tests.append(args) or supported(*args))
+        sflp = kernel.enumerate_masks(lp, lowering.ENUM_SFLP)
+        assert len(sflp) == 2 and all(m.bit_count() == 8 for m in sflp)
+        assert kernel.enumerate_masks(lp, lowering.ENUM_SUPPORTED) == sflp + [(1 << 16) - 1]
+        assert subsets == sflp
+        assert support_tests == []
+
 
 def test_supported_is_the_support_test_on_random_families():
     """`kernel._supported` keeps the masks of a family of subsets of the
