@@ -15,12 +15,15 @@ Two rows time SFLP on k loops joined into one part by the rule
 atoms: 2^k supported models in one global pass, where every one but the
 empty set lies above a smaller mono-supported model and is dropped before
 its reduct is read.
-Two more time the cost of scanning each distinct part once: 7 even loops
-`x :- not y. y :- not x.` under `:- count{x0, ..., x6} != 1.`, seven
-parts of one shape whose constraint leaves 7 of their 128 supported
-models, and 7 pairwise distinct two-atom parts, where no part repeats,
-so the parts' keys are paid and nothing is saved.
-Two rows sit on either side of the width above which SFLP splits
+Three more time the cost of scanning each distinct part once: 7 even
+loops `x :- not y. y :- not x.` under `:- count{x0, ..., x6} != 1.`,
+seven parts of one shape whose constraint leaves 7 of their 128
+supported models, and SFLP and FLP on 7 pairwise distinct two-atom
+parts, where no part repeats, so the parts' keys are paid and nothing is
+saved. One row times FLP on 10 even loops over 20 atoms: 1,024
+supported models, each a minimal model and an answer set, which the
+split scans as one two-atom part.
+Two rows sit on either side of the width above which FLP and SFLP split
 (`kernel._SPLIT_FIRST`, 8 atoms): the SFLP query on 8 loops, which does
 not split and tests their 2^8 supported models in one global pass, and
 the one scan of 14 loops, which splits and lists the 2^14 supported
@@ -94,8 +97,8 @@ def choice_gadgets() -> Program:
 
 def distinct_parts() -> Program:
     """Seven two-atom parts, no two the same program up to a renaming that
-    keeps the atoms' order, over 14 atoms: the kernel's SFLP split scans
-    each of them, so its part keys save nothing."""
+    keeps the atoms' order, over 14 atoms: the kernel's split scans each
+    of them, so its part keys save nothing."""
     shapes = ("{x} :- not {y}. {y} :- not {x}.",
               "{x} :- count{{{x}, {y}}} != 1. {y} :- count{{{x}, {y}}} != 1.",
               "{x} :- {y}. {y} :- {x}.",
@@ -212,6 +215,8 @@ def main() -> int:
     choice = choice_gadgets()
     one_of_seven = parse_program(" ".join(f"x{i} :- not y{i}. y{i} :- not x{i}." for i in range(7))
                                  + " :- count{" + ", ".join(f"x{i}" for i in range(7)) + "} != 1.")
+    even_loops10 = parse_program(" ".join(f"x{i} :- not y{i}. y{i} :- not x{i}."
+                                          for i in range(10)))
     compiled_p1, _ = rew_sflp(parse_program(
         "a :- count{a, b} != 1. b :- count{a, b} != 1."
     ))
@@ -230,6 +235,8 @@ def main() -> int:
             ("sflp, 14-atom choice gadgets", choice, lowering.ENUM_SFLP),
             ("sflp, 7 even loops under exactly one x", one_of_seven, lowering.ENUM_SFLP),
             ("sflp, 7 pairwise distinct two-atom parts", distinct_parts(), lowering.ENUM_SFLP),
+            ("flp, 7 pairwise distinct two-atom parts", distinct_parts(), lowering.ENUM_FLP),
+            ("flp, 10 even loops (20 atoms)", even_loops10, lowering.ENUM_FLP),
             ("flp, rewritten 2-atom program", compiled_p1, lowering.ENUM_FLP),
         )
     ]

@@ -16,68 +16,63 @@ below is a handful of big-int operations over all 2^n masks at once:
 
 FLP answer sets are supported models too: were a in I supported by no
 rule, every rule of the reduct would have a true head atom other than a,
-so I without a would be a smaller model of the reduct. So both
-semantics scan the same candidates, in one loop (`_global_pass`) that
-tests each of them against its reduct. A candidate with no model of its
-reduct below it is an FLP answer set and, as a supported model is a
-model, an SFLP one; only the others go on to SFLP's support test,
-which first drops the blocking masks unsupported in P (a rule of a
-reduct is a rule of P), one AND. One pass (`scan`) thus gives the
-supported models and both kinds of answer sets, which the theorem
-battery reads together; `enumerate_masks` reads one mode off the same
-loop, which stops where that mode's answer is known. A smaller model of
-P below a candidate blocks it for FLP, since a model of P is a model of
-every reduct, so the reduct test rejects it. The FLP query alone drops
-such candidates before their reduct loops: up to n candidates one by
-one, one AND of a candidate's proper subsets with the models; beyond n,
-all at once in one pass over all masks (`_above`, about 2n big-int
-steps), so that a program with many supported models that are not
-minimal (n loops `a :- a.` have 2^n) costs what its models cost. Which
-side of n the candidates fall on is one `bit_count` over the candidate
-vector: reading candidates off its top instead costs a pass over the
-vector per 64-bit window, and the 32 supported models spread over the
-2^14 masks of perfbench's choice gadgets took 15 windows, 8 us against
-1.6 us for the count (best of 300).
+so I without a would be a smaller model of the reduct. So FLP, SFLP and
+the one scan (`scan`, which the theorem battery reads) take one path:
+the same candidates, the same split, the same early rejection, and one
+loop (`_global_pass`) that tests each candidate against its reduct. A
+candidate with no model of its reduct below it is an FLP answer set and,
+as a supported model is a model, an SFLP one; only the others go on to
+SFLP's support test, which first drops the blocking masks unsupported in
+P (a rule of a reduct is a rule of P), one AND. The two semantics differ
+there and in the family that the drop beyond n candidates reads, and
+nowhere else. SFLP is not read off FLP on convex programs: that is a
+theorem the battery checks.
 
-SFLP's blocking family depends on the reduct, so no one pass finds all
-of it, but two kinds of smaller supported model of P block a candidate
-I for SFLP and FLP alike: each is a model of P, hence of the reduct of
-I, and a supported model of that reduct. Up to n candidates, where
-SFLP's support test runs, a smaller candidate J whose true atoms are
-each supported at J by a rule of I's reduct (`_blocked_below`, a few
-small-int steps per pair, read off the candidates' reducts) rejects I
-before its subset vector is built: the full set of the 16-atom chain
-falls to its two answer sets this way, which took the SFLP query from
-255-262 to 202-209 us, and at 20 atoms from 9.9-10.2 to 8.2-8.6 ms
-(median of 200 calls, three alternating runs on one core of a shared
-2-vCPU host, Python 3.11.7). Beyond n, a mono-supported model J, one
-whose true atoms are each supported at J by a rule whose body vector is
-upward closed (`_mono_supported`), blocks every I above it, since each
-supporting body, true at J, holds at I, so its rule is in I's reduct:
-the candidates above one are dropped in one `_above` pass before their
-reducts are read. Only the scan lists the supported models before that
-drop; the SFLP query lists none it drops.
-k loops `a :- a.` that the rule `z :- count{a0, ...} > k.` joins into
-one part have 2^k supported models and one answer set, the empty set:
-at 17 atoms the SFLP query took 2.7 s without the drop and 13-14 ms
-with it while it listed the supported models, and takes 2.5-3.0 ms; at
-20 atoms 113-129 ms against 35-38 ms (best and median of 3-5 calls).
-SFLP is not read off FLP on convex programs: that is a theorem the
-battery checks.
+Each pass lists only what its mode reads, and stops where that mode's
+answer is known: the models and supported queries list the candidates,
+FLP and SFLP their own answer sets, and the scan all three, the
+supported models among them. Every other list is empty, so a split
+builds products only of what its caller reads.
 
-Beyond that, SFLP splits the program (Lifschitz and Turner's
-splitting): rules other than constraints that are linked through shared
-head or body-domain atoms form one part (`_parts`), and with two or more
-parts each is lowered on its own through `lower`, over its own n_k atoms,
-and scanned with vectors of 2^{n_k} bits (`_split`). For atom-disjoint
-parts the reduct of I is the union of the parts' reducts, and I's share
-of each part is a supported model of that part's reduct, so some J below
-I blocks I exactly when I's share of some part is blocked in that part:
-the answer sets are the products of the parts' answer sets, and the
-parts' costs add up where the candidates' would multiply. Splitting on
-anything else is not exact for SFLP: `a :- a. b :- dnf{~b | a}.` has the
-SFLP answer set {a, b}, but its bottom `a :- a.` has only the empty set,
-and its top at the empty set, `b :- dnf{~b}.`, has none.
+A smaller candidate J below a candidate I is a supported model of P, so
+a model of P and of I's reduct. If each true atom of J is supported at
+J by a rule of I's reduct, J is a supported model of that reduct too,
+and it blocks I for FLP and SFLP alike. Up to n candidates each I is
+tested so against the smaller ones before its subset vector is built
+(`_blocked_below`, a few small-int steps per pair, read off the
+candidates' reducts): the full set of the 16-atom chain falls to either
+of its two 8-atom supported models. Beyond n, where the pairs grow as
+c^2, the candidates above a blocking family are dropped at once, in one
+pass over all masks (`_above`, about 2n big-int steps), before their
+reducts are read. For FLP the family is the models of P, each a model of
+every reduct. For SFLP it is the mono-supported models, those whose true
+atoms are each supported by a rule whose body vector is upward closed
+(`_mono_supported`): each supporting body, true at J, holds at every I
+above J, so its rule is in I's reduct. So a program with many supported
+models that are not minimal costs what its models cost: n loops
+`a :- a.` have 2^n, and so do n such loops that the rule
+`z :- count{a0, ...} > n.` joins into one part. Only the scan lists the
+candidates that the drop removes. Which side of n the candidates fall on
+is one `bit_count` over the candidate vector: reading candidates off its
+top instead costs a pass over the vector per 64-bit window, and the 32
+supported models spread over the 2^14 masks of perfbench's choice
+gadgets took 15 windows, 8 us against 1.6 us for the count (best of
+300).
+
+The FLP and SFLP queries and the scan split the program (Lifschitz and
+Turner's splitting): rules other than constraints that are linked
+through shared head or body-domain atoms form one part (`_parts`), and
+with two or more parts each is lowered on its own through `lower`, over
+its own n_k atoms, and scanned with vectors of 2^{n_k} bits (`_split`).
+For atom-disjoint parts the reduct of I is the union of the parts'
+reducts, and I's share of each part is a supported model of that part's
+reduct, so some J below I blocks I exactly when I's share of some part
+is blocked in that part: the answer sets of both kinds are the products
+of the parts' answer sets, and the parts' costs add up where the
+candidates' would multiply. Splitting on anything else is not exact for
+SFLP: `a :- a. b :- dnf{~b | a}.` has the SFLP answer set {a, b}, but its
+bottom `a :- a.` has only the empty set, and its top at the empty set,
+`b :- dnf{~b}.`, has none.
 
 Parts often repeat: perfbench's choice gadgets are seven parts of two
 shapes. So, as model counters cache components (Sang, Bacchus, Beame,
@@ -88,7 +83,10 @@ vectors (`_part_key`). Parts with equal keys are the same program up to
 a renaming of atoms that keeps their order, however their bodies are
 written (`a :- not b.`, `a :- count{b} = 0.` and `a :- dnf{~b}.` key
 alike), so they share one scan's lists, placed at each part's own bits.
-No other renaming is looked for, and the cache ends with the call.
+No other renaming is looked for, and the cache ends with the call. Every
+distinct part is scanned before any product is built, and a part with
+none of what the mode lists ends the call: FLP on the choice gadgets
+stops at the gadget that has no FLP answer set.
 
 Constraints join no part; they filter the product. A constraint supports
 no atom, and at a model of P its body is false, so it is in the reduct
@@ -98,17 +96,12 @@ no constraint body holds at I: the same reducts test the same subsets.
 `_split` ORs the constraints' truth vectors and keeps the products whose
 bit is clear, one byte lookup per product.
 
-Whether to split is decided in one place, from the universe size alone
-(`_scan`): an SFLP query or the scan over more than `_SPLIT_FIRST` atoms
-looks for parts first and, with two or more, builds no vector over all
-2^n masks; the scan then lists the supported models and the FLP answer
-sets as filtered products too. Nothing else splits, so at `_SPLIT_FIRST`
-atoms or fewer one global pass tests at most 2^8 candidates. FLP alone
-does not split, which costs it where its candidates are minimal and
-`_above` drops none of them: 10 even loops `x :- not y. y :- not x.`
-(20 atoms, 1,024 supported models, each a minimal model and an answer
-set of both kinds) take 155-157 ms for FLP against 0.17 ms for the split
-SFLP query.
+Whether to split is decided in one place, from the mode and the universe
+size alone (`_scan`): an FLP or SFLP query or the scan over more than
+`_SPLIT_FIRST` atoms looks for parts first and, with two or more, builds
+no vector over all 2^n masks. The models and supported queries never
+split, and at `_SPLIT_FIRST` atoms or fewer one global pass tests at
+most 2^8 candidates.
 
 The reduct of each candidate is read rule by rule (`_reducts`), from the
 set bits of the body vector's AND with the candidate vector or, for a
@@ -118,11 +111,10 @@ doubling over the atoms of I. Both are sized by the candidates rather
 than by 2^n. The FLP and SFLP queries and the scan hold the n columns,
 two vectors per rule (SFLP and the scan three for a head of two or more
 atoms), one per atom and a few temporaries; the models and supported
-queries keep none per rule. An SFLP query or scan that splits holds one
-global vector, the constraints' OR, each distinct part's vectors in turn
-and its local lists, and the products it lists: the SFLP answer sets,
-and for the scan the supported models and FLP answer sets too, as many
-as the global pass would list.
+queries keep none per rule. A query or scan that splits holds one global
+vector, the constraints' OR, each distinct part's vectors in turn, the
+distinct parts' local lists, and the products of the lists its mode
+reads, as many as the global pass would list.
 """
 
 from __future__ import annotations
@@ -147,8 +139,8 @@ from .lowering import (
 
 NAME = "bitsliced"
 
-# An SFLP query or scan over more atoms than this looks for parts before it
-# builds any vector (`_scan`), and nothing else splits. At this width or
+# An FLP or SFLP query or the scan over more atoms than this looks for parts
+# before it builds any vector (`_scan`). At this width or
 # below a vector has at most 256 bits and the global pass costs less than
 # `_parts` and the part keys: splitting first took 1.92-2.01 ms against
 # 1.33-1.39 ms for the scans of the 112 battery programs of 2-5 atoms, and
@@ -165,7 +157,8 @@ NAME = "bitsliced"
 _SPLIT_FIRST = 8
 
 # The mode of the one scan (`scan`): SFLP's pass, which also lists every
-# supported model. No `lowering.ENUM_*` has this value.
+# supported model and the FLP answer sets. No `lowering.ENUM_*` has this
+# value.
 _SCAN = ENUM_SFLP + 1
 
 
@@ -189,30 +182,30 @@ def scan(lp: LoweredProgram) -> tuple[list[int], list[int], list[int]]:
 
 
 def _scan(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], list[int]]:
-    """`_global_pass`'s three lists, except that an SFLP query or the scan
-    over more than `_SPLIT_FIRST` atoms whose program splits scans its parts
-    alone (`_split`; the supported models and FLP answer sets only for the
-    scan). No other call splits."""
-    if mode >= ENUM_SFLP and lp.n > _SPLIT_FIRST:
+    """`_global_pass`'s three lists for `mode`, from one pass over the
+    program or, for an FLP or SFLP query or the scan over more than
+    `_SPLIT_FIRST` atoms whose program has two or more parts, from the
+    parts alone (`_split`). The models and supported queries never split."""
+    if mode >= ENUM_FLP and lp.n > _SPLIT_FIRST:
         parts = _parts(lp)
         if len(parts) > 1:
-            return _split(lp, parts, mode == _SCAN)
+            return _split(lp, parts, mode)
     return _global_pass(lp, mode)
 
 
 def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], list[int]]:
-    """The candidates, then those FLP and SFLP accept, each increasing.
-    The pass stops where `mode`'s answer is known and lists what that
-    mode reads:
+    """The candidates, then those FLP and SFLP accept, each increasing. The
+    pass stops where `mode`'s answer is known, and each list that `mode`
+    does not read is empty:
     - models and supported models: the candidates, read before any
-      per-rule vectors are kept, and two empty lists;
-    - FLP: the candidates that reach the reduct loop (beyond n, not those
-      above a smaller model of P), its answer sets, and as SFLP's list the
-      FLP answer sets alone, as it skips the support test;
-    - SFLP: every step, and first the candidates that reach the reduct
-      loop (beyond n, not those above a mono-supported model);
-    - `_SCAN`: SFLP's pass, whose first list is every supported model,
-      listed before any candidate is dropped."""
+      per-rule vectors are kept;
+    - FLP: its answer sets alone, `([], flp, [])`;
+    - SFLP: its answer sets alone, `([], [], sflp)`;
+    - `_SCAN`: all three, the first every supported model, those that the
+      drop beyond n candidates keeps from the reduct loop included.
+    Up to n candidates each is first tested against the smaller ones
+    (`_blocked_below`); beyond n those above a smaller model of P (FLP) or
+    a smaller mono-supported model (SFLP) are dropped (`_above`)."""
     n = lp.n
     cols = columns(n)
     support = [0] * n if mode != ENUM_MODELS else None
@@ -240,22 +233,17 @@ def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], l
     if not minimal:
         return members(candidates), [], []
     heads = [members(h) for h in lp.heads] if sflp else None
-    # a smaller model of P is a model of every reduct, so it blocks I for
-    # FLP; a smaller mono-supported model, or up to n candidates a smaller
-    # candidate supported in I's reduct, blocks I for both semantics
-    blockers = 0  # FLP alone: the models of P tested under each candidate
-    listed = None  # the scan's supported models, where SFLP's prefilter drops some
-    few = False  # SFLP: each candidate is first tested against the smaller ones
-    if candidates.bit_count() > n:
+    # up to n candidates a smaller one supported in I's reduct blocks I for
+    # both semantics; beyond n a smaller model of P blocks it for FLP and a
+    # smaller mono-supported model for SFLP
+    listed = None  # the scan's supported models, where the drop below removes some
+    few = candidates.bit_count() <= n  # then each is tested against the smaller ones
+    if not few:
         below = _mono_supported(candidates, bodies, rule_support, heads, cols) if sflp else models
         blocked = candidates & _above(below, cols)
         if blocked and mode == _SCAN:
             listed = members(candidates)
         candidates ^= blocked
-    elif sflp:
-        few = True
-    else:
-        blockers = models
     flp_accepted = []
     sflp_accepted = []
     reducts = _reducts(candidates, bodies)
@@ -263,8 +251,6 @@ def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], l
         if few and _blocked_below(i, reduct, reducts, lp.heads):
             continue
         blocking = _proper_subsets(i)
-        if blocking & blockers:
-            continue
         for r in reduct:
             blocking ^= blocking & violated[r]
             if not blocking:
@@ -279,7 +265,9 @@ def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], l
                 blocking = _supported(blocking, i, reduct, heads, rule_support, cols)
             if not blocking:
                 sflp_accepted.append(i)
-    return listed or list(reducts), flp_accepted, sflp_accepted
+    if mode == _SCAN:
+        return listed or list(reducts), flp_accepted, sflp_accepted
+    return ([], flp_accepted, []) if mode == ENUM_FLP else ([], [], sflp_accepted)
 
 
 def _parts(lp: LoweredProgram) -> list[tuple[int, list[Rule]]]:
@@ -312,21 +300,23 @@ def _parts(lp: LoweredProgram) -> list[tuple[int, list[Rule]]]:
 
 
 def _split(lp: LoweredProgram, parts: list[tuple[int, list[Rule]]],
-           products: bool) -> tuple[list[int], list[int], list[int]]:
-    """The supported models and the FLP and SFLP answer sets, each
-    increasing, of a program whose rules other than constraints make the
-    atom-disjoint `parts` (`_parts`): the products of the parts' lists at
-    which no constraint body holds (see the module docstring for why this
-    is exact). Without `products` the first two lists are left empty. A
-    part's atoms keep their relative order, so its local bit j is the
-    global bit `places[j]`. Each part is keyed before it is lowered
-    (`_part_key`), and each distinct key is lowered through `lower` over
-    its part's atoms and scanned once per call: parts with equal keys are
-    the same program up to the order-preserving renaming of their atoms,
-    so they share local lists, which `_spread` places at each part's own
-    bits. Atoms in no part are false in every candidate."""
-    found = [[0], [0], [0]] if products else [[], [], [0]]
+           mode: int) -> tuple[list[int], list[int], list[int]]:
+    """`_global_pass`'s three lists for `mode`, each increasing, of a
+    program whose rules other than constraints make the atom-disjoint
+    `parts` (`_parts`): the products of the parts' lists at which no
+    constraint body holds (see the module docstring for why this is exact),
+    so a list that `mode` does not read stays empty. A part's atoms keep
+    their relative order, so its local bit j is the global bit `places[j]`.
+    Each part is keyed before it is lowered (`_part_key`), and each
+    distinct key is lowered through `lower` over its part's atoms and
+    scanned once per call: parts with equal keys are the same program up
+    to the order-preserving renaming of their atoms, so they share local
+    lists, which `_spread` places at each part's own bits. Every distinct
+    part is scanned before any product is built, and one whose lists are
+    all empty ends the call. Atoms in no part are false in every
+    candidate."""
     scanned = {}  # a part's key -> its three local lists
+    placed = []  # each part's local lists and the global bits of its atoms
     for atoms, rules in parts:
         places = []
         local = {}  # each atom's local position, lowest global bit first
@@ -338,13 +328,15 @@ def _split(lp: LoweredProgram, parts: list[tuple[int, list[Rule]]],
         key = _part_key(rules, local)
         lists = scanned.get(key)
         if lists is None:
-            lists = scanned[key] = _global_pass(lower(rules, local),
-                                                _SCAN if products else ENUM_SFLP)
+            lists = scanned[key] = _global_pass(lower(rules, local), mode)
+            if not any(lists):  # every product is empty
+                return [], [], []
+        placed.append((lists, places))
+    found = [[0], [0], [0]]
+    for lists, places in placed:
         for k, masks in enumerate(lists):
             if found[k]:  # an empty product stays empty
                 found[k] = [i | m for m in _spread(masks, places) for i in found[k]]
-        if not any(found):
-            return [], [], []
     fires = 0
     for head, rule in zip(lp.heads, lp.rules):
         if not head:

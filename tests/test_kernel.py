@@ -312,8 +312,8 @@ class TestOracleAgreement:
         test all 2^8 masks in one global pass."""
         splits = []
         split = kernel._split
-        monkeypatch.setattr(kernel, "_split", lambda lp, parts, products: splits.append(len(parts))
-                            or split(lp, parts, products))
+        monkeypatch.setattr(kernel, "_split", lambda lp, parts, mode: splits.append(len(parts))
+                            or split(lp, parts, mode))
         program = parse_program(" ".join(f"a{i} :- a{i}." for i in range(8)))
         assert len(kernel_sets(program, "supported")) == 256
         assert kernel_sets(program, "flp") == {fs()}
@@ -348,8 +348,9 @@ class TestOneScan:
         assert disjunctive >= 60 and differ >= 1, (disjunctive, differ)
 
     def test_self_supporting_loops(self):
-        # more supported models than atoms: the FLP query first drops those
-        # above a smaller model (`_above`), the scan tests every one
+        # more supported models than atoms: in each one-atom part the FLP
+        # query drops those above a smaller model and the scan those above a
+        # mono-supported one (`_above`), but the scan still lists them all
         program = parse_program(" ".join(f"a{i} :- a{i}." for i in range(10)))
         assert_agrees(program, "10 loops")
         found = kernel.scan(lowering.lower(program))
@@ -407,14 +408,14 @@ class TestOneScan:
 
 def count_splits(monkeypatch) -> list[int]:
     """The part counts of the programs that `kernel._split` scans from now
-    on, with the split gate lowered to 0 atoms: every SFLP query and scan of
-    a program of two or more parts then splits, so `assert_agrees` checks
-    `_split` against the oracles at the few atoms they reach."""
+    on, with the split gate lowered to 0 atoms: every FLP and SFLP query and
+    scan of a program of two or more parts then splits, so `assert_agrees`
+    checks `_split` against the oracles at the few atoms they reach."""
     calls = []
     split = kernel._split
     monkeypatch.setattr(kernel, "_SPLIT_FIRST", 0)
-    monkeypatch.setattr(kernel, "_split", lambda lp, parts, products: calls.append(len(parts))
-                        or split(lp, parts, products))
+    monkeypatch.setattr(kernel, "_split", lambda lp, parts, mode: calls.append(len(parts))
+                        or split(lp, parts, mode))
     return calls
 
 
@@ -456,14 +457,20 @@ def loops(n: int, extra: str = "") -> Program:
     return parse_program(" ".join(f"a{i} :- a{i}." for i in range(n)) + extra)
 
 
+def even_loops(n: int) -> Program:
+    """n even loops `x :- not y. y :- not x.` over 2n atoms: 2^n supported
+    models, each a minimal model and an answer set of both kinds."""
+    return parse_program(" ".join(f"x{i} :- not y{i}. y{i} :- not x{i}." for i in range(n)))
+
+
 class TestDisjointParts:
     """Programs made of parts that share no atom, constraints aside. Over
-    more than `kernel._SPLIT_FIRST` atoms the SFLP query and the scan test
-    each part on its own universe (`kernel._split`) and multiply the
-    parts' answers; at that width or below, and on every connected
-    program, they test every candidate in one global pass. No other call
-    splits. `count_splits` lowers the width to 0, so that the split path
-    meets the oracles at the sizes they reach."""
+    more than `kernel._SPLIT_FIRST` atoms the FLP and SFLP queries and the
+    scan test each part on its own universe (`kernel._split`) and multiply
+    the parts' answers; at that width or below, and on every connected
+    program, they test every candidate in one global pass. The models and
+    supported queries never split. `count_splits` lowers the width to 0, so
+    that the split path meets the oracles at the sizes they reach."""
 
     def test_unions_agree_with_the_oracles(self, monkeypatch):
         splits = count_splits(monkeypatch)
@@ -515,15 +522,27 @@ class TestDisjointParts:
         assert [len(masks) for masks in kernel.scan(lowering.lower(program))] == [36, 4, 16]
         assert splits and set(splits) == {5}
 
-    def test_sflp_tests_at_most_two_candidates_per_loop(self, monkeypatch):
-        """14 loops `a :- a.`: 2^14 supported models, but each loop is a part
-        of one atom and two supported models, so the SFLP query builds two
-        subset vectors per part, not 2^14."""
-        lp = lowering.lower(loops(14))
+    @pytest.mark.parametrize("mode", [lowering.ENUM_FLP, lowering.ENUM_SFLP], ids=["flp", "sflp"])
+    @pytest.mark.parametrize("program, count, answers", [
+        (loops(14), 14, 1),
+        (even_loops(10), 10, 1 << 10),
+    ], ids=["14 loops", "10 even loops"])
+    def test_sflp_tests_at_most_two_candidates_per_loop(self, monkeypatch, mode, program, count,
+                                                        answers):
+        """14 loops `a :- a.` have 2^14 supported models and one answer set,
+        10 even loops over 20 atoms 2^10 supported models, each an answer
+        set of both kinds. Each loop is a part of at most two atoms and two
+        supported models, so the FLP and SFLP queries build at most two
+        subset vectors per loop, not one per supported model, and no pass
+        scans more than two atoms."""
+        lp = lowering.lower(program)
         calls = count_subset_vectors(monkeypatch)
-        assert kernel.enumerate_masks(lp, lowering.ENUM_SFLP) == [0]
-        assert len(calls) <= 2 * 14
-        assert kernel.scan(lp)[1:] == ([0], [0])
+        scanned = count_passes(monkeypatch)
+        masks = kernel.enumerate_masks(lp, mode)
+        assert len(masks) == answers
+        assert len(calls) <= 2 * count
+        assert scanned and max(p.n for p in scanned) <= 2
+        assert kernel.scan(lp)[1:] == (masks, masks)
 
     def test_a_constraint_filters_the_product_of_the_loops(self, monkeypatch):
         """`:- count{a0, ..., a9} > 10.` reads every atom, but a constraint
@@ -741,7 +760,7 @@ def distinct_shapes(copies) -> int:
 
 
 class TestRepeatedParts:
-    """Where the SFLP query or the scan splits, `_split` scans each distinct
+    """Where a query or the scan splits, `_split` scans each distinct
     part once per call: parts that are the same program up to a renaming of
     their atoms that keeps the atoms' order share one `_global_pass`, whose
     local lists each such part places at its own bits. A renaming that
@@ -1273,17 +1292,14 @@ def test_at_least_counts_against_brute_force():
 @pytest.mark.parametrize("text, above, answers", [
     ("".join(f"a{i} :- a{i}. " for i in range(16)), True, 1),
     (chain_text(16), False, 0),
-    ("".join(f"v{2 * k} :- not v{2 * k + 1}. v{2 * k + 1} :- not v{2 * k}. " for k in range(5))
-     + "".join(f"v{k} :- count{{v{k}, v{k + 1}}} != 1. v{k + 1} :- count{{v{k}, v{k + 1}}} != 1. "
-               for k in (10, 12)), True, 0),
     ("x :- not y. y :- not x.", False, 2),  # 2 candidates over 2 atoms
     ("x :- not y. y :- not x. z :- z.", True, 2),  # 4 over 3
-], ids=["16 loops", "16-atom chain", "choice gadgets", "n candidates", "n + 1 candidates"])
+], ids=["16 loops", "16-atom chain", "n candidates", "n + 1 candidates"])
 def test_flp_gate_splits_at_n_candidates(monkeypatch, text, above, answers):
     """The FLP query drops the candidates above a smaller model in one pass
-    (`_above`) exactly when there are more candidates, supported models,
-    than atoms: on loops, the chain and the choice gadgets, and at n and
-    n + 1 candidates."""
+    (`_above`) exactly when its pass has more candidates, supported models,
+    than atoms: on loops (one-atom parts of two each), not on the chain,
+    and at n and n + 1 candidates."""
     lp = lowering.lower(parse_program(text))
     supported = kernel.enumerate_masks(lp, lowering.ENUM_SUPPORTED)
     assert (len(supported) > lp.n) == above
@@ -1292,6 +1308,22 @@ def test_flp_gate_splits_at_n_candidates(monkeypatch, text, above, answers):
     monkeypatch.setattr(kernel, "_above", lambda *args: calls.append(args) or drop(*args))
     assert len(kernel.enumerate_masks(lp, lowering.ENUM_FLP)) == answers
     assert len(calls) == above
+
+
+def test_flp_splits_and_stops_at_a_part_without_answer_sets(monkeypatch):
+    """The 14-atom choice gadgets split for FLP as for SFLP: two distinct
+    two-atom parts, an even loop and a corpus-p1 gadget, which has no FLP
+    answer set. Every part is scanned before any product is built, so the
+    query ends there: `_spread` never runs."""
+    lp = lowering.lower(choice_gadgets())
+    splits = count_splits(monkeypatch)
+    scanned = count_passes(monkeypatch)
+    spread = []
+    place = kernel._spread
+    monkeypatch.setattr(kernel, "_spread", lambda *args: spread.append(args) or place(*args))
+    assert kernel.enumerate_masks(lp, lowering.ENUM_FLP) == []
+    assert splits == [7] and 1 <= len(scanned) <= 2 and all(p.n == 2 for p in scanned)
+    assert spread == []
 
 
 def test_proper_subsets_of_every_small_mask():
@@ -1312,16 +1344,61 @@ def test_flp_masks_are_supported_masks(corpus):
     assert proper >= 100
 
 
+def assert_lists_only_what_each_mode_reads(lp: lowering.LoweredProgram, label) -> None:
+    """`kernel._global_pass` on `lp`, called directly: FLP returns its
+    answer sets alone and SFLP its own, with empty lists in the other two
+    places, and the scan's first list is every supported model."""
+    listed, flp, sflp = kernel._global_pass(lp, kernel._SCAN)
+    assert listed == kernel._global_pass(lp, lowering.ENUM_SUPPORTED)[0], label
+    assert kernel._global_pass(lp, lowering.ENUM_FLP) == ([], flp, []), label
+    assert kernel._global_pass(lp, lowering.ENUM_SFLP) == ([], [], sflp), label
+
+
+def test_each_mode_lists_only_what_it_reads(corpus, monkeypatch):
+    """The list contract of `_global_pass`, on whole programs (the corpus,
+    `mixed_programs()` and joined loops, where the mono-support drop keeps
+    candidates from the reduct loop and the scan still lists them) and on
+    each part that a split scan of a disjoint union or of renamed copies
+    scans, with the split gate lowered by `count_splits`."""
+    drops = count_prefilter_drops(monkeypatch)
+    programs = ([corpus[name] for name in CORPUS_NAMES] + mixed_programs()
+                + [joined_loops(k) for k in range(1, 9)])
+    dropped = 0
+    for k, program in enumerate(programs):
+        before = len(drops)
+        assert_lists_only_what_each_mode_reads(lowering.lower(program), k)
+        dropped += any(drops[before:])
+    splits = count_splits(monkeypatch)
+    scanned = count_passes(monkeypatch)
+    parts = 0
+    for seed in range(100):
+        for program in (disjoint_union(seed, 4 + seed % 9)[0],
+                        renamed_copies(seed, 4 + seed % 7)[0]):
+            scanned.clear()
+            before = len(splits)
+            kernel.scan(lowering.lower(program))
+            if len(splits) > before:
+                for part in list(scanned):
+                    before = len(drops)
+                    assert_lists_only_what_each_mode_reads(part, seed)
+                    parts += 1
+                    dropped += any(drops[before:])
+    assert dropped >= 120 and parts >= 300, (dropped, parts)
+
+
 @pytest.mark.parametrize("program, supported, flp, calls_wanted", [
     ("".join(f"a{i} :- a{i}. " for i in range(16)), 1 << 16, 1, 1),
-    (chain_text(16), 3, 0, 3),
+    (chain_text(16), 3, 0, 2),
 ], ids=["16 self-supporting loops", "16-atom chain"])
 def test_flp_tests_at_most_n_candidates_one_by_one(monkeypatch, program, supported, flp,
                                                    calls_wanted):
     """The FLP query builds one subset vector per candidate that reaches the
     reduct test, and only while there are at most n candidates; beyond that
     one pass over all masks first drops those above a smaller model of P:
-    2^16 supported models cost one subset vector, not 2^16."""
+    2^16 supported models, 16 one-atom parts of one shape, cost one subset
+    vector, not 2^16. Up to n, a candidate above a smaller one supported in
+    its reduct gets none: the chain's full set falls to either of its two
+    8-atom supported models."""
     lp = lowering.lower(parse_program(program))
     calls = []
     proper_subsets = kernel._proper_subsets
