@@ -14,7 +14,13 @@ Two rows time SFLP on k loops joined into one part by the rule
 `z :- count{a0, ..., a(k-1)} > k.`, whose body never holds, at 17 and 20
 atoms: 2^k supported models in one global pass, where every one but the
 empty set lies above a smaller mono-supported model and is dropped before
-its reduct is read.
+its reduct is read. One row times SFLP on 7 even loops
+`x :- not y. y :- not x.` and 2 corpus-p5 gadgets joined into one part
+by such a rule (19 atoms): 512 supported models and no mono-supported
+one, so none is dropped, and 384 of them are blocked for FLP by a
+smaller model of their reduct whose true atoms are each supported in the
+program, so each of those goes through the support test of its proper
+subsets (`kernel._supported`), the path no other row isolates.
 Three more time the cost of scanning each distinct part once: 7 even
 loops `x :- not y. y :- not x.` under `:- count{x0, ..., x6} != 1.`,
 seven parts of one shape whose constraint leaves 7 of their 128
@@ -217,6 +223,12 @@ def main() -> int:
                                  + " :- count{" + ", ".join(f"x{i}" for i in range(7)) + "} != 1.")
     even_loops10 = parse_program(" ".join(f"x{i} :- not y{i}. y{i} :- not x{i}."
                                           for i in range(10)))
+    gadget_atoms = [f"{v}{i}" for i in range(7) for v in "xy"] + ["a0", "b0", "a1", "b1"]
+    joined_gadgets = parse_program(
+        " ".join(f"x{i} :- not y{i}. y{i} :- not x{i}." for i in range(7))
+        + " ".join(f" a{i} :- count{{a{i}, b{i}}} != 1. b{i} :- count{{a{i}, b{i}}} != 1."
+                   f" a{i} :- not b{i}." for i in range(2))
+        + f" z :- count{{{', '.join(gadget_atoms)}}} > 18.")
     compiled_p1, _ = rew_sflp(parse_program(
         "a :- count{a, b} != 1. b :- count{a, b} != 1."
     ))
@@ -232,6 +244,8 @@ def main() -> int:
             ("sflp, 12 loops joined by one constraint", joined, lowering.ENUM_SFLP),
             ("sflp, 16 loops joined by one rule (17 atoms)", joined_loops(16), lowering.ENUM_SFLP),
             ("sflp, 19 loops joined by one rule (20 atoms)", joined_loops(19), lowering.ENUM_SFLP),
+            ("sflp, 7 even loops and 2 p5 gadgets joined by one rule (19 atoms)",
+             joined_gadgets, lowering.ENUM_SFLP),
             ("sflp, 14-atom choice gadgets", choice, lowering.ENUM_SFLP),
             ("sflp, 7 even loops under exactly one x", one_of_seven, lowering.ENUM_SFLP),
             ("sflp, 7 pairwise distinct two-atom parts", distinct_parts(), lowering.ENUM_SFLP),

@@ -58,14 +58,13 @@ from .semantics import (
 
 BODY_KINDS = ("literal", "count", "dnf", "table")
 
-_DEFAULT_MIX = (("literal", 4.0), ("count", 2.0), ("dnf", 2.0), ("table", 2.0))
+_BODY_WEIGHTS = (4.0, 2.0, 2.0, 2.0)  # how often `generate` draws each of BODY_KINDS
 
 
 class GenConfig(Record):
-    __slots__ = ("atom_count", "rule_count", "body_mix", "allow_disjunctive_heads", "seed")
+    __slots__ = ("atom_count", "rule_count", "allow_disjunctive_heads", "seed")
     atom_count: int
     rule_count: int
-    body_mix: tuple[tuple[str, float], ...]
     allow_disjunctive_heads: bool
     seed: int
 
@@ -73,7 +72,6 @@ class GenConfig(Record):
         self,
         atom_count: int = 4,
         rule_count: int = 4,
-        body_mix: tuple[tuple[str, float], ...] = _DEFAULT_MIX,
         allow_disjunctive_heads: bool = False,
         seed: int = 0,
     ):
@@ -81,27 +79,17 @@ class GenConfig(Record):
             raise ValueError("atom_count must be in 1..8")
         if not 0 <= rule_count <= 10:
             raise ValueError("rule_count must be in 0..10")
-        body_mix = tuple(body_mix)
-        for kind, weight in body_mix:
-            if kind not in BODY_KINDS:
-                raise ValueError(f"unknown body kind: {kind!r}")
-            if weight < 0:
-                raise ValueError("body weights must be non-negative")
-        if not any(w > 0 for _, w in body_mix):
-            raise ValueError("at least one body kind needs positive weight")
-        super().__init__(atom_count, rule_count, body_mix, allow_disjunctive_heads, seed)
+        super().__init__(atom_count, rule_count, allow_disjunctive_heads, seed)
 
 
 def generate(cfg: GenConfig) -> Program:
     """A random program, deterministic in the seed."""
     rng = random.Random(cfg.seed)
     universe = [Atom(name) for name in "abcdefgh"[: cfg.atom_count]]
-    kinds = [k for k, _ in cfg.body_mix]
-    weights = [w for _, w in cfg.body_mix]
     rules = []
     for _ in range(cfg.rule_count):
         head = _gen_head(rng, cfg, universe)
-        kind = rng.choices(kinds, weights)[0]
+        kind = rng.choices(BODY_KINDS, _BODY_WEIGHTS)[0]
         rules.append(Rule(head, _gen_body(rng, kind, universe)))
     return Program(rules)
 

@@ -46,11 +46,14 @@ c^2, the candidates above a blocking family are dropped at once, in one
 pass over all masks (`_above`, about 2n big-int steps), before their
 reducts are read. For FLP the family is the models of P, each a model of
 every reduct. For SFLP it is the mono-supported models, those whose true
-atoms are each supported by a rule whose body vector is upward closed
-(`_mono_supported`): each supporting body, true at J, holds at every I
-above J, so its rule is in I's reduct. So a program with many supported
-models that are not minimal costs what its models cost: n loops
-`a :- a.` have 2^n, and so do n such loops that the rule
+atoms are each supported by a rule whose body vector is upward closed:
+each supporting body, true at J, holds at every I above J, so its rule
+is in I's reduct. One filter (`_supported`) keeps the masks of a family
+whose true atoms are each supported by a rule of a list R: SFLP's subset
+test runs it with R the candidate's reduct, and this drop with R the
+rules whose body vectors are upward closed. So a program with many
+supported models that are not minimal costs what its models cost: n
+loops `a :- a.` have 2^n, and so do n such loops that the rule
 `z :- count{a0, ...} > n.` joins into one part. Only the scan lists the
 candidates that the drop removes. Which side of n the candidates fall on
 is one `bit_count` over the candidate vector: reading candidates off its
@@ -205,7 +208,10 @@ def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], l
       drop beyond n candidates keeps from the reduct loop included.
     Up to n candidates each is first tested against the smaller ones
     (`_blocked_below`); beyond n those above a smaller model of P (FLP) or
-    a smaller mono-supported model (SFLP) are dropped (`_above`)."""
+    a smaller mono-supported model (SFLP) are dropped (`_above`). One
+    support filter (`_supported`) gives the mono-supported models, from the
+    rules whose body vectors are upward closed, and SFLP's subset test,
+    from each candidate's reduct."""
     n = lp.n
     cols = columns(n)
     support = [0] * n if mode != ENUM_MODELS else None
@@ -232,14 +238,21 @@ def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], l
     candidates = models ^ (models & unsupported)
     if not minimal:
         return members(candidates), [], []
-    heads = [members(h) for h in lp.heads] if sflp else None
     # up to n candidates a smaller one supported in I's reduct blocks I for
     # both semantics; beyond n a smaller model of P blocks it for FLP and a
     # smaller mono-supported model for SFLP
     listed = None  # the scan's supported models, where the drop below removes some
     few = candidates.bit_count() <= n  # then each is tested against the smaller ones
     if not few:
-        below = _mono_supported(candidates, bodies, rule_support, heads, cols) if sflp else models
+        below = models
+        if sflp:
+            # the candidates supported by rules whose body vectors are upward
+            # closed: a nonzero one holds at the full mask, and a zero one
+            # supports nothing, so `upward` runs only on those that hold there
+            top = (1 << n) - 1
+            mono = [r for r, holds in enumerate(bodies)
+                    if holds >> top & 1 and upward(holds, cols) == holds]
+            below = _supported(candidates, mono, lp.heads, rule_support, cols)
         blocked = candidates & _above(below, cols)
         if blocked and mode == _SCAN:
             listed = members(candidates)
@@ -262,7 +275,7 @@ def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], l
             # a mask supported in a reduct is supported in P
             blocking ^= blocking & unsupported
             if blocking:
-                blocking = _supported(blocking, i, reduct, heads, rule_support, cols)
+                blocking = _supported(blocking, reduct, lp.heads, rule_support, cols)
             if not blocking:
                 sflp_accepted.append(i)
     if mode == _SCAN:
@@ -407,27 +420,24 @@ def rule_vectors(lp: LoweredProgram,
         yield holds, hit, supports
 
 
-def _supported(family: int, candidate: int, rules: list[int], heads: list[list[int]],
+def _supported(family: int, rules: list[int], heads: list[int],
                rule_support: list[int], cols) -> int:
-    """The masks of `family`, each a model of `rules` and a subset of
-    `candidate`, where every true atom is supported by one of `rules`:
-    where a is true, rule r supports it in `rule_support[r]`; `heads` lists
-    each rule's head atoms. Only the candidate's atoms can be true in the
-    family, so only their columns are read. Each step is sized by
-    `family`."""
-    by_atom = [[] for _ in cols]
-    for r in rules:
-        for a in heads[r]:
-            by_atom[a].append(r)
-    while candidate:
-        a = candidate.bit_length() - 1
-        candidate ^= 1 << a
+    """The masks of `family` where every true atom is supported by one of
+    `rules`: where a is true, rule r supports it in `rule_support[r]` if a
+    is in its head mask `heads[r]`. Each step is sized by `family`, and an
+    atom true in none of its masks costs one AND. The atoms go highest
+    first, so a drop at the top atom clears the family's upper masks: on
+    `bench_kernels.py`'s 7 even loops and 2 p5 gadgets, whose atoms that
+    lose support hold the top bits, lowest first took 248 ms against
+    105 ms (best of 5, one core of a shared 2-vCPU host)."""
+    for a in reversed(range(len(cols))):
         true_a = family & cols[a]
         if not true_a:
             continue
         kept = 0
-        for r in by_atom[a]:
-            kept |= true_a & rule_support[r]
+        for r in rules:
+            if heads[r] >> a & 1:
+                kept |= true_a & rule_support[r]
         family ^= true_a ^ kept
         if not family:
             break
@@ -460,26 +470,6 @@ def _blocked_below(candidate: int, reduct: list[int], reducts: dict[int, list[in
         if supported == j:
             return True
     return False
-
-
-def _mono_supported(candidates: int, bodies: list[int], rule_support: list[int],
-                    heads: list[list[int]], cols) -> int:
-    """The candidates (supported models) where every true atom is supported
-    by a rule whose body vector is upward closed: each such rule's support
-    vector is ORed into its head atoms', as `_global_pass` builds
-    `unsupported`. A nonzero upward-closed vector holds at the full mask and
-    a zero one supports nothing, so `upward` runs only on bodies that hold
-    there."""
-    top = (1 << len(cols)) - 1
-    support = [0] * len(cols)
-    for holds, supports, head in zip(bodies, rule_support, heads):
-        if holds >> top & 1 and upward(holds, cols) == holds:
-            for a in head:
-                support[a] |= supports
-    lacking = 0
-    for x, s in zip(cols, support):
-        lacking |= x ^ (x & s)
-    return candidates ^ (candidates & lacking)
 
 
 def _above(family: int, cols) -> int:

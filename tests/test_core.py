@@ -423,7 +423,6 @@ _C1 = Conjunct(fs("a"), fs("b"))
 _C2 = Conjunct(fs("b"), fs())
 _TABLE = TruthTable(fs("a", "b"), frozenset({fs("a"), fs()}))
 _CHECK = CheckResult("flp_subset_sflp", "pass", ("detail",))
-_GEN_MIX = (("literal", 1.0), ("count", 2.0))
 
 # one value of every record class, with its fields spelled out
 RECORDS = [
@@ -439,7 +438,7 @@ RECORDS = [
      (Atom("__aux_t_1"), (Atom("__aux_f_1_0"),))),
     (CompilationReport(SemanticsKind.FLP, (fs("a"),), (), ()),
      (SemanticsKind.FLP, (fs("a"),), (), ())),
-    (GenConfig(3, 2, _GEN_MIX, True, 7), (3, 2, _GEN_MIX, True, 7)),
+    (GenConfig(3, 2, True, 7), (3, 2, True, 7)),
     (_CHECK, ("flp_subset_sflp", "pass", ("detail",))),
     (TheoremReport("a.\n", (_CHECK,)), ("a.\n", (_CHECK,))),
     (_Token("name", "a", 0), ("name", "a", 0)),

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -8,7 +9,6 @@ from gasp.compile import verify_compilation, with_support_rules
 from gasp.core import (
     Atom,
     Conjunct,
-    CountAggregate,
     DEFAULT_ATOM_LIMIT,
     LiteralConjunction,
     Program,
@@ -23,6 +23,7 @@ from gasp.harness import (
     SKIP,
     CHECK_NAMES,
     GenConfig,
+    _gen_body,
     check_theorems,
     generate,
 )
@@ -40,12 +41,6 @@ class TestGenConfig:
             GenConfig(atom_count=9)
         with pytest.raises(ValueError):
             GenConfig(rule_count=11)
-        with pytest.raises(ValueError):
-            GenConfig(body_mix=(("literal", 0.0),))
-        with pytest.raises(ValueError):
-            GenConfig(body_mix=(("weird", 1.0),))
-        with pytest.raises(ValueError, match="non-negative"):
-            GenConfig(body_mix=(("literal", 1.0), ("count", -1.0)))
 
 
 class TestGenerate:
@@ -67,13 +62,6 @@ class TestGenerate:
             program = generate(GenConfig(atom_count=4, rule_count=5, seed=seed))
             assert not any(a.is_reserved for a in program.atoms())
 
-    def test_body_mix_respected(self):
-        only_counts = GenConfig(
-            atom_count=4, rule_count=8, body_mix=(("count", 1.0),), seed=3
-        )
-        program = generate(only_counts)
-        assert all(isinstance(r.body, CountAggregate) for r in program.rules)
-
     def test_all_kinds_appear_across_seeds(self):
         seen = set()
         for seed in range(80):
@@ -88,13 +76,10 @@ class TestGenerate:
         }
 
     def test_nonconvex_tables_appear(self):
-        nonconvex = 0
-        for seed in range(120):
-            cfg = GenConfig(atom_count=4, rule_count=6, body_mix=(("table", 1.0),), seed=seed)
-            for rule in generate(cfg).rules:
-                if not is_convex(rule.body):
-                    nonconvex += 1
-        assert nonconvex > 20
+        rng = random.Random(0)
+        universe = [Atom(name) for name in "abcd"]
+        nonconvex = sum(not is_convex(_gen_body(rng, "table", universe)) for _ in range(720))
+        assert nonconvex > 20, nonconvex
 
     def test_disjunctive_heads_only_when_allowed(self):
         for seed in range(60):

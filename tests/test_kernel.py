@@ -950,17 +950,30 @@ def looped_and_joined(seed: int) -> Program:
 
 
 def count_prefilter_drops(monkeypatch) -> list[bool]:
-    """Whether each run of SFLP's prefilter from now on drops a candidate:
-    a mono-supported model below it."""
+    """Whether each SFLP or scan pass from now on that has more candidates
+    than atoms drops a candidate: one above a mono-supported model. Such a
+    pass makes one `_above` call, and its candidates are its supported
+    models."""
     drops = []
-    mono_supported = kernel._mono_supported
+    sflp_candidates = []  # the candidate vector of the SFLP or scan pass under way
+    global_pass = kernel._global_pass
+    above = kernel._above
 
-    def recorded(candidates, bodies, rule_support, heads, cols):
-        mono = mono_supported(candidates, bodies, rule_support, heads, cols)
-        drops.append(bool(candidates & kernel._above(mono, cols)))
-        return mono
+    def recorded_pass(lp, mode):
+        sflp_candidates.clear()
+        if mode in (lowering.ENUM_SFLP, kernel._SCAN):
+            supported = global_pass(lp, lowering.ENUM_SUPPORTED)[0]
+            sflp_candidates.append(sum(1 << m for m in supported))
+        return global_pass(lp, mode)
 
-    monkeypatch.setattr(kernel, "_mono_supported", recorded)
+    def recorded_above(family, cols):
+        out = above(family, cols)
+        if sflp_candidates:
+            drops.append(bool(sflp_candidates[0] & out))
+        return out
+
+    monkeypatch.setattr(kernel, "_global_pass", recorded_pass)
+    monkeypatch.setattr(kernel, "_above", recorded_above)
     return drops
 
 
@@ -1094,26 +1107,29 @@ class TestSmallerCandidates:
 
 
 def test_supported_is_the_support_test_on_random_families():
-    """`kernel._supported` keeps the masks of a family of subsets of the
-    candidate at which every true atom has a rule among `rules` whose body
-    holds there and whose head meets the mask in that atom alone, the
-    definition read off the AST."""
+    """`kernel._supported` keeps the masks of a family at which every true
+    atom has a rule among `rules` whose body holds there and whose head
+    meets the mask in that atom alone, the definition read off the AST.
+    The families are drawn from the subsets of one candidate, as SFLP's
+    subset test passes them, and from all 2^n masks, as the mono-support
+    drop passes the whole candidate vector."""
     rng = random.Random(7)
     checked = 0
     for seed in range(200):
         program = generate(GenConfig(atom_count=2 + seed % 5, rule_count=1 + seed % 8,
                                      allow_disjunctive_heads=seed % 2 == 0, seed=seed))
         lp = lowering.lower(program)
-        heads = [lowering.members(h) for h in lp.heads]
         rule_support = [supports for _, _, supports in kernel.rule_vectors(lp, [0] * lp.n)]
         cols = lowering.columns(lp.n)
-        for _ in range(5):
-            candidate = rng.getrandbits(lp.n)
-            subsets = [j for j in range(1 << lp.n) if j & candidate == j]
-            family = sum(1 << j for j in subsets if rng.random() < 0.6)
+        for draw in range(8):
+            masks = range(1 << lp.n)
+            if draw < 5:  # the subsets of one candidate
+                candidate = rng.getrandbits(lp.n)
+                masks = [j for j in masks if j & candidate == j]
+            family = sum(1 << j for j in masks if rng.random() < 0.6)
             rules = sorted(rng.sample(range(len(lp.rules)), rng.randint(0, len(lp.rules))))
             want = 0
-            for j in subsets:
+            for j in masks:
                 interp = decode(lp.atoms, j)
                 if family >> j & 1 and all(
                     any(a in lp.rules[r].head and lp.rules[r].head & interp == {a}
@@ -1121,8 +1137,8 @@ def test_supported_is_the_support_test_on_random_families():
                     for a in interp
                 ):
                     want |= 1 << j
-            got = kernel._supported(family, candidate, rules, heads, rule_support, cols)
-            assert got == want, (seed, candidate, rules)
+            got = kernel._supported(family, rules, lp.heads, rule_support, cols)
+            assert got == want, (seed, family, rules)
             checked += want != family
     assert checked >= 300, checked
 
