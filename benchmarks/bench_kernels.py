@@ -34,10 +34,12 @@ Two rows sit on either side of the width above which FLP and SFLP split
 not split and tests their 2^8 supported models in one global pass, and
 the one scan of 14 loops, which splits and lists the 2^14 supported
 models as the product of the parts' lists.
-Four more rows time queries end to end, kernel plus
-ordering and decoding: the four queries (models, supported, FLP, SFLP)
-on the 16-atom chain, its 91 models alone, the 3^7 models of a 14-atom
-program of choice gadgets, and their 2^5 supported models. One row times
+Five more rows time queries end to end, the kernel listing in
+canonical order plus decoding: the four queries (models, supported, FLP,
+SFLP) on the 16-atom chain, its 91 models alone, the 3^7 models of a
+14-atom program of choice gadgets, their 2^5 supported models, and the
+2^16 models of 16 loops `a :- a.`, where the output, every subset of the
+universe, is the whole cost. One row times
 `lowering.members` alone on the 16-atom chain's models vector, 91 set
 bits of 2^16. One row times the completion of the `--atoms` chain, which
 builds one table per atom over the atom's local domain. One row
@@ -272,6 +274,10 @@ def main() -> int:
     rows.append((
         "models + decode, 14-atom choice gadgets",
         timed(lambda: semantics.enumerate_interpretations(choice, models), args.repeat),
+    ))
+    rows.append((
+        "models + decode, 16 self-supporting loops",
+        timed(lambda: semantics.enumerate_interpretations(loops, models), args.repeat),
     ))
     rows.append((
         "supported + decode, 14-atom choice gadgets",

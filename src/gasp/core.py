@@ -508,7 +508,7 @@ def to_dnf(body: Body, max_domain: int = DEFAULT_ATOM_LIMIT) -> Dnf:
         raise UnsatisfiableBody("body is false on every subset of its domain")
     dom = body.domain
     disjuncts = []
-    for subset in lowering.interpretations(items, lowering.members(vector)):
+    for subset in lowering.decode(items, lowering.ordered(vector, len(items))):
         disjuncts.append(Conjunct(subset, dom - subset))
     return Dnf(tuple(disjuncts))
 

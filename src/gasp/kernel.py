@@ -32,7 +32,12 @@ Each pass lists only what its mode reads, and stops where that mode's
 answer is known: the models and supported queries list the candidates,
 FLP and SFLP their own answer sets, and the scan all three, the
 supported models among them. Every other list is empty, so a split
-builds products only of what its caller reads.
+builds products only of what its caller reads. Every list comes in
+canonical order, the order of `lowering.rank_key`, so no caller sorts:
+the models and supported queries list their vectors straight into that
+order (`lowering.ordered`), and the answer sets, the scan's supported
+models and a split's products, each listed by increasing mask first, are
+sorted by rank.
 
 A smaller candidate J below a candidate I is a supported model of P, so
 a model of P and of I's reduct. If each true atom of J is supported at
@@ -97,7 +102,7 @@ of no model. Hence I is a model, a supported model, or an FLP or SFLP
 answer set of P exactly when it is one of P without its constraints and
 no constraint body holds at I: the same reducts test the same subsets.
 `_split` ORs the constraints' truth vectors and keeps the products whose
-bit is clear, one byte lookup per product.
+bit is clear, one byte lookup per product, then sorts them by rank.
 
 Whether to split is decided in one place, from the mode and the universe
 size alone (`_scan`): an FLP or SFLP query or the scan over more than
@@ -136,6 +141,8 @@ from .lowering import (
     full,
     lower,  # by name, so that perfbench's tracer counts each query's lowering once
     members,
+    ordered,
+    rank_key,
     truth_vector,
     upward,
 )
@@ -171,14 +178,15 @@ def default_backend() -> str:
 
 
 def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
-    """All masks over the lowered universe accepted by `mode`, increasing."""
+    """All masks over the lowered universe accepted by `mode`, in canonical
+    order (`lowering.rank_key`)."""
     supported, flp, sflp = _scan(lp, mode)
     return flp if mode == ENUM_FLP else sflp if mode == ENUM_SFLP else supported
 
 
 def scan(lp: LoweredProgram) -> tuple[list[int], list[int], list[int]]:
-    """The supported models and the FLP and SFLP answer sets, each
-    increasing, from one pass over the supported models, or over each
+    """The supported models and the FLP and SFLP answer sets, each in
+    canonical order, from one pass over the supported models, or over each
     part's where the program splits (`_scan`): each candidate's reduct test
     gives its FLP verdict on the way to its SFLP one."""
     return _scan(lp, _SCAN)
@@ -197,9 +205,10 @@ def _scan(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], list[int
 
 
 def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], list[int]]:
-    """The candidates, then those FLP and SFLP accept, each increasing. The
-    pass stops where `mode`'s answer is known, and each list that `mode`
-    does not read is empty:
+    """The candidates, then those FLP and SFLP accept, each in canonical
+    order: the models and supported models listed so from their vector
+    (`ordered`), the others sorted by rank. The pass stops where `mode`'s
+    answer is known, and each list that `mode` does not read is empty:
     - models and supported models: the candidates, read before any
       per-rule vectors are kept;
     - FLP: its answer sets alone, `([], flp, [])`;
@@ -231,13 +240,13 @@ def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], l
                 rule_support.append(supports)
     models = full(n) ^ bad
     if mode == ENUM_MODELS:
-        return members(models), [], []
+        return ordered(models, n), [], []
     unsupported = 0  # the masks with a true atom that no rule supports
     for x, s in zip(cols, support):
         unsupported |= x ^ (x & s)
     candidates = models ^ (models & unsupported)
     if not minimal:
-        return members(candidates), [], []
+        return ordered(candidates, n), [], []
     # up to n candidates a smaller one supported in I's reduct blocks I for
     # both semantics; beyond n a smaller model of P blocks it for FLP and a
     # smaller mono-supported model for SFLP
@@ -278,9 +287,13 @@ def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], l
                 blocking = _supported(blocking, reduct, lp.heads, rule_support, cols)
             if not blocking:
                 sflp_accepted.append(i)
+    rank = rank_key(n)
     if mode == _SCAN:
-        return listed or list(reducts), flp_accepted, sflp_accepted
-    return ([], flp_accepted, []) if mode == ENUM_FLP else ([], [], sflp_accepted)
+        return (sorted(listed or reducts, key=rank), sorted(flp_accepted, key=rank),
+                sorted(sflp_accepted, key=rank))
+    if mode == ENUM_FLP:
+        return [], sorted(flp_accepted, key=rank), []
+    return [], [], sorted(sflp_accepted, key=rank)
 
 
 def _parts(lp: LoweredProgram) -> list[tuple[int, list[Rule]]]:
@@ -288,8 +301,9 @@ def _parts(lp: LoweredProgram) -> list[tuple[int, list[Rule]]]:
     without its constraints: two rules share a part when a chain of rules
     links them, each sharing a head or body-domain atom with the next. A
     part lists its rules in the order the walk meets them, except that a
-    rule that joins parts comes after their rules. Constraints join no
-    part: `_split` filters by them."""
+    rule that joins parts comes after their rules, which are appended in
+    place to the list of the first of them. Constraints join no part:
+    `_split` filters by them."""
     index = lp.index
     parts = []
     for head, rule in zip(lp.heads, lp.rules):
@@ -303,7 +317,10 @@ def _parts(lp: LoweredProgram) -> list[tuple[int, list[Rule]]]:
         for part in parts:
             if part[0] & atoms:
                 atoms |= part[0]
-                rules += part[1]
+                if rules:
+                    rules += part[1]
+                else:  # no part's list is empty: the first one joined grows in place
+                    rules = part[1]
             else:
                 apart.append(part)
         rules.append(rule)
@@ -314,9 +331,9 @@ def _parts(lp: LoweredProgram) -> list[tuple[int, list[Rule]]]:
 
 def _split(lp: LoweredProgram, parts: list[tuple[int, list[Rule]]],
            mode: int) -> tuple[list[int], list[int], list[int]]:
-    """`_global_pass`'s three lists for `mode`, each increasing, of a
-    program whose rules other than constraints make the atom-disjoint
-    `parts` (`_parts`): the products of the parts' lists at which no
+    """`_global_pass`'s three lists for `mode`, each sorted into canonical
+    order, of a program whose rules other than constraints make the
+    atom-disjoint `parts` (`_parts`): the products of the parts' lists at which no
     constraint body holds (see the module docstring for why this is exact),
     so a list that `mode` does not read stays empty. A part's atoms keep
     their relative order, so its local bit j is the global bit `places[j]`.
@@ -357,8 +374,9 @@ def _split(lp: LoweredProgram, parts: list[tuple[int, list[Rule]]],
     if fires:
         data = fires.to_bytes(((1 << lp.n) + 7) >> 3, "little")
         found = [[m for m in masks if not data[m >> 3] >> (m & 7) & 1] for masks in found]
+    rank = rank_key(lp.n)
     for masks in found:
-        masks.sort()
+        masks.sort(key=rank)
     return tuple(found)
 
 

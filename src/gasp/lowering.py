@@ -18,7 +18,8 @@ minterm conjunction per satisfying subset, so it costs what its minterm
 DNF costs. A vector takes 2^n / 8 bytes (128 KiB at n = 20). The
 columns and the all-masks vector of a width (`columns`, `full`) are built
 once and shared by every later caller: (n + 1) * 2^n / 8 bytes per width
-used. Besides the kernel, the completion works on these vectors, and
+used, and n // 2 - 1 vectors more where `ordered` reads a dense vector
+as rows. Besides the kernel, the completion works on these vectors, and
 `core.to_dnf`, `core.is_convex` and `compile.closure_rules` on the
 vector of one body over its own domain (`body_vector`).
 
@@ -27,23 +28,27 @@ bits more than its width: one `bit_count` over the vector picks the path.
 At most `_PEELED` set bits come off the top by 64-bit windows, one shift
 and one XOR over the vector each; more go to a scan of the whole vector
 by 64-bit words, whose zero words are skipped in C. No sparse vector pays
-a byte copy over its whole width. Masks go back to atom sets
-only here, through `decode`. With fewer masks than the
-2^(n // 2) entries of a table over the low half of the universe, or over
-at most 8 atoms, it builds each set on its own from the atoms that its
-mask's byte selectors pick. With more, some low half must serve several
-masks, and each set is the union of two frozensets over the low and the
-high half of the universe, taken from lazily filled tables whose entries
-are unions of one-atom sets: union and hashing reuse the stored hashes of
-those sets, so each atom is hashed at most once per call, not once per
-element. `interpretations` sorts the masks by their rank, the position
-of the set among all 2^n subsets in canonical order, and decodes them in
-that order. With the name-first atom on top, the
-rank of a mask m is the closed form (popcount(m) - m - (m & -m)) mod 2^n
-(`rank_key`). `semantics.enumerate_candidates` sorts only the supported
-models of its one scan and decodes each of them once, since every
-answer set is among them. The completion, whose tables are sets, and the
-closure rules, which sort their cubes themselves, decode in mask order.
+a byte copy over its whole width. `ordered` lists them in canonical
+order, the order of the kernel's answers: by their rank, the position of
+the set among all 2^n subsets in canonical order. With the name-first
+atom on top, the rank of a mask m is the closed form
+(popcount(m) - m - (m & -m)) mod 2^n (`rank_key`). A vector with fewer
+than 4 * 2^(n // 2) set bits, or over at most 8 atoms, has `members`
+sorted by rank; a denser one is permuted row by row into canonical order
+and its rows walked in the preorder of their high halves, with no key
+call per mask.
+
+Masks go back to atom sets only here, through `decode`, in the order
+given. With fewer masks than the 2^(n // 2) entries of a table over the
+low half of the universe, or over at most 8 atoms, it builds each set on
+its own from the atoms that its mask's byte
+selectors pick. With more, some low half must serve several masks, and
+each set is the union of two frozensets from tables of every subset of
+the low and of the high half of the universe, whose entries are unions
+of one-atom sets: union and hashing reuse the stored hashes of those
+sets, so each atom is hashed once per call, not once per element. The
+completion, whose tables are sets, and the closure rules, which sort
+their cubes themselves, decode in mask order.
 """
 
 from __future__ import annotations
@@ -70,14 +75,14 @@ ENUM_SUPPORTED = 1
 ENUM_FLP = 2
 ENUM_SFLP = 3
 
-_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 _BYTE_SELECTORS = tuple(tuple(b >> i & 1 for i in range(8)) for b in range(256))
 _EMPTY: frozenset[Atom] = frozenset()
 
-# The width tables of `full` and `columns`: an entry is never changed
-# once stored, so every caller may share it.
+# The width tables of `full`, `columns` and `ordered` (`_order_tables`):
+# an entry is never changed once stored, so every caller may share it.
 _FULL: dict[int, int] = {}
 _COLUMNS: dict[int, tuple[int, ...]] = {}
+_ORDER: dict[int, tuple] = {}
 
 # `members` peels at most this many set bits off a vector's top; a vector
 # with more goes to the word scan, whatever its width. One `bit_count` picks
@@ -196,8 +201,13 @@ def members(vector: int) -> list[int]:
     30 us per 1024 words however few bits are set, and the bits of the
     others are peeled off, lowest first.
     """
+    return _members(vector, vector.bit_count())
+
+
+def _members(vector: int, count: int) -> list[int]:
+    """`members` of a vector with `count` set bits."""
     out = []
-    if vector.bit_count() > _PEELED:
+    if count > _PEELED:
         count = (vector.bit_length() + 63) >> 6
         data = vector.to_bytes(count << 3, "little")
         for k in compress(range(count), memoryview(data).cast("Q")):
@@ -244,12 +254,92 @@ def rank_key(n: int) -> Callable[[int], int]:
     return rank
 
 
-def interpretations(atoms: Sequence[Atom], masks: list[int]) -> list[frozenset[Atom]]:
-    """The sets with the given masks over `atoms` (bit i is atoms[i], the
-    atoms in reverse name order), in canonical order: the masks sorted by
-    their `rank_key` rank, each decoded to the shared set of
-    `core.atom_set`."""
-    return decode(atoms, sorted(masks, key=rank_key(len(atoms))))
+def ordered(vector: int, n: int) -> list[int]:
+    """The masks whose bits are set in a vector over n atoms, in canonical
+    order: increasing `rank_key` rank.
+
+    Sparse, with fewer than 4 * 2^h set bits, h = n // 2, or with n <= 8:
+    `members`, sorted by rank. Dense: the vector is
+    read as 2^(n - h) rows of 2^h bits, row `hi` holding the masks
+    hi << h | lo. Canonical order over the low h atoms follows
+    C_k = [0] ++ (t | C_{k-1}) ++ C_{k-1}[1:], t = 2^(k-1), so h - 1
+    rounds permute every row at once, each within blocks of 2^k bits whose
+    halves are already in C_{k-1} order: the first bit stays, the upper
+    half moves down by 2^(k-1) - 1 and the rest of the lower half up by
+    2^(k-1), three masked shifts over the vector. Then bit r of a row is
+    the mask whose low part has rank r. The rows are walked in preorder
+    of their high subsets: a row's mask with lo = 0 comes at the entry of
+    the subtree of `hi`, and its other masks, lowest rank first, at the
+    subtree's exit, after every mask with more high atoms. The walk runs
+    backwards, peeling each row from its top bit, and the list is
+    reversed at the end. Each bit costs a few small-int steps and no key
+    call: the 3^7 models of the 14-atom choice gadgets take 0.22 ms
+    against 0.65 ms for `members` sorted by rank, all 2^16 masks over 16
+    atoms 5.2 ms against 21.6 ms. The rounds and the walk cost what the
+    width and the rows cost, so a few bits per row do not pay for them:
+    on random families over 9-20 atoms the rows took 1.0-2.6 times as
+    long as the sort at 2^h set bits, 0.58-1.6 times at 2 * 2^h and
+    0.47-0.94 times at 4 * 2^h (best of 7-10, one core of a shared 2-vCPU
+    host, Python 3.11.7). The permutation's block vectors and the walk are
+    built once per width (`_order_tables`): (h - 1) * 2^n / 8 bytes.
+    """
+    count = vector.bit_count()
+    if n <= 8 or count < 4 << (n >> 1):
+        return sorted(_members(vector, count), key=rank_key(n))
+    starts, lows, walk, bits = _order_tables(n)
+    cols = columns(n)
+    for k, start in enumerate(starts, 2):
+        half = 1 << (k - 1)
+        up = vector & cols[k - 1]
+        down = vector ^ up
+        first = down & start
+        vector = first | up >> (half - 1) | (down ^ first) << half
+    width = 1 << ((n >> 1) - 3)  # bytes per row
+    data = vector.to_bytes(1 << (n - 3), "little")
+    out = []
+    for start, base, leave in walk:
+        if leave:
+            word = int.from_bytes(data[start:start + width], "little") >> 1
+            while word:
+                r = word.bit_length()  # the rank of the row's highest mask left
+                out.append(base | lows[r])
+                word ^= bits[r]
+        elif data[start] & 1:
+            out.append(base)
+    out.reverse()
+    return out
+
+
+def _order_tables(n: int) -> tuple[tuple[int, ...], list[int], list[tuple[int, int, bool]],
+                                   list[int]]:
+    """The tables of `ordered`'s dense path over n > 8 atoms, h = n // 2,
+    built once per width: for k = 2 .. h the vector of the first bit of
+    every block of 2^k bits; the low masks by rank, lows[r] of
+    rank r over h atoms; the walk, backwards, as (byte offset of the row,
+    hi << h, whether the subtree exits); and bits[r] = 2^(r - 1)."""
+    out = _ORDER.get(n)
+    if out is not None:
+        return out
+    h = n >> 1
+    cols = columns(n)
+    start = full(n) ^ cols[0]
+    starts = []
+    for x in cols[1:h]:
+        start ^= start & x
+        starts.append(start)
+    width = 1 << (h - 3)
+    walk = []
+    stack = [(0, n - h, False)]  # (hi, the high atoms below hi's lowest, exiting)
+    while stack:
+        hi, below, leave = stack.pop()
+        walk.append((hi * width, hi << h, leave))
+        if not leave:
+            stack.append((hi, below, True))
+            stack.extend((hi | 1 << b, b, False) for b in range(below))
+    walk.reverse()
+    lows = sorted(range(1 << h), key=rank_key(h))
+    bits = [0] + [1 << r for r in range(1 << h)]
+    return _ORDER.setdefault(n, (tuple(starts), lows, walk, bits))
 
 
 def decode(atoms: Sequence[Atom], masks: list[int]) -> list[frozenset[Atom]]:
@@ -259,19 +349,20 @@ def decode(atoms: Sequence[Atom], masks: list[int]) -> list[frozenset[Atom]]:
     With fewer masks than the 2^h entries of a table over the low
     h = n // 2 bits, or with n <= 8, each set is built on its own: the
     atoms that the mask's per-byte selectors pick (`compress`), each of
-    them hashed. Otherwise each set is the union of a frozenset over the
-    low half of the universe and one over the high half; the two tables
-    are filled as masks need their entries, each entry a union of one-atom
-    sets, which are made on first use, so that only they hash their atom.
-    With 2^h masks or more some low entry must serve several masks, and
-    the tables save more hashing than they cost: the 2187 models of the
-    14-atom choice gadgets take 1.3-1.5 ms through them and 2.2-2.7 ms set
-    by set. Below that an entry may serve one mask alone: the 91 models of
+    them hashed. Otherwise each set is the union of two entries of tables
+    over the low h and the high n - h atoms (`_unions`), built in full,
+    so that only their one-atom sets hash an atom. With 2^h masks or more
+    some low entry must serve several masks, and the tables save more
+    hashing than they cost: the 2187 models of the 14-atom choice gadgets
+    take 1.2 ms through them (best of 200) and 2.2-2.7 ms set by set.
+    Below that an entry may serve one mask alone: the 91 models of
     perfbench's 16-atom chain (atom names permuted) take 108-165 us set by
-    set and 121-272 us through the tables, three models of a 4-atom chain
-    2-4 us against 5-10 us (best of 50-300 calls, as for `_PEELED`).
+    set and 121-272 us through tables filled only where a mask needed an
+    entry, three models of a 4-atom chain 2-4 us against 5-10 us (best of
+    50-300 calls, as for `_PEELED`).
     """
-    if len(masks) < 1 << (len(atoms) >> 1) or len(atoms) <= 8:
+    n = len(atoms)
+    if n <= 8 or len(masks) < 1 << (n >> 1):
         out = []
         for m in masks:
             selectors = _BYTE_SELECTORS[m & 255]
@@ -281,36 +372,22 @@ def decode(atoms: Sequence[Atom], masks: list[int]) -> list[frozenset[Atom]]:
                 m >>= 8
             out.append(atom_set(compress(atoms, selectors)))
         return out
-    half = len(atoms) >> 1
+    half = n >> 1
+    low = _unions(atoms[:half])
+    high = _unions(atoms[half:])
     low_mask = (1 << half) - 1
-    singles: list[frozenset[Atom] | None] = [None] * len(atoms)
-    low: dict[int, frozenset[Atom]] = {0: _EMPTY}
-    high: dict[int, frozenset[Atom]] = {0: _EMPTY}
-    out = []
-    for m in masks:
-        lo = m & low_mask
-        hi = m >> half
-        lo_set = low.get(lo)
-        if lo_set is None:
-            lo_set = low[lo] = _subset(atoms, singles, lo, 0)
-        hi_set = high.get(hi)
-        if hi_set is None:
-            hi_set = high[hi] = _subset(atoms, singles, hi, half)
-        out.append(atom_set(lo_set | hi_set))
-    return out
+    return [atom_set(low[m & low_mask] | high[m >> half]) for m in masks]
 
 
-def _subset(atoms: Sequence[Atom], singles: list, mask: int, offset: int) -> frozenset[Atom]:
-    """The set of the atoms whose bits are set in `mask << offset`, as a
-    union of the one-atom sets in `singles`, made where missing."""
-    parts = []
-    for i in (_BYTE_BITS[mask] if mask < 256 else members(mask)):
-        i += offset
-        single = singles[i]
-        if single is None:
-            single = singles[i] = frozenset((atoms[i],))
-        parts.append(single)
-    return _EMPTY.union(*parts)
+def _unions(atoms: Sequence[Atom]) -> list[frozenset[Atom]]:
+    """The set of every mask over `atoms`, indexed by mask: one doubling
+    step per atom, each new entry an earlier one united with the atom's
+    one-atom set, so each atom is hashed once."""
+    table = [_EMPTY]
+    for a in atoms:
+        single = frozenset((a,))
+        table += [s | single for s in table]
+    return table
 
 
 def upward(family: int, cols: Sequence[int]) -> int:

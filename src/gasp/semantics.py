@@ -108,8 +108,7 @@ def enumerate_interpretations(
 ) -> tuple[frozenset[Atom], ...]:
     """All subsets of atoms(P) accepted by the kind, in canonical order."""
     lp = lowering.lower(program, limit=limit)
-    masks = kernel.enumerate_masks(lp, _ENUM_MODE[kind])
-    return tuple(lowering.interpretations(lp.atoms, masks))
+    return tuple(lowering.decode(lp.atoms, kernel.enumerate_masks(lp, _ENUM_MODE[kind])))
 
 
 def enumerate_candidates(
@@ -117,19 +116,17 @@ def enumerate_candidates(
 ) -> dict[SemanticsKind, tuple[frozenset[Atom], ...]]:
     """The supported models and the FLP and SFLP answer sets, each as
     `enumerate_interpretations` gives it, from one lowering and one kernel
-    pass (`kernel.scan`). Both kinds of answer sets are supported models,
-    so each mask is decoded once: the supported models in canonical order
-    (`lowering.rank_key`), and each answer list is the subsequence of
-    their sets whose masks it holds."""
+    pass (`kernel.scan`), which lists each in canonical order. Both kinds
+    of answer sets are supported models, so each mask is decoded once:
+    the supported models are decoded, and each answer set is looked up
+    among their sets by its mask."""
     lp = lowering.lower(program, limit=limit)
     supported, flp, sflp = kernel.scan(lp)
-    ordered = sorted(supported, key=lowering.rank_key(lp.n))
-    sets = lowering.decode(lp.atoms, ordered)
-    out = {SemanticsKind.SUPPORTED: tuple(sets)}
-    for kind, masks in ((SemanticsKind.FLP, flp), (SemanticsKind.SFLP, sflp)):
-        accepted = set(masks)
-        out[kind] = tuple(s for m, s in zip(ordered, sets) if m in accepted)
-    return out
+    sets = lowering.decode(lp.atoms, supported)
+    decoded = dict(zip(supported, sets))
+    return {SemanticsKind.SUPPORTED: tuple(sets),
+            SemanticsKind.FLP: tuple(map(decoded.__getitem__, flp)),
+            SemanticsKind.SFLP: tuple(map(decoded.__getitem__, sflp))}
 
 
 def completion_atom(atom: Atom, program: Program, limit: int = DEFAULT_ATOM_LIMIT) -> TruthTable:

@@ -1,7 +1,8 @@
 """The bit-sliced kernel against the AST: `truth_vector` against Body.eval
 on every mask, `enumerate_masks` against the oracles of tests/oracles.py
 in all four modes, the one scan (`kernel.scan`) against the per-mode
-queries, and the mask order and decoding of `interpretations` against
+queries, the canonical order of every list they give, and the order of
+`lowering.ordered` and the decoding of `lowering.decode` against
 `core.interp_sort_key`."""
 
 import itertools
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from gasp import kernel, lowering
 from gasp.compile import rew_flp, rew_sflp
 from gasp.core import (
+    DEFAULT_ATOM_LIMIT,
     Atom,
     Conjunct,
     CountAggregate,
@@ -63,20 +65,31 @@ def kernel_sets(program: Program, mode_name: str) -> set:
     return {decode(lp.atoms, m) for m in kernel.enumerate_masks(lp, MODES[mode_name])}
 
 
+def assert_canonical_lists(lp: lowering.LoweredProgram, label) -> None:
+    """Every list of every `enumerate_masks` mode and of the one scan is in
+    canonical order: increasing `lowering.rank_key` rank, no mask twice."""
+    rank = lowering.rank_key(lp.n)
+    for name, mode in MODES.items():
+        masks = kernel.enumerate_masks(lp, mode)
+        assert masks == sorted(set(masks), key=rank), (label, name)
+    for name, masks in zip(("supported", "flp", "sflp"), kernel.scan(lp)):
+        assert masks == sorted(set(masks), key=rank), (label, "scan", name)
+
+
 def assert_agrees(program: Program, label) -> None:
     """Each mode's kernel answer is the oracle's, and the one scan that
     serves the supported, FLP and SFLP modes together (`kernel.scan`,
     decoded by `semantics.enumerate_candidates`) gives their answers, each
-    list of masks increasing."""
+    list of masks in canonical order (`assert_canonical_lists`)."""
     for name in MODES:
         assert kernel_sets(program, name) == enumerate_oracle(program, name), (label, name)
     lp = lowering.lower(program)
+    assert_canonical_lists(lp, label)
     found = dict(zip(("supported", "flp", "sflp"), kernel.scan(lp)))
     decoded = enumerate_candidates(program)
     assert set(found) == {kind.value for kind in decoded}, label
     for kind, interpretations in decoded.items():
         masks = found[kind.value]
-        assert masks == sorted(set(masks)), (label, kind)
         assert masks == kernel.enumerate_masks(lp, MODES[kind.value]), (label, kind)
         assert interpretations == enumerate_interpretations(program, kind), (label, kind)
 
@@ -185,6 +198,20 @@ def scrambled_atoms(n: int, rng: random.Random) -> tuple[Atom, ...]:
     return tuple(sorted((Atom(f"{c}{rng.randrange(100)}") for c in letters), reverse=True))
 
 
+def vector_of(masks, n: int) -> int:
+    """The vector over n atoms whose set bits are `masks`."""
+    bits = bytearray(((1 << n) + 7) >> 3)
+    for m in masks:
+        bits[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(bits, "little")
+
+
+def listed_in_canonical_order(atoms, masks) -> list:
+    """The sets of `masks` over `atoms` through the vector of the masks:
+    `lowering.ordered`, then `lowering.decode`."""
+    return lowering.decode(atoms, lowering.ordered(vector_of(masks, len(atoms)), len(atoms)))
+
+
 class TestCanonicalOrder:
     def test_rank_is_the_canonical_position(self):
         rng = random.Random(1)
@@ -203,9 +230,35 @@ class TestCanonicalOrder:
         for n in range(11):
             atoms = scrambled_atoms(n, rng)
             masks = list(range(0 if with_empty else 1, 1 << n))
-            rng.shuffle(masks)
             want = list(subsets_in_canonical_order(atoms))
-            assert lowering.interpretations(atoms, masks) == want[0 if with_empty else 1:], n
+            assert listed_in_canonical_order(atoms, masks) == want[0 if with_empty else 1:], n
+
+    def test_empty_and_full_vectors(self):
+        """No mask, and every mask over up to 16 atoms, the dense rows of
+        `ordered` from 9 atoms on: the full vector lists all 2^n masks in
+        rank order, 0 .. 2^n - 1."""
+        for n in range(17):
+            rank = lowering.rank_key(n)
+            assert lowering.ordered(0, n) == [], n
+            got = lowering.ordered(lowering.full(n), n)
+            assert list(map(rank, got)) == list(range(1 << n)), n
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_smallest_dense_rows(self, n):
+        """At 9 atoms, the narrowest width that `ordered` reads as rows (of
+        16 bits, one round of the permutation, from 64 set bits on), and at
+        8, which it always sorts: random families of every size from none
+        to all 2^n masks, each row alone, and each low part across every
+        row."""
+        rng = random.Random(f"rows-{n}")
+        rank = lowering.rank_key(n)
+        half = n >> 1
+        families = [rng.sample(range(1 << n), count) for count in range((1 << n) + 1)]
+        families += [[hi << half | lo for lo in range(1 << half)] for hi in range(1 << n - half)]
+        families += [[hi << half | lo for hi in range(1 << n - half)] for lo in range(1 << half)]
+        for masks in families:
+            got = lowering.ordered(vector_of(masks, n), n)
+            assert got == sorted(masks, key=rank), (n, len(masks))
 
     def test_random_families(self):
         rng = random.Random(3)
@@ -213,7 +266,7 @@ class TestCanonicalOrder:
             n = rng.randint(0, 12)
             atoms = scrambled_atoms(n, rng)
             masks = rng.sample(range(1 << n), rng.randint(0, min(40, 1 << n)))
-            got = lowering.interpretations(atoms, masks)
+            got = listed_in_canonical_order(atoms, masks)
             assert got == sorted((decode(atoms, m) for m in masks), key=interp_sort_key), trial
             assert all(atom_set(i) is i for i in got), trial
             unsorted = lowering.decode(atoms, masks)
@@ -223,7 +276,8 @@ class TestCanonicalOrder:
     def test_large_families(self):
         """Thousands of masks per width up to 20 atoms: the empty mask, the
         full one, masks with no bit in the high or in the low half of the
-        universe (the two tables of `decode`), and random ones, unsorted."""
+        universe (the two tables of `decode`, the rows of `ordered`), and
+        random ones."""
         rng = random.Random(4)
         for n in range(13, 21):
             atoms = scrambled_atoms(n, rng)
@@ -232,34 +286,38 @@ class TestCanonicalOrder:
             family.update(range(0, 1 << half, max(1, (1 << half) // 200)))
             family.update(rng.randrange(1 << (n - half)) << half for _ in range(200))
             family.update(rng.sample(range(1 << n), 3000))
-            masks = list(family)
-            rng.shuffle(masks)
-            got = lowering.interpretations(atoms, masks)
-            assert got == sorted((decode(atoms, m) for m in masks), key=interp_sort_key), n
+            got = listed_in_canonical_order(atoms, family)
+            assert got == sorted((decode(atoms, m) for m in family), key=interp_sort_key), n
 
     @pytest.mark.parametrize("n", range(1, 25))
     def test_both_sides_of_the_pigeonhole_boundary(self, n):
         """Around 2^(n // 2) masks, where `decode` switches from building
-        each set on its own to the two half tables, at every width up to
-        24: the sets built from the masks' bits, in the masks' order and,
-        through `interpretations`, in canonical order."""
+        each set on its own to the two half tables, and around 4 * 2^(n // 2),
+        where `ordered` switches from sorting by rank to the rows, at every
+        width up to 24: the sets built from the masks' bits, in the masks'
+        order and in canonical order, through `ordered` up to the default
+        limit of 20 atoms and sorted by `rank_key` beyond it, where the
+        kernel lists nothing."""
         rng = random.Random(f"pigeonhole-{n}")
         atoms = scrambled_atoms(n, rng)
-        boundary = 1 << (n >> 1)
-        for count in (boundary - 1, boundary, boundary + 1):
+        for count in sorted({b + d for b in (1 << (n >> 1), 4 << (n >> 1)) for d in (-1, 0, 1)}):
             if not 0 < count <= 1 << n:
                 continue
             masks = rng.sample(range(1 << n), count)
             want = [decode(atoms, m) for m in masks]
             got = lowering.decode(atoms, masks)
             assert got == want and all(atom_set(i) is i for i in got), (n, count)
-            assert lowering.interpretations(atoms, masks) == sorted(want, key=interp_sort_key), \
-                (n, count)
+            if n <= DEFAULT_ATOM_LIMIT:
+                got = listed_in_canonical_order(atoms, masks)
+            else:
+                got = lowering.decode(atoms, sorted(masks, key=lowering.rank_key(n)))
+            assert got == sorted(want, key=interp_sort_key), (n, count)
 
     def test_universes_wider_than_the_default_limit(self):
         """26 and 40 atoms, lowered under a raised limit: five-byte masks,
         the empty and the full one among them, set by set, and 26 atoms on
-        both sides of the pigeonhole boundary."""
+        both sides of the pigeonhole boundary, decoded in the order of
+        their `rank_key` ranks."""
         rng = random.Random(5)
         for n, counts in ((26, (3, (1 << 13) - 1, (1 << 13) + 1)), (40, (2, 50))):
             program = parse_program(" ".join(f"w{i:02d} :- w{i:02d}." for i in range(n)))
@@ -268,7 +326,7 @@ class TestCanonicalOrder:
                 masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(count - 2)]
                 want = [decode(atoms, m) for m in masks]
                 assert lowering.decode(atoms, masks) == want, (n, count)
-                assert lowering.interpretations(atoms, masks) == \
+                assert lowering.decode(atoms, sorted(masks, key=lowering.rank_key(n))) == \
                     sorted(want, key=interp_sort_key), (n, count)
 
 
@@ -1101,8 +1159,9 @@ class TestSmallerCandidates:
                             lambda *args: support_tests.append(args) or supported(*args))
         sflp = kernel.enumerate_masks(lp, lowering.ENUM_SFLP)
         assert len(sflp) == 2 and all(m.bit_count() == 8 for m in sflp)
-        assert kernel.enumerate_masks(lp, lowering.ENUM_SUPPORTED) == sflp + [(1 << 16) - 1]
-        assert subsets == sflp
+        assert kernel.enumerate_masks(lp, lowering.ENUM_SUPPORTED) == \
+            sorted(sflp + [(1 << 16) - 1], key=lowering.rank_key(16))
+        assert subsets == sorted(sflp)
         assert support_tests == []
 
 
@@ -1400,6 +1459,22 @@ def test_each_mode_lists_only_what_it_reads(corpus, monkeypatch):
                     parts += 1
                     dropped += any(drops[before:])
     assert dropped >= 120 and parts >= 300, (dropped, parts)
+
+
+def test_every_list_in_canonical_order(corpus):
+    """Every `enumerate_masks` mode and every list of the one scan is in
+    canonical order (`assert_canonical_lists`) on the corpus and
+    `mixed_programs()`, which the global pass lists, on disjoint unions,
+    the choice gadgets and 10 loops `a :- a.`, which split, on the chain,
+    one part, and on joined loops, where the mono-support drop keeps most
+    supported models from the reduct loop."""
+    programs = [corpus[name] for name in CORPUS_NAMES] + mixed_programs()
+    programs += [disjoint_union(seed, 4 + seed % 13)[0] for seed in range(60)]
+    programs += [choice_gadgets(), parse_program(" ".join(f"a{i} :- a{i}." for i in range(10)))]
+    programs += [parse_program(chain_text(n)) for n in (9, 12)]
+    programs += [joined_loops(k) for k in range(1, 11)]
+    for k, program in enumerate(programs):
+        assert_canonical_lists(lowering.lower(program), k)
 
 
 @pytest.mark.parametrize("program, supported, flp, calls_wanted", [
