@@ -30,10 +30,8 @@ _EXPORTS = {
         "TruthTable",
         "UnsatisfiableBody",
         "format_interpretation",
-        "is_convex",
-        "is_convex_program",
-        "to_dnf",
     ),
+    "lowering": ("is_convex", "is_convex_program", "to_dnf"),
     "parser": ("ParseError", "ReservedAtom", "SourceProgram", "parse_program", "render"),
     "semantics": (
         "SemanticsKind",

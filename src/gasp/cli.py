@@ -28,8 +28,8 @@ from .core import (
     GaspError,
     TooManyAtoms,
     format_interpretation,
-    is_convex,
 )
+from .lowering import is_convex
 from .parser import (
     ParseError,
     SourceProgram,

@@ -46,8 +46,8 @@ from .core import (
     Rule,
     UnsatisfiableBody,
     format_interpretation,
-    to_dnf,
 )
+from .lowering import to_dnf
 from .semantics import SemanticsKind, enumerate_interpretations
 
 

@@ -4,13 +4,17 @@ A generalized atom is an arbitrary Boolean function over a finite domain of
 propositional atoms. Four concrete body shapes are provided: conjunctions of
 literals, count aggregates, explicit DNF formulas, and opaque truth tables.
 All values are immutable after construction and safe to share.
+
+This is the AST layer: it imports no other gasp module. The analyses
+that read a body's truth function (`to_dnf`, `is_convex`) live in
+`lowering`, beside the truth vectors they are computed from.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 RESERVED_PREFIX = "__aux"
 DEFAULT_ATOM_LIMIT = 20
@@ -494,42 +498,3 @@ class Program(Record):
 
     def __repr__(self) -> str:
         return f"Program({len(self.rules)} rules)"
-
-
-def to_dnf(body: Body, max_domain: int = DEFAULT_ATOM_LIMIT) -> Dnf:
-    """Minterm DNF of a body: one full conjunct per satisfying subset.
-
-    Disjuncts come out in the canonical subset order, so the result is a
-    unique normal form for each (domain, truth function) pair. Raises
-    UnsatisfiableBody when no subset of the domain satisfies the body.
-    """
-    items, vector = lowering.body_vector(body, max_domain, "dnf expansion")
-    if not vector:
-        raise UnsatisfiableBody("body is false on every subset of its domain")
-    dom = body.domain
-    disjuncts = []
-    for subset in lowering.decode(items, lowering.ordered(vector, len(items))):
-        disjuncts.append(Conjunct(subset, dom - subset))
-    return Dnf(tuple(disjuncts))
-
-
-def is_convex(body: Body, max_domain: int = DEFAULT_ATOM_LIMIT) -> bool:
-    """Whether truth survives between any two nested satisfying subsets.
-
-    The body is non-convex exactly when some false J has a satisfying
-    subset below it and a satisfying superset above it, which the subset
-    and superset closures of the truth vector decide at once.
-    """
-    items, true = lowering.body_vector(body, max_domain, "convexity scan")
-    n = len(items)
-    cols = lowering.columns(n)
-    false = lowering.full(n) ^ true
-    return not false & lowering.upward(true, cols) & lowering.downward(true, cols)
-
-
-def is_convex_program(program: Program, max_domain: int = DEFAULT_ATOM_LIMIT) -> bool:
-    return all(is_convex(r.body, max_domain) for r in program.rules)
-
-
-# lowering builds vectors from the classes above, so it is imported last
-from . import lowering  # noqa: E402

@@ -19,7 +19,7 @@ serves both compilation checks.
 from __future__ import annotations
 
 import random
-from typing import Iterable
+from collections.abc import Iterable
 
 from .compile import (
     bijection_violations,
@@ -43,9 +43,9 @@ from .core import (
     Rule,
     TruthTable,
     format_interpretation,
-    is_convex_program,
     subsets_in_canonical_order,
 )
+from .lowering import is_convex_program
 from .parser import render
 from .semantics import (
     SemanticsKind,

@@ -127,7 +127,7 @@ reads, as many as the global pass would list.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .core import Rule
 from .lowering import (

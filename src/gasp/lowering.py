@@ -20,8 +20,9 @@ columns and the all-masks vector of a width (`columns`, `full`) are built
 once and shared by every later caller: (n + 1) * 2^n / 8 bytes per width
 used, and n // 2 - 1 vectors more where `ordered` reads a dense vector
 as rows. Besides the kernel, the completion works on these vectors, and
-`core.to_dnf`, `core.is_convex` and `compile.closure_rules` on the
-vector of one body over its own domain (`body_vector`).
+`compile.closure_rules` and the body analyses defined here, `to_dnf`
+and `is_convex`, on the vector of one body over its own domain
+(`body_vector`).
 
 `members` lists the masks of a vector at a cost that follows its set
 bits more than its width: one `bit_count` over the vector picks the path.
@@ -53,12 +54,14 @@ their cubes themselves, decode in mask order.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from itertools import compress
-from typing import Callable, Iterable, Sequence
 
 from .core import (
+    DEFAULT_ATOM_LIMIT,
     Atom,
     Body,
+    Conjunct,
     CountAggregate,
     Dnf,
     LiteralConjunction,
@@ -66,6 +69,7 @@ from .core import (
     Rule,
     TooManyAtoms,
     TruthTable,
+    UnsatisfiableBody,
     atom_set,
 )
 
@@ -159,6 +163,41 @@ def body_vector(body: Body, limit: int | None = None, what: str = "") -> tuple[l
     of a body's DNF, convexity test and closure rules."""
     items, index = positions(body.domain, limit, what)
     return items, truth_vector(body, index, len(items))
+
+
+def to_dnf(body: Body, max_domain: int = DEFAULT_ATOM_LIMIT) -> Dnf:
+    """Minterm DNF of a body: one full conjunct per satisfying subset.
+
+    Disjuncts come out in the canonical subset order, so the result is a
+    unique normal form for each (domain, truth function) pair. Raises
+    UnsatisfiableBody when no subset of the domain satisfies the body.
+    """
+    items, vector = body_vector(body, max_domain, "dnf expansion")
+    if not vector:
+        raise UnsatisfiableBody("body is false on every subset of its domain")
+    dom = body.domain
+    disjuncts = []
+    for subset in decode(items, ordered(vector, len(items))):
+        disjuncts.append(Conjunct(subset, dom - subset))
+    return Dnf(tuple(disjuncts))
+
+
+def is_convex(body: Body, max_domain: int = DEFAULT_ATOM_LIMIT) -> bool:
+    """Whether truth survives between any two nested satisfying subsets.
+
+    The body is non-convex exactly when some false J has a satisfying
+    subset below it and a satisfying superset above it, which the subset
+    and superset closures of the truth vector decide at once.
+    """
+    items, true = body_vector(body, max_domain, "convexity scan")
+    n = len(items)
+    cols = columns(n)
+    false = full(n) ^ true
+    return not false & upward(true, cols) & downward(true, cols)
+
+
+def is_convex_program(program: Program, max_domain: int = DEFAULT_ATOM_LIMIT) -> bool:
+    return all(is_convex(r.body, max_domain) for r in program.rules)
 
 
 def full(n: int) -> int:

@@ -12,7 +12,7 @@ vectors, over its atom's local domain.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from . import kernel, lowering
 from .core import (

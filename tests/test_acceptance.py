@@ -13,8 +13,9 @@ import time
 import pytest
 
 from gasp.compile import rew_flp, rew_sflp
-from gasp.core import Atom, Program, TruthTable, UnsatisfiableBody, is_convex, to_dnf
+from gasp.core import Atom, Program, TruthTable, UnsatisfiableBody
 from gasp.harness import FAIL, PASS, SKIP, GenConfig, check_theorems, generate
+from gasp.lowering import is_convex, to_dnf
 from gasp.parser import parse_program, render
 from gasp.semantics import SemanticsKind, completion, enumerate_interpretations
 

@@ -24,10 +24,9 @@ from gasp.core import (
     ReservedAtomError,
     Rule,
     UnsatisfiableBody,
-    is_convex_program,
-    to_dnf,
 )
 from gasp.harness import GenConfig, generate
+from gasp.lowering import is_convex_program, to_dnf
 from gasp.parser import parse_program, render, render_rule
 from gasp.semantics import SemanticsKind, enumerate_interpretations
 

@@ -23,14 +23,11 @@ from gasp.core import (
     atom_set,
     body_key,
     interp_sort_key,
-    is_convex,
-    is_convex_program,
     subsets_in_canonical_order,
-    to_dnf,
 )
 from gasp.compile import AuxNames, CompilationReport
 from gasp.harness import BODY_KINDS, CheckResult, GenConfig, TheoremReport, _gen_body, generate
-from gasp.lowering import lower
+from gasp.lowering import is_convex, is_convex_program, lower, to_dnf
 from gasp.parser import SourceProgram, _Token, parse_program
 from gasp.semantics import SemanticsKind
 

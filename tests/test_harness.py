@@ -14,7 +14,6 @@ from gasp.core import (
     Program,
     Rule,
     TruthTable,
-    is_convex,
     subsets_in_canonical_order,
 )
 from gasp.harness import (
@@ -27,6 +26,7 @@ from gasp.harness import (
     check_theorems,
     generate,
 )
+from gasp.lowering import is_convex
 from gasp.parser import parse_program, render
 from gasp.semantics import is_flp_answer_set, is_model, is_sflp_answer_set, is_supported_model
 

@@ -14,9 +14,9 @@ from gasp.core import (
     atom_set,
     interp_sort_key,
     subsets_in_canonical_order,
-    to_dnf,
 )
 from gasp.harness import GenConfig, generate
+from gasp.lowering import to_dnf
 from gasp.parser import parse_program, render
 from gasp.semantics import (
     SemanticsKind,
