@@ -32,8 +32,14 @@ split scans as one two-atom part.
 Two rows sit on either side of the width above which FLP and SFLP split
 (`kernel._SPLIT_FIRST`, 8 atoms): the SFLP query on 8 loops, which does
 not split and tests their 2^8 supported models in one global pass, and
-the one scan of 14 loops, which splits and lists the 2^14 supported
-models as the product of the parts' lists.
+on 14 loops, which splits into 14 one-atom parts of one shape.
+Three rows time `semantics.enumerate_candidates`, the supported, FLP and
+SFLP queries of one lowering that the theorem battery reads, decoded: on
+14 loops, whose supported query lists and decodes all 2^14 masks; on 10
+even loops, whose 1,024 supported models are each an answer set of both
+kinds; and on 15 loops joined by one rule (16 atoms), where both
+answer-set queries drop all but the empty set of the 2^15 supported
+models before their reduct loops.
 Five more rows time queries end to end, the kernel listing in
 canonical order plus decoding: the four queries (models, supported, FLP,
 SFLP) on the 16-atom chain, its 91 models alone, the 3^7 models of a
@@ -51,7 +57,8 @@ rewritings, over at most 20 atoms, of the battery slice's atomic-head
 programs: their `__aux` atoms sort first, so they hold the top bits.
 Two rows time the supported models and the FLP and SFLP answer sets of
 the battery slice's programs, lowered, enumerated and decoded: as three
-queries, and as the one scan the theorem battery reads.
+`enumerate_interpretations` calls, each with its own lowering and decode,
+and through `enumerate_candidates`, which the theorem battery calls.
 Each of these rows is the best of `--repeat` runs, printed in
 microseconds to three significant digits. The last row is start-up: the median of 15 fresh `python -m gasp models
 corpus/p1.gasp` calls minus the median of 15 `python -c pass` calls.
@@ -256,9 +263,11 @@ def main() -> int:
             ("flp, rewritten 2-atom program", compiled_p1, lowering.ENUM_FLP),
         )
     ]
-    lowered14 = lowering.lower(loops14)
-    rows.append(("one scan, 14 self-supporting loops",
-                 timed(lambda: kernel.scan(lowered14), args.repeat)))
+    for label, program in (("14 self-supporting loops", loops14),
+                           ("10 even loops (20 atoms)", even_loops10),
+                           ("15 loops joined by one rule (16 atoms)", joined_loops(15))):
+        rows.append((f"enumerate_candidates, {label}",
+                     timed(lambda: semantics.enumerate_candidates(program), args.repeat)))
     chain16 = coordination_chain(16)
     rows.append((
         "four queries, 16-atom chain",
@@ -313,7 +322,7 @@ def main() -> int:
                        for p in battery_slice for kind in kinds], args.repeat),
     ))
     rows.append((
-        f"supported + flp + sflp, {args.seeds} programs, one scan",
+        f"supported + flp + sflp, {args.seeds} programs, enumerate_candidates",
         timed(lambda: [semantics.enumerate_candidates(p) for p in battery_slice], args.repeat),
     ))
     rows.append((

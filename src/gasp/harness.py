@@ -8,12 +8,13 @@ of the completion; that the SFLP test agrees with its completion-based
 characterization (checked over every candidate interpretation); and, for
 atomic-head programs whose rewriting stays enumerable, that compilation
 is answer-set preserving in both directions. The supported models and
-both kinds of answer sets come from one lowering and one kernel pass
-(`semantics.enumerate_candidates`). Each program is rewritten at most
-once, and never when the rewriting is skipped: its size is read off the
-rules' canonical bodies before any rule is built, and the SFLP rewriting
-is the FLP rewriting plus closure and support rules, so one rewriting
-serves both compilation checks.
+both kinds of answer sets come from one lowering and the supported, FLP
+and SFLP queries that the CLI runs (`semantics.enumerate_candidates`),
+so FLP ⊆ SFLP compares the answers of two separate passes. Each program
+is rewritten at most once, and never when the rewriting is skipped: its
+size is read off the rules' canonical bodies before any rule is built,
+and the SFLP rewriting is the FLP rewriting plus closure and support
+rules, so one rewriting serves both compilation checks.
 """
 
 from __future__ import annotations

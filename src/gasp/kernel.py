@@ -16,28 +16,28 @@ below is a handful of big-int operations over all 2^n masks at once:
 
 FLP answer sets are supported models too: were a in I supported by no
 rule, every rule of the reduct would have a true head atom other than a,
-so I without a would be a smaller model of the reduct. So FLP, SFLP and
-the one scan (`scan`, which the theorem battery reads) take one path:
-the same candidates, the same split, the same early rejection, and one
-loop (`_global_pass`) that tests each candidate against its reduct. A
-candidate with no model of its reduct below it is an FLP answer set and,
-as a supported model is a model, an SFLP one; only the others go on to
-SFLP's support test, which first drops the blocking masks unsupported in
-P (a rule of a reduct is a rule of P), one AND. The two semantics differ
-there and in the family that the drop beyond n candidates reads, and
-nowhere else. SFLP is not read off FLP on convex programs: that is a
-theorem the battery checks.
+so I without a would be a smaller model of the reduct. So FLP and SFLP
+take one path: the same candidates, the same split, the same early
+rejection, and one loop (`_global_pass`) that tests each candidate
+against its reduct. A candidate with no model of its reduct below it is
+an FLP answer set and, as a supported model is a model, an SFLP one; an
+SFLP query sends the others on to its support test, which first drops
+the blocking masks unsupported in P (a rule of a reduct is a rule of P),
+one AND. The two semantics differ there and in the family that the drop
+beyond n candidates reads, and nowhere else. SFLP is not read off FLP on
+convex programs: that is a theorem the battery checks. The battery runs
+the supported, FLP and SFLP queries that the CLI runs, on one lowering
+(`semantics.enumerate_candidates`), so its test that every FLP answer
+set is an SFLP one compares two passes that could disagree.
 
-Each pass lists only what its mode reads, and stops where that mode's
-answer is known: the models and supported queries list the candidates,
-FLP and SFLP their own answer sets, and the scan all three, the
-supported models among them. Every other list is empty, so a split
-builds products only of what its caller reads. Every list comes in
-canonical order, the order of `lowering.rank_key`, so no caller sorts:
-the models and supported queries list their vectors straight into that
-order (`lowering.ordered`), and the answer sets, the scan's supported
-models and a split's products, each listed by increasing mask first, are
-sorted by rank.
+Each pass lists only its mode's answer, and stops where that answer is
+known: the models and supported queries list the candidates, FLP and
+SFLP their own answer sets, so a split builds products of answer sets
+alone. Every list comes in canonical order, the order of
+`lowering.rank_key`, so no caller sorts: the models and supported
+queries list their vectors straight into that order (`lowering.ordered`),
+and the answer sets and a split's products, each listed by increasing
+mask first, are sorted by rank.
 
 A smaller candidate J below a candidate I is a supported model of P, so
 a model of P and of I's reduct. If each true atom of J is supported at
@@ -59,7 +59,7 @@ test runs it with R the candidate's reduct, and this drop with R the
 rules whose body vectors are upward closed. So a program with many
 supported models that are not minimal costs what its models cost: n
 loops `a :- a.` have 2^n, and so do n such loops that the rule
-`z :- count{a0, ...} > n.` joins into one part. Only the scan lists the
+`z :- count{a0, ...} > n.` joins into one part. No query lists the
 candidates that the drop removes. Which side of n the candidates fall on
 is one `bit_count` over the candidate vector: reading candidates off its
 top instead costs a pass over the vector per 64-bit window, and the 32
@@ -67,11 +67,11 @@ supported models spread over the 2^14 masks of perfbench's choice
 gadgets took 15 windows, 8 us against 1.6 us for the count (best of
 300).
 
-The FLP and SFLP queries and the scan split the program (Lifschitz and
-Turner's splitting): rules other than constraints that are linked
-through shared head or body-domain atoms form one part (`_parts`), and
-with two or more parts each is lowered on its own through `lower`, over
-its own n_k atoms, and scanned with vectors of 2^{n_k} bits (`_split`).
+The FLP and SFLP queries split the program (Lifschitz and Turner's
+splitting): rules other than constraints that are linked through shared
+head or body-domain atoms form one part (`_parts`), and with two or more
+parts each is lowered on its own through `lower`, over its own n_k
+atoms, and scanned with vectors of 2^{n_k} bits (`_split`).
 For atom-disjoint parts the reduct of I is the union of the parts'
 reducts, and I's share of each part is a supported model of that part's
 reduct, so some J below I blocks I exactly when I's share of some part
@@ -85,16 +85,16 @@ bottom `a :- a.` has only the empty set, and its top at the empty set,
 Parts often repeat: perfbench's choice gadgets are seven parts of two
 shapes. So, as model counters cache components (Sang, Bacchus, Beame,
 Kautz and Pitassi, SAT 2004), `_split` scans each distinct part once per
-call. Before it is lowered, a part is keyed by what the scan reads of it
+call. Before it is lowered, a part is keyed by what the pass reads of it
 over its own positions: its rules' head masks and their bodies' truth
 vectors (`_part_key`). Parts with equal keys are the same program up to
 a renaming of atoms that keeps their order, however their bodies are
 written (`a :- not b.`, `a :- count{b} = 0.` and `a :- dnf{~b}.` key
-alike), so they share one scan's lists, placed at each part's own bits.
-No other renaming is looked for, and the cache ends with the call. Every
-distinct part is scanned before any product is built, and a part with
-none of what the mode lists ends the call: FLP on the choice gadgets
-stops at the gadget that has no FLP answer set.
+alike), so they share one pass's answer sets, placed at each part's own
+bits. No other renaming is looked for, and the cache ends with the call.
+Every distinct part is scanned before any product is built, and a part
+with no answer set ends the call: FLP on the choice gadgets stops at the
+gadget that has no FLP answer set.
 
 Constraints join no part; they filter the product. A constraint supports
 no atom, and at a model of P its body is false, so it is in the reduct
@@ -105,7 +105,7 @@ no constraint body holds at I: the same reducts test the same subsets.
 bit is clear, one byte lookup per product, then sorts them by rank.
 
 Whether to split is decided in one place, from the mode and the universe
-size alone (`_scan`): an FLP or SFLP query or the scan over more than
+size alone (`enumerate_masks`): an FLP or SFLP query over more than
 `_SPLIT_FIRST` atoms looks for parts first and, with two or more, builds
 no vector over all 2^n masks. The models and supported queries never
 split, and at `_SPLIT_FIRST` atoms or fewer one global pass tests at
@@ -116,13 +116,12 @@ set bits of the body vector's AND with the candidate vector or, for a
 few wide candidates, by testing each candidate's bit, and the minimality
 test of I starts from the vector of I's proper subsets, built by
 doubling over the atoms of I. Both are sized by the candidates rather
-than by 2^n. The FLP and SFLP queries and the scan hold the n columns,
-two vectors per rule (SFLP and the scan three for a head of two or more
-atoms), one per atom and a few temporaries; the models and supported
-queries keep none per rule. A query or scan that splits holds one global
-vector, the constraints' OR, each distinct part's vectors in turn, the
-distinct parts' local lists, and the products of the lists its mode
-reads, as many as the global pass would list.
+than by 2^n. The FLP and SFLP queries hold the n columns, two vectors
+per rule (SFLP three for a head of two or more atoms), one per atom and
+a few temporaries; the models and supported queries keep none per rule.
+A query that splits holds one global vector, the constraints' OR, each
+distinct part's vectors in turn, the distinct parts' local answer sets,
+and their products, as many as the global pass would list.
 """
 
 from __future__ import annotations
@@ -149,27 +148,21 @@ from .lowering import (
 
 NAME = "bitsliced"
 
-# An FLP or SFLP query or the scan over more atoms than this looks for parts
-# before it builds any vector (`_scan`). At this width or
-# below a vector has at most 256 bits and the global pass costs less than
-# `_parts` and the part keys: splitting first took 1.92-2.01 ms against
-# 1.33-1.39 ms for the scans of the 112 battery programs of 2-5 atoms, and
-# battery seed 58 (3 atoms) takes 13 us unsplit against 40 us split. The
-# pass tests at most 2^8 candidates, so its worst case is bounded: 8 loops
-# `a :- a.` take 27 us against 33 us split (the mono-support drop leaves
-# one candidate, and the query lists none of the others), and 4 even
+# An FLP or SFLP query over more atoms than this looks for parts before it
+# builds any vector (`enumerate_masks`). At this width or below a vector has
+# at most 256 bits and the global pass costs less than `_parts` and the part
+# keys: splitting first took 1.92-2.01 ms against 1.33-1.39 ms for the
+# supported, FLP and SFLP lists of the 112 battery programs of 2-5 atoms,
+# and battery seed 58 (3 atoms) takes 13 us unsplit against 40 us split.
+# The pass tests at most 2^8 candidates, so its worst case is bounded: 8
+# loops `a :- a.` take 27 us against 33 us split (the mono-support drop
+# leaves one candidate, and the query lists none of the others), and 4 even
 # loops, which it does not thin, 40 against 34 us. Above it the pass grows
 # with 2^n: the 14-atom choice gadgets take 470-473 us as one pass against
-# 76 us split, and the scan of 14 loops 2.4-2.5 ms against 1.5 ms, while
-# `_parts` adds 10-11 us (4%) to the SFLP query on the 16-atom chain,
-# which is one part (best of 20-1000 calls, one core of a shared 2-vCPU
-# host, Python 3.11.7).
+# 76 us split, while `_parts` adds 10-11 us (4%) to the SFLP query on the
+# 16-atom chain, which is one part (best of 20-1000 calls, one core of a
+# shared 2-vCPU host, Python 3.11.7).
 _SPLIT_FIRST = 8
-
-# The mode of the one scan (`scan`): SFLP's pass, which also lists every
-# supported model and the FLP answer sets. No `lowering.ENUM_*` has this
-# value.
-_SCAN = ENUM_SFLP + 1
 
 
 def default_backend() -> str:
@@ -179,24 +172,10 @@ def default_backend() -> str:
 
 def enumerate_masks(lp: LoweredProgram, mode: int) -> list[int]:
     """All masks over the lowered universe accepted by `mode`, in canonical
-    order (`lowering.rank_key`)."""
-    supported, flp, sflp = _scan(lp, mode)
-    return flp if mode == ENUM_FLP else sflp if mode == ENUM_SFLP else supported
-
-
-def scan(lp: LoweredProgram) -> tuple[list[int], list[int], list[int]]:
-    """The supported models and the FLP and SFLP answer sets, each in
-    canonical order, from one pass over the supported models, or over each
-    part's where the program splits (`_scan`): each candidate's reduct test
-    gives its FLP verdict on the way to its SFLP one."""
-    return _scan(lp, _SCAN)
-
-
-def _scan(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], list[int]]:
-    """`_global_pass`'s three lists for `mode`, from one pass over the
-    program or, for an FLP or SFLP query or the scan over more than
-    `_SPLIT_FIRST` atoms whose program has two or more parts, from the
-    parts alone (`_split`). The models and supported queries never split."""
+    order (`lowering.rank_key`), from one pass over the program or, for an
+    FLP or SFLP query over more than `_SPLIT_FIRST` atoms whose program has
+    two or more parts, from the parts alone (`_split`). The models and
+    supported queries never split."""
     if mode >= ENUM_FLP and lp.n > _SPLIT_FIRST:
         parts = _parts(lp)
         if len(parts) > 1:
@@ -204,17 +183,10 @@ def _scan(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], list[int
     return _global_pass(lp, mode)
 
 
-def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], list[int]]:
-    """The candidates, then those FLP and SFLP accept, each in canonical
-    order: the models and supported models listed so from their vector
-    (`ordered`), the others sorted by rank. The pass stops where `mode`'s
-    answer is known, and each list that `mode` does not read is empty:
-    - models and supported models: the candidates, read before any
-      per-rule vectors are kept;
-    - FLP: its answer sets alone, `([], flp, [])`;
-    - SFLP: its answer sets alone, `([], [], sflp)`;
-    - `_SCAN`: all three, the first every supported model, those that the
-      drop beyond n candidates keeps from the reduct loop included.
+def _global_pass(lp: LoweredProgram, mode: int) -> list[int]:
+    """The masks that `mode` accepts, in canonical order: the models and
+    supported models listed so from their vector (`ordered`) before any
+    per-rule vectors are kept, the FLP and SFLP answer sets sorted by rank.
     Up to n candidates each is first tested against the smaller ones
     (`_blocked_below`); beyond n those above a smaller model of P (FLP) or
     a smaller mono-supported model (SFLP) are dropped (`_above`). One
@@ -229,7 +201,7 @@ def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], l
     rule_support = []
     bad = 0
     minimal = mode != ENUM_MODELS and mode != ENUM_SUPPORTED
-    sflp = mode != ENUM_FLP  # whether SFLP's support test runs
+    sflp = mode == ENUM_SFLP  # whether SFLP's support test runs
     for holds, hit, supports in rule_vectors(lp, support):
         misses = holds ^ (holds & hit)
         bad |= misses
@@ -240,17 +212,16 @@ def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], l
                 rule_support.append(supports)
     models = full(n) ^ bad
     if mode == ENUM_MODELS:
-        return ordered(models, n), [], []
+        return ordered(models, n)
     unsupported = 0  # the masks with a true atom that no rule supports
     for x, s in zip(cols, support):
         unsupported |= x ^ (x & s)
     candidates = models ^ (models & unsupported)
     if not minimal:
-        return ordered(candidates, n), [], []
+        return ordered(candidates, n)
     # up to n candidates a smaller one supported in I's reduct blocks I for
     # both semantics; beyond n a smaller model of P blocks it for FLP and a
     # smaller mono-supported model for SFLP
-    listed = None  # the scan's supported models, where the drop below removes some
     few = candidates.bit_count() <= n  # then each is tested against the smaller ones
     if not few:
         below = models
@@ -262,12 +233,8 @@ def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], l
             mono = [r for r, holds in enumerate(bodies)
                     if holds >> top & 1 and upward(holds, cols) == holds]
             below = _supported(candidates, mono, lp.heads, rule_support, cols)
-        blocked = candidates & _above(below, cols)
-        if blocked and mode == _SCAN:
-            listed = members(candidates)
-        candidates ^= blocked
-    flp_accepted = []
-    sflp_accepted = []
+        candidates ^= candidates & _above(below, cols)
+    accepted = []
     reducts = _reducts(candidates, bodies)
     for i, reduct in reducts.items():
         if few and _blocked_below(i, reduct, reducts, lp.heads):
@@ -277,23 +244,15 @@ def _global_pass(lp: LoweredProgram, mode: int) -> tuple[list[int], list[int], l
             blocking ^= blocking & violated[r]
             if not blocking:
                 break
-        if not blocking:  # no model of the reduct below I: I is FLP and SFLP
-            flp_accepted.append(i)
-            sflp_accepted.append(i)
-        elif sflp:
-            # a mask supported in a reduct is supported in P
+        if blocking and sflp:
+            # SFLP keeps the blocking masks that are supported models of the
+            # reduct; a mask supported in a reduct is supported in P
             blocking ^= blocking & unsupported
             if blocking:
                 blocking = _supported(blocking, reduct, lp.heads, rule_support, cols)
-            if not blocking:
-                sflp_accepted.append(i)
-    rank = rank_key(n)
-    if mode == _SCAN:
-        return (sorted(listed or reducts, key=rank), sorted(flp_accepted, key=rank),
-                sorted(sflp_accepted, key=rank))
-    if mode == ENUM_FLP:
-        return [], sorted(flp_accepted, key=rank), []
-    return [], [], sorted(sflp_accepted, key=rank)
+        if not blocking:
+            accepted.append(i)
+    return sorted(accepted, key=rank_key(n))
 
 
 def _parts(lp: LoweredProgram) -> list[tuple[int, list[Rule]]]:
@@ -329,24 +288,22 @@ def _parts(lp: LoweredProgram) -> list[tuple[int, list[Rule]]]:
     return parts
 
 
-def _split(lp: LoweredProgram, parts: list[tuple[int, list[Rule]]],
-           mode: int) -> tuple[list[int], list[int], list[int]]:
-    """`_global_pass`'s three lists for `mode`, each sorted into canonical
-    order, of a program whose rules other than constraints make the
-    atom-disjoint `parts` (`_parts`): the products of the parts' lists at which no
-    constraint body holds (see the module docstring for why this is exact),
-    so a list that `mode` does not read stays empty. A part's atoms keep
-    their relative order, so its local bit j is the global bit `places[j]`.
-    Each part is keyed before it is lowered (`_part_key`), and each
-    distinct key is lowered through `lower` over its part's atoms and
-    scanned once per call: parts with equal keys are the same program up
-    to the order-preserving renaming of their atoms, so they share local
-    lists, which `_spread` places at each part's own bits. Every distinct
-    part is scanned before any product is built, and one whose lists are
-    all empty ends the call. Atoms in no part are false in every
-    candidate."""
-    scanned = {}  # a part's key -> its three local lists
-    placed = []  # each part's local lists and the global bits of its atoms
+def _split(lp: LoweredProgram, parts: list[tuple[int, list[Rule]]], mode: int) -> list[int]:
+    """The FLP or SFLP answer sets (`mode`), in canonical order, of a
+    program whose rules other than constraints make the atom-disjoint
+    `parts` (`_parts`): the products of the parts' answer sets at which no
+    constraint body holds (see the module docstring for why this is exact).
+    A part's atoms keep their relative order, so its local bit j is the
+    global bit `places[j]`. Each part is keyed before it is lowered
+    (`_part_key`), and each distinct key is lowered through `lower` over
+    its part's atoms and scanned once per call: parts with equal keys are
+    the same program up to the order-preserving renaming of their atoms, so
+    they share a local list, which `_spread` places at each part's own
+    bits. Every distinct part is scanned before any product is built, and
+    one with no answer set ends the call. Atoms in no part are false in
+    every candidate."""
+    scanned = {}  # a part's key -> its local answer sets
+    placed = []  # each part's local answer sets and the global bits of its atoms
     for atoms, rules in parts:
         places = []
         local = {}  # each atom's local position, lowest global bit first
@@ -356,28 +313,23 @@ def _split(lp: LoweredProgram, parts: list[tuple[int, list[Rule]]],
             places.append(place)
             atoms ^= place
         key = _part_key(rules, local)
-        lists = scanned.get(key)
-        if lists is None:
-            lists = scanned[key] = _global_pass(lower(rules, local), mode)
-            if not any(lists):  # every product is empty
-                return [], [], []
-        placed.append((lists, places))
-    found = [[0], [0], [0]]
-    for lists, places in placed:
-        for k, masks in enumerate(lists):
-            if found[k]:  # an empty product stays empty
-                found[k] = [i | m for m in _spread(masks, places) for i in found[k]]
+        masks = scanned.get(key)
+        if masks is None:
+            masks = scanned[key] = _global_pass(lower(rules, local), mode)
+            if not masks:  # every product is empty
+                return []
+        placed.append((masks, places))
+    found = [0]
+    for masks, places in placed:
+        found = [i | m for m in _spread(masks, places) for i in found]
     fires = 0
     for head, rule in zip(lp.heads, lp.rules):
         if not head:
             fires |= truth_vector(rule.body, lp.index, lp.n)
     if fires:
         data = fires.to_bytes(((1 << lp.n) + 7) >> 3, "little")
-        found = [[m for m in masks if not data[m >> 3] >> (m & 7) & 1] for masks in found]
-    rank = rank_key(lp.n)
-    for masks in found:
-        masks.sort(key=rank)
-    return tuple(found)
+        found = [m for m in found if not data[m >> 3] >> (m & 7) & 1]
+    return sorted(found, key=rank_key(lp.n))
 
 
 def _part_key(rules: list[Rule], local: dict) -> frozenset:
@@ -511,7 +463,7 @@ def _reducts(candidates: int, bodies: list[int]) -> dict[int, list[int]]:
     58 us for peeling on the 16-atom chain (3 candidates of 2^16 bits, near
     the top) and 510 against 593 us for the calls of the theorem checks of
     the 112 battery programs; 8 loops `a :- a.` (256 candidates) and the
-    battery programs' scans (candidates below 32) stay at the peel's 168
+    battery programs' passes (candidates below 32) stay at the peel's 168
     and 96 us, where testing alone took 298 and 160 us (best of 30-150
     calls, one core of a shared 2-vCPU host)."""
     reducts = {i: [] for i in members(candidates)}

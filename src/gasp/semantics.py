@@ -3,10 +3,11 @@
 The per-interpretation predicates work directly on the AST and accept any
 interpretation. Exhaustive enumeration restricts candidates to subsets of
 the program's own atoms (a foreign atom can never be supported and always
-breaks minimality) and runs on the bitmask kernel, one query at a time
-or, for the supported models and both kinds of answer sets together, in
-one kernel pass; each completion table is decoded from the same truth
-vectors, over its atom's local domain.
+breaks minimality) and runs on the bitmask kernel, one query per kind;
+the supported models and both kinds of answer sets that the theorem
+battery reads come from one lowering and the same three queries. Each
+completion table is decoded from the same truth vectors, over its atom's
+local domain.
 """
 
 from __future__ import annotations
@@ -115,18 +116,20 @@ def enumerate_candidates(
     program: Program, limit: int = DEFAULT_ATOM_LIMIT
 ) -> dict[SemanticsKind, tuple[frozenset[Atom], ...]]:
     """The supported models and the FLP and SFLP answer sets, each as
-    `enumerate_interpretations` gives it, from one lowering and one kernel
-    pass (`kernel.scan`), which lists each in canonical order. Both kinds
-    of answer sets are supported models, so each mask is decoded once:
-    the supported models are decoded, and each answer set is looked up
-    among their sets by its mask."""
+    `enumerate_interpretations` gives it, from one lowering and the kernel
+    queries that `gasp supported|flp|sflp` run (`kernel.enumerate_masks`),
+    each listed in canonical order. Both kinds of answer sets are supported
+    models, so each mask is decoded once: the supported models are
+    decoded, and each answer set is looked up among their sets by its
+    mask."""
     lp = lowering.lower(program, limit=limit)
-    supported, flp, sflp = kernel.scan(lp)
+    supported = kernel.enumerate_masks(lp, lowering.ENUM_SUPPORTED)
     sets = lowering.decode(lp.atoms, supported)
     decoded = dict(zip(supported, sets))
-    return {SemanticsKind.SUPPORTED: tuple(sets),
-            SemanticsKind.FLP: tuple(map(decoded.__getitem__, flp)),
-            SemanticsKind.SFLP: tuple(map(decoded.__getitem__, sflp))}
+    found = {SemanticsKind.SUPPORTED: tuple(sets)}
+    for kind in (SemanticsKind.FLP, SemanticsKind.SFLP):
+        found[kind] = tuple(map(decoded.__getitem__, kernel.enumerate_masks(lp, _ENUM_MODE[kind])))
+    return found
 
 
 def completion_atom(atom: Atom, program: Program, limit: int = DEFAULT_ATOM_LIMIT) -> TruthTable:

@@ -67,4 +67,6 @@ def test_traced_slice_sees_the_kernel_and_uninstall_restores_gasp(name):
     assert metrics["kernel.calls"] > 0 and metrics["lowering.calls"] > 0, metrics
     if name in ("chain", "choice"):  # one round of the four queries
         assert metrics["kernel.calls"] == metrics["lowering.calls"] == 4, metrics
+    if name == "battery":  # `check_theorems` runs the supported and SFLP queries
+        assert metrics["kernel.supported_ms"] > 0 and metrics["kernel.sflp_ms"] > 0, metrics
     assert w.check(samples) == []

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gasp import compile as comp, harness
+from gasp import compile as comp, harness, kernel, lowering
 from gasp.compile import verify_compilation, with_support_rules
 from gasp.core import (
     Atom,
@@ -158,6 +158,26 @@ class TestCheckTheorems:
         for prefix in prefixes:
             at = [line.rpartition(" at ")[2] for line in failed.details if line.startswith(prefix)]
             assert at == ["{}", "{a}", "{a, b}", "{b}"]
+
+    def test_an_sflp_query_that_loses_an_flp_answer_set_fails(self, corpus, monkeypatch):
+        # the battery reads the SFLP query that `gasp sflp` runs, apart from
+        # the FLP query: one that loses p5's {a}, also its one FLP answer
+        # set, fails FLP ⊆ SFLP and the completion-based characterization
+        right = kernel.enumerate_masks
+
+        def losing(lp, mode):
+            masks = right(lp, mode)
+            if mode == lowering.ENUM_SFLP:
+                masks = [m for m in masks if m != 1 << lp.index[Atom("a")]]
+            return masks
+
+        monkeypatch.setattr(kernel, "enumerate_masks", losing)
+        report = check_theorems(corpus["p5"])
+        by_name = {r.name: r for r in report.results}
+        assert by_name["flp_subset_sflp"].status == FAIL
+        assert by_name["flp_subset_sflp"].details == ("flp answer set not sflp: {a}",)
+        assert by_name["sflp_completion_characterization"].status == FAIL
+        assert by_name["supported_equals_completion_models"].status == PASS
 
     def test_wide_programs_skip_only_the_characterization_check(self):
         text = " ".join(f"x{i} :- not x{(i + 1) % 14}." for i in range(14))

@@ -1,9 +1,9 @@
 """The bit-sliced kernel against the AST: `truth_vector` against Body.eval
 on every mask, `enumerate_masks` against the oracles of tests/oracles.py
-in all four modes, the one scan (`kernel.scan`) against the per-mode
-queries, the canonical order of every list they give, and the order of
-`lowering.ordered` and the decoding of `lowering.decode` against
-`core.interp_sort_key`."""
+in all four modes, `semantics.enumerate_candidates`, which the theorem
+battery reads, against the per-mode queries, the canonical order of every
+list they give, and the order of `lowering.ordered` and the decoding of
+`lowering.decode` against `core.interp_sort_key`."""
 
 import itertools
 import math
@@ -31,6 +31,7 @@ from gasp.core import (
 from gasp.harness import GenConfig, generate
 from gasp.parser import parse_program
 from gasp.semantics import (
+    SemanticsKind,
     completion,
     enumerate_candidates,
     enumerate_interpretations,
@@ -66,31 +67,25 @@ def kernel_sets(program: Program, mode_name: str) -> set:
 
 
 def assert_canonical_lists(lp: lowering.LoweredProgram, label) -> None:
-    """Every list of every `enumerate_masks` mode and of the one scan is in
-    canonical order: increasing `lowering.rank_key` rank, no mask twice."""
+    """Every `enumerate_masks` mode lists its masks in canonical order:
+    increasing `lowering.rank_key` rank, no mask twice."""
     rank = lowering.rank_key(lp.n)
     for name, mode in MODES.items():
         masks = kernel.enumerate_masks(lp, mode)
         assert masks == sorted(set(masks), key=rank), (label, name)
-    for name, masks in zip(("supported", "flp", "sflp"), kernel.scan(lp)):
-        assert masks == sorted(set(masks), key=rank), (label, "scan", name)
 
 
 def assert_agrees(program: Program, label) -> None:
-    """Each mode's kernel answer is the oracle's, and the one scan that
-    serves the supported, FLP and SFLP modes together (`kernel.scan`,
-    decoded by `semantics.enumerate_candidates`) gives their answers, each
-    list of masks in canonical order (`assert_canonical_lists`)."""
+    """Each mode's kernel answer is the oracle's, each list of masks in
+    canonical order (`assert_canonical_lists`), and
+    `semantics.enumerate_candidates`, which decodes the supported, FLP and
+    SFLP queries of one lowering together, gives their answers."""
     for name in MODES:
         assert kernel_sets(program, name) == enumerate_oracle(program, name), (label, name)
-    lp = lowering.lower(program)
-    assert_canonical_lists(lp, label)
-    found = dict(zip(("supported", "flp", "sflp"), kernel.scan(lp)))
+    assert_canonical_lists(lowering.lower(program), label)
     decoded = enumerate_candidates(program)
-    assert set(found) == {kind.value for kind in decoded}, label
+    assert [kind.value for kind in decoded] == ["supported", "flp", "sflp"], label
     for kind, interpretations in decoded.items():
-        masks = found[kind.value]
-        assert masks == kernel.enumerate_masks(lp, MODES[kind.value]), (label, kind)
         assert interpretations == enumerate_interpretations(program, kind), (label, kind)
 
 
@@ -366,7 +361,7 @@ class TestOracleAgreement:
     def test_self_supporting_loops(self, monkeypatch):
         """Each `a :- a.` supports its own atom, so every mask is a supported
         model, but only the empty one is minimal for its reduct. At 8 atoms,
-        `kernel._SPLIT_FIRST`, nothing splits: the SFLP query and the scan
+        `kernel._SPLIT_FIRST`, nothing splits: the FLP and SFLP queries
         test all 2^8 masks in one global pass."""
         splits = []
         split = kernel._split
@@ -386,10 +381,11 @@ def chain_text(n: int) -> str:
 
 
 class TestOneScan:
-    """`kernel.scan`, the one pass the theorem battery reads, against the
-    per-mode queries and, through them, the oracles (`assert_agrees`, which
-    every oracle test in this module runs, the rewritings' included), on
-    the shapes that take its distinct paths."""
+    """The supported, FLP and SFLP queries that the theorem battery reads
+    through `semantics.enumerate_candidates`, against each other and the
+    oracles (`assert_agrees`, which every oracle test in this module runs,
+    the rewritings' included), on the shapes that take their distinct
+    paths."""
 
     def test_disjunctive_programs(self):
         # a head of two atoms gives its rule a support vector of its own,
@@ -401,51 +397,33 @@ class TestOneScan:
             assert_agrees(program, seed)
             if any(len(r.head) > 1 for r in program.rules):
                 disjunctive += 1
-                _, flp, sflp = kernel.scan(lowering.lower(program))
-                differ += flp != sflp
+                lp = lowering.lower(program)
+                differ += (kernel.enumerate_masks(lp, lowering.ENUM_FLP)
+                           != kernel.enumerate_masks(lp, lowering.ENUM_SFLP))
         assert disjunctive >= 60 and differ >= 1, (disjunctive, differ)
 
     def test_self_supporting_loops(self):
         # more supported models than atoms: in each one-atom part the FLP
-        # query drops those above a smaller model and the scan those above a
-        # mono-supported one (`_above`), but the scan still lists them all
+        # query drops those above a smaller model and the SFLP query those
+        # above a mono-supported one (`_above`); the supported query lists
+        # them all
         program = parse_program(" ".join(f"a{i} :- a{i}." for i in range(10)))
         assert_agrees(program, "10 loops")
-        found = kernel.scan(lowering.lower(program))
-        assert [len(masks) for masks in found] == [1024, 1, 1]
+        found = enumerate_candidates(program)
+        assert [len(sets) for sets in found.values()] == [1024, 1, 1]
 
-    def test_coordination_chain(self):
+    def test_coordination_chain(self, monkeypatch):
+        """One part over more than `kernel._SPLIT_FIRST` atoms: the FLP and
+        SFLP queries each look for parts once, and the supported query,
+        which never splits, not at all."""
         program = parse_program(chain_text(12))
         assert_agrees(program, "12-atom chain")
-        supported, flp, _ = kernel.scan(lowering.lower(program))
-        assert len(supported) > len(flp)
-
-    @pytest.mark.parametrize("text, count", [
-        (chain_text(12), 3),
-        # 2^10 supported models, more than the atoms, in one part: z reads
-        # every loop's atom
-        (" ".join(f"a{i} :- a{i}." for i in range(10))
-         + " z :- count{" + ", ".join(f"a{i}" for i in range(10)) + "} > 10.", 1 << 10),
-    ], ids=["chain", "joined-loops"])
-    def test_lists_the_supported_models_once(self, monkeypatch, text, count):
-        """Where the program does not split, the scan and the SFLP query each
-        look for parts once, over more than `kernel._SPLIT_FIRST` atoms, and
-        the list of the supported models that the reduct loop reads is the
-        list the scan returns."""
-        lp = lowering.lower(parse_program(text))
-        assert len(kernel._parts(lp)) == 1 and lp.n > kernel._SPLIT_FIRST
         looked = []
         parts = kernel._parts
-        monkeypatch.setattr(kernel, "_parts", lambda p: looked.append(p) or parts(p))
-        listed = []
-        list_members = kernel.members
-        monkeypatch.setattr(kernel, "members", lambda v: listed.append(v) or list_members(v))
-        supported, _, _ = kernel.scan(lp)
-        assert len(supported) == count
-        assert listed.count(sum(1 << m for m in supported)) == 1
-        assert looked == [lp]
-        kernel.enumerate_masks(lp, lowering.ENUM_SFLP)
-        assert looked == [lp, lp]
+        monkeypatch.setattr(kernel, "_parts", lambda lp: looked.append(lp) or parts(lp))
+        found = enumerate_candidates(program)
+        assert len(found[SemanticsKind.SUPPORTED]) > len(found[SemanticsKind.FLP])
+        assert len(looked) == 2 and len(parts(looked[0])) == 1
 
     def test_lookups_meet_the_one_atom_of_each_name(self, monkeypatch):
         """Each name has one `Atom`, so parsing, lowering, scanning and
@@ -457,7 +435,6 @@ class TestOneScan:
         program = parse_program(chain_text(12))
         for p in (program, renamed(program, "0")):
             lp = lowering.lower(p)
-            kernel.scan(lp)
             for mode in MODES.values():
                 kernel.enumerate_masks(lp, mode)
             enumerate_candidates(p)
@@ -466,9 +443,9 @@ class TestOneScan:
 
 def count_splits(monkeypatch) -> list[int]:
     """The part counts of the programs that `kernel._split` scans from now
-    on, with the split gate lowered to 0 atoms: every FLP and SFLP query and
-    scan of a program of two or more parts then splits, so `assert_agrees`
-    checks `_split` against the oracles at the few atoms they reach."""
+    on, with the split gate lowered to 0 atoms: every FLP and SFLP query of
+    a program of two or more parts then splits, so `assert_agrees` checks
+    `_split` against the oracles at the few atoms they reach."""
     calls = []
     split = kernel._split
     monkeypatch.setattr(kernel, "_SPLIT_FIRST", 0)
@@ -523,12 +500,12 @@ def even_loops(n: int) -> Program:
 
 class TestDisjointParts:
     """Programs made of parts that share no atom, constraints aside. Over
-    more than `kernel._SPLIT_FIRST` atoms the FLP and SFLP queries and the
-    scan test each part on its own universe (`kernel._split`) and multiply
-    the parts' answers; at that width or below, and on every connected
-    program, they test every candidate in one global pass. The models and
-    supported queries never split. `count_splits` lowers the width to 0, so
-    that the split path meets the oracles at the sizes they reach."""
+    more than `kernel._SPLIT_FIRST` atoms the FLP and SFLP queries test
+    each part on its own universe (`kernel._split`) and multiply the parts'
+    answers; at that width or below, and on every connected program, they
+    test every candidate in one global pass. The models and supported
+    queries never split. `count_splits` lowers the width to 0, so that the
+    split path meets the oracles at the sizes they reach."""
 
     def test_unions_agree_with_the_oracles(self, monkeypatch):
         splits = count_splits(monkeypatch)
@@ -558,8 +535,8 @@ class TestDisjointParts:
                     for name in MODES}
             for name in MODES:
                 assert kernel_sets(program, name) == want[name], (seed, name)
-            for name, masks in zip(("supported", "flp", "sflp"), kernel.scan(lp)):
-                assert {decode(lp.atoms, m) for m in masks} == want[name], (seed, name)
+            for kind, got in enumerate_candidates(program).items():
+                assert set(got) == want[kind.value], (seed, kind)
             split += len(splits) > before
         assert wide >= 60 and split >= 45, (wide, split)
 
@@ -577,7 +554,7 @@ class TestDisjointParts:
                 for k, name in enumerate(names)
             )
             assert kernel_sets(program, mode) == want, mode
-        assert [len(masks) for masks in kernel.scan(lowering.lower(program))] == [36, 4, 16]
+        assert [len(sets) for sets in enumerate_candidates(program).values()] == [36, 4, 16]
         assert splits and set(splits) == {5}
 
     @pytest.mark.parametrize("mode", [lowering.ENUM_FLP, lowering.ENUM_SFLP], ids=["flp", "sflp"])
@@ -600,7 +577,8 @@ class TestDisjointParts:
         assert len(masks) == answers
         assert len(calls) <= 2 * count
         assert scanned and max(p.n for p in scanned) <= 2
-        assert kernel.scan(lp)[1:] == (masks, masks)
+        assert kernel.enumerate_masks(lp, lowering.ENUM_FLP) == masks
+        assert kernel.enumerate_masks(lp, lowering.ENUM_SFLP) == masks
 
     def test_a_constraint_filters_the_product_of_the_loops(self, monkeypatch):
         """`:- count{a0, ..., a9} > 10.` reads every atom, but a constraint
@@ -619,7 +597,7 @@ class TestDisjointParts:
         assert_agrees(program, "joined loops")
         fires = lowering.lower(loops(10, f" :- {every} < 1."))
         assert kernel.enumerate_masks(fires, lowering.ENUM_SFLP) == []
-        assert kernel.scan(fires)[1:] == ([], [])
+        assert kernel.enumerate_masks(fires, lowering.ENUM_FLP) == []
 
     def test_constraints_over_no_atom_next_to_loops(self, monkeypatch):
         """A body over no atom is constant. `:- .` always fires, so no mode
@@ -629,7 +607,6 @@ class TestDisjointParts:
         lp = lowering.lower(program)
         for mode in MODES.values():
             assert kernel.enumerate_masks(lp, mode) == []
-        assert kernel.scan(lp) == ([], [], [])
         assert_agrees(program, "loops and :- .")
         splits = count_splits(monkeypatch)
         program = Program(loops(6).rules + (Rule(fs(), TruthTable(fs(), ())),))
@@ -651,7 +628,7 @@ class TestDisjointParts:
             program, _ = disjoint_union(seed, 4 + seed % 9)
             scanned.clear()
             before = len(splits)
-            kernel.scan(lowering.lower(program))
+            kernel.enumerate_masks(lowering.lower(program), lowering.ENUM_SFLP)
             parts = scanned if len(splits) > before else []
             split += bool(parts)
             components = rule_components(program.rules)
@@ -670,7 +647,8 @@ class TestDisjointParts:
         program = loops(5)
         universe = tuple(sorted(program.atoms() | {Atom("z"), Atom("b0")}, reverse=True))
         lp = lowering.lower(program, universe)
-        supported, flp, sflp = kernel.scan(lp)
+        supported, flp, sflp = (kernel.enumerate_masks(lp, mode) for mode in (
+            lowering.ENUM_SUPPORTED, lowering.ENUM_FLP, lowering.ENUM_SFLP))
         assert len(supported) == 32 and flp == sflp == [0]
 
 
@@ -714,9 +692,9 @@ class TestConstraintFilter:
 
     def test_unions_joined_by_constraints_are_filtered_products(self, monkeypatch):
         """9-16 atoms of 2-4 programs that only one or two count constraints
-        join: the SFLP query and the one scan, which both split before they
-        build any vector over all 2^n masks, and the products of the parts'
-        oracle sets at which no joining constraint fires agree."""
+        join: the FLP and SFLP queries, which both split before they build
+        any vector over all 2^n masks, and the products of the parts' oracle
+        sets at which no joining constraint fires agree."""
         widths = []
         vectors = kernel.rule_vectors
         monkeypatch.setattr(kernel, "rule_vectors",
@@ -736,12 +714,11 @@ class TestConstraintFilter:
             splits = lp.n > kernel._SPLIT_FIRST and len(kernel._parts(lp)) > 1
             split_first += splits
             widths.clear()
-            first = kernel.enumerate_masks(lp, lowering.ENUM_SFLP)
+            sflp = kernel.enumerate_masks(lp, lowering.ENUM_SFLP)
             assert not splits or max(widths, default=0) < lp.n, seed  # no global pass
             widths.clear()
-            _, flp, sflp = kernel.scan(lp)
-            assert not splits or max(widths, default=0) < lp.n, seed  # nor in the scan
-            assert first == sflp, seed
+            flp = kernel.enumerate_masks(lp, lowering.ENUM_FLP)
+            assert not splits or max(widths, default=0) < lp.n, seed  # nor for FLP
             assert {decode(lp.atoms, m) for m in sflp} == want["sflp"], seed
             assert {decode(lp.atoms, m) for m in flp} == want["flp"], seed
         assert filtered >= 30 and split_first >= 110, (filtered, split_first)
@@ -818,11 +795,11 @@ def distinct_shapes(copies) -> int:
 
 
 class TestRepeatedParts:
-    """Where a query or the scan splits, `_split` scans each distinct
-    part once per call: parts that are the same program up to a renaming of
-    their atoms that keeps the atoms' order share one `_global_pass`, whose
-    local lists each such part places at its own bits. A renaming that
-    reverses the order makes another part, scanned on its own."""
+    """Where a query splits, `_split` scans each distinct part once per
+    call: parts that are the same program up to a renaming of their atoms
+    that keeps the atoms' order share one `_global_pass`, whose local list
+    each such part places at its own bits. A renaming that reverses the
+    order makes another part, scanned on its own."""
 
     def test_renamed_copies_agree_with_the_oracles(self, monkeypatch):
         """At most 10 atoms, every union split (`count_splits`): the AST
@@ -860,9 +837,7 @@ class TestRepeatedParts:
                 want[name] = {i for i in product if not any(r.body.eval(i) for r in joins)}
                 assert kernel_sets(program, name) == want[name], (seed, name)
             scanned.clear()
-            found = kernel.scan(lp)
-            for name, masks in zip(("supported", "flp", "sflp"), found):
-                assert {decode(lp.atoms, m) for m in masks} == want[name], (seed, name)
+            kernel.enumerate_masks(lp, lowering.ENUM_SFLP)
             parts = len(kernel._parts(lp))
             if lp.n > kernel._SPLIT_FIRST and parts > 1:
                 split += 1
@@ -883,12 +858,14 @@ class TestRepeatedParts:
         assert len(kernel.enumerate_masks(lp, lowering.ENUM_SFLP)) == 32
         assert len(scanned) == 2 and all(p.n == 2 for p in scanned)
         scanned.clear()
-        assert [len(masks) for masks in kernel.scan(lp)] == [32, 0, 32]
-        assert len(scanned) == 2
+        assert kernel.enumerate_masks(lp, lowering.ENUM_FLP) == []
+        assert 1 <= len(scanned) <= 2
+        assert len(kernel.enumerate_masks(lp, lowering.ENUM_SUPPORTED)) == 32
 
     def test_loops_take_one_pass(self, monkeypatch):
         """14 loops `a :- a.` are 14 parts of one shape, and so are 12 loops
-        that one constraint joins: one pass each, for the query and the scan."""
+        that one constraint joins: one pass each, for the SFLP and FLP
+        queries."""
         every = "count{" + ", ".join(f"a{i}" for i in range(12)) + "}"
         scanned = count_passes(monkeypatch)
         for program in (loops(14), loops(12, f" :- {every} > 12.")):
@@ -897,9 +874,9 @@ class TestRepeatedParts:
             assert kernel.enumerate_masks(lp, lowering.ENUM_SFLP) == [0]
             assert len(scanned) == 1 and scanned[0].n == 1
             scanned.clear()
-            supported, flp, sflp = kernel.scan(lp)
-            assert len(supported) == 1 << lp.n and flp == sflp == [0]
-            assert len(scanned) == 1
+            assert kernel.enumerate_masks(lp, lowering.ENUM_FLP) == [0]
+            assert len(scanned) == 1 and scanned[0].n == 1
+            assert len(kernel.enumerate_masks(lp, lowering.ENUM_SUPPORTED)) == 1 << lp.n
 
     def test_mirrored_parts_are_scanned_apart(self, monkeypatch):
         """`b :- not a.` over {a, b} and its mirror `a0 :- not b0.` are not
@@ -933,7 +910,7 @@ class TestRepeatedParts:
             for p in (first, second)
         )
         assert first.atoms() == second.atoms()
-        assert kernel.scan(lowering.lower(first)) != kernel.scan(lowering.lower(second))
+        assert enumerate_candidates(first) != enumerate_candidates(second)
         splits = count_splits(monkeypatch)
         scanned = count_passes(monkeypatch)
         program = Program(renamed(first, "0").rules + renamed(second, "1").rules
@@ -1008,19 +985,19 @@ def looped_and_joined(seed: int) -> Program:
 
 
 def count_prefilter_drops(monkeypatch) -> list[bool]:
-    """Whether each SFLP or scan pass from now on that has more candidates
-    than atoms drops a candidate: one above a mono-supported model. Such a
-    pass makes one `_above` call, and its candidates are its supported
+    """Whether each SFLP pass from now on that has more candidates than
+    atoms drops a candidate: one above a mono-supported model. Such a pass
+    makes one `_above` call, and its candidates are its supported
     models."""
     drops = []
-    sflp_candidates = []  # the candidate vector of the SFLP or scan pass under way
+    sflp_candidates = []  # the candidate vector of the SFLP pass under way
     global_pass = kernel._global_pass
     above = kernel._above
 
     def recorded_pass(lp, mode):
         sflp_candidates.clear()
-        if mode in (lowering.ENUM_SFLP, kernel._SCAN):
-            supported = global_pass(lp, lowering.ENUM_SUPPORTED)[0]
+        if mode == lowering.ENUM_SFLP:
+            supported = global_pass(lp, lowering.ENUM_SUPPORTED)
             sflp_candidates.append(sum(1 << m for m in supported))
         return global_pass(lp, mode)
 
@@ -1041,8 +1018,8 @@ class TestMonoSupportPrefilter:
     model of P whose true atoms are each supported at J by a rule whose
     body vector is upward closed. J is a model of every reduct, and each
     supporting body, true at J, holds at every superset I, so its rule is
-    in I's reduct: J blocks I for SFLP and FLP alike. The scan still lists
-    every supported model."""
+    in I's reduct: J blocks I for SFLP and FLP alike. The supported query
+    still lists every supported model."""
 
     def test_generated_programs_agree_with_the_oracles(self, monkeypatch):
         drops = count_prefilter_drops(monkeypatch)
@@ -1059,13 +1036,14 @@ class TestMonoSupportPrefilter:
         drops = count_prefilter_drops(monkeypatch)
         for k in range(1, 10):
             assert_agrees(joined_loops(k), k)
-        assert sum(drops) >= 9 * 4, drops  # four calls per program drop
+        assert sum(drops) >= 8 * 4, drops  # from k = 2 the four SFLP passes drop
 
     def test_joined_loops_test_the_empty_set_alone(self, monkeypatch):
         """16 atoms, one part: every supported model but the empty set lies
         above a mono-supported model, the empty set itself, so the reduct
-        loop sees one candidate, in the query and in the scan, and the scan
-        still lists the 2^15 supported models."""
+        loop sees one candidate in the SFLP query; the empty set is also a
+        model of P, so the FLP query's loop sees one too. The supported
+        query still lists the 2^15 supported models."""
         lp = lowering.lower(joined_loops(15))
         assert len(kernel._parts(lp)) == 1
         seen = []
@@ -1075,16 +1053,16 @@ class TestMonoSupportPrefilter:
                                                                     candidates & 1))
                             or reducts(candidates, bodies))
         assert kernel.enumerate_masks(lp, lowering.ENUM_SFLP) == [0]
-        supported, flp, sflp = kernel.scan(lp)
+        assert kernel.enumerate_masks(lp, lowering.ENUM_FLP) == [0]
         assert seen == [(1, 1), (1, 1)]
-        assert len(supported) == 1 << 15 and flp == sflp == [0]
+        assert len(kernel.enumerate_masks(lp, lowering.ENUM_SUPPORTED)) == 1 << 15
 
     @pytest.mark.parametrize("k", [12, 16])
     def test_the_query_lists_no_dropped_candidate(self, monkeypatch, k):
         """The SFLP query reads only the answer sets, so where the prefilter
         drops candidates it lists none of the 2^k supported models: no
-        `members` call in it returns more than n masks. The scan still lists
-        them all."""
+        `members` call in it returns more than n masks. The supported query
+        still lists them all."""
         lp = lowering.lower(joined_loops(k))
         listed = []
         list_members = kernel.members
@@ -1092,7 +1070,7 @@ class TestMonoSupportPrefilter:
                             or list_members(v))
         assert kernel.enumerate_masks(lp, lowering.ENUM_SFLP) == [0]
         assert listed and max(listed) <= lp.n, listed
-        assert len(kernel.scan(lp)[0]) == 1 << k
+        assert len(kernel.enumerate_masks(lp, lowering.ENUM_SUPPORTED)) == 1 << k
 
 
 def record_blocked_below(monkeypatch) -> list:
@@ -1218,8 +1196,6 @@ def test_sflp_splits_only_on_disjoint_parts_and_constraints():
     assert len(kernel._parts(lp)) == 1
     assert kernel_sets(program, "sflp") == {fs("a", "b")}
     assert kernel_sets(program, "flp") == set()
-    _, flp, sflp = kernel.scan(lp)
-    assert flp == [] and [decode(lp.atoms, m) for m in sflp] == [fs("a", "b")]
     bottom, top = parse_program("a :- a."), parse_program("b :- dnf{~b}.")
     assert [i for i in all_subsets(bottom.atoms()) if is_sflp_answer_set(i, bottom)] == [fs()]
     assert not any(is_sflp_answer_set(i, top) for i in all_subsets(top.atoms()))
@@ -1420,21 +1396,21 @@ def test_flp_masks_are_supported_masks(corpus):
 
 
 def assert_lists_only_what_each_mode_reads(lp: lowering.LoweredProgram, label) -> None:
-    """`kernel._global_pass` on `lp`, called directly: FLP returns its
-    answer sets alone and SFLP its own, with empty lists in the other two
-    places, and the scan's first list is every supported model."""
-    listed, flp, sflp = kernel._global_pass(lp, kernel._SCAN)
-    assert listed == kernel._global_pass(lp, lowering.ENUM_SUPPORTED)[0], label
-    assert kernel._global_pass(lp, lowering.ENUM_FLP) == ([], flp, []), label
-    assert kernel._global_pass(lp, lowering.ENUM_SFLP) == ([], [], sflp), label
+    """`kernel._global_pass` on `lp`, called directly, returns the one list
+    of its mode: the masks over `lp`'s atoms that the oracle accepts for
+    the program of `lp`'s rules."""
+    program = Program(lp.rules)
+    for name, mode in MODES.items():
+        got = {decode(lp.atoms, m) for m in kernel._global_pass(lp, mode)}
+        assert got == enumerate_oracle(program, name), (label, name)
 
 
 def test_each_mode_lists_only_what_it_reads(corpus, monkeypatch):
     """The list contract of `_global_pass`, on whole programs (the corpus,
     `mixed_programs()` and joined loops, where the mono-support drop keeps
-    candidates from the reduct loop and the scan still lists them) and on
-    each part that a split scan of a disjoint union or of renamed copies
-    scans, with the split gate lowered by `count_splits`."""
+    candidates from the reduct loop) and on each part that a split SFLP
+    query of a disjoint union or of renamed copies scans, with the split
+    gate lowered by `count_splits`."""
     drops = count_prefilter_drops(monkeypatch)
     programs = ([corpus[name] for name in CORPUS_NAMES] + mixed_programs()
                 + [joined_loops(k) for k in range(1, 9)])
@@ -1451,7 +1427,7 @@ def test_each_mode_lists_only_what_it_reads(corpus, monkeypatch):
                         renamed_copies(seed, 4 + seed % 7)[0]):
             scanned.clear()
             before = len(splits)
-            kernel.scan(lowering.lower(program))
+            kernel.enumerate_masks(lowering.lower(program), lowering.ENUM_SFLP)
             if len(splits) > before:
                 for part in list(scanned):
                     before = len(drops)
@@ -1462,12 +1438,12 @@ def test_each_mode_lists_only_what_it_reads(corpus, monkeypatch):
 
 
 def test_every_list_in_canonical_order(corpus):
-    """Every `enumerate_masks` mode and every list of the one scan is in
-    canonical order (`assert_canonical_lists`) on the corpus and
-    `mixed_programs()`, which the global pass lists, on disjoint unions,
-    the choice gadgets and 10 loops `a :- a.`, which split, on the chain,
-    one part, and on joined loops, where the mono-support drop keeps most
-    supported models from the reduct loop."""
+    """Every `enumerate_masks` mode lists in canonical order
+    (`assert_canonical_lists`) on the corpus and `mixed_programs()`, which
+    the global pass lists, on disjoint unions, the choice gadgets and 10
+    loops `a :- a.`, which split, on the chain, one part, and on joined
+    loops, where the mono-support drop keeps most supported models from
+    the reduct loop."""
     programs = [corpus[name] for name in CORPUS_NAMES] + mixed_programs()
     programs += [disjoint_union(seed, 4 + seed % 13)[0] for seed in range(60)]
     programs += [choice_gadgets(), parse_program(" ".join(f"a{i} :- a{i}." for i in range(10)))]

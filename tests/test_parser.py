@@ -4,7 +4,15 @@ import random
 import pytest
 
 from gasp.compile import rew_flp, rew_sflp
-from gasp.core import Atom, Conjunct, CountAggregate, Dnf, LiteralConjunction, TruthTable
+from gasp.core import (
+    Atom,
+    Conjunct,
+    CountAggregate,
+    Dnf,
+    LiteralConjunction,
+    TruthTable,
+    UnsatisfiableBody,
+)
 from gasp.parser import (
     ParseError,
     ReservedAtom,
@@ -139,6 +147,13 @@ class TestRender:
     def test_render_body_rejects_a_non_body(self):
         with pytest.raises(TypeError, match="not a body"):
             render_body(Atom("a"))
+
+    def test_truth_table_without_a_row_has_no_text(self):
+        # a table without a row, over atoms or over none, is false on every
+        # subset of its domain: it has no minterm to render as a DNF
+        for domain in (fs("a", "b"), fs()):
+            with pytest.raises(UnsatisfiableBody, match="false on every subset"):
+                render_body(TruthTable(domain, ()))
 
     def test_truth_table_renders_as_minterms(self):
         body = TruthTable(fs("a", "b"), frozenset({frozenset(), fs("a", "b")}))

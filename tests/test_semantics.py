@@ -246,9 +246,10 @@ def ast_sets(program: Program, kind: SemanticsKind) -> tuple:
 class TestDisjointUnions:
     """Unions of 2-4 programs over disjoint atoms (`conftest.disjoint_union`),
     many of which the SFLP query splits into their parts: every query and
-    the one scan, in canonical order, against the AST predicates of the
-    whole program up to 10 atoms, and against the product of the parts'
-    AST sets at 12-16 atoms, a reference the kernel plays no part in."""
+    `enumerate_candidates`, in canonical order, against the AST predicates
+    of the whole program up to 10 atoms, and against the product of the
+    parts' AST sets at 12-16 atoms, a reference the kernel plays no part
+    in."""
 
     def test_whole_program_predicates(self):
         for seed in range(1000, 1100):
@@ -277,7 +278,8 @@ class TestDisjointUnions:
 
     def test_one_scan_decodes_each_supported_model_once(self, monkeypatch):
         """Nine even loops `x :- not y. y :- not x.`: their 512 supported
-        models are all FLP and SFLP answer sets, and each is decoded once."""
+        models are all FLP and SFLP answer sets, and `enumerate_candidates`
+        decodes each once, though it runs the three queries apart."""
         program = parse_program(" ".join(f"x{i} :- not y{i}. y{i} :- not x{i}."
                                          for i in range(9)))
         decoded = []
